@@ -23,7 +23,7 @@ reselect onto it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .codec import (
@@ -36,15 +36,13 @@ from .codec import (
     IdentityResponse,
     MacRar,
     Message,
-    Mib,
     RachPreamble,
     RrcConnectionRequest,
     RrcConnectionSetup,
-    Sib1,
     TauReject,
     TauRequest,
 )
-from .core import Downlink
+from .core import Downlink, broadcast_frames
 from .identity import CellFull, Imsi, Plmn, RntiAllocator
 from .radio import RadioCell
 
@@ -114,21 +112,7 @@ class RogueCell:
         cfg = self.config
         if not self.active(now_ms) or now_ms == 0 or now_ms % cfg.broadcast_period_ms != 0:
             return []
-        ident = cfg.radio.identity
-        return [
-            Downlink(cfg.cell_id, 0, Mib(cfg.mib_bandwidth_rb, (now_ms // 10) % 1024)),
-            Downlink(
-                cfg.cell_id,
-                0,
-                Sib1(
-                    plmn=ident.plmn,
-                    tac=ident.tac,
-                    cell_id=cfg.cell_id,
-                    min_rx_level_dbm=cfg.min_rx_level_dbm,
-                    priority_earfcns=cfg.priority_earfcns,
-                ),
-            ),
-        ]
+        return broadcast_frames(cfg, now_ms)
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:
         period = self.config.broadcast_period_ms

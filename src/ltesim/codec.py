@@ -21,61 +21,42 @@ the session key decode it fully; everyone else gets the header and the
 body length (an Opaque result), nothing more.
 
 Body grammar: one type byte, then the message fields in declaration
-order. Lists carry a one-byte count prefix; optional fields a one-byte
-presence flag. The type table is frozen:
+order. The message classes below are the frozen type table: each names
+its type byte and declares each field once, as `wire(kind)` or
+`arm(kind)`. A field kind owns its bytes, its domain check and its
+capture-JSON form, and `_Codec` derives encode, decode and JSON in both
+directions from the declaration. The encoding rules:
 
-    0x01 mib                                   bandwidth_rb u8, sfn u16
-    0x02 sib1                                  plmn, tac u16, cell_id u32,
-                                               min_rx_level_dbm i8,
-                                               priority_earfcns list of
-                                               (earfcn u32, priority u8)
-    0x03 rach_preamble                         preamble_id u8
-    0x04 mac_rar                               temp_rnti u16,
-                                               timing_advance u16,
-                                               uplink_grant u32
-    0x05 rrc_connection_request                tag u8: 0 tmsi u32,
-                                                       1 random u40
-    0x06 rrc_connection_setup                  (empty)
-    0x07 attach_request                        tag u8: 0 imsi, 1 tmsi u32
-    0x08 identity_request                      requested u8: 0 imsi, 1 imei
-    0x09 identity_response                     tag u8: 0 imsi,
-                                                       1 imei 15 ascii
-    0x0A authentication_request                rand 16B, autn 16B
-    0x0B authentication_response               res 8B
-    0x0C security_mode_command                 key_id u32
-    0x0D security_mode_complete                (empty)
-    0x0E attach_accept                         tmsi u32, tac u16
-    0x0F attach_reject                         emm_cause u8
-    0x10 tau_request                           tmsi u32, tac u16
-    0x11 tau_reject                            emm_cause u8
-    0x12 paging                                tag u8: 0 imsi, 1 tmsi u32
-    0x13 measurement_report                    list of (cell_id u32,
-                                               rsrp_dbm i8)
-    0x14 rrc_connection_reconfiguration        presence u8 + mobility:
-                                               target_cell_id u32,
-                                               new_rnti u16
-    0x15 rrc_connection_reconfiguration_complete  (empty)
-    0x16 user_data                             byte_count u16 +
-                                               byte_count zero bytes
+  - integers are big-endian and fixed width: u8, u16, u32, i8, and u40
+    for the random connection id;
+  - lists carry a one-byte count prefix, optional fields a one-byte
+    presence flag (0 absent, 1 present);
+  - the `arm` fields of a message form a tagged identity union: a tag
+    byte, the arm's index in declaration order, then that arm;
+  - an IMSI is a one-byte mnc length followed by 15 ASCII digits, an
+    IMEI is 15 ASCII digits; a PLMN is mcc u16, mnc_len u8, mnc u16;
+  - user data is byte_count u16 followed by byte_count zero bytes.
 
-An IMSI on the wire is a one-byte mnc length followed by 15 ASCII
-digits; a PLMN is mcc u16, mnc_len u8, mnc u16. EMM cause codes are the
-closed set 0x0B plmn_not_allowed, 0x07 eps_services_not_allowed,
-0x16 congestion_benign.
+EMM cause codes are the closed set 0x0B plmn_not_allowed,
+0x07 eps_services_not_allowed, 0x16 congestion_benign.
 
 encode/decode are exact inverses on valid input and encoding is
-canonical: equal frames produce equal bytes.
+canonical: equal frames produce equal bytes. A value outside its
+field's domain, whether being encoded, decoded or read from a capture
+body, raises a CodecError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import operator
 import struct
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Optional, Union
 
 from .crypto_stub import keystream_mask
-from .identity import Imsi, Plmn, format_tmsi, is_device_rnti, parse_imsi, validate_imei
+from .identity import RNTI_MAX, RNTI_MIN, Imsi, Plmn, format_tmsi, is_device_rnti, parse_imsi
 
 HEADER_LEN = 16
 RAND_LEN = 16
@@ -149,667 +130,606 @@ class FrameHeader:
             raise InvariantViolation(f"key_id out of range: {self.key_id}")
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.buf = bytearray()
-
-    def u8(self, v: int) -> None:
-        if not 0 <= v < (1 << 8):
-            raise InvariantViolation(f"u8 out of range: {v}")
-        self.buf.append(v)
-
-    def u16(self, v: int) -> None:
-        if not 0 <= v < (1 << 16):
-            raise InvariantViolation(f"u16 out of range: {v}")
-        self.buf += struct.pack(">H", v)
-
-    def u32(self, v: int) -> None:
-        if not 0 <= v < (1 << 32):
-            raise InvariantViolation(f"u32 out of range: {v}")
-        self.buf += struct.pack(">I", v)
-
-    def u64(self, v: int) -> None:
-        if not 0 <= v < (1 << 64):
-            raise InvariantViolation(f"u64 out of range: {v}")
-        self.buf += struct.pack(">Q", v)
-
-    def i8(self, v: int) -> None:
-        if not -128 <= v <= 127:
-            raise InvariantViolation(f"i8 out of range: {v}")
-        self.buf += struct.pack(">b", v)
-
-    def raw(self, data: bytes, expect_len: int) -> None:
-        if len(data) != expect_len:
-            raise InvariantViolation(f"expected {expect_len} bytes, got {len(data)}")
-        self.buf += data
-
-    def digits(self, text: str, expect_len: int) -> None:
-        if len(text) != expect_len or not text.isdigit():
-            raise InvariantViolation(f"expected {expect_len} digits, got {text!r}")
-        self.buf += text.encode("ascii")
+# -- field kinds ------------------------------------------------------------------
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+def _as_is(v):
+    """No conversion; the generic layer does not even call it."""
+    return v
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise Truncated(f"need {n} bytes at offset {self.pos}, have {len(self.data) - self.pos}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
+
+class Kind:
+    """How one field is written: its struct code, domain and JSON form.
+
+    A fixed-width kind has a struct `code`; `pack` checks an attribute
+    value and returns what the struct writes, `unpack` checks what the
+    struct read and returns the attribute value. A variable-width kind
+    (empty code) may only be a message's last field; it writes its own
+    bytes with `write(v)` and reads them with `read(data, pos)`, which
+    returns the value and the offset after it. `to_json` and `from_json`
+    convert to and from the capture body, and `from_json` checks too.
+    """
+
+    code = ""
+    inline = False  # a union arm whose JSON fields sit beside "kind"
+    unpack = to_json = staticmethod(_as_is)
+
+
+_CODE_RANGES = {"B": range(1 << 8), "H": range(1 << 16), "I": range(1 << 32), "b": range(-128, 128)}
+
+
+class Int(Kind):
+    """Integer restricted to `domain`, by default all its code holds."""
+
+    def __init__(self, code: str, domain=None):
+        self.code = code
+        self.domain = _CODE_RANGES[code] if domain is None else domain
+        if domain is None:  # the struct itself refuses what its code cannot hold
+            self.pack = self.unpack = _as_is
+
+    def check(self, v):
+        if type(v) is not int or v not in self.domain:
+            raise InvariantViolation(f"expected an integer in {self.domain}, got {v!r}")
+        return v
+
+    pack = unpack = from_json = check
+
+
+class U40(Int):
+    """Five-byte unsigned integer."""
+
+    def __init__(self):
+        super().__init__("5s", range(1 << 40))
+
+    def pack(self, v):
+        return self.check(v).to_bytes(5, "big")
+
+    def unpack(self, w):
+        return int.from_bytes(w, "big")
+
+
+class Tmsi(Int):
+    """u32 temporary identity; JSON is its canonical 0x-prefixed hex."""
+
+    def __init__(self):
+        super().__init__("I")
+
+    def to_json(self, v):
+        return format_tmsi(v)
+
+    def from_json(self, j):
+        v = self.check(int(j, 16))
+        if format_tmsi(v) != j:
+            raise InvariantViolation(f"tmsi not in canonical hex form: {j!r}")
+        return v
+
+
+class Enum(Kind):
+    """IntEnum member in one byte; JSON is the member name in lower case."""
+
+    code = "B"
+
+    def __init__(self, members: type[enum.IntEnum]):
+        self.by_value = {m.value: m for m in members}
+        self.by_name = {m.name.lower(): m for m in members}
+
+    def pack(self, v):
+        m = self.by_value.get(v)
+        if m is None:
+            raise InvariantViolation(f"not one of {sorted(self.by_name)}: {v!r}")
+        return m
+
+    unpack = pack
+
+    def to_json(self, v):
+        return self.pack(v).name.lower()
+
+    def from_json(self, j):
+        m = self.by_name.get(j)
+        if m is None:
+            raise InvariantViolation(f"not one of {sorted(self.by_name)}: {j!r}")
+        return m
+
+
+class Bytes(Kind):
+    """Fixed-length byte string; JSON is lower-case hex."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.code = f"{n}s"
+
+    def pack(self, v):
+        if not isinstance(v, bytes) or len(v) != self.n:
+            raise InvariantViolation(f"expected {self.n} bytes, got {v!r}")
+        return v
+
+    def to_json(self, v):
+        return v.hex()
+
+    def from_json(self, j):
+        return self.pack(bytes.fromhex(j))
+
+
+class Digits(Kind):
+    """Fifteen ASCII digits; JSON is the digit string."""
+
+    code = "15s"
+
+    def pack(self, v):
+        if type(v) is not str or len(v) != 15 or not (v.isascii() and v.isdigit()):
+            raise InvariantViolation(f"expected 15 ASCII digits, got {v!r}")
+        return v.encode("ascii")
+
+    def unpack(self, w):
+        if not w.isdigit():  # bytes.isdigit is ASCII-only
+            raise InvariantViolation(f"expected 15 ASCII digits, got {w!r}")
+        return w.decode("ascii")
+
+    def from_json(self, j):
+        self.pack(j)
+        return j
+
+
+class ImsiKind(Digits):
+    """mnc length u8 + 15 ASCII digits; JSON {"value", "mnc_len"}."""
+
+    code = "16s"
+    inline = True
+
+    def pack(self, v):
+        return bytes([len(v.mnc)]) + str(v).encode("ascii")
+
+    def unpack(self, w):
+        if w[0] not in (2, 3):
+            raise InvariantViolation(f"imsi mnc length must be 2 or 3, got {w[0]}")
+        return parse_imsi(super().unpack(w[1:]), w[0])
+
+    def to_json(self, v):
+        return {"value": str(v), "mnc_len": len(v.mnc)}
+
+    def from_json(self, j):
+        return parse_imsi(j["value"], j["mnc_len"])
+
+
+class PlmnKind(Kind):
+    """mcc u16, mnc_len u8, mnc u16; JSON {"mcc", "mnc"} as digit strings."""
+
+    code = "5s"
+    layout = struct.Struct(">HBH")
+
+    def pack(self, v):
+        return self.layout.pack(int(v.mcc), len(v.mnc), int(v.mnc))
+
+    def unpack(self, w):
+        mcc, mnc_len, mnc = self.layout.unpack(w)
+        if mnc_len not in (2, 3) or mcc > 999 or mnc >= 10**mnc_len:
+            raise InvariantViolation(f"bad plmn: mcc {mcc}, mnc {mnc} of length {mnc_len}")
+        return Plmn(f"{mcc:03d}", f"{mnc:0{mnc_len}d}")
+
+    def to_json(self, v):
+        return {"mcc": v.mcc, "mnc": v.mnc}
+
+    def from_json(self, j):
+        return Plmn(j["mcc"], j["mnc"])
+
+
+class Pairs(Kind):
+    """Count u8, then that many (first, second) pairs; JSON is a list of
+    two-element lists."""
+
+    def __init__(self, first: Kind, second: Kind):
+        self.first, self.second = first, second
+        self.item = struct.Struct(">" + first.code + second.code)
+
+    def write(self, v):
+        if len(v) > 255:
+            raise InvariantViolation(f"list too long: {len(v)} entries")
+        out = bytearray((len(v),))
+        for a, b in v:
+            out += self.item.pack(self.first.pack(a), self.second.pack(b))
+        return bytes(out)
+
+    def read(self, data, pos):
+        end = pos + 1 + data[pos] * self.item.size
+        if end > len(data):
+            raise Truncated(f"list needs {end - pos} bytes at offset {pos}")
+        first, second = self.first.unpack, self.second.unpack
+        return tuple((first(a), second(b)) for a, b in self.item.iter_unpack(data[pos + 1 : end])), end
+
+    def to_json(self, v):
+        return [[self.first.to_json(a), self.second.to_json(b)] for a, b in v]
+
+    def from_json(self, j):
+        if type(j) is not list:
+            raise InvariantViolation(f"expected a list, got {j!r}")
+        return tuple((self.first.from_json(a), self.second.from_json(b)) for a, b in j)
+
+
+class Presence(Kind):
+    """Flag u8, 0 absent or 1 present, then the fixed-width kind; JSON is
+    null or the kind's JSON."""
+
+    def __init__(self, kind: Kind):
+        self.kind = kind
+        self.layout = struct.Struct(">B" + kind.code)
+
+    def write(self, v):
+        return b"\x00" if v is None else self.layout.pack(1, self.kind.pack(v))
+
+    def read(self, data, pos):
+        if data[pos] == 0:
+            return None, pos + 1
+        if data[pos] != 1:
+            raise InvariantViolation(f"bad presence flag: {data[pos]}")
+        return self.kind.unpack(self.layout.unpack_from(data, pos)[1]), pos + self.layout.size
+
+    def to_json(self, v):
+        return None if v is None else self.kind.to_json(v)
+
+    def from_json(self, j):
+        return None if j is None else self.kind.from_json(j)
+
+
+class Zeros(Kind):
+    """byte_count u16, then byte_count zero bytes; JSON is the count."""
+
+    count = Int("H")
+    layout = struct.Struct(">H")
+
+    def write(self, v):
+        return self.layout.pack(self.count.check(v)) + bytes(v)
+
+    def read(self, data, pos):
+        (n,) = self.layout.unpack_from(data, pos)
+        end = pos + 2 + n
+        if end > len(data):
+            raise Truncated(f"user data needs {n} bytes at offset {pos + 2}")
+        if data.count(0, pos + 2, end) != n:
+            raise InvariantViolation("user data filler must be zeros")
+        return n, end
+
+    def from_json(self, j):
+        return self.count.from_json(j)
+
+
+class IdentityUnion(Kind):
+    """Tag u8 (the arm's index), then that arm. JSON is {"kind": arm
+    name, "value": arm JSON}, or the arm's own fields for an inline arm.
+    A value is (arm index, arm value)."""
+
+    def __init__(self, arms: list[tuple[str, str, Kind]]):
+        self.names, self.attrs, self.kinds = zip(*arms)
+        self.layouts = [struct.Struct(">B" + kind.code) for kind in self.kinds]
+        self.by_name = {name: i for i, name in enumerate(self.names)}
+
+    def get(self, msg):
+        for i, attr in enumerate(self.attrs):
+            if getattr(msg, attr) is not None:
+                return i, getattr(msg, attr)
+
+    def write(self, v):
+        i, x = v
+        return self.layouts[i].pack(i, self.kinds[i].pack(x))
+
+    def read(self, data, pos):
+        i = data[pos]
+        if i >= len(self.kinds):
+            raise InvariantViolation(f"bad identity tag: {i}")
+        layout = self.layouts[i]
+        return (i, self.kinds[i].unpack(layout.unpack_from(data, pos)[1])), pos + layout.size
+
+    def to_json(self, v):
+        i, x = v
+        j = self.kinds[i].to_json(x)
+        return {"kind": self.names[i], **j} if self.kinds[i].inline else {"kind": self.names[i], "value": j}
+
+    def from_json(self, j):
+        i = self.by_name.get(j["kind"])
+        if i is None:
+            raise InvariantViolation(f"unknown identity kind: {j['kind']!r}")
+        return i, self.kinds[i].from_json(j if self.kinds[i].inline else j["value"])
+
+
+U16, U32, I8 = Int("H"), Int("I"), Int("b")
+CELL_ID = Int("I", range(1 << 28))
+RNTI = Int("H", range(RNTI_MIN, RNTI_MAX + 1))
+TMSI, IMSI, IMEI, PLMN = Tmsi(), ImsiKind(), Digits(), PlmnKind()
+
+
+def wire(kind: Kind, default=dataclasses.MISSING):
+    """A dataclass field written as `kind`."""
+    return dataclasses.field(default=default, metadata={"kind": kind})
+
+
+def arm(kind: Kind, name: Optional[str] = None):
+    """One arm of the message's identity union, written as `kind`; `name`
+    is its JSON kind, by default the attribute name. Unset arms are None
+    and exactly one must be set."""
+    return dataclasses.field(default=None, metadata={"kind": kind, "arm": name})
+
+
+# -- generic layer ----------------------------------------------------------------
+
+
+class _Codec(Kind):
+    """Encode, decode, domain checks and JSON for one record, derived
+    from its declared fields. A message's struct opens with its type
+    byte. A record without a variable-width field is itself a
+    fixed-width kind, so records nest."""
+
+    def __init__(self, cls: type):
+        self.name = getattr(cls, "NAME", cls.__name__)
+        fields = dataclasses.fields(cls)
+        arms = [(f.metadata["arm"] or f.name, f.name, f.metadata["kind"]) for f in fields if "arm" in f.metadata]
+        self.union = union = IdentityUnion(arms) if arms else None
+        if union:
+            self.fields = [("identity", union)]
+            self.get = lambda rec: (union.get(rec),)
+            self.build = lambda chosen: cls(**{union.attrs[chosen[0]]: chosen[1]})
+        else:
+            self.fields = [(f.name, f.metadata["kind"]) for f in fields]
+            get = operator.attrgetter(*[f.name for f in fields]) if fields else lambda rec: ()
+            self.get = (lambda rec: (get(rec),)) if len(fields) == 1 else get
+            self.build = cls
+        self.keys = [key for key, _ in self.fields]
+        self.to_jsons = [(key, kind.to_json) for key, kind in self.fields if kind.to_json is not _as_is]
+        self.from_jsons = [(key, kind.from_json) for key, kind in self.fields]
+        kinds = [kind for _, kind in self.fields]
+        self.tail = kinds.pop() if kinds and not kinds[-1].code else None
+        if len(arms) not in (0, len(fields)) or not all(kind.code for kind in kinds):
+            raise TypeError(f"{self.name}: a variable-width field or union must come last and alone")
+        self.packs = [(i, kind.pack) for i, kind in enumerate(kinds) if kind.pack is not _as_is]
+        self.unpacks = [(i, kind.unpack) for i, kind in enumerate(kinds) if kind.unpack is not _as_is]
+        self.prefix = [cls.TYPE] if hasattr(cls, "TYPE") else []
+        self.layout = struct.Struct(">" + "B" * len(self.prefix) + "".join(kind.code for kind in kinds))
+        self.code = "" if self.tail else f"{self.layout.size}s"
+
+    def pack(self, rec) -> bytes:
+        vals = list(self.get(rec))
+        try:
+            for i, pack in self.packs:
+                vals[i] = pack(vals[i])
+            if self.tail:
+                return self.layout.pack(*self.prefix, *vals[:-1]) + self.tail.write(vals[-1])
+            return self.layout.pack(*self.prefix, *vals)
+        except (InvariantViolation, struct.error) as exc:
+            raise InvariantViolation(f"{self.name}: {exc}") from None
+
+    def read(self, data: bytes, pos: int):
+        """The record at data[pos:] and the offset after it."""
+        try:
+            vals = list(self.layout.unpack_from(data, pos))[len(self.prefix) :]
+            for i, unpack in self.unpacks:
+                vals[i] = unpack(vals[i])
+            pos += self.layout.size
+            if self.tail:
+                v, pos = self.tail.read(data, pos)
+                vals.append(v)
+        except (struct.error, IndexError):
+            raise Truncated(f"{self.name}: input ends inside the record") from None
+        return self.build(*vals), pos
+
+    def unpack(self, w):
+        return self.read(w, 0)[0]
+
+    def to_json(self, rec) -> dict:
+        out = dict(zip(self.keys, self.get(rec)))
+        for key, to_json in self.to_jsons:
+            out[key] = to_json(out[key])
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def i8(self) -> int:
-        return struct.unpack(">b", self.take(1))[0]
-
-    def digits(self, n: int) -> str:
-        raw = self.take(n)
-        text = raw.decode("ascii", errors="replace")
-        if not text.isdigit():
-            raise InvariantViolation(f"expected {n} ascii digits, got {raw!r}")
-        return text
-
-    def finish(self) -> None:
-        if self.pos != len(self.data):
-            raise TrailingBytes(f"{len(self.data) - self.pos} bytes after message end")
+    def from_json(self, body):
+        if type(body) is not dict:
+            raise InvariantViolation(f"{self.name}: body must be an object, got {body!r}")
+        try:
+            return self.build(*[from_json(body[key]) for key, from_json in self.from_jsons])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise InvariantViolation(f"{self.name}: bad capture body: {exc!r}") from None
 
 
-def _pack_plmn(w: _Writer, plmn: Plmn) -> None:
-    w.u16(int(plmn.mcc))
-    w.u8(len(plmn.mnc))
-    w.u16(int(plmn.mnc))
+def _one_arm(msg) -> None:
+    attrs = msg._codec.union.attrs
+    if [getattr(msg, a) is None for a in attrs].count(False) != 1:
+        raise InvariantViolation(f"exactly one of {'/'.join(attrs)} must be set")
 
 
-def _pack_imsi(w: _Writer, imsi: Imsi) -> None:
-    w.u8(len(imsi.mnc))
-    w.digits(str(imsi), 15)
+def _record(cls):
+    """Freeze a record dataclass and compile its codec."""
+    if any("arm" in getattr(v, "metadata", ()) for v in vars(cls).values()):
+        cls.__post_init__ = _one_arm
+    cls = dataclass(frozen=True)(cls)
+    cls._codec = _Codec(cls)
+    return cls
 
 
-def _unpack_imsi(r: _Reader) -> Imsi:
-    mnc_len = r.u8()
-    if mnc_len not in (2, 3):
-        raise InvariantViolation(f"imsi mnc length must be 2 or 3, got {mnc_len}")
-    return parse_imsi(r.digits(15), mnc_len)
+_BY_TYPE: dict = {}
 
 
-@dataclass(frozen=True)
+def _message(type_byte: int, name: str):
+    """Register a message class under its wire type byte and capture name."""
+
+    def register(cls):
+        cls.TYPE, cls.NAME = type_byte, name
+        _BY_TYPE[type_byte] = cls = _record(cls)
+        return cls
+
+    return register
+
+
+# -- messages ---------------------------------------------------------------------
+
+
+@_message(0x01, "mib")
 class Mib:
     """Master broadcast: bandwidth and frame number, nothing secret."""
 
-    bandwidth_rb: int
-    sfn: int
-
-    TYPE: ClassVar[int] = 0x01
-    NAME: ClassVar[str] = "mib"
-
-    def _pack(self, w: _Writer) -> None:
-        if self.bandwidth_rb not in MIB_BANDWIDTHS:
-            raise InvariantViolation(f"bandwidth_rb not in {MIB_BANDWIDTHS}: {self.bandwidth_rb}")
-        if not 0 <= self.sfn < 1024:
-            raise InvariantViolation(f"sfn out of range: {self.sfn}")
-        w.u8(self.bandwidth_rb)
-        w.u16(self.sfn)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "Mib":
-        bw = r.u8()
-        if bw not in MIB_BANDWIDTHS:
-            raise InvariantViolation(f"bandwidth_rb not in {MIB_BANDWIDTHS}: {bw}")
-        sfn = r.u16()
-        if sfn >= 1024:
-            raise InvariantViolation(f"sfn out of range: {sfn}")
-        return cls(bw, sfn)
+    bandwidth_rb: int = wire(Int("B", MIB_BANDWIDTHS))
+    sfn: int = wire(Int("H", range(1024)))
 
 
-@dataclass(frozen=True)
+@_message(0x02, "sib1")
 class Sib1:
     """System information: who the cell claims to be and which channels
     it wants devices to prefer. Entirely unauthenticated."""
 
-    plmn: Plmn
-    tac: int
-    cell_id: int
-    min_rx_level_dbm: int
-    priority_earfcns: tuple[tuple[int, int], ...] = ()
-
-    TYPE: ClassVar[int] = 0x02
-    NAME: ClassVar[str] = "sib1"
-
-    def _pack(self, w: _Writer) -> None:
-        _pack_plmn(w, self.plmn)
-        w.u16(self.tac)
-        if not 0 <= self.cell_id < (1 << 28):
-            raise InvariantViolation(f"cell_id out of range: {self.cell_id}")
-        w.u32(self.cell_id)
-        w.i8(self.min_rx_level_dbm)
-        if len(self.priority_earfcns) > 255:
-            raise InvariantViolation("priority list too long")
-        w.u8(len(self.priority_earfcns))
-        for earfcn, priority in self.priority_earfcns:
-            if not 0 <= priority <= 7:
-                raise InvariantViolation(f"priority out of range: {priority}")
-            w.u32(earfcn)
-            w.u8(priority)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "Sib1":
-        mcc = r.u16()
-        mnc_len = r.u8()
-        mnc = r.u16()
-        if mnc_len not in (2, 3):
-            raise InvariantViolation(f"mnc length must be 2 or 3, got {mnc_len}")
-        if mcc > 999 or mnc >= 10 ** mnc_len:
-            raise InvariantViolation(f"plmn digits out of range: {mcc}/{mnc}")
-        plmn = Plmn(f"{mcc:03d}", f"{mnc:0{mnc_len}d}")
-        tac = r.u16()
-        cell_id = r.u32()
-        if cell_id >= (1 << 28):
-            raise InvariantViolation(f"cell_id out of range: {cell_id}")
-        min_rx = r.i8()
-        entries = []
-        for _ in range(r.u8()):
-            earfcn = r.u32()
-            priority = r.u8()
-            if priority > 7:
-                raise InvariantViolation(f"priority out of range: {priority}")
-            entries.append((earfcn, priority))
-        return cls(plmn, tac, cell_id, min_rx, tuple(entries))
+    plmn: Plmn = wire(PLMN)
+    tac: int = wire(U16)
+    cell_id: int = wire(CELL_ID)
+    min_rx_level_dbm: int = wire(I8)
+    priority_earfcns: tuple[tuple[int, int], ...] = wire(Pairs(U32, Int("B", range(8))), ())
 
 
-@dataclass(frozen=True)
+@_message(0x03, "rach_preamble")
 class RachPreamble:
     """First uplink of any connection; sent before any identity exists."""
 
-    preamble_id: int
-
-    TYPE: ClassVar[int] = 0x03
-    NAME: ClassVar[str] = "rach_preamble"
-
-    def _pack(self, w: _Writer) -> None:
-        if not 0 <= self.preamble_id < 64:
-            raise InvariantViolation(f"preamble_id out of range: {self.preamble_id}")
-        w.u8(self.preamble_id)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RachPreamble":
-        pid = r.u8()
-        if pid >= 64:
-            raise InvariantViolation(f"preamble_id out of range: {pid}")
-        return cls(pid)
+    preamble_id: int = wire(Int("B", range(64)))
 
 
-@dataclass(frozen=True)
+@_message(0x04, "mac_rar")
 class MacRar:
     """Random-access response assigning the temporary radio id."""
 
-    temp_rnti: int
-    timing_advance: int = 0
-    uplink_grant: int = 0
-
-    TYPE: ClassVar[int] = 0x04
-    NAME: ClassVar[str] = "mac_rar"
-
-    def _pack(self, w: _Writer) -> None:
-        if not is_device_rnti(self.temp_rnti):
-            raise InvariantViolation(f"temp_rnti outside device range: {self.temp_rnti}")
-        if not 0 <= self.timing_advance < 2048:
-            raise InvariantViolation(f"timing_advance out of range: {self.timing_advance}")
-        if not 0 <= self.uplink_grant < (1 << 20):
-            raise InvariantViolation(f"uplink_grant out of range: {self.uplink_grant}")
-        w.u16(self.temp_rnti)
-        w.u16(self.timing_advance)
-        w.u32(self.uplink_grant)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "MacRar":
-        rnti = r.u16()
-        ta = r.u16()
-        grant = r.u32()
-        if not is_device_rnti(rnti):
-            raise InvariantViolation(f"temp_rnti outside device range: {rnti}")
-        if ta >= 2048:
-            raise InvariantViolation(f"timing_advance out of range: {ta}")
-        if grant >= (1 << 20):
-            raise InvariantViolation(f"uplink_grant out of range: {grant}")
-        return cls(rnti, ta, grant)
+    temp_rnti: int = wire(RNTI)
+    timing_advance: int = wire(Int("H", range(2048)), 0)
+    uplink_grant: int = wire(Int("I", range(1 << 20)), 0)
 
 
-@dataclass(frozen=True)
+@_message(0x05, "rrc_connection_request")
 class RrcConnectionRequest:
     """Connection attempt; carries a TMSI when the device holds one,
     otherwise a random 40-bit value."""
 
-    tmsi: Optional[int] = None
-    random_id: Optional[int] = None
-
-    TYPE: ClassVar[int] = 0x05
-    NAME: ClassVar[str] = "rrc_connection_request"
-
-    def __post_init__(self) -> None:
-        if (self.tmsi is None) == (self.random_id is None):
-            raise InvariantViolation("exactly one of tmsi/random_id must be set")
-
-    def _pack(self, w: _Writer) -> None:
-        if self.tmsi is not None:
-            w.u8(0)
-            w.u32(self.tmsi)
-        else:
-            if not 0 <= self.random_id < (1 << 40):
-                raise InvariantViolation(f"random_id out of range: {self.random_id}")
-            w.u8(1)
-            w.raw(self.random_id.to_bytes(5, "big"), 5)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RrcConnectionRequest":
-        tag = r.u8()
-        if tag == 0:
-            return cls(tmsi=r.u32())
-        if tag == 1:
-            return cls(random_id=int.from_bytes(r.take(5), "big"))
-        raise InvariantViolation(f"bad connection identity tag: {tag}")
+    tmsi: Optional[int] = arm(TMSI)
+    random_id: Optional[int] = arm(U40(), "random")
 
 
-@dataclass(frozen=True)
+@_message(0x06, "rrc_connection_setup")
 class RrcConnectionSetup:
-    TYPE: ClassVar[int] = 0x06
-    NAME: ClassVar[str] = "rrc_connection_setup"
-
-    def _pack(self, w: _Writer) -> None:
-        pass
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RrcConnectionSetup":
-        return cls()
+    pass
 
 
-@dataclass(frozen=True)
+@_message(0x07, "attach_request")
 class AttachRequest:
     """Registration request. Identity is the permanent IMSI only when no
     temporary identity exists; every IMSI here is a privacy event."""
 
-    imsi: Optional[Imsi] = None
-    tmsi: Optional[int] = None
-
-    TYPE: ClassVar[int] = 0x07
-    NAME: ClassVar[str] = "attach_request"
-
-    def __post_init__(self) -> None:
-        if (self.imsi is None) == (self.tmsi is None):
-            raise InvariantViolation("exactly one of imsi/tmsi must be set")
-
-    def _pack(self, w: _Writer) -> None:
-        if self.imsi is not None:
-            w.u8(0)
-            _pack_imsi(w, self.imsi)
-        else:
-            w.u8(1)
-            w.u32(self.tmsi)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AttachRequest":
-        tag = r.u8()
-        if tag == 0:
-            return cls(imsi=_unpack_imsi(r))
-        if tag == 1:
-            return cls(tmsi=r.u32())
-        raise InvariantViolation(f"bad attach identity tag: {tag}")
+    imsi: Optional[Imsi] = arm(IMSI)
+    tmsi: Optional[int] = arm(TMSI)
 
 
-@dataclass(frozen=True)
+@_message(0x08, "identity_request")
 class IdentityRequest:
     """Network asks for a permanent identity. Pre-authentication, so
     anyone running a cell can ask."""
 
-    requested: IdentityKind
-
-    TYPE: ClassVar[int] = 0x08
-    NAME: ClassVar[str] = "identity_request"
-
-    def _pack(self, w: _Writer) -> None:
-        w.u8(int(self.requested))
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "IdentityRequest":
-        tag = r.u8()
-        try:
-            return cls(IdentityKind(tag))
-        except ValueError:
-            raise InvariantViolation(f"bad identity kind: {tag}") from None
+    requested: IdentityKind = wire(Enum(IdentityKind))
 
 
-@dataclass(frozen=True)
+@_message(0x09, "identity_response")
 class IdentityResponse:
-    imsi: Optional[Imsi] = None
-    imei: Optional[str] = None
-
-    TYPE: ClassVar[int] = 0x09
-    NAME: ClassVar[str] = "identity_response"
-
-    def __post_init__(self) -> None:
-        if (self.imsi is None) == (self.imei is None):
-            raise InvariantViolation("exactly one of imsi/imei must be set")
-        if self.imei is not None:
-            validate_imei(self.imei)
-
-    def _pack(self, w: _Writer) -> None:
-        if self.imsi is not None:
-            w.u8(0)
-            _pack_imsi(w, self.imsi)
-        else:
-            w.u8(1)
-            w.digits(self.imei, 15)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "IdentityResponse":
-        tag = r.u8()
-        if tag == 0:
-            return cls(imsi=_unpack_imsi(r))
-        if tag == 1:
-            return cls(imei=r.digits(15))
-        raise InvariantViolation(f"bad identity tag: {tag}")
+    imsi: Optional[Imsi] = arm(IMSI)
+    imei: Optional[str] = arm(IMEI)
 
 
-@dataclass(frozen=True)
+@_message(0x0A, "authentication_request")
 class AuthenticationRequest:
     """Challenge from a network that holds the subscriber key. A rogue
     cell cannot produce a valid one, which is why its conversations end
     before this point."""
 
-    rand: bytes
-    autn: bytes
-
-    TYPE: ClassVar[int] = 0x0A
-    NAME: ClassVar[str] = "authentication_request"
-
-    def _pack(self, w: _Writer) -> None:
-        w.raw(self.rand, RAND_LEN)
-        w.raw(self.autn, AUTN_LEN)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AuthenticationRequest":
-        return cls(bytes(r.take(RAND_LEN)), bytes(r.take(AUTN_LEN)))
+    rand: bytes = wire(Bytes(RAND_LEN))
+    autn: bytes = wire(Bytes(AUTN_LEN))
 
 
-@dataclass(frozen=True)
+@_message(0x0B, "authentication_response")
 class AuthenticationResponse:
-    res: bytes
-
-    TYPE: ClassVar[int] = 0x0B
-    NAME: ClassVar[str] = "authentication_response"
-
-    def _pack(self, w: _Writer) -> None:
-        w.raw(self.res, RES_LEN)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AuthenticationResponse":
-        return cls(bytes(r.take(RES_LEN)))
+    res: bytes = wire(Bytes(RES_LEN))
 
 
-@dataclass(frozen=True)
+@_message(0x0C, "security_mode_command")
 class SecurityModeCommand:
     """Activates the session security context named by key_id."""
 
-    key_id: int
-
-    TYPE: ClassVar[int] = 0x0C
-    NAME: ClassVar[str] = "security_mode_command"
-
-    def _pack(self, w: _Writer) -> None:
-        w.u32(self.key_id)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "SecurityModeCommand":
-        return cls(r.u32())
+    key_id: int = wire(U32)
 
 
-@dataclass(frozen=True)
+@_message(0x0D, "security_mode_complete")
 class SecurityModeComplete:
-    TYPE: ClassVar[int] = 0x0D
-    NAME: ClassVar[str] = "security_mode_complete"
-
-    def _pack(self, w: _Writer) -> None:
-        pass
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "SecurityModeComplete":
-        return cls()
+    pass
 
 
-@dataclass(frozen=True)
+@_message(0x0E, "attach_accept")
 class AttachAccept:
     """Registration granted; assigns the temporary identity."""
 
-    tmsi: int
-    tac: int
-
-    TYPE: ClassVar[int] = 0x0E
-    NAME: ClassVar[str] = "attach_accept"
-
-    def _pack(self, w: _Writer) -> None:
-        w.u32(self.tmsi)
-        w.u16(self.tac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AttachAccept":
-        return cls(r.u32(), r.u16())
+    tmsi: int = wire(TMSI)
+    tac: int = wire(U16)
 
 
-@dataclass(frozen=True)
+@_message(0x0F, "attach_reject")
 class AttachReject:
     """Registration refused. Unauthenticated, and the cause byte decides
     how long and how widely the device gives up."""
 
-    emm_cause: EmmCause
-
-    TYPE: ClassVar[int] = 0x0F
-    NAME: ClassVar[str] = "attach_reject"
-
-    def _pack(self, w: _Writer) -> None:
-        w.u8(int(self.emm_cause))
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "AttachReject":
-        code = r.u8()
-        try:
-            return cls(EmmCause(code))
-        except ValueError:
-            raise InvariantViolation(f"unknown emm cause: {code:#04x}") from None
+    emm_cause: EmmCause = wire(Enum(EmmCause))
 
 
-@dataclass(frozen=True)
+@_message(0x10, "tau_request")
 class TauRequest:
     """Tracking-area update after moving into a new area."""
 
-    tmsi: int
-    tac: int
-
-    TYPE: ClassVar[int] = 0x10
-    NAME: ClassVar[str] = "tau_request"
-
-    def _pack(self, w: _Writer) -> None:
-        w.u32(self.tmsi)
-        w.u16(self.tac)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "TauRequest":
-        return cls(r.u32(), r.u16())
+    tmsi: int = wire(TMSI)
+    tac: int = wire(U16)
 
 
-@dataclass(frozen=True)
+@_message(0x11, "tau_reject")
 class TauReject:
-    emm_cause: EmmCause
-
-    TYPE: ClassVar[int] = 0x11
-    NAME: ClassVar[str] = "tau_reject"
-
-    def _pack(self, w: _Writer) -> None:
-        w.u8(int(self.emm_cause))
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "TauReject":
-        code = r.u8()
-        try:
-            return cls(EmmCause(code))
-        except ValueError:
-            raise InvariantViolation(f"unknown emm cause: {code:#04x}") from None
+    emm_cause: EmmCause = wire(Enum(EmmCause))
 
 
-@dataclass(frozen=True)
+@_message(0x12, "paging")
 class Paging:
     """Broadcast wake-up call; names the device for everyone to hear."""
 
-    imsi: Optional[Imsi] = None
-    tmsi: Optional[int] = None
-
-    TYPE: ClassVar[int] = 0x12
-    NAME: ClassVar[str] = "paging"
-
-    def __post_init__(self) -> None:
-        if (self.imsi is None) == (self.tmsi is None):
-            raise InvariantViolation("exactly one of imsi/tmsi must be set")
-
-    def _pack(self, w: _Writer) -> None:
-        if self.imsi is not None:
-            w.u8(0)
-            _pack_imsi(w, self.imsi)
-        else:
-            w.u8(1)
-            w.u32(self.tmsi)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "Paging":
-        tag = r.u8()
-        if tag == 0:
-            return cls(imsi=_unpack_imsi(r))
-        if tag == 1:
-            return cls(tmsi=r.u32())
-        raise InvariantViolation(f"bad paging identity tag: {tag}")
+    imsi: Optional[Imsi] = arm(IMSI)
+    tmsi: Optional[int] = arm(TMSI)
 
 
-@dataclass(frozen=True)
+@_message(0x13, "measurement_report")
 class MeasurementReport:
     """Receive levels the device reports back; feeds handover decisions."""
 
-    neighbors: tuple[tuple[int, int], ...] = ()
-
-    TYPE: ClassVar[int] = 0x13
-    NAME: ClassVar[str] = "measurement_report"
-
-    def _pack(self, w: _Writer) -> None:
-        if len(self.neighbors) > 255:
-            raise InvariantViolation("neighbor list too long")
-        w.u8(len(self.neighbors))
-        for cell_id, rsrp in self.neighbors:
-            if not 0 <= cell_id < (1 << 28):
-                raise InvariantViolation(f"cell_id out of range: {cell_id}")
-            w.u32(cell_id)
-            w.i8(rsrp)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "MeasurementReport":
-        entries = []
-        for _ in range(r.u8()):
-            cell_id = r.u32()
-            if cell_id >= (1 << 28):
-                raise InvariantViolation(f"cell_id out of range: {cell_id}")
-            entries.append((cell_id, r.i8()))
-        return cls(tuple(entries))
+    neighbors: tuple[tuple[int, int], ...] = wire(Pairs(CELL_ID, I8), ())
 
 
-@dataclass(frozen=True)
+@_record
 class MobilityControlInfo:
     """Where to go and which radio id to use when arriving."""
 
-    target_cell_id: int
-    new_rnti: int
+    target_cell_id: int = wire(CELL_ID)
+    new_rnti: int = wire(RNTI)
 
 
-@dataclass(frozen=True)
+@_message(0x14, "rrc_connection_reconfiguration")
 class RrcConnectionReconfiguration:
     """Connection update. With mobility info it is the handover order,
     and it names the device's next radio identity."""
 
-    mobility: Optional[MobilityControlInfo] = None
-
-    TYPE: ClassVar[int] = 0x14
-    NAME: ClassVar[str] = "rrc_connection_reconfiguration"
-
-    def _pack(self, w: _Writer) -> None:
-        if self.mobility is None:
-            w.u8(0)
-            return
-        w.u8(1)
-        if not 0 <= self.mobility.target_cell_id < (1 << 28):
-            raise InvariantViolation(f"cell_id out of range: {self.mobility.target_cell_id}")
-        if not is_device_rnti(self.mobility.new_rnti):
-            raise InvariantViolation(f"new_rnti outside device range: {self.mobility.new_rnti}")
-        w.u32(self.mobility.target_cell_id)
-        w.u16(self.mobility.new_rnti)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RrcConnectionReconfiguration":
-        flag = r.u8()
-        if flag == 0:
-            return cls()
-        if flag != 1:
-            raise InvariantViolation(f"bad presence flag: {flag}")
-        cell_id = r.u32()
-        rnti = r.u16()
-        if cell_id >= (1 << 28):
-            raise InvariantViolation(f"cell_id out of range: {cell_id}")
-        if not is_device_rnti(rnti):
-            raise InvariantViolation(f"new_rnti outside device range: {rnti}")
-        return cls(MobilityControlInfo(cell_id, rnti))
+    mobility: Optional[MobilityControlInfo] = wire(Presence(MobilityControlInfo._codec), None)
 
 
-@dataclass(frozen=True)
+@_message(0x15, "rrc_connection_reconfiguration_complete")
 class RrcConnectionReconfigurationComplete:
-    TYPE: ClassVar[int] = 0x15
-    NAME: ClassVar[str] = "rrc_connection_reconfiguration_complete"
-
-    def _pack(self, w: _Writer) -> None:
-        pass
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "RrcConnectionReconfigurationComplete":
-        return cls()
+    pass
 
 
-@dataclass(frozen=True)
+@_message(0x16, "user_data")
 class UserData:
     """Traffic volume abstraction: the body really is byte_count bytes of
     padding, so observed frame sizes equal declared volume."""
 
-    byte_count: int
-
-    TYPE: ClassVar[int] = 0x16
-    NAME: ClassVar[str] = "user_data"
-
-    def _pack(self, w: _Writer) -> None:
-        w.u16(self.byte_count)
-        w.buf += bytes(self.byte_count)
-
-    @classmethod
-    def _unpack(cls, r: _Reader) -> "UserData":
-        count = r.u16()
-        filler = r.take(count)
-        if any(filler):
-            raise InvariantViolation("user data filler must be zeros")
-        return cls(count)
+    byte_count: int = wire(Zeros())
 
 
 @dataclass(frozen=True)
@@ -821,82 +741,27 @@ class Opaque:
     NAME: ClassVar[str] = "opaque"
 
 
-Message = Union[
-    Mib,
-    Sib1,
-    RachPreamble,
-    MacRar,
-    RrcConnectionRequest,
-    RrcConnectionSetup,
-    AttachRequest,
-    IdentityRequest,
-    IdentityResponse,
-    AuthenticationRequest,
-    AuthenticationResponse,
-    SecurityModeCommand,
-    SecurityModeComplete,
-    AttachAccept,
-    AttachReject,
-    TauRequest,
-    TauReject,
-    Paging,
-    MeasurementReport,
-    RrcConnectionReconfiguration,
-    RrcConnectionReconfigurationComplete,
-    UserData,
-]
-
-MESSAGE_CLASSES = Message.__args__
-_BY_TYPE = {cls.TYPE: cls for cls in MESSAGE_CLASSES}
+MESSAGE_CLASSES = tuple(_BY_TYPE.values())
+Message = Union[MESSAGE_CLASSES]
 _BY_NAME = {cls.NAME: cls for cls in MESSAGE_CLASSES}
 
-BROADCAST_TYPES = (Mib, Sib1, Paging)
 
-# Everything that can legitimately cross the air before any security
-# context exists. SecurityModeCommand/Complete sit on the activation
-# boundary itself and everything later presumes a context.
-PRE_AUTHENTICATION_CLASSES = frozenset(
-    {
-        Mib,
-        Sib1,
-        RachPreamble,
-        MacRar,
-        RrcConnectionRequest,
-        RrcConnectionSetup,
-        AttachRequest,
-        IdentityRequest,
-        IdentityResponse,
-        AuthenticationRequest,
-        AuthenticationResponse,
-        AttachReject,
-        TauRequest,
-        TauReject,
-        Paging,
-    }
-)
-
-
-def is_pre_authentication(msg: Union[Message, type]) -> bool:
-    """True for message types that exist before mutual authentication."""
-    cls = msg if isinstance(msg, type) else type(msg)
-    return cls in PRE_AUTHENTICATION_CLASSES
+# -- frames -----------------------------------------------------------------------
 
 
 def encode_body(msg: Message) -> bytes:
-    w = _Writer()
-    w.u8(msg.TYPE)
-    msg._pack(w)
-    return bytes(w.buf)
+    return msg._codec.pack(msg)
 
 
 def decode_body(data: bytes) -> Message:
-    r = _Reader(data)
-    type_byte = r.u8()
-    cls = _BY_TYPE.get(type_byte)
+    if not data:
+        raise Truncated("empty body")
+    cls = _BY_TYPE.get(data[0])
     if cls is None:
-        raise UnknownType(f"unknown message type byte: {type_byte:#04x}")
-    msg = cls._unpack(r)
-    r.finish()
+        raise UnknownType(f"unknown message type byte: {data[0]:#04x}")
+    msg, end = cls._codec.read(data, 0)
+    if end != len(data):
+        raise TrailingBytes(f"{len(data) - end} bytes after message end")
     return msg
 
 
@@ -958,147 +823,17 @@ def body_len(data: bytes) -> int:
     return len(data) - HEADER_LEN
 
 
-def _identity_to_json(imsi: Optional[Imsi], tmsi: Optional[int]) -> dict:
-    if imsi is not None:
-        return {"kind": "imsi", "value": str(imsi), "mnc_len": len(imsi.mnc)}
-    return {"kind": "tmsi", "value": format_tmsi(tmsi)}
-
-
-def _identity_from_json(obj: dict) -> dict:
-    if obj["kind"] == "imsi":
-        return {"imsi": parse_imsi(obj["value"], obj["mnc_len"])}
-    return {"tmsi": int(obj["value"], 16)}
-
-
 def message_to_json(msg: Union[Message, Opaque]) -> dict:
     """Capture-log body for a decoded message. Inverse of message_from_json."""
     if isinstance(msg, Opaque):
         return {}
-    if isinstance(msg, Mib):
-        return {"bandwidth_rb": msg.bandwidth_rb, "sfn": msg.sfn}
-    if isinstance(msg, Sib1):
-        return {
-            "plmn": {"mcc": msg.plmn.mcc, "mnc": msg.plmn.mnc},
-            "tac": msg.tac,
-            "cell_id": msg.cell_id,
-            "min_rx_level_dbm": msg.min_rx_level_dbm,
-            "priority_earfcns": [list(e) for e in msg.priority_earfcns],
-        }
-    if isinstance(msg, RachPreamble):
-        return {"preamble_id": msg.preamble_id}
-    if isinstance(msg, MacRar):
-        return {
-            "temp_rnti": msg.temp_rnti,
-            "timing_advance": msg.timing_advance,
-            "uplink_grant": msg.uplink_grant,
-        }
-    if isinstance(msg, RrcConnectionRequest):
-        if msg.tmsi is not None:
-            return {"identity": {"kind": "tmsi", "value": format_tmsi(msg.tmsi)}}
-        return {"identity": {"kind": "random", "value": msg.random_id}}
-    if isinstance(msg, RrcConnectionSetup):
-        return {}
-    if isinstance(msg, AttachRequest):
-        return {"identity": _identity_to_json(msg.imsi, msg.tmsi)}
-    if isinstance(msg, IdentityRequest):
-        return {"requested": msg.requested.name.lower()}
-    if isinstance(msg, IdentityResponse):
-        if msg.imsi is not None:
-            return {"identity": {"kind": "imsi", "value": str(msg.imsi), "mnc_len": len(msg.imsi.mnc)}}
-        return {"identity": {"kind": "imei", "value": msg.imei}}
-    if isinstance(msg, AuthenticationRequest):
-        return {"rand": msg.rand.hex(), "autn": msg.autn.hex()}
-    if isinstance(msg, AuthenticationResponse):
-        return {"res": msg.res.hex()}
-    if isinstance(msg, SecurityModeCommand):
-        return {"key_id": msg.key_id}
-    if isinstance(msg, SecurityModeComplete):
-        return {}
-    if isinstance(msg, AttachAccept):
-        return {"tmsi": format_tmsi(msg.tmsi), "tac": msg.tac}
-    if isinstance(msg, AttachReject):
-        return {"emm_cause": msg.emm_cause.name.lower()}
-    if isinstance(msg, TauRequest):
-        return {"tmsi": format_tmsi(msg.tmsi), "tac": msg.tac}
-    if isinstance(msg, TauReject):
-        return {"emm_cause": msg.emm_cause.name.lower()}
-    if isinstance(msg, Paging):
-        return {"identity": _identity_to_json(msg.imsi, msg.tmsi)}
-    if isinstance(msg, MeasurementReport):
-        return {"neighbors": [list(e) for e in msg.neighbors]}
-    if isinstance(msg, RrcConnectionReconfiguration):
-        if msg.mobility is None:
-            return {"mobility": None}
-        return {"mobility": {"target_cell_id": msg.mobility.target_cell_id, "new_rnti": msg.mobility.new_rnti}}
-    if isinstance(msg, RrcConnectionReconfigurationComplete):
-        return {}
-    if isinstance(msg, UserData):
-        return {"byte_count": msg.byte_count}
-    raise InvariantViolation(f"no json form for {type(msg).__name__}")
+    return msg._codec.to_json(msg)
 
 
 def message_from_json(name: str, body: dict) -> Message:
-    """Rebuild a message from its capture-log body."""
-    cls = _BY_NAME.get(name)
+    """Rebuild a message from its capture-log body. A body that does not
+    describe a valid message raises a CodecError."""
+    cls = _BY_NAME.get(name) if isinstance(name, str) else None
     if cls is None:
         raise UnknownType(f"unknown message name: {name!r}")
-    if cls is Mib:
-        return Mib(body["bandwidth_rb"], body["sfn"])
-    if cls is Sib1:
-        return Sib1(
-            Plmn(body["plmn"]["mcc"], body["plmn"]["mnc"]),
-            body["tac"],
-            body["cell_id"],
-            body["min_rx_level_dbm"],
-            tuple((e[0], e[1]) for e in body["priority_earfcns"]),
-        )
-    if cls is RachPreamble:
-        return RachPreamble(body["preamble_id"])
-    if cls is MacRar:
-        return MacRar(body["temp_rnti"], body["timing_advance"], body["uplink_grant"])
-    if cls is RrcConnectionRequest:
-        ident = body["identity"]
-        if ident["kind"] == "tmsi":
-            return RrcConnectionRequest(tmsi=int(ident["value"], 16))
-        return RrcConnectionRequest(random_id=ident["value"])
-    if cls is RrcConnectionSetup:
-        return RrcConnectionSetup()
-    if cls is AttachRequest:
-        return AttachRequest(**_identity_from_json(body["identity"]))
-    if cls is IdentityRequest:
-        return IdentityRequest(IdentityKind[body["requested"].upper()])
-    if cls is IdentityResponse:
-        ident = body["identity"]
-        if ident["kind"] == "imsi":
-            return IdentityResponse(imsi=parse_imsi(ident["value"], ident["mnc_len"]))
-        return IdentityResponse(imei=ident["value"])
-    if cls is AuthenticationRequest:
-        return AuthenticationRequest(bytes.fromhex(body["rand"]), bytes.fromhex(body["autn"]))
-    if cls is AuthenticationResponse:
-        return AuthenticationResponse(bytes.fromhex(body["res"]))
-    if cls is SecurityModeCommand:
-        return SecurityModeCommand(body["key_id"])
-    if cls is SecurityModeComplete:
-        return SecurityModeComplete()
-    if cls is AttachAccept:
-        return AttachAccept(int(body["tmsi"], 16), body["tac"])
-    if cls is AttachReject:
-        return AttachReject(EmmCause[body["emm_cause"].upper()])
-    if cls is TauRequest:
-        return TauRequest(int(body["tmsi"], 16), body["tac"])
-    if cls is TauReject:
-        return TauReject(EmmCause[body["emm_cause"].upper()])
-    if cls is Paging:
-        return Paging(**_identity_from_json(body["identity"]))
-    if cls is MeasurementReport:
-        return MeasurementReport(tuple((e[0], e[1]) for e in body["neighbors"]))
-    if cls is RrcConnectionReconfiguration:
-        mob = body["mobility"]
-        if mob is None:
-            return RrcConnectionReconfiguration()
-        return RrcConnectionReconfiguration(MobilityControlInfo(mob["target_cell_id"], mob["new_rnti"]))
-    if cls is RrcConnectionReconfigurationComplete:
-        return RrcConnectionReconfigurationComplete()
-    if cls is UserData:
-        return UserData(body["byte_count"])
-    raise UnknownType(f"unhandled message name: {name!r}")
+    return cls._codec.from_json(body)

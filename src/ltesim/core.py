@@ -30,7 +30,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .codec import (
@@ -145,6 +145,17 @@ class Downlink:
     key_id: Optional[int] = None
 
 
+def broadcast_frames(cfg, now_ms: int) -> list[Downlink]:
+    """The Mib and Sib1 a cell transmits at now_ms. `cfg` is a CellConfig
+    or a RogueCellConfig: an operator and a rogue cell broadcast alike."""
+    ident = cfg.radio.identity
+    sib1 = Sib1(ident.plmn, ident.tac, cfg.cell_id, cfg.min_rx_level_dbm, cfg.priority_earfcns)
+    return [
+        Downlink(cfg.cell_id, 0, Mib(cfg.mib_bandwidth_rb, (now_ms // 10) % 1024)),
+        Downlink(cfg.cell_id, 0, sib1),
+    ]
+
+
 @dataclass
 class _PendingHandover:
     record: SessionRecord
@@ -203,24 +214,9 @@ class NetworkCore:
     def broadcast_tick(self, now_ms: int) -> list[Downlink]:
         """Mib then Sib1 for every cell whose period divides now."""
         out: list[Downlink] = []
-        for cid, cfg in self.cells.items():
-            if now_ms == 0 or now_ms % cfg.broadcast_period_ms != 0:
-                continue
-            ident = cfg.radio.identity
-            out.append(Downlink(cid, 0, Mib(cfg.mib_bandwidth_rb, (now_ms // 10) % 1024)))
-            out.append(
-                Downlink(
-                    cid,
-                    0,
-                    Sib1(
-                        plmn=ident.plmn,
-                        tac=ident.tac,
-                        cell_id=cid,
-                        min_rx_level_dbm=cfg.min_rx_level_dbm,
-                        priority_earfcns=cfg.priority_earfcns,
-                    ),
-                )
-            )
+        for cfg in self.cells.values():
+            if now_ms != 0 and now_ms % cfg.broadcast_period_ms == 0:
+                out += broadcast_frames(cfg, now_ms)
         return out
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:
@@ -338,15 +334,7 @@ class NetworkCore:
                 if stale.prior_rnti is not None:
                     self.allocators[stale.cell_id].release(stale.prior_rnti)
             return self._start_auth(cfg, rec)
-        if rec.imsi is not None and rec.tmsi == msg.tmsi:
-            return self._start_auth(cfg, rec)
-        known = self.imsi_of_tmsi.get(msg.tmsi)
-        if known is not None:
-            rec.imsi = self.hss[known].imsi
-            rec.tmsi = msg.tmsi
-            return self._start_auth(cfg, rec)
-        rec.awaiting_identity = True
-        return [Downlink(cfg.cell_id, rec.rnti, IdentityRequest(IdentityKind.IMSI))]
+        return self._resolve_tmsi(cfg, rec, msg.tmsi)
 
     def _on_tau_request(
         self, cfg: CellConfig, rec: SessionRecord, msg: TauRequest, now_ms: int
@@ -355,12 +343,17 @@ class NetworkCore:
             self._drop("tau_out_of_order")
             return []
         rec.state = SessionState.ATTACHING
-        if rec.imsi is not None and rec.tmsi == msg.tmsi:
+        return self._resolve_tmsi(cfg, rec, msg.tmsi)
+
+    def _resolve_tmsi(self, cfg: CellConfig, rec: SessionRecord, tmsi: int) -> list[Downlink]:
+        """Authenticate a session that named itself by TMSI, or ask for
+        the IMSI when the TMSI maps to no subscriber."""
+        if rec.imsi is not None and rec.tmsi == tmsi:
             return self._start_auth(cfg, rec)
-        known = self.imsi_of_tmsi.get(msg.tmsi)
+        known = self.imsi_of_tmsi.get(tmsi)
         if known is not None:
             rec.imsi = self.hss[known].imsi
-            rec.tmsi = msg.tmsi
+            rec.tmsi = tmsi
             return self._start_auth(cfg, rec)
         rec.awaiting_identity = True
         return [Downlink(cfg.cell_id, rec.rnti, IdentityRequest(IdentityKind.IMSI))]

@@ -35,6 +35,12 @@ class CellFull(RuntimeError):
     """No free value left in the allocator's space."""
 
 
+def _is_digits(text: str) -> bool:
+    """ASCII digits only: str.isdigit alone also accepts other scripts'
+    digits and superscripts, which the wire cannot carry."""
+    return text.isascii() and text.isdigit()
+
+
 @dataclass(frozen=True)
 class Imsi:
     """Permanent subscriber identity: mcc (3 digits), mnc (2 or 3), msin."""
@@ -45,7 +51,7 @@ class Imsi:
 
     def __post_init__(self) -> None:
         digits = self.mcc + self.mnc + self.msin
-        if not digits.isdigit():
+        if not _is_digits(digits):
             raise NonDigit(f"imsi contains non-digits: {digits!r}")
         if len(self.mcc) != 3 or len(self.mnc) not in (2, 3):
             raise WrongLength(f"bad mcc/mnc split: {self.mcc!r}/{self.mnc!r}")
@@ -70,7 +76,7 @@ def parse_imsi(text: str, mnc_len: int = 3) -> Imsi:
         raise WrongLength(f"mnc_len must be 2 or 3, got {mnc_len}")
     if len(text) != IMSI_LEN:
         raise WrongLength(f"imsi must be {IMSI_LEN} digits, got {len(text)}")
-    if not text.isdigit():
+    if not _is_digits(text):
         raise NonDigit(f"imsi contains non-digits: {text!r}")
     return Imsi(text[:3], text[3 : 3 + mnc_len], text[3 + mnc_len :])
 
@@ -83,7 +89,7 @@ class Plmn:
     mnc: str
 
     def __post_init__(self) -> None:
-        if not (self.mcc + self.mnc).isdigit():
+        if not _is_digits(self.mcc + self.mnc):
             raise NonDigit(f"plmn contains non-digits: {self.mcc!r}/{self.mnc!r}")
         if len(self.mcc) != 3 or len(self.mnc) not in (2, 3):
             raise WrongLength(f"bad plmn: {self.mcc!r}/{self.mnc!r}")
@@ -112,7 +118,7 @@ class CellIdentity:
 
 
 def validate_msisdn(text: str) -> str:
-    if not text.isdigit():
+    if not _is_digits(text):
         raise NonDigit(f"msisdn contains non-digits: {text!r}")
     if not 10 <= len(text) <= 15:
         raise WrongLength(f"msisdn must be 10..15 digits, got {len(text)}")
@@ -120,7 +126,7 @@ def validate_msisdn(text: str) -> str:
 
 
 def validate_imei(text: str) -> str:
-    if not text.isdigit():
+    if not _is_digits(text):
         raise NonDigit(f"imei contains non-digits: {text!r}")
     if len(text) != 15:
         raise WrongLength(f"imei must be 15 digits, got {len(text)}")

@@ -161,9 +161,6 @@ class AppTraffic:
     byte_count: int
 
 
-UeEvent = object
-
-
 @dataclass(frozen=True)
 class UeProfile:
     """SIM and hardware identity of one device."""
@@ -199,11 +196,6 @@ class UeStats:
     rnti_history: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def priority_of(earfcn: int, earfcn_priority: dict[int, int]) -> int:
-    """Reselection priority for a channel; unadvertised channels rank 0."""
-    return earfcn_priority.get(earfcn, 0)
-
-
 def select_cell(
     visible: list[tuple[RadioCell, float]],
     sib1s: dict[int, Sib1],
@@ -218,7 +210,8 @@ def select_cell(
     Eligibility: LTE cell with a received Sib1, rx above the cell's own
     advertised minimum, operator not under a live forbidden entry, cell
     not temporarily barred. Among eligible cells the advertised channel
-    priority wins first, then rx power, then the lower cell id.
+    priority (0 for an unadvertised channel) wins first, then rx power,
+    then the lower cell id.
     """
     if rat_allowed is RatAllowed.GSM_ONLY:
         return None
@@ -236,7 +229,7 @@ def select_cell(
             continue
         if barred_cells.get(cell.cell_id, 0) > now_ms:
             continue
-        key = (-priority_of(cell.identity.earfcn, earfcn_priority), -rx, cell.cell_id)
+        key = (-earfcn_priority.get(cell.identity.earfcn, 0), -rx, cell.cell_id)
         if best is None or key < best:
             best = key
     if best is None:
@@ -269,7 +262,6 @@ class Ue:
         self.forbidden_plmns: list[tuple[Plmn, int]] = []
         self.barred_cells: dict[int, int] = {}
         self.gsm_attached = False
-        self.position: tuple[float, float] = (0.0, 0.0)
 
         self.sib1s: dict[int, Sib1] = {}
         self.earfcn_priority: dict[int, int] = {}
@@ -287,7 +279,7 @@ class Ue:
 
     # -- event entry point ------------------------------------------------
 
-    def step(self, event: UeEvent, now_ms: int) -> list[Emission]:
+    def step(self, event: object, now_ms: int) -> list[Emission]:
         out: list[Emission] = []
         if isinstance(event, PowerOn):
             self._power_on(now_ms)
@@ -532,7 +524,7 @@ class Ue:
         if self.phase is not UePhase.CONNECTING:
             return
         self._proc_deadline_ms = now_ms + PROC_GUARD_MS
-        plmn = self._serving_plmn()
+        plmn = str(self._serving_plmn() or "?")
         if self._purpose == "tau" and self.tmsi is not None:
             sib = self.sib1s[self.serving_cell]
             self.stats.attach_attempts.append((now_ms, plmn, "tau"))
@@ -600,7 +592,7 @@ class Ue:
         ):
             return
         rejecting_cell = header.cell_id
-        plmn = self._serving_plmn_obj()
+        plmn = self._serving_plmn()
         self._drop_session()
         if self.profile.hardened and not header.protected:
             # Unauthenticated cause byte: refuse to honor it.
@@ -716,11 +708,7 @@ class Ue:
         if len(self.forbidden_plmns) < before and self.phase is UePhase.BLOCKED:
             self.phase = UePhase.SEARCHING
 
-    def _serving_plmn(self) -> str:
-        sib = self.sib1s.get(self.serving_cell)
-        return str(sib.plmn) if sib else "?"
-
-    def _serving_plmn_obj(self) -> Optional[Plmn]:
+    def _serving_plmn(self) -> Optional[Plmn]:
         sib = self.sib1s.get(self.serving_cell)
         return sib.plmn if sib else None
 

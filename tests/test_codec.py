@@ -5,6 +5,8 @@ re-arrange fields: recorded captures are only replayable while these
 exact encodings hold.
 """
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from ltesim.codec import (
     AttachRequest,
     AuthenticationRequest,
     AuthenticationResponse,
+    CodecError,
     Direction,
     EmmCause,
     FrameHeader,
@@ -44,7 +47,7 @@ from ltesim.codec import (
     UserData,
 )
 from ltesim.crypto_stub import derive_keystream_seed
-from ltesim.identity import Plmn, parse_imsi
+from ltesim.identity import NonDigit, Plmn, parse_imsi
 
 # -- frozen encodings --------------------------------------------------------
 
@@ -262,3 +265,121 @@ def test_message_type_table_is_dense_and_stable():
     assert types == list(range(0x01, 0x17))
     names = {cls.NAME for cls in codec.MESSAGE_CLASSES}
     assert len(names) == len(codec.MESSAGE_CLASSES)
+
+
+# -- both directions refuse the same values ------------------------------------
+
+
+@pytest.mark.parametrize("cls, code", [(IdentityRequest, 5), (AttachReject, 3), (TauReject, 3)])
+def test_enum_fields_refused_on_encode_as_on_decode(cls, code):
+    with pytest.raises(InvariantViolation):
+        codec.decode_body(bytes([cls.TYPE, code]))
+    with pytest.raises(InvariantViolation):
+        codec.encode_body(cls(code))
+    with pytest.raises(InvariantViolation):
+        codec.message_to_json(cls(code))
+
+
+def test_non_ascii_digits_never_reach_the_wire():
+    # Arabic-Indic "310"/"26" would otherwise encode as a different PLMN.
+    with pytest.raises(NonDigit):
+        Sib1(Plmn("\u0663\u0661\u0660", "\u0662\u0666"), 1, 2, -100)
+    with pytest.raises(NonDigit):
+        AttachRequest(imsi=parse_imsi("\u00b9" * 15))
+    with pytest.raises(InvariantViolation):
+        codec.encode_body(IdentityResponse(imei="\u00b9" * 15))
+    body = bytearray(codec.encode_body(AttachRequest(imsi=parse_imsi("310260123456789"))))
+    body[5] = 0xB9
+    with pytest.raises(InvariantViolation):
+        codec.decode_body(bytes(body))
+
+
+@given(st.integers(0x01, 0x16), st.binary(max_size=40))
+def test_any_body_bytes_decode_or_raise_codec_error(type_byte, rest):
+    try:
+        msg = codec.decode_body(bytes([type_byte]) + rest)
+    except CodecError:
+        return
+    assert codec.encode_body(msg) == bytes([type_byte]) + rest
+
+
+# -- capture bodies ------------------------------------------------------------
+
+SIB1_BODY = {
+    "plmn": {"mcc": "310", "mnc": "26"},
+    "tac": 1,
+    "cell_id": 2,
+    "min_rx_level_dbm": -100,
+    "priority_earfcns": [],
+}
+
+
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        ("mib", {"bandwidth_rb": 25}),
+        ("mib", {"bandwidth_rb": 25, "sfn": "0"}),
+        ("mib", {"bandwidth_rb": 25, "sfn": True}),
+        ("mib", {"bandwidth_rb": 25, "sfn": 1024}),
+        ("mib", [25, 0]),
+        ("rrc_connection_setup", []),
+        ("authentication_response", {"res": "zz" * 8}),
+        ("authentication_response", {"res": "00" * 7}),
+        ("attach_accept", {"tmsi": "0x1", "tac": 1}),
+        ("attach_reject", {"emm_cause": "no_such_cause"}),
+        ("attach_request", {"identity": {"kind": "guti", "value": "0x00000001"}}),
+        ("paging", {"identity": {"kind": "imei", "value": "310260123456789"}}),
+        ("paging", {"identity": {"kind": "imsi", "value": ["3"] * 15, "mnc_len": 3}}),
+        ("identity_response", {"identity": "imsi"}),
+        ("sib1", dict(SIB1_BODY, plmn={"mcc": "\u0663\u0661\u0660", "mnc": "26"})),
+        ("sib1", dict(SIB1_BODY, priority_earfcns=[[1, 8]])),
+        ("sib1", dict(SIB1_BODY, priority_earfcns={"1": 2})),
+        ("rrc_connection_reconfiguration", {"mobility": {"target_cell_id": 1}}),
+        ("user_data", {"byte_count": -1}),
+    ],
+)
+def test_bad_capture_bodies_raise_invariant_violation(name, body):
+    with pytest.raises(InvariantViolation):
+        codec.message_from_json(name, body)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(1 << 70), 1 << 70)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=20)
+    | st.sampled_from(["0x00000001", "imsi", "tmsi", "imei", "random", "congestion_benign", "310", "26", "00" * 8]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _positions(obj, path=()):
+    """Every (path to a container, key or index) inside a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path, key
+        yield from _positions(value, path + (key,))
+
+
+@given(MESSAGES, st.data())
+def test_mutated_capture_body_round_trips_or_raises_codec_error(msg, data):
+    body = json.loads(json.dumps(codec.message_to_json(msg)))
+    positions = list(_positions(body))
+    if not positions:
+        return
+    path, key = data.draw(st.sampled_from(positions))
+    holder = body
+    for step in path:
+        holder = holder[step]
+    if isinstance(holder, dict) and data.draw(st.booleans()):
+        del holder[key]
+    else:
+        holder[key] = data.draw(JSON_VALUES)
+    try:
+        got = codec.message_from_json(msg.NAME, body)
+    except CodecError:
+        return
+    assert codec.message_from_json(got.NAME, codec.message_to_json(got)) == got
+    assert codec.decode_body(codec.encode_body(got)) == got

@@ -88,6 +88,25 @@ def test_msisdn_and_imei_validation():
         validate_imei("9900000000001")
 
 
+ARABIC_INDIC = "\u0663\u0661\u0660"  # "310" in Arabic-Indic digits
+SUPERSCRIPT = "\u00b3\u00b9\u2070"  # "310" in superscript digits
+
+
+@pytest.mark.parametrize("digits", [ARABIC_INDIC, SUPERSCRIPT])
+def test_only_ascii_digits_are_digits(digits):
+    # str.isdigit() accepts both; the wire carries ASCII digits only.
+    with pytest.raises(NonDigit):
+        Plmn(digits, "26")
+    with pytest.raises(NonDigit):
+        Imsi(digits, "26", "0123456789")
+    with pytest.raises(NonDigit):
+        parse_imsi(digits + "260123456789")
+    with pytest.raises(NonDigit):
+        validate_msisdn(digits + "5550001234")
+    with pytest.raises(NonDigit):
+        validate_imei(digits + "000000000001")
+
+
 def test_formatting():
     assert format_tmsi(0x33A81372) == "0x33a81372"
     assert format_tmsi(5) == "0x00000005"

@@ -230,3 +230,11 @@ def test_shipped_scenarios_parse():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         sc = load_scenario(path)
         assert sc.duration_ms > 0, path.name
+
+
+@pytest.mark.parametrize("mcc", ["\u0663\u0661\u0660", "\u00b3\u00b9\u2070"])
+def test_non_ascii_digits_are_scenario_errors(mcc):
+    bad_cell = dict(minimal()["cells"][0], plmn={"mcc": mcc, "mnc": "260"})
+    fails_at(minimal(cells=[bad_cell]), "cells[0].plmn")
+    bad_ue = dict(minimal()["ues"][0], imsi=mcc + "260000000001")
+    fails_at(minimal(ues=[bad_ue]), "ues[0].imsi")
