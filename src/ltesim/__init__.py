@@ -3,6 +3,7 @@ its known identity/availability attacks, and a passive observer that
 tries to follow devices across cells by their radio identifiers."""
 
 from .attacker import RogueCell, RogueCellConfig, scan_broadcast
+from .codec import CaptureInvalid
 from .core import CellConfig, HssRecord, NetworkCore
 from .engine import Engine, RunResult, diff_tracking, replay_capture, run
 from .scenario import Scenario, ScenarioInvalid, load_scenario, parse_scenario
@@ -10,6 +11,7 @@ from .sniffer import Sniffer, TrackingReport
 from .ue import Ue, UePhase, UeProfile
 
 __all__ = [
+    "CaptureInvalid",
     "CellConfig",
     "Engine",
     "HssRecord",

@@ -23,12 +23,15 @@ reselect onto it.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .codec import (
     AttachReject,
     AttachRequest,
+    CaptureInvalid,
+    CodecError,
     EmmCause,
     FrameHeader,
     IdentityKind,
@@ -41,6 +44,7 @@ from .codec import (
     RrcConnectionSetup,
     TauReject,
     TauRequest,
+    message_from_json,
 )
 from .core import Downlink, broadcast_frames
 from .identity import CellFull, Imsi, Plmn, RntiAllocator
@@ -62,7 +66,6 @@ class RogueCellConfig:
     radio: RadioCell
     mode: str
     broadcast_period_ms: int = 40
-    mib_bandwidth_rb: int = 50
     min_rx_level_dbm: int = -110
     priority_earfcns: tuple[tuple[int, int], ...] = ()
     reject_cause: EmmCause = EmmCause.PLMN_NOT_ALLOWED
@@ -232,28 +235,33 @@ def scan_broadcast(records: list[dict]) -> tuple[list[OverheardCell], SpoofDraft
     """Rank overheard system information by signal strength and draft a
     spoof of the strongest cell.
 
-    `records` are decoded capture lines; only downlink `sib1` entries
-    carrying an rx measurement count. The draft copies the victim's
-    operator identity, claims the next tracking area over (forcing an
-    area update out of anyone who camps), takes an unused cell id, and
-    advertises its own channel at top reselection priority.
+    `records` are decoded capture lines in file order; only downlink
+    `sib1` entries carrying an rx measurement count, and a malformed one
+    raises CaptureInvalid naming its position as the line. The draft
+    copies the victim's operator identity, claims the next tracking area
+    over (forcing an area update out of anyone who camps), takes an
+    unused cell id, and advertises its own channel at top reselection
+    priority.
     """
     heard: dict[int, OverheardCell] = {}
-    for rec in records:
+    for number, rec in enumerate(records, 1):
         if rec.get("type") != "sib1" or rec.get("rx") is None:
             continue
-        body = rec.get("body", {})
-        plmn = Plmn(body["plmn"]["mcc"], body["plmn"]["mnc"])
-        cell_id = body["cell_id"]
-        rx = float(rec["rx"])
-        seen = heard.get(cell_id)
+        rx = rec["rx"]
+        if type(rx) not in (int, float) or not abs(rx) <= sys.float_info.max:
+            raise CaptureInvalid(f"line {number}: rx: expected a finite number, got {rx!r}")
+        try:
+            sib1 = message_from_json("sib1", rec.get("body"))
+        except CodecError as exc:
+            raise CaptureInvalid(f"line {number}: {exc}") from None
+        seen = heard.get(sib1.cell_id)
         if seen is None:
             # Squat the channel the operator itself steers devices to.
-            pairs = body.get("priority_earfcns", [])
+            pairs = sib1.priority_earfcns
             earfcn = max(pairs, key=lambda p: p[1])[0] if pairs else None
-            heard[cell_id] = OverheardCell(cell_id, plmn, body["tac"], earfcn, rx)
+            heard[sib1.cell_id] = OverheardCell(sib1.cell_id, sib1.plmn, sib1.tac, earfcn, float(rx))
         else:
-            seen.best_rx_dbm = max(seen.best_rx_dbm, rx)
+            seen.best_rx_dbm = max(seen.best_rx_dbm, float(rx))
             seen.sightings += 1
     if not heard:
         raise NoBroadcastFound("no system information with signal measurements in capture")

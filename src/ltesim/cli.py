@@ -6,8 +6,9 @@
     ltesim replay capture.jsonl [--report PATH]
     ltesim diff ground_truth.json report.json
 
-Exit codes: 0 success, 2 unusable scenario file, 3 a run tripped an
-internal consistency check.
+Exit codes: 0 success, 1 scan found no broadcast to impersonate, 2
+unusable scenario, capture or report file, 3 a run tripped an internal
+consistency check.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import sys
 from typing import Optional
 
 from .attacker import NoBroadcastFound, scan_broadcast
+from .codec import CaptureInvalid
 from .codec import InvariantViolation as CodecInvariantViolation
 from .core import InvariantViolation as CoreInvariantViolation
-from .engine import diff_tracking, replay_capture, run
+from .engine import diff_tracking, parse_capture_line, replay_capture, run
 from .scenario import ScenarioInvalid, load_scenario
 
 # The wire layer and the session table each police their own invariants;
@@ -77,13 +79,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _read_capture(path: str) -> list[dict]:
-    records = []
+    # Read as bytes, so a line of bad UTF-8 is reported with its number like
+    # any other unreadable line; a blank line reads as {}, so record n is line n.
+    with open(path, "rb") as fh:
+        return [parse_capture_line(n, line) or {} for n, line in enumerate(fh, 1)]
+
+
+def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise CaptureInvalid(f"{path}: {exc}") from None
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -103,7 +110,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    with open(args.capture, encoding="utf-8") as fh:
+    with open(args.capture, "rb") as fh:  # bytes, as in _read_capture
         report = replay_capture(fh)
     obj = report.as_json()
     if args.report:
@@ -114,10 +121,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    with open(args.ground_truth, encoding="utf-8") as fh:
-        truth = json.load(fh)
-    with open(args.report, encoding="utf-8") as fh:
-        report = json.load(fh)
+    truth, report = _read_json(args.ground_truth), _read_json(args.report)
     print(json.dumps(diff_tracking(truth, report), indent=2, sort_keys=True))
     return 0
 
@@ -153,7 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CaptureInvalid as exc:
+        print(f"unusable input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -84,6 +84,10 @@ class InvariantViolation(CodecError):
     """Field value outside its declared domain."""
 
 
+class CaptureInvalid(ValueError):
+    """Unreadable capture or report input; the message says where."""
+
+
 class Direction(enum.IntEnum):
     DOWNLINK = 0
     UPLINK = 1

@@ -31,7 +31,7 @@ import enum
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .codec import (
     AttachAccept,
@@ -64,7 +64,7 @@ from .codec import (
 from .crypto_stub import derive_autn, derive_keystream_seed, stub_mac
 from .identity import CellFull, Imsi, RntiAllocator, TmsiAllocator
 from .radio import RadioCell
-from .ue import IDLE_AFTER_MS
+from .ue import IDLE_AFTER_MS, UeProfile
 
 HO_PENDING_MS = 1_000
 DEFAULT_BROADCAST_PERIOD_MS = 40
@@ -87,7 +87,6 @@ class CellConfig:
 
     radio: RadioCell
     broadcast_period_ms: int = DEFAULT_BROADCAST_PERIOD_MS
-    mib_bandwidth_rb: int = DEFAULT_MIB_BANDWIDTH_RB
     min_rx_level_dbm: int = -110
     priority_earfcns: tuple[tuple[int, int], ...] = ()
     encrypt_handover_trigger: bool = False
@@ -102,6 +101,9 @@ class CellConfig:
 
 @dataclass
 class HssRecord:
+    """What the HSS keeps per subscriber. A device's UeProfile carries the
+    same three fields and serves as its own record."""
+
     imsi: Imsi
     key: bytes
     msisdn: str
@@ -147,11 +149,12 @@ class Downlink:
 
 def broadcast_frames(cfg, now_ms: int) -> list[Downlink]:
     """The Mib and Sib1 a cell transmits at now_ms. `cfg` is a CellConfig
-    or a RogueCellConfig: an operator and a rogue cell broadcast alike."""
+    or a RogueCellConfig: an operator and a rogue cell broadcast alike.
+    Every cell advertises DEFAULT_MIB_BANDWIDTH_RB."""
     ident = cfg.radio.identity
     sib1 = Sib1(ident.plmn, ident.tac, cfg.cell_id, cfg.min_rx_level_dbm, cfg.priority_earfcns)
     return [
-        Downlink(cfg.cell_id, 0, Mib(cfg.mib_bandwidth_rb, (now_ms // 10) % 1024)),
+        Downlink(cfg.cell_id, 0, Mib(DEFAULT_MIB_BANDWIDTH_RB, (now_ms // 10) % 1024)),
         Downlink(cfg.cell_id, 0, sib1),
     ]
 
@@ -169,7 +172,7 @@ class NetworkCore:
     def __init__(
         self,
         cells: list[CellConfig],
-        subscribers: list[HssRecord],
+        subscribers: Sequence[HssRecord | UeProfile],
         rng_for: Callable[[str], random.Random],
     ):
         self.cells: dict[int, CellConfig] = {}
@@ -181,7 +184,7 @@ class NetworkCore:
             cid: RntiAllocator(rng_for(f"cell/{cid}/rnti"), cfg.rnti_preset)
             for cid, cfg in self.cells.items()
         }
-        self.hss: dict[str, HssRecord] = {str(rec.imsi): rec for rec in subscribers}
+        self.hss: dict[str, HssRecord | UeProfile] = {str(rec.imsi): rec for rec in subscribers}
         self._msisdn_index = {rec.msisdn: str(rec.imsi) for rec in subscribers}
         self.tmsi_allocator = TmsiAllocator(rng_for("core/tmsi"))
         self._auth_rng = rng_for("core/auth")

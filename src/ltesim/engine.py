@@ -41,12 +41,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import codec
-from .attacker import RogueCell, RogueCellConfig
-from .codec import Direction, FrameHeader
-from .core import CellConfig, Downlink, HssRecord, NetworkCore
+from .attacker import RogueCell
+from .codec import CaptureInvalid, Direction, FrameHeader
+from .core import Downlink, NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
-from .radio import Rat, rx_power, visible_cells
+from .radio import RadioCell, Rat, rx_power, visible_cells
 from .scenario import Scenario, UeSpec
 from .sniffer import Sniffer, TrackingReport
 from .ue import (
@@ -59,7 +59,6 @@ from .ue import (
     Tick,
     Ue,
     UePhase,
-    UeProfile,
 )
 
 UE_TX_POWER_DBM = 23.0
@@ -91,56 +90,17 @@ class Engine:
         self.seed = scenario.seed if seed is None else seed
         rng_for = lambda path: child_rng(self.seed, path)
 
-        cell_cfgs = [
-            CellConfig(
-                radio=spec.radio(),
-                broadcast_period_ms=spec.broadcast_period_ms,
-                min_rx_level_dbm=spec.min_rx_level_dbm,
-                priority_earfcns=spec.priority_earfcns,
-                encrypt_handover_trigger=spec.encrypt_handover_trigger,
-                rnti_refresh_on_idle=spec.rnti_refresh_on_idle,
-                handover_hysteresis_db=spec.handover_hysteresis_db,
-                rnti_preset=spec.rnti_preset,
-            )
-            for spec in scenario.cells
-            if spec.rat is Rat.LTE
-        ]
-        self._gsm_radios = [spec.radio() for spec in scenario.cells if spec.rat is Rat.GSM]
-        subscribers = [HssRecord(u.imsi, u.key, u.msisdn) for u in scenario.ues]
-        self.core = NetworkCore(cell_cfgs, subscribers, rng_for)
-
+        lte_cells = [cfg for cfg in scenario.cells if cfg.radio.rat is Rat.LTE]
+        self.core = NetworkCore(lte_cells, scenario.ues, rng_for)
+        self._radios: dict[int, RadioCell] = {cfg.cell_id: cfg.radio for cfg in scenario.cells}
         self.rogue: Optional[RogueCell] = None
         if scenario.rogue is not None:
-            r = scenario.rogue
-            self.rogue = RogueCell(
-                RogueCellConfig(
-                    radio=r.radio(),
-                    mode=r.mode,
-                    broadcast_period_ms=r.broadcast_period_ms,
-                    min_rx_level_dbm=r.min_rx_level_dbm,
-                    priority_earfcns=r.priority_earfcns,
-                    reject_cause=r.reject_cause,
-                    active_ms=r.active_ms,
-                ),
-                rng_for("rogue"),
-            )
+            self.rogue = RogueCell(scenario.rogue, rng_for("rogue"))
+            self._radios[scenario.rogue.cell_id] = scenario.rogue.radio
 
         self.ues: dict[str, Ue] = {}
-        self._specs: dict[str, UeSpec] = {}
-        self._name_of: dict[int, str] = {}
         for spec in scenario.ues:
-            profile = UeProfile(
-                imsi=spec.imsi,
-                key=spec.key,
-                msisdn=spec.msisdn,
-                imei=spec.imei,
-                initial_tmsi=spec.initial_tmsi,
-                hardened=spec.hardened,
-            )
-            ue = Ue(profile, rng_for(f"ue/{spec.name}"), self._visibility_for(spec))
-            self.ues[spec.name] = ue
-            self._specs[spec.name] = spec
-            self._name_of[id(ue)] = spec.name
+            self.ues[spec.name] = Ue(spec, rng_for(f"ue/{spec.name}"), self._visibility_for(spec))
             if spec.initial_tmsi is not None:
                 self.core.bind_tmsi(spec.imsi, spec.initial_tmsi)
 
@@ -178,23 +138,8 @@ class Engine:
 
         return visible
 
-    def _radios_on_air(self, now_ms: int) -> list:
-        radios = [cfg.radio for cfg in self.core.cells.values()]
-        radios.extend(self._gsm_radios)
-        if self.rogue is not None and self.rogue.active(now_ms):
-            radios.append(self.rogue.config.radio)
-        return radios
-
-    def _cell_position(self, cell_id: int) -> tuple[float, float]:
-        cfg = self.core.cells.get(cell_id)
-        if cfg is not None:
-            return cfg.radio.position
-        if self.rogue is not None and cell_id == self.rogue.cell_id:
-            return self.rogue.config.radio.position
-        for radio in self._gsm_radios:
-            if radio.cell_id == cell_id:
-                return radio.position
-        raise KeyError(f"no transmitter at cell {cell_id}")
+    def _radios_on_air(self, now_ms: int) -> list[RadioCell]:
+        return [r for r in self._radios.values() if not r.is_rogue or self.rogue.active(now_ms)]
 
     def _add_ue_event(self, name: str, t_ms: int, event) -> None:
         self._ue_events[name].setdefault(t_ms, []).append(event)
@@ -282,13 +227,13 @@ class Engine:
     def _air_downlink(self, dl: Downlink, t: int, causal: Optional[Ue], ul_batch: list) -> None:
         header = FrameHeader(t, dl.cell_id, dl.rnti, Direction.DOWNLINK, key_id=dl.key_id)
         data = codec.encode(header, dl.message, self.core.keys)
-        self._tap(data, header, dl.message, self._cell_position(dl.cell_id))
+        radio = self._radios[dl.cell_id]
+        self._tap(data, header, dl.message, radio.position, radio.tx_power_dbm)
         if dl.rnti == 0:
-            radio = next(r for r in self._radios_on_air(t) if r.cell_id == dl.cell_id)
-            for name, ue in self.ues.items():
+            for ue in self.ues.values():
                 if ue.phase is UePhase.POWERED_OFF:
                     continue
-                at = self._specs[name].position_at(t)
+                at = ue.profile.position_at(t)
                 if rx_power(radio, at, self.sc.path_loss) >= self.sc.rx_floor_dbm:
                     self._collect(ue, ue.step(Rx(header, dl.message), t), ul_batch)
         elif causal is not None:
@@ -297,8 +242,7 @@ class Engine:
     def _air_uplink(self, ue: Ue, emission: Emission, t: int) -> None:
         header = FrameHeader(t, emission.cell_id, emission.rnti, Direction.UPLINK, key_id=emission.key_id)
         data = codec.encode(header, emission.message, self.core.keys)
-        spec = self._specs[self._name_of[id(ue)]]
-        self._tap(data, header, emission.message, spec.position_at(t))
+        self._tap(data, header, emission.message, ue.profile.position_at(t), UE_TX_POWER_DBM)
         if emission.cell_id in self.core.cells:
             for dl in self.core.handle_uplink(header, emission.message, t):
                 self._queue_dl(t + 1, dl, ue)
@@ -306,18 +250,9 @@ class Engine:
             for dl in self.rogue.handle_uplink(header, emission.message, t):
                 self._queue_dl(t + 1, dl, ue)
 
-    def _tap(self, data: bytes, header: FrameHeader, msg, tx_pos: tuple[float, float]) -> None:
+    def _tap(self, data: bytes, header: FrameHeader, msg, tx_pos: tuple[float, float], tx_power: float) -> None:
         if self.sniffer is not None:
             self.sniffer.observe(data)
-        tx_power = UE_TX_POWER_DBM if header.direction == Direction.UPLINK else None
-        if tx_power is None:
-            cfg = self.core.cells.get(header.cell_id)
-            if cfg is not None:
-                tx_power = cfg.radio.tx_power_dbm
-            elif self.rogue is not None and header.cell_id == self.rogue.cell_id:
-                tx_power = self.rogue.config.radio.tx_power_dbm
-            else:
-                tx_power = 0.0
         dx = tx_pos[0] - self.sc.sniffer_position[0]
         dy = tx_pos[1] - self.sc.sniffer_position[1]
         rx = tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5)
@@ -397,30 +332,65 @@ def run(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
 # -- capture replay --------------------------------------------------------------
 
 
+# Far above any real body (UserData counts in u16); bounds hostile filler.
+MAX_OPAQUE_LEN = 1 << 17
+
+
 def reconstruct_frame(obj: dict) -> bytes:
     """Rebuild the on-air bytes a capture line describes. Cleartext
     bodies re-encode exactly; protected bodies get zero filler of the
     right length, which is indistinguishable to a keyless observer."""
-    direction = Direction.UPLINK if obj["dir"] == "ul" else Direction.DOWNLINK
-    if obj["prot"] == "protected":
-        header = FrameHeader(obj["t"], obj["cell"], obj["rnti"], direction, key_id=obj["key_id"])
-        return codec.pack_header(header) + struct.pack(">I", obj["key_id"]) + bytes(obj["len"] - 4)
-    header = FrameHeader(obj["t"], obj["cell"], obj["rnti"], direction)
+    t, cell, rnti, way, prot = obj["t"], obj["cell"], obj["rnti"], obj["dir"], obj["prot"]
+    if type(t) is not int or type(cell) is not int or type(rnti) is not int:
+        raise CaptureInvalid(f"t, cell, rnti: expected integers, got {t!r}, {cell!r}, {rnti!r}")
+    if way not in ("dl", "ul") or prot not in ("clear", "protected"):
+        raise CaptureInvalid(f"dir, prot: expected dl|ul, clear|protected, got {way!r}, {prot!r}")
+    direction = Direction.UPLINK if way == "ul" else Direction.DOWNLINK
+    if prot == "protected":
+        key_id, length = obj["key_id"], obj["len"]
+        if type(key_id) is not int or type(length) is not int or not 4 <= length <= MAX_OPAQUE_LEN:
+            raise CaptureInvalid(f"key_id, len: got {key_id!r}, {length!r}; want integers, len 4..{MAX_OPAQUE_LEN}")
+        header = FrameHeader(t, cell, rnti, direction, key_id=key_id)
+        return codec.pack_header(header) + struct.pack(">I", key_id) + bytes(length - 4)
+    header = FrameHeader(t, cell, rnti, direction)
     return codec.encode(header, codec.message_from_json(obj["type"], obj["body"]))
 
 
-def replay_capture(lines: Iterable[str]) -> TrackingReport:
-    """Feed a capture file back through a fresh observer."""
-    sniffer = Sniffer()
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
+def parse_capture_line(number: int, line: str | bytes) -> Optional[dict]:
+    """The object on one capture line, None for a blank line."""
+    line = line.strip()
+    if not line:
+        return None
+    try:
         obj = json.loads(line)
-        if obj.get("meta") == "page_trigger":
-            sniffer.note_triggered_page(obj["t"], obj["msisdn"])
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise CaptureInvalid(f"line {number}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise CaptureInvalid(f"line {number}: expected a JSON object, got {obj!r}")
+    return obj
+
+
+def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
+    """Feed a capture file back through a fresh observer. A line that does
+    not describe a frame or a page trigger raises CaptureInvalid."""
+    sniffer = Sniffer()
+    for number, line in enumerate(lines, 1):
+        obj = parse_capture_line(number, line)
+        if obj is None:
             continue
-        sniffer.observe(reconstruct_frame(obj))
+        try:
+            if obj.get("meta") == "page_trigger":
+                t, msisdn = obj["t"], obj["msisdn"]
+                if type(t) is not int or type(msisdn) is not str:
+                    raise CaptureInvalid(f"t, msisdn: expected integer, string, got {t!r}, {msisdn!r}")
+                sniffer.note_triggered_page(t, msisdn)
+                continue
+            frame = reconstruct_frame(obj)
+        except KeyError as exc:
+            raise CaptureInvalid(f"line {number}: missing key {exc}") from None
+        except (ValueError, codec.CodecError) as exc:
+            raise CaptureInvalid(f"line {number}: {exc}") from None
+        sniffer.observe(frame)
     return sniffer.report()
 
 
@@ -434,26 +404,40 @@ def _is_contiguous_sublist(needle: list, haystack: list) -> bool:
     return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
 
 
+def _hops(value, what: str) -> list[tuple]:
+    if not isinstance(value, list) or not all(isinstance(hop, list) for hop in value):
+        raise CaptureInvalid(f"{what}: expected a list of [cell, rnti] hops, got {value!r}")
+    return [tuple(hop) for hop in value]
+
+
 def diff_tracking(ground_truth: dict, report: dict) -> dict:
     """Score each device's true walk against the observer's sessions.
 
     A session counts toward a device only if its trajectory appears as a
     contiguous run inside the true one; continuity is the best such
     coverage fraction. 1.0 means one session followed the device through
-    every cell it visited."""
-    sessions = report.get("sessions", [])
+    every cell it visited. Inputs of the wrong shape raise CaptureInvalid."""
+    truth = ground_truth.get("trajectories") if isinstance(ground_truth, dict) else None
+    if not isinstance(truth, dict):
+        raise CaptureInvalid("ground truth: expected an object with a trajectories object")
+    sessions = report.get("sessions", []) if isinstance(report, dict) else None
+    if not isinstance(sessions, list) or not all(isinstance(s, dict) and "session_id" in s for s in sessions):
+        raise CaptureInvalid("report: expected an object whose sessions each carry a session_id")
+    followed = [
+        (s["session_id"], _hops(s.get("trajectory"), f"report: sessions[{i}].trajectory"))
+        for i, s in enumerate(sessions)
+    ]
     per_ue = {}
     scores = []
-    for name in sorted(ground_truth["trajectories"]):
-        gt_traj = [tuple(hop) for hop in ground_truth["trajectories"][name]]
+    for name in sorted(truth):
+        gt_traj = _hops(truth[name], f"ground truth: trajectories.{name}")
         best = 0.0
         best_id = None
-        for s in sessions:
-            st = [tuple(hop) for hop in s["trajectory"]]
+        for session_id, st in followed:
             if gt_traj and _is_contiguous_sublist(st, gt_traj):
                 frac = len(st) / len(gt_traj)
                 if frac > best:
-                    best, best_id = frac, s["session_id"]
+                    best, best_id = frac, session_id
         per_ue[name] = {
             "continuity": best,
             "session_id": best_id,

@@ -6,6 +6,11 @@ optional rogue cell, paging directives, and the master seed. Two runs
 of the same scenario are byte-identical, so scenarios double as
 regression fixtures.
 
+Parsing yields the objects the run itself uses: a `core.CellConfig` for
+every LTE and GSM cell, an `attacker.RogueCellConfig` for the rogue, and
+for each device a `UeSpec`, which is its `ue.UeProfile` plus placement
+and schedule.
+
 Validation is strict and failure names the offending field by path
 (`cells[1].tac`), because a silently-defaulted typo in an experiment
 config costs an afternoon.
@@ -15,13 +20,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from . import attacker
+from .attacker import MODES, RogueCellConfig
 from .codec import EmmCause
+from .core import CellConfig
 from .identity import (
-    IMSI_LEN,
     CellIdentity,
     Imsi,
     Plmn,
@@ -30,6 +36,7 @@ from .identity import (
     validate_msisdn,
 )
 from .radio import DEFAULT_RX_FLOOR_DBM, PathLossModel, Rat, RadioCell
+from .ue import UeProfile
 
 MAX_CELL_ID = (1 << 28) - 1
 
@@ -57,14 +64,37 @@ def _as_int(value: Any, path: str, lo: int, hi: int) -> int:
 
 
 def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected number, got {value!r}")
+    # Not bool; no NaN, no infinity, no int too large for a float.
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        _fail(path, f"expected a finite number, got {value!r}")
     return float(value)
 
 
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
         _fail(path, f"expected boolean, got {value!r}")
+    return value
+
+
+def _as_text(value: Any, path: str, parse=str) -> Any:
+    """A string, passed through `parse`; its ValueError names the path."""
+    if not isinstance(value, str):
+        _fail(path, f"expected string, got {value!r}")
+    try:
+        return parse(value)
+    except ValueError as exc:
+        _fail(path, str(exc))
+
+
+def _as_list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        _fail(path, f"expected list, got {value!r}")
+    return value
+
+
+def _as_object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, f"expected object, got {value!r}")
     return value
 
 
@@ -76,8 +106,7 @@ def _as_position(value: Any, path: str) -> tuple[float, float]:
 
 def _as_plmn(value: Any, path: str) -> Plmn:
     # Digit strings, not ints: "01" and "1" are different mnc values.
-    if not isinstance(value, dict):
-        _fail(path, f"expected {{mcc, mnc}}, got {value!r}")
+    value = _as_object(value, path)
     mcc = _require(value, path, "mcc")
     mnc = _require(value, path, "mnc")
     if not isinstance(mcc, str) or not isinstance(mnc, str):
@@ -89,10 +118,8 @@ def _as_plmn(value: Any, path: str) -> Plmn:
 
 
 def _as_priority_pairs(value: Any, path: str) -> tuple[tuple[int, int], ...]:
-    if not isinstance(value, list):
-        _fail(path, f"expected list of [earfcn, priority], got {value!r}")
     pairs = []
-    for i, item in enumerate(value):
+    for i, item in enumerate(_as_list(value, path)):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             _fail(f"{path}[{i}]", f"expected [earfcn, priority], got {item!r}")
         pairs.append(
@@ -102,32 +129,6 @@ def _as_priority_pairs(value: Any, path: str) -> tuple[tuple[int, int], ...]:
             )
         )
     return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    cell_id: int
-    tac: int
-    plmn: Plmn
-    earfcn: int
-    position: tuple[float, float]
-    tx_power_dbm: float
-    rat: Rat = Rat.LTE
-    broadcast_period_ms: int = 40
-    min_rx_level_dbm: int = -110
-    priority_earfcns: tuple[tuple[int, int], ...] = ()
-    encrypt_handover_trigger: bool = False
-    rnti_refresh_on_idle: bool = False
-    handover_hysteresis_db: float = 3.0
-    rnti_preset: tuple[int, ...] = ()
-
-    def radio(self) -> RadioCell:
-        return RadioCell(
-            identity=CellIdentity(self.cell_id, self.tac, self.plmn, self.earfcn),
-            position=self.position,
-            tx_power_dbm=self.tx_power_dbm,
-            rat=self.rat,
-        )
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,13 @@ class WaypointSpec:
     position: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class UeSpec:
+@dataclass(frozen=True, kw_only=True)
+class UeSpec(UeProfile):
+    """A device as declared: its SIM profile plus where it stands, when it
+    powers on, and what it sends. The engine runs it as the profile."""
+
     name: str
-    imsi: Imsi
-    key: bytes
-    msisdn: str
-    imei: str
     position: tuple[float, float]
-    initial_tmsi: Optional[int] = None
-    hardened: bool = False
     power_on_ms: int = 0
     app_traffic: tuple[AppTrafficSpec, ...] = ()
     moves: tuple[WaypointSpec, ...] = ()
@@ -177,45 +175,14 @@ class UeSpec:
 
 
 @dataclass(frozen=True)
-class RogueSpec:
-    cell_id: int
-    tac: int
-    plmn: Plmn
-    earfcn: int
-    position: tuple[float, float]
-    tx_power_dbm: float
-    mode: str
-    reject_cause: EmmCause = EmmCause.PLMN_NOT_ALLOWED
-    broadcast_period_ms: int = 40
-    min_rx_level_dbm: int = -110
-    priority_earfcns: tuple[tuple[int, int], ...] = ()
-    active_ms: Optional[tuple[int, int]] = None
-
-    def radio(self) -> RadioCell:
-        return RadioCell(
-            identity=CellIdentity(self.cell_id, self.tac, self.plmn, self.earfcn),
-            position=self.position,
-            tx_power_dbm=self.tx_power_dbm,
-            rat=Rat.LTE,
-            is_rogue=True,
-        )
-
-
-@dataclass(frozen=True)
 class PageCallSpec:
     t_ms: int
     msisdn: str
 
 
 @dataclass(frozen=True)
-class ToggleSpec:
-    t_ms: int
-    ue: str
-
-
-@dataclass(frozen=True)
-class ErasureSpec:
-    """Wipe a device's stored temporary identity at a set time."""
+class UeDirective:
+    """An airplane toggle or a TMSI erasure for one named device."""
 
     t_ms: int
     ue: str
@@ -223,15 +190,17 @@ class ErasureSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """`cells` holds LTE and GSM cells alike; `radio.rat` tells them apart."""
+
     name: str
     seed: int
     duration_ms: int
-    cells: tuple[CellSpec, ...]
+    cells: tuple[CellConfig, ...]
     ues: tuple[UeSpec, ...]
-    rogue: Optional[RogueSpec] = None
+    rogue: Optional[RogueCellConfig] = None
     page_calls: tuple[PageCallSpec, ...] = ()
-    toggles: tuple[ToggleSpec, ...] = ()
-    erasures: tuple[ErasureSpec, ...] = ()
+    toggles: tuple[UeDirective, ...] = ()
+    erasures: tuple[UeDirective, ...] = ()
     path_loss: PathLossModel = field(default_factory=PathLossModel)
     rx_floor_dbm: float = DEFAULT_RX_FLOOR_DBM
     sniffer_enabled: bool = True
@@ -248,26 +217,37 @@ def default_imei(imsi: Imsi) -> str:
     return ("99" + str(imsi))[:15]
 
 
-def _parse_cell(obj: Any, path: str) -> CellSpec:
-    if not isinstance(obj, dict):
-        _fail(path, "expected object")
-    rat_text = obj.get("rat", "lte")
-    if rat_text not in ("lte", "gsm"):
-        _fail(f"{path}.rat", f"expected 'lte' or 'gsm', got {rat_text!r}")
-    preset = obj.get("rnti_preset", [])
-    if not isinstance(preset, list):
-        _fail(f"{path}.rnti_preset", "expected list")
-    return CellSpec(
-        cell_id=_as_int(_require(obj, path, "cell_id"), f"{path}.cell_id", 0, MAX_CELL_ID),
-        tac=_as_int(_require(obj, path, "tac"), f"{path}.tac", 0, 0xFFFF),
-        plmn=_as_plmn(_require(obj, path, "plmn"), f"{path}.plmn"),
-        earfcn=_as_int(_require(obj, path, "earfcn"), f"{path}.earfcn", 0, 0xFFFF),
-        position=_as_position(_require(obj, path, "position"), f"{path}.position"),
-        tx_power_dbm=_as_number(_require(obj, path, "tx_power_dbm"), f"{path}.tx_power_dbm"),
-        rat=Rat.LTE if rat_text == "lte" else Rat.GSM,
+def _parse_transmitter(obj: dict, path: str, rat: Rat = Rat.LTE, is_rogue: bool = False) -> dict:
+    """What an operator cell and the rogue declare alike: the radio face
+    and the broadcast knobs, as keyword arguments for either config."""
+    identity = CellIdentity(
+        _as_int(_require(obj, path, "cell_id"), f"{path}.cell_id", 0, MAX_CELL_ID),
+        _as_int(_require(obj, path, "tac"), f"{path}.tac", 0, 0xFFFF),
+        _as_plmn(_require(obj, path, "plmn"), f"{path}.plmn"),
+        _as_int(_require(obj, path, "earfcn"), f"{path}.earfcn", 0, 0xFFFF),
+    )
+    return dict(
+        radio=RadioCell(
+            identity,
+            _as_position(_require(obj, path, "position"), f"{path}.position"),
+            _as_number(_require(obj, path, "tx_power_dbm"), f"{path}.tx_power_dbm"),
+            rat,
+            is_rogue,
+        ),
         broadcast_period_ms=_as_int(obj.get("broadcast_period_ms", 40), f"{path}.broadcast_period_ms", 1, 10_000),
         min_rx_level_dbm=_as_int(obj.get("min_rx_level_dbm", -110), f"{path}.min_rx_level_dbm", -128, 127),
         priority_earfcns=_as_priority_pairs(obj.get("priority_earfcns", []), f"{path}.priority_earfcns"),
+    )
+
+
+def _parse_cell(obj: Any, path: str) -> CellConfig:
+    obj = _as_object(obj, path)
+    rat_text = obj.get("rat", "lte")
+    if rat_text not in ("lte", "gsm"):
+        _fail(f"{path}.rat", f"expected 'lte' or 'gsm', got {rat_text!r}")
+    preset = _as_list(obj.get("rnti_preset", []), f"{path}.rnti_preset")
+    return CellConfig(
+        **_parse_transmitter(obj, path, Rat(rat_text)),
         encrypt_handover_trigger=_as_bool(obj.get("encrypt_handover_trigger", False), f"{path}.encrypt_handover_trigger"),
         rnti_refresh_on_idle=_as_bool(obj.get("rnti_refresh_on_idle", False), f"{path}.rnti_refresh_on_idle"),
         handover_hysteresis_db=_as_number(obj.get("handover_hysteresis_db", 3.0), f"{path}.handover_hysteresis_db"),
@@ -289,33 +269,14 @@ def _parse_tmsi(value: Any, path: str) -> Optional[int]:
 
 
 def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
-    if not isinstance(obj, dict):
-        _fail(path, "expected object")
+    obj = _as_object(obj, path)
     name = obj.get("name", f"ue{index}")
     if not isinstance(name, str) or not name:
         _fail(f"{path}.name", "expected non-empty string")
-    imsi_text = _require(obj, path, "imsi")
-    if not isinstance(imsi_text, str) or len(imsi_text) != IMSI_LEN:
-        _fail(f"{path}.imsi", f"expected {IMSI_LEN}-digit string")
     mnc_len = _as_int(obj.get("mnc_len", 3), f"{path}.mnc_len", 2, 3)
-    try:
-        imsi = parse_imsi(imsi_text, mnc_len)
-    except ValueError as exc:
-        _fail(f"{path}.imsi", str(exc))
-    msisdn = _require(obj, path, "msisdn")
-    if not isinstance(msisdn, str):
-        _fail(f"{path}.msisdn", f"expected string, got {msisdn!r}")
-    try:
-        validate_msisdn(msisdn)
-    except ValueError as exc:
-        _fail(f"{path}.msisdn", str(exc))
-    imei = obj.get("imei", default_imei(imsi))
-    if not isinstance(imei, str):
-        _fail(f"{path}.imei", f"expected string, got {imei!r}")
-    try:
-        validate_imei(imei)
-    except ValueError as exc:
-        _fail(f"{path}.imei", str(exc))
+    imsi = _as_text(_require(obj, path, "imsi"), f"{path}.imsi", lambda text: parse_imsi(text, mnc_len))
+    msisdn = _as_text(_require(obj, path, "msisdn"), f"{path}.msisdn", validate_msisdn)
+    imei = _as_text(obj.get("imei", default_imei(imsi)), f"{path}.imei", validate_imei)
     key_hex = obj.get("key")
     if key_hex is None:
         key = default_ue_key(imsi)
@@ -328,10 +289,9 @@ def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
             _fail(f"{path}.key", "empty")
 
     traffic = []
-    for i, item in enumerate(obj.get("app_traffic", [])):
+    for i, item in enumerate(_as_list(obj.get("app_traffic", []), f"{path}.app_traffic")):
         tpath = f"{path}.app_traffic[{i}]"
-        if not isinstance(item, dict):
-            _fail(tpath, "expected object")
+        item = _as_object(item, tpath)
         traffic.append(
             AppTrafficSpec(
                 _as_int(_require(item, tpath, "t_ms"), f"{tpath}.t_ms", 0, 2**48),
@@ -342,10 +302,9 @@ def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
         _fail(f"{path}.app_traffic", "times must be non-decreasing")
 
     moves = []
-    for i, item in enumerate(obj.get("moves", [])):
+    for i, item in enumerate(_as_list(obj.get("moves", []), f"{path}.moves")):
         mpath = f"{path}.moves[{i}]"
-        if not isinstance(item, dict):
-            _fail(mpath, "expected object")
+        item = _as_object(item, mpath)
         moves.append(
             WaypointSpec(
                 _as_int(_require(item, mpath, "t_ms"), f"{mpath}.t_ms", 0, 2**48),
@@ -370,12 +329,11 @@ def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
     )
 
 
-def _parse_rogue(obj: Any, path: str) -> RogueSpec:
-    if not isinstance(obj, dict):
-        _fail(path, "expected object")
+def _parse_rogue(obj: Any, path: str) -> RogueCellConfig:
+    obj = _as_object(obj, path)
     mode = _require(obj, path, "mode")
-    if mode not in attacker.MODES:
-        _fail(f"{path}.mode", f"expected one of {attacker.MODES}, got {mode!r}")
+    if mode not in MODES:
+        _fail(f"{path}.mode", f"expected one of {MODES}, got {mode!r}")
     cause_name = obj.get("reject_cause", "plmn_not_allowed")
     try:
         cause = EmmCause[cause_name.upper()]
@@ -391,108 +349,60 @@ def _parse_rogue(obj: Any, path: str) -> RogueSpec:
         if end <= start:
             _fail(f"{path}.active_ms", "end must exceed start")
         active = (start, end)
-    return RogueSpec(
-        cell_id=_as_int(_require(obj, path, "cell_id"), f"{path}.cell_id", 0, MAX_CELL_ID),
-        tac=_as_int(_require(obj, path, "tac"), f"{path}.tac", 0, 0xFFFF),
-        plmn=_as_plmn(_require(obj, path, "plmn"), f"{path}.plmn"),
-        earfcn=_as_int(_require(obj, path, "earfcn"), f"{path}.earfcn", 0, 0xFFFF),
-        position=_as_position(_require(obj, path, "position"), f"{path}.position"),
-        tx_power_dbm=_as_number(_require(obj, path, "tx_power_dbm"), f"{path}.tx_power_dbm"),
-        mode=mode,
-        reject_cause=cause,
-        broadcast_period_ms=_as_int(obj.get("broadcast_period_ms", 40), f"{path}.broadcast_period_ms", 1, 10_000),
-        min_rx_level_dbm=_as_int(obj.get("min_rx_level_dbm", -110), f"{path}.min_rx_level_dbm", -128, 127),
-        priority_earfcns=_as_priority_pairs(obj.get("priority_earfcns", []), f"{path}.priority_earfcns"),
-        active_ms=active,
+    return RogueCellConfig(
+        **_parse_transmitter(obj, path, is_rogue=True), mode=mode, reject_cause=cause, active_ms=active
     )
 
 
+def _parse_directives(obj: dict, key: str, who_key: str, known: set, duration: int, make) -> tuple:
+    """Timed actions that name a device (by `who_key`) in `known`."""
+    out = []
+    for i, item in enumerate(_as_list(obj.get(key, []), key)):
+        path = f"{key}[{i}]"
+        item = _as_object(item, path)
+        who = _as_text(_require(item, path, who_key), f"{path}.{who_key}")
+        if who not in known:
+            _fail(f"{path}.{who_key}", f"{who!r} does not match any device")
+        out.append(make(_as_int(_require(item, path, "t_ms"), f"{path}.t_ms", 0, duration), who))
+    return tuple(out)
+
+
+def _reject_duplicates(what: str, keyed: list[tuple[str, Any]]) -> None:
+    """Fail at the path of the first (path, key) whose key came before."""
+    seen = set()
+    for path, key in keyed:
+        if key in seen:
+            _fail(path, f"duplicate {what} {key!r}")
+        seen.add(key)
+
+
 def parse_scenario(obj: Any) -> Scenario:
-    if not isinstance(obj, dict):
-        _fail("scenario", "expected a JSON object")
-    name = obj.get("name", "scenario")
-    if not isinstance(name, str):
-        _fail("name", f"expected string, got {name!r}")
+    obj = _as_object(obj, "scenario")
+    name = _as_text(obj.get("name", "scenario"), "name")
     seed = _as_int(obj.get("seed", 0), "seed", 0, 2**63 - 1)
     duration = _as_int(_require(obj, "scenario", "duration_ms"), "duration_ms", 1, 2**48)
 
-    raw_cells = obj.get("cells", [])
-    if not isinstance(raw_cells, list):
-        _fail("cells", "expected list")
-    cells = tuple(_parse_cell(c, f"cells[{i}]") for i, c in enumerate(raw_cells))
-
-    raw_ues = obj.get("ues", [])
-    if not isinstance(raw_ues, list):
-        _fail("ues", "expected list")
-    ues = tuple(_parse_ue(u, f"ues[{i}]", i) for i, u in enumerate(raw_ues))
-
+    cells = tuple(_parse_cell(c, f"cells[{i}]") for i, c in enumerate(_as_list(obj.get("cells", []), "cells")))
+    ues = tuple(_parse_ue(u, f"ues[{i}]", i) for i, u in enumerate(_as_list(obj.get("ues", []), "ues")))
     rogue = _parse_rogue(obj["rogue"], "rogue") if obj.get("rogue") is not None else None
     if not cells and rogue is None:
         _fail("cells", "scenario has nothing on the air")
 
-    seen_ids: set[int] = set()
-    for i, cell in enumerate(cells):
-        if cell.cell_id in seen_ids:
-            _fail(f"cells[{i}].cell_id", f"duplicate cell id {cell.cell_id}")
-        seen_ids.add(cell.cell_id)
-    if rogue is not None and rogue.cell_id in seen_ids:
-        _fail("rogue.cell_id", f"duplicate cell id {rogue.cell_id}")
+    cell_ids = [(f"cells[{i}].cell_id", cell.cell_id) for i, cell in enumerate(cells)]
+    cell_ids += [("rogue.cell_id", rogue.cell_id)] if rogue is not None else []
+    _reject_duplicates("cell id", cell_ids)
+    _reject_duplicates("name", [(f"ues[{i}].name", ue.name) for i, ue in enumerate(ues)])
+    _reject_duplicates("imsi", [(f"ues[{i}].imsi", str(ue.imsi)) for i, ue in enumerate(ues)])
+    names, msisdns = {ue.name for ue in ues}, {ue.msisdn for ue in ues}
 
-    seen_names: set[str] = set()
-    seen_imsis: set[str] = set()
-    for i, ue in enumerate(ues):
-        if ue.name in seen_names:
-            _fail(f"ues[{i}].name", f"duplicate name {ue.name!r}")
-        seen_names.add(ue.name)
-        if str(ue.imsi) in seen_imsis:
-            _fail(f"ues[{i}].imsi", "duplicate imsi")
-        seen_imsis.add(str(ue.imsi))
-
-    msisdns = {ue.msisdn for ue in ues}
-    pages = []
-    for i, item in enumerate(obj.get("page_calls", [])):
-        ppath = f"page_calls[{i}]"
-        if not isinstance(item, dict):
-            _fail(ppath, "expected object")
-        msisdn = _require(item, ppath, "msisdn")
-        if msisdn not in msisdns:
-            _fail(f"{ppath}.msisdn", f"{msisdn!r} does not match any device")
-        pages.append(
-            PageCallSpec(_as_int(_require(item, ppath, "t_ms"), f"{ppath}.t_ms", 0, duration), msisdn)
-        )
-
-    toggles = []
-    for i, item in enumerate(obj.get("airplane_toggles", [])):
-        tpath = f"airplane_toggles[{i}]"
-        if not isinstance(item, dict):
-            _fail(tpath, "expected object")
-        who = _require(item, tpath, "ue")
-        if who not in seen_names:
-            _fail(f"{tpath}.ue", f"{who!r} does not match any device")
-        toggles.append(
-            ToggleSpec(_as_int(_require(item, tpath, "t_ms"), f"{tpath}.t_ms", 0, duration), who)
-        )
-
-    erasures = []
-    for i, item in enumerate(obj.get("tmsi_erasures", [])):
-        epath = f"tmsi_erasures[{i}]"
-        if not isinstance(item, dict):
-            _fail(epath, "expected object")
-        who = _require(item, epath, "ue")
-        if who not in seen_names:
-            _fail(f"{epath}.ue", f"{who!r} does not match any device")
-        erasures.append(
-            ErasureSpec(_as_int(_require(item, epath, "t_ms"), f"{epath}.t_ms", 0, duration), who)
-        )
-
-    raw_pl = obj.get("path_loss", {})
-    if not isinstance(raw_pl, dict):
-        _fail("path_loss", "expected object")
+    raw_pl = _as_object(obj.get("path_loss", {}), "path_loss")
     path_loss = PathLossModel(
         exponent=_as_number(raw_pl.get("exponent", 3.5), "path_loss.exponent"),
         offset_db=_as_number(raw_pl.get("offset_db", 20.0), "path_loss.offset_db"),
         min_distance_m=_as_number(raw_pl.get("min_distance_m", 1.0), "path_loss.min_distance_m"),
     )
+    if path_loss.min_distance_m <= 0:
+        _fail("path_loss.min_distance_m", f"must be positive, got {path_loss.min_distance_m}")
 
     return Scenario(
         name=name,
@@ -501,9 +411,9 @@ def parse_scenario(obj: Any) -> Scenario:
         cells=cells,
         ues=ues,
         rogue=rogue,
-        page_calls=tuple(pages),
-        toggles=tuple(toggles),
-        erasures=tuple(erasures),
+        page_calls=_parse_directives(obj, "page_calls", "msisdn", msisdns, duration, PageCallSpec),
+        toggles=_parse_directives(obj, "airplane_toggles", "ue", names, duration, UeDirective),
+        erasures=_parse_directives(obj, "tmsi_erasures", "ue", names, duration, UeDirective),
         path_loss=path_loss,
         rx_floor_dbm=_as_number(obj.get("rx_floor_dbm", DEFAULT_RX_FLOOR_DBM), "rx_floor_dbm"),
         sniffer_enabled=_as_bool(obj.get("sniffer", True), "sniffer"),
@@ -515,6 +425,6 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
         raise ScenarioInvalid(f"not valid JSON: {exc}") from exc
     return parse_scenario(obj)

@@ -109,3 +109,102 @@ def test_replay_then_diff(tmp_path, capsys):
     assert main(["diff", str(truth), str(replayed)]) == 0
     scored = json.loads(capsys.readouterr().out)
     assert set(scored) == {"mean_continuity", "per_ue"}
+
+
+def _catcher_capture(tmp_path):
+    capture = tmp_path / "air.jsonl"
+    main(["run", CATCHER, "--capture", str(capture), "--quiet"])
+    return capture.read_text().splitlines()
+
+
+def _edit(line, **changes):
+    obj = json.loads(line)
+    obj.update(changes)
+    return json.dumps({k: v for k, v in obj.items() if v is not None})
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        lambda line: line[:20],  # truncated
+        lambda line: _edit(line, dir=None),  # missing key
+        lambda line: "[1, 2]",  # not an object
+        lambda line: _edit(line, type="nope"),  # unknown message type
+        lambda line: _edit(line, t=2**80),  # timestamp beyond the header
+        lambda line: _edit(line, t="5"),  # string where an integer belongs
+        lambda line: _edit(line, dir="sideways"),
+        lambda line: _edit(line, body=[]),
+        lambda line: _edit(line, prot="protected", key_id=1, len=10**12),  # filler too long
+    ],
+)
+def test_replay_reports_a_malformed_line(tmp_path, capsys, bad_line):
+    lines = _catcher_capture(tmp_path)
+    frame = next(i for i, line in enumerate(lines) if '"meta"' not in line)
+    lines[frame] = bad_line(lines[frame])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(bad)]) == 2
+    assert f"line {frame + 1}:" in capsys.readouterr().err
+
+
+def test_replay_reports_bad_utf8_and_page_triggers(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n" + b'{"meta": "page_trigger", "t": 5, "msisdn": "\xff"}\n')
+    assert main(["replay", str(bad)]) == 2
+    assert "line 2:" in capsys.readouterr().err
+    bad.write_text('{"meta": "page_trigger", "t": 5, "msisdn": 15550000001}\n')
+    assert main(["replay", str(bad)]) == 2
+    assert "line 1: t, msisdn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"rx": float("nan")},
+        {"rx": "strong"},
+        {"body": {"plmn": {"mcc": "310", "mnc": "260"}}},  # fields missing
+        {"body": None},
+    ],
+)
+def test_scan_reports_a_malformed_broadcast(tmp_path, capsys, edit):
+    lines = _catcher_capture(tmp_path)
+    sib1 = next(i for i, line in enumerate(lines) if '"sib1"' in line)
+    lines[sib1] = json.dumps(dict(json.loads(lines[sib1]), **edit))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n\n" + "\n".join(lines) + "\n")  # blank lines still count
+    assert main(["scan", str(bad)]) == 2
+    assert f"line {sib1 + 3}:" in capsys.readouterr().err
+
+
+def test_scan_reports_an_unreadable_line(tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"type": "mib"}\n{"type": "sib1", "rx"\n')
+    assert main(["scan", str(bad)]) == 2
+    assert "line 2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "truth, report",
+    [
+        ('{"trajectories": ', '{"sessions": []}'),  # truncated
+        ('{"trajectories": {"a": 5}}', '{"sessions": []}'),
+        ('{"trajectories": {"a": [[10, 1]]}}', '[1]'),
+        ('{"trajectories": {"a": [[10, 1]]}}', '{"sessions": [{"trajectory": [[10, 1]]}]}'),
+        ('{"trajectories": {"a": [[10, 1]]}}', '{"sessions": [{"session_id": 1, "trajectory": 7}]}'),
+        ("[]", '{"sessions": []}'),
+    ],
+)
+def test_diff_reports_a_malformed_file(tmp_path, capsys, truth, report):
+    (tmp_path / "truth.json").write_text(truth)
+    (tmp_path / "report.json").write_text(report)
+    assert main(["diff", str(tmp_path / "truth.json"), str(tmp_path / "report.json")]) == 2
+    assert "unusable input" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_json_is_unusable_input(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["replay", str(deep)]) == 2
+    assert main(["diff", str(deep), str(deep)]) == 2
+    assert main(["run", str(deep)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """Scenario file parsing: field paths in errors, defaults, movement."""
 
+import dataclasses
 import json
 
 import pytest
 
+from ltesim.attacker import RogueCellConfig
 from ltesim.codec import EmmCause
+from ltesim.core import CellConfig
+from ltesim.engine import Engine
 from ltesim.identity import Plmn
 from ltesim.radio import Rat
 from ltesim.scenario import (
@@ -14,6 +18,7 @@ from ltesim.scenario import (
     load_scenario,
     parse_scenario,
 )
+from ltesim.ue import UeProfile
 
 PLMN_JSON = {"mcc": "310", "mnc": "260"}
 
@@ -56,8 +61,8 @@ def test_minimal_scenario_parses():
     sc = parse_scenario(minimal())
     assert sc.name == "t" and sc.seed == 1 and sc.duration_ms == 1000
     cell = sc.cells[0]
-    assert cell.plmn == Plmn("310", "260")
-    assert cell.rat is Rat.LTE
+    assert cell.radio.identity.plmn == Plmn("310", "260")
+    assert cell.radio.rat is Rat.LTE
     assert cell.broadcast_period_ms == 40
     assert not cell.encrypt_handover_trigger and not cell.rnti_refresh_on_idle
     ue = sc.ues[0]
@@ -140,7 +145,7 @@ def test_rogue_parsing():
     assert sc.rogue.mode == "attach_reject_dos"
     assert sc.rogue.reject_cause is EmmCause.EPS_SERVICES_NOT_ALLOWED
     assert sc.rogue.active_ms == (1000, 2000)
-    assert sc.rogue.radio().is_rogue
+    assert sc.rogue.radio.is_rogue
 
     obj["rogue"]["mode"] = "jammer"
     fails_at(obj, "rogue.mode")
@@ -238,3 +243,133 @@ def test_non_ascii_digits_are_scenario_errors(mcc):
     fails_at(minimal(cells=[bad_cell]), "cells[0].plmn")
     bad_ue = dict(minimal()["ues"][0], imsi=mcc + "260000000001")
     fails_at(minimal(ues=[bad_ue]), "ues[0].imsi")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tx_power_dbm", float("nan")),
+        ("tx_power_dbm", float("inf")),
+        ("tx_power_dbm", -float("inf")),
+        ("tx_power_dbm", 10**400),
+        ("position", [float("nan"), 0]),
+        ("handover_hysteresis_db", float("nan")),
+    ],
+)
+def test_cell_numbers_must_be_finite(field, value):
+    bad_cell = dict(minimal()["cells"][0], **{field: value})
+    fails_at(minimal(cells=[bad_cell]), f"cells[0].{field}")
+
+
+def test_scenario_numbers_must_be_finite():
+    fails_at(minimal(rx_floor_dbm=float("nan")), "rx_floor_dbm")
+    fails_at(minimal(sniffer_position=[0, float("inf")]), "sniffer_position[1]")
+    fails_at(minimal(path_loss={"exponent": float("nan")}), "path_loss.exponent")
+
+
+@pytest.mark.parametrize("distance", [0, -1, 0.0])
+def test_min_distance_must_be_positive(distance):
+    fails_at(minimal(path_loss={"min_distance_m": distance}), "path_loss.min_distance_m")
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        (None, "cells"),
+        (None, "ues"),
+        (None, "page_calls"),
+        (None, "airplane_toggles"),
+        (None, "tmsi_erasures"),
+        ("cells", "rnti_preset"),
+        ("cells", "priority_earfcns"),
+        ("ues", "app_traffic"),
+        ("ues", "moves"),
+    ],
+)
+@pytest.mark.parametrize("value", [5, "x", {}, None])
+def test_list_fields_must_be_lists(where, key, value):
+    obj = minimal()
+    if where is None:
+        obj[key] = value
+        fails_at(obj, key)
+    else:
+        obj[where][0][key] = value
+        fails_at(obj, f"{where}[0].{key}")
+
+
+@pytest.mark.parametrize("value", [[], {}, 5, None])
+def test_directives_name_devices_by_string(value):
+    fails_at(minimal(airplane_toggles=[{"t_ms": 100, "ue": value}]), "airplane_toggles[0].ue")
+    fails_at(minimal(tmsi_erasures=[{"t_ms": 100, "ue": value}]), "tmsi_erasures[0].ue")
+    fails_at(minimal(page_calls=[{"t_ms": 100, "msisdn": value}]), "page_calls[0].msisdn")
+
+
+def test_toggles_and_erasures_parse_alike():
+    sc = parse_scenario(
+        minimal(airplane_toggles=[{"t_ms": 300, "ue": "a"}], tmsi_erasures=[{"t_ms": 100, "ue": "a"}])
+    )
+    assert (sc.toggles[0].t_ms, sc.toggles[0].ue) == (300, "a")
+    assert type(sc.toggles[0]) is type(sc.erasures[0])
+
+
+def test_parsed_scenario_holds_the_run_configs():
+    obj = minimal(
+        rogue={
+            "cell_id": 999,
+            "tac": 101,
+            "plmn": dict(PLMN_JSON),
+            "earfcn": 3350,
+            "position": [5, 0],
+            "tx_power_dbm": 46.0,
+            "mode": "imsi_catcher",
+        }
+    )
+    obj["cells"].append(dict(obj["cells"][0], cell_id=11, rat="gsm"))
+    sc = parse_scenario(obj)
+    assert all(isinstance(cell, CellConfig) for cell in sc.cells)
+    assert [cell.radio.rat for cell in sc.cells] == [Rat.LTE, Rat.GSM]
+    assert isinstance(sc.rogue, RogueCellConfig)
+    assert isinstance(sc.ues[0], UeProfile)
+
+
+# Each shipped scenario, with one value at a time (any leaf or container
+# below the top level) replaced by a hostile value, must either be refused
+# with ScenarioInvalid or run cleanly.
+HOSTILE = [float("nan"), float("inf"), 0, -1, 5, "x", [], {}, None, True, 2**70, "¹"]
+MUTATION_RUN_MS = 3000
+
+
+def _value_paths(node, path=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from _value_paths(child, path + (key,))
+
+
+def _hostile_for(original):
+    if isinstance(original, str) and original:
+        return HOSTILE + [original[:-1] + "¹"]  # a superscript digit
+    return HOSTILE
+
+
+def test_hostile_values_in_shipped_scenarios_are_refused_or_run():
+    from tests.conftest import SCENARIO_DIR
+
+    escapes = []
+    for scenario_path in sorted(SCENARIO_DIR.glob("*.json")):
+        text = scenario_path.read_text()
+        for path, original in _value_paths(json.loads(text)):
+            for value in _hostile_for(original):
+                doc = json.loads(text)
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+                try:
+                    sc = parse_scenario(doc)
+                    Engine(dataclasses.replace(sc, duration_ms=min(sc.duration_ms, MUTATION_RUN_MS))).run()
+                except ScenarioInvalid:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any escape is the finding
+                    escapes.append(f"{scenario_path.name} {path} = {value!r}: {exc!r}")
+    assert not escapes, "\n".join(escapes[:20])
