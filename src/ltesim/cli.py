@@ -6,9 +6,9 @@
     ltesim replay capture.jsonl [--report PATH]
     ltesim diff ground_truth.json report.json
 
-Exit codes: 0 success, 1 scan found no broadcast to impersonate, 2
-unusable scenario, capture or report file, 3 a run tripped an internal
-consistency check.
+Exit codes: 0 success, 1 scan found no broadcast to impersonate, 2 an
+input file (scenario, capture, ground truth or report) that is missing,
+unreadable or malformed, 3 a run tripped an internal consistency check.
 """
 
 from __future__ import annotations
@@ -78,15 +78,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open(path: str):
+    """An input file, opened as bytes; one that cannot be opened is unusable input."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CaptureInvalid(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _read_capture(path: str) -> list[dict]:
     # Read as bytes, so a line of bad UTF-8 is reported with its number like
     # any other unreadable line; a blank line reads as {}, so record n is line n.
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         return [parse_capture_line(n, line) or {} for n, line in enumerate(fh, 1)]
 
 
 def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with _open(path) as fh:
         try:
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
@@ -110,7 +118,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    with open(args.capture, "rb") as fh:  # bytes, as in _read_capture
+    with _open(args.capture) as fh:  # bytes, as in _read_capture
         report = replay_capture(fh)
     obj = report.as_json()
     if args.report:

@@ -113,7 +113,6 @@ class SessionState(enum.Enum):
     RACH_DONE = "rach_done"
     ATTACHING = "attaching"
     AUTHENTICATED = "authenticated"
-    SECURED = "secured"
     REGISTERED = "registered"
     IDLE = "idle"
 
@@ -123,7 +122,6 @@ class SessionRecord:
     cell_id: int
     rnti: int
     state: SessionState
-    created_ms: int
     imsi: Optional[Imsi] = None
     tmsi: Optional[int] = None
     key_id: Optional[int] = None
@@ -285,7 +283,7 @@ class NetworkCore:
             rec.handover_final_rnti = entry.final_rnti
             self.active[(cfg.cell_id, temp)] = rec
         else:
-            rec = SessionRecord(cfg.cell_id, temp, SessionState.RACH_DONE, now_ms)
+            rec = SessionRecord(cfg.cell_id, temp, SessionState.RACH_DONE)
             self.active[(cfg.cell_id, temp)] = rec
         return [Downlink(cfg.cell_id, temp, MacRar(temp_rnti=temp))]
 
@@ -400,7 +398,6 @@ class NetworkCore:
             self._drop("smc_out_of_order")
             return []
         rec.security_active = True
-        rec.state = SessionState.SECURED
         imsi_str = str(rec.imsi)
         tmsi = self.tmsi_of_imsi.get(imsi_str)
         if tmsi is None:
@@ -540,15 +537,14 @@ class NetworkCore:
         self.drops[reason] = self.drops.get(reason, 0) + 1
 
     def check_invariants(self) -> None:
-        """Radio-id uniqueness per cell over non-idle sessions, and
-        allocator consistency."""
+        """Radio-id uniqueness per cell over non-idle sessions (each sits
+        under its own (cell, rnti) key), and allocator consistency, with
+        a cell's reserved ids read once per check, not per session."""
+        reserved: dict[int, frozenset[int]] = {}
         for (cell_id, rnti), rec in self.active.items():
             if rec.cell_id != cell_id or rec.rnti != rnti:
                 raise InvariantViolation(f"session index mismatch at {(cell_id, rnti)}")
-            if rnti not in self.allocators[cell_id].in_use:
+            if cell_id not in reserved:
+                reserved[cell_id] = self.allocators[cell_id].in_use
+            if rnti not in reserved[cell_id]:
                 raise InvariantViolation(f"active rnti {rnti} not reserved at cell {cell_id}")
-        seen: set[tuple[int, int]] = set()
-        for key in self.active:
-            if key in seen:
-                raise InvariantViolation(f"duplicate active session key {key}")
-            seen.add(key)

@@ -1,26 +1,33 @@
 """Run loop: devices, network, rogue, and observer over simulated time.
 
-Time is integer milliseconds. The loop is event-driven: a heap of
-instants that something cares about (broadcast schedules, queued
-deliveries, device timers, network deadlines, scenario directives), so
-quiet stretches cost nothing.
+Time is integer milliseconds. The loop is event-driven: one agenda maps
+every instant that something cares about (broadcast schedules, queued
+deliveries, device timers, network deadlines, scenario directives) to
+the scenario directives due then, and a heap of its keys gives the next
+instant, so quiet stretches cost nothing. An instant, once scheduled,
+is processed even if the timer that asked for it has moved: a device
+whose timer is past due is stepped on every processed tick.
 
 Within one tick the stages are fixed, and that order is part of the
 determinism contract:
 
     1. broadcasts born this tick (operator cells, then rogue)
     2. downlinks queued by the previous tick reach their devices
-    3. scheduled device events (power, traffic, toggles), then due timers
+    3. scheduled device events (power, traffic, toggles) in device
+       order, then due timers
     4. paging directives enter the network
     5. this tick's uplinks reach the cells; responses queue for t+1
     6. network timers (idle transitions, stale handover preparations)
     7. invariant checks
 
-Uplinks arrive the tick they are sent; every downlink answer lands one
-tick later and is stamped with its delivery time. An addressed downlink
-goes to the device whose uplink caused it; broadcasts go to every
-powered device in range. Each frame is encoded exactly once, and the
-same bytes feed the sniffer, the capture log, and (decoded) the
+Uplinks arrive the tick they are sent and go to the cell's owner, the
+operator core or the rogue. Every downlink answer lands one tick later,
+which is always the next tick processed, and is stamped with its
+delivery time. An addressed downlink goes to the device whose uplink
+caused it; broadcasts go to every powered device in range. No device is
+stepped after stage 3, so the same pass that fires due timers also
+schedules each device's next one. Each frame is encoded exactly once,
+and the same bytes feed the sniffer, the capture log, and (decoded) the
 receiving party.
 
 The capture is JSON lines. Frame lines carry the header fields, a
@@ -36,13 +43,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from . import codec
 from .attacker import RogueCell
-from .codec import CaptureInvalid, Direction, FrameHeader
+from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader
 from .core import Downlink, NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
@@ -93,10 +101,15 @@ class Engine:
         lte_cells = [cfg for cfg in scenario.cells if cfg.radio.rat is Rat.LTE]
         self.core = NetworkCore(lte_cells, scenario.ues, rng_for)
         self._radios: dict[int, RadioCell] = {cfg.cell_id: cfg.radio for cfg in scenario.cells}
+        # Who answers what: broadcasters in stage order, uplinks by cell id.
+        self._broadcasters: list[NetworkCore | RogueCell] = [self.core]
+        self._owners: dict[int, NetworkCore | RogueCell] = dict.fromkeys(self.core.cells, self.core)
         self.rogue: Optional[RogueCell] = None
         if scenario.rogue is not None:
             self.rogue = RogueCell(scenario.rogue, rng_for("rogue"))
-            self._radios[scenario.rogue.cell_id] = scenario.rogue.radio
+            self._radios[self.rogue.cell_id] = scenario.rogue.radio
+            self._broadcasters.append(self.rogue)
+            self._owners[self.rogue.cell_id] = self.rogue
 
         self.ues: dict[str, Ue] = {}
         for spec in scenario.ues:
@@ -108,22 +121,27 @@ class Engine:
         self.capture: list[str] = []
         self.now = 0
 
-        self._heap: list[int] = []
-        self._pending_times: set[int] = set()
-        self._dl_queue: dict[int, list[tuple[Downlink, Optional[Ue]]]] = {}
-        self._ue_events: dict[str, dict[int, list]] = {name: {} for name in self.ues}
-        for spec in scenario.ues:
-            self._add_ue_event(spec.name, spec.power_on_ms, PowerOn())
-            for item in spec.app_traffic:
-                self._add_ue_event(spec.name, item.t_ms, AppTraffic(item.byte_count))
-        for toggle in scenario.toggles:
-            self._add_ue_event(toggle.ue, toggle.t_ms, AirplaneToggle())
-        for erasure in scenario.erasures:
-            self._add_ue_event(erasure.ue, erasure.t_ms, EraseTmsi())
+        self._devices = list(self.ues.values())
+        index = {name: i for i, name in enumerate(self.ues)}
+        directives = []
+        for i, spec in enumerate(scenario.ues):
+            directives.append((spec.power_on_ms, i, PowerOn()))
+            directives += [(item.t_ms, i, AppTraffic(item.byte_count)) for item in spec.app_traffic]
+        directives += [(d.t_ms, index[d.ue], AirplaneToggle()) for d in scenario.toggles]
+        directives += [(d.t_ms, index[d.ue], EraseTmsi()) for d in scenario.erasures]
         self._page_calls: dict[int, list[str]] = {}
         for call in scenario.page_calls:
             self._page_calls.setdefault(call.t_ms, []).append(call.msisdn)
-            self._schedule(call.t_ms)
+        # The agenda: every scheduled instant, with the (device index,
+        # event) directives due then, in device order. Its keys are
+        # exactly the instants on the heap.
+        self._agenda: dict[int, Sequence[tuple[int, object]]] = {t_ms: [] for t_ms in (0, *self._page_calls)}
+        for t_ms, i, event in sorted(directives, key=lambda d: d[:2]):
+            self._agenda.setdefault(t_ms, []).append((i, event))
+        for t_ms in [t_ms for t_ms in self._agenda if not 0 <= t_ms <= scenario.duration_ms]:
+            del self._agenda[t_ms]  # outside the run: never due
+        self._heap = sorted(self._agenda)
+        self._downlinks: list[tuple[Downlink, Optional[Ue]]] = []
 
     # -- wiring -----------------------------------------------------------------
 
@@ -141,86 +159,60 @@ class Engine:
     def _radios_on_air(self, now_ms: int) -> list[RadioCell]:
         return [r for r in self._radios.values() if not r.is_rogue or self.rogue.active(now_ms)]
 
-    def _add_ue_event(self, name: str, t_ms: int, event) -> None:
-        self._ue_events[name].setdefault(t_ms, []).append(event)
-        self._schedule(t_ms)
-
-    def _schedule(self, t_ms: int) -> None:
-        if t_ms < 0 or t_ms > self.sc.duration_ms or t_ms in self._pending_times:
-            return
-        self._pending_times.add(t_ms)
-        heapq.heappush(self._heap, t_ms)
-
-    def _queue_dl(self, t_ms: int, dl: Downlink, causal: Optional[Ue]) -> None:
-        self._dl_queue.setdefault(t_ms, []).append((dl, causal))
-        self._schedule(t_ms)
+    def _at(self, t_ms: Optional[int], now: int) -> None:
+        """Schedule t_ms if it lies after now and within the run."""
+        if t_ms is not None and now < t_ms <= self.sc.duration_ms and t_ms not in self._agenda:
+            self._agenda[t_ms] = ()
+            heapq.heappush(self._heap, t_ms)
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RunResult:
-        self._schedule(0)
-        self._schedule_broadcasts(0)
         while self._heap:
             t = heapq.heappop(self._heap)
-            self._pending_times.discard(t)
             self.now = t
             self._process(t)
-            self._schedule_broadcasts(t)
         return self._result()
 
     def _process(self, t: int) -> None:
-        ul_batch: list[tuple[Ue, Emission]] = []
+        ul_batch: list[tuple[Ue, list[Emission]]] = []
+        downlinks, self._downlinks = self._downlinks, []
 
-        for dl in self.core.broadcast_tick(t):
-            self._air_downlink(dl, t, None, ul_batch)
-        if self.rogue is not None:
-            for dl in self.rogue.broadcast_tick(t):
+        for cell in self._broadcasters:
+            for dl in cell.broadcast_tick(t):
                 self._air_downlink(dl, t, None, ul_batch)
-
-        for dl, causal in self._dl_queue.pop(t, ()):
+        for dl, causal in downlinks:
             self._air_downlink(dl, t, causal, ul_batch)
 
-        for name, ue in self.ues.items():
-            for event in self._ue_events[name].pop(t, ()):
-                self._collect(ue, ue.step(event, t), ul_batch)
-        for ue in self.ues.values():
+        devices = self._devices
+        for i, event in self._agenda.pop(t):
+            ue = devices[i]
+            ul_batch.append((ue, ue.step(event, t)))
+        for ue in devices:
             wake = ue.next_wake_ms()
             if wake is not None and wake <= t:
-                self._collect(ue, ue.step(Tick(t), t), ul_batch)
+                ul_batch.append((ue, ue.step(Tick(t), t)))
+                wake = ue.next_wake_ms()
+            self._at(wake, t)
 
         for msisdn in self._page_calls.pop(t, ()):
             if self.sniffer is not None:
                 self.sniffer.note_triggered_page(t, msisdn)
             self.capture.append(_dump({"meta": "page_trigger", "t": t, "msisdn": msisdn}))
-            for dl in self.core.page(msisdn, t):
-                self._queue_dl(t + 1, dl, None)
+            self._downlinks += [(dl, None) for dl in self.core.page(msisdn, t)]
 
-        for ue, emission in ul_batch:
-            self._air_uplink(ue, emission, t)
+        for ue, emissions in ul_batch:
+            for emission in emissions:
+                self._air_uplink(ue, emission, t)
 
         self.core.tick(t)
         self.core.check_invariants()
 
-        for ue in self.ues.values():
-            wake = ue.next_wake_ms()
-            if wake is not None and wake > t:
-                self._schedule(wake)
-        deadline = self.core.next_deadline_ms()
-        if deadline is not None and deadline > t:
-            self._schedule(deadline)
-
-    def _schedule_broadcasts(self, t: int) -> None:
-        nxt = self.core.next_broadcast_ms(t)
-        if nxt is not None:
-            self._schedule(nxt)
-        if self.rogue is not None:
-            nxt = self.rogue.next_broadcast_ms(t)
-            if nxt is not None:
-                self._schedule(nxt)
-
-    def _collect(self, ue: Ue, emissions: list[Emission], ul_batch: list) -> None:
-        for emission in emissions:
-            ul_batch.append((ue, emission))
+        if self._downlinks:
+            self._at(t + 1, t)
+        self._at(self.core.next_deadline_ms(), t)
+        for cell in self._broadcasters:
+            self._at(cell.next_broadcast_ms(t), t)
 
     # -- the air -----------------------------------------------------------------
 
@@ -230,25 +222,22 @@ class Engine:
         radio = self._radios[dl.cell_id]
         self._tap(data, header, dl.message, radio.position, radio.tx_power_dbm)
         if dl.rnti == 0:
-            for ue in self.ues.values():
+            for ue in self._devices:
                 if ue.phase is UePhase.POWERED_OFF:
                     continue
                 at = ue.profile.position_at(t)
                 if rx_power(radio, at, self.sc.path_loss) >= self.sc.rx_floor_dbm:
-                    self._collect(ue, ue.step(Rx(header, dl.message), t), ul_batch)
+                    ul_batch.append((ue, ue.step(Rx(header, dl.message), t)))
         elif causal is not None:
-            self._collect(causal, causal.step(Rx(header, dl.message), t), ul_batch)
+            ul_batch.append((causal, causal.step(Rx(header, dl.message), t)))
 
     def _air_uplink(self, ue: Ue, emission: Emission, t: int) -> None:
         header = FrameHeader(t, emission.cell_id, emission.rnti, Direction.UPLINK, key_id=emission.key_id)
         data = codec.encode(header, emission.message, self.core.keys)
         self._tap(data, header, emission.message, ue.profile.position_at(t), UE_TX_POWER_DBM)
-        if emission.cell_id in self.core.cells:
-            for dl in self.core.handle_uplink(header, emission.message, t):
-                self._queue_dl(t + 1, dl, ue)
-        elif self.rogue is not None and emission.cell_id == self.rogue.cell_id:
-            for dl in self.rogue.handle_uplink(header, emission.message, t):
-                self._queue_dl(t + 1, dl, ue)
+        owner = self._owners.get(emission.cell_id)
+        if owner is not None:
+            self._downlinks += [(dl, ue) for dl in owner.handle_uplink(header, emission.message, t)]
 
     def _tap(self, data: bytes, header: FrameHeader, msg, tx_pos: tuple[float, float], tx_power: float) -> None:
         if self.sniffer is not None:
@@ -340,20 +329,26 @@ def reconstruct_frame(obj: dict) -> bytes:
     """Rebuild the on-air bytes a capture line describes. Cleartext
     bodies re-encode exactly; protected bodies get zero filler of the
     right length, which is indistinguishable to a keyless observer."""
-    t, cell, rnti, way, prot = obj["t"], obj["cell"], obj["rnti"], obj["dir"], obj["prot"]
+    t, cell, rnti, way, prot, rx = obj["t"], obj["cell"], obj["rnti"], obj["dir"], obj["prot"], obj["rx"]
     if type(t) is not int or type(cell) is not int or type(rnti) is not int:
         raise CaptureInvalid(f"t, cell, rnti: expected integers, got {t!r}, {cell!r}, {rnti!r}")
     if way not in ("dl", "ul") or prot not in ("clear", "protected"):
         raise CaptureInvalid(f"dir, prot: expected dl|ul, clear|protected, got {way!r}, {prot!r}")
+    if type(rx) is not float and type(rx) is not int or not -math.inf < rx < math.inf:
+        raise CaptureInvalid(f"rx: expected a finite number, got {rx!r}")
     direction = Direction.UPLINK if way == "ul" else Direction.DOWNLINK
+    length = obj["len"]
     if prot == "protected":
-        key_id, length = obj["key_id"], obj["len"]
+        key_id = obj["key_id"]
         if type(key_id) is not int or type(length) is not int or not 4 <= length <= MAX_OPAQUE_LEN:
             raise CaptureInvalid(f"key_id, len: got {key_id!r}, {length!r}; want integers, len 4..{MAX_OPAQUE_LEN}")
         header = FrameHeader(t, cell, rnti, direction, key_id=key_id)
         return codec.pack_header(header) + struct.pack(">I", key_id) + bytes(length - 4)
     header = FrameHeader(t, cell, rnti, direction)
-    return codec.encode(header, codec.message_from_json(obj["type"], obj["body"]))
+    data = codec.encode(header, codec.message_from_json(obj["type"], obj["body"]))
+    if type(length) is not int or length != len(data) - HEADER_LEN:
+        raise CaptureInvalid(f"len: got {length!r}, but the body encodes to {len(data) - HEADER_LEN} bytes")
+    return data
 
 
 def parse_capture_line(number: int, line: str | bytes) -> Optional[dict]:

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 IMSI_LEN = 15
-RNTI_BROADCAST = 0x0000
 RNTI_MIN = 0x0001
 RNTI_MAX = 0xFFF3
 TMSI_SPACE = 1 << 32

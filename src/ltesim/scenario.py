@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -39,6 +38,8 @@ from .radio import DEFAULT_RX_FLOOR_DBM, PathLossModel, Rat, RadioCell
 from .ue import UeProfile
 
 MAX_CELL_ID = (1 << 28) - 1
+# Every scenario number (metres, dBm, dB, loss exponent) lies within this.
+MAX_MAGNITUDE = 1e7
 
 
 class ScenarioInvalid(ValueError):
@@ -64,9 +65,9 @@ def _as_int(value: Any, path: str, lo: int, hi: int) -> int:
 
 
 def _as_number(value: Any, path: str) -> float:
-    # Not bool; no NaN, no infinity, no int too large for a float.
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        _fail(path, f"expected a finite number, got {value!r}")
+    # Not bool, not NaN; bounded, so distances, losses and rx levels stay finite.
+    if type(value) not in (int, float) or not abs(value) <= MAX_MAGNITUDE:
+        _fail(path, f"expected a number of magnitude at most {MAX_MAGNITUDE:g}, got {value!r}")
     return float(value)
 
 
@@ -425,6 +426,8 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
             obj = json.load(fh)
+    except OSError as exc:
+        raise ScenarioInvalid(f"cannot read {path}: {exc.strerror}") from None
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
         raise ScenarioInvalid(f"not valid JSON: {exc}") from exc
     return parse_scenario(obj)

@@ -275,7 +275,6 @@ class Ue:
         self._proc_deadline_ms: Optional[int] = None
         self._backoff_until_ms: Optional[int] = None
         self._last_activity_ms: Optional[int] = None
-        self._expected_rand: Optional[bytes] = None
 
     # -- event entry point ------------------------------------------------
 

@@ -147,6 +147,45 @@ def test_replay_reports_a_malformed_line(tmp_path, capsys, bad_line):
     assert f"line {frame + 1}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, changes",
+    [
+        ("attach_request", {"len": 999, "rx": "x"}),  # both wrong: len is checked too
+        ("attach_request", {"len": 999}),  # not the re-encoded body length
+        ("attach_request", {"len": "13"}),
+        ("attach_request", {"rx": "x"}),
+        ("attach_request", {"rx": float("-inf")}),
+        ("opaque", {"rx": float("nan")}),
+        ("opaque", {"rx": True}),
+        ("opaque", {"rx": None}),  # missing
+    ],
+)
+def test_replay_checks_len_and_rx(tmp_path, capsys, kind, changes):
+    lines = _catcher_capture(tmp_path)
+    target = next(i for i, line in enumerate(lines) if f'"type":"{kind}"' in line)
+    lines[target] = _edit(lines[target], **changes)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(bad)]) == 2
+    assert f"line {target + 1}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "scan", "replay", "diff"])
+@pytest.mark.parametrize("missing", ["nothere.json", "."])  # absent; a directory
+def test_unreadable_input_is_named(tmp_path, capsys, command, missing):
+    path = str(tmp_path / missing)
+    args = [command, path] if command != "diff" else [command, path, path]
+    assert main(args) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
+def test_diff_names_an_unreadable_report(tmp_path, capsys):
+    truth = tmp_path / "truth.json"
+    truth.write_text('{"trajectories": {}}')
+    assert main(["diff", str(truth), str(tmp_path / "nothere.json")]) == 2
+    assert "nothere.json" in capsys.readouterr().err
+
+
 def test_replay_reports_bad_utf8_and_page_triggers(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(b"\n" + b'{"meta": "page_trigger", "t": 5, "msisdn": "\xff"}\n')

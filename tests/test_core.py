@@ -13,6 +13,7 @@ from ltesim.codec import (
     Direction,
     EmmCause,
     FrameHeader,
+    IdentityKind,
     IdentityRequest,
     IdentityResponse,
     MacRar,
@@ -172,6 +173,40 @@ def test_unknown_tmsi_provokes_identity_request():
     assert isinstance(out[0].message, IdentityRequest)
     out = ul(core, 10, rnti, IdentityResponse(imsi=IMSI))
     assert isinstance(out[0].message, AuthenticationRequest)
+
+
+def _tau_session(core, tmsi):
+    out = ul(core, 10, 0, RachPreamble(1))
+    rnti = out[0].message.temp_rnti
+    ul(core, 10, rnti, RrcConnectionRequest(tmsi=tmsi))
+    return rnti
+
+
+def test_tau_with_known_tmsi_authenticates():
+    core = build()
+    core.bind_tmsi(IMSI, 0xCAFE0001)
+    rnti = _tau_session(core, 0xCAFE0001)
+    out = ul(core, 10, rnti, TauRequest(0xCAFE0001, 100))
+    assert isinstance(out[0].message, AuthenticationRequest)
+    assert core.active[(10, rnti)].imsi == IMSI
+
+
+def test_tau_with_unknown_tmsi_asks_for_the_imsi():
+    core = build()
+    rnti = _tau_session(core, 0xDEAD0001)
+    out = ul(core, 10, rnti, TauRequest(0xDEAD0001, 100))
+    assert [d.message for d in out] == [IdentityRequest(IdentityKind.IMSI)]
+    out = ul(core, 10, rnti, IdentityResponse(imsi=IMSI))
+    assert isinstance(out[0].message, AuthenticationRequest)
+
+
+def test_second_tau_is_dropped_out_of_order():
+    core = build()
+    core.bind_tmsi(IMSI, 0xCAFE0001)
+    rnti = _tau_session(core, 0xCAFE0001)
+    ul(core, 10, rnti, TauRequest(0xCAFE0001, 100))
+    assert ul(core, 10, rnti, TauRequest(0xCAFE0001, 100)) == []
+    assert core.drops["tau_out_of_order"] == 1
 
 
 def test_bad_auth_response_rejects():

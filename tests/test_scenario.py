@@ -267,6 +267,19 @@ def test_scenario_numbers_must_be_finite():
     fails_at(minimal(path_loss={"exponent": float("nan")}), "path_loss.exponent")
 
 
+@pytest.mark.parametrize("value", [1e7 + 1, -1e200, 10**8])
+def test_scenario_numbers_are_bounded(value):
+    fails_at(minimal(sniffer_position=[value, 0]), "sniffer_position[0]")
+    bad_cell = dict(minimal()["cells"][0], tx_power_dbm=value)
+    fails_at(minimal(cells=[bad_cell]), "cells[0].tx_power_dbm")
+
+
+def test_scenario_numbers_at_the_bound_run_to_strict_json():
+    sc = parse_scenario(minimal(sniffer_position=[1e7, -1e7]))
+    for line in Engine(sc).run().capture_lines:
+        json.loads(line, parse_constant=_refuse_constant)
+
+
 @pytest.mark.parametrize("distance", [0, -1, 0.0])
 def test_min_distance_must_be_positive(distance):
     fails_at(minimal(path_loss={"min_distance_m": distance}), "path_loss.min_distance_m")
@@ -334,8 +347,9 @@ def test_parsed_scenario_holds_the_run_configs():
 
 # Each shipped scenario, with one value at a time (any leaf or container
 # below the top level) replaced by a hostile value, must either be refused
-# with ScenarioInvalid or run cleanly.
-HOSTILE = [float("nan"), float("inf"), 0, -1, 5, "x", [], {}, None, True, 2**70, "¹"]
+# with ScenarioInvalid or run cleanly; a clean run's capture must be strict
+# JSON (no NaN, no Infinity).
+HOSTILE = [float("nan"), float("inf"), 0, -1, 5, "x", [], {}, None, True, 2**70, "¹", 1e200, -1e200]
 MUTATION_RUN_MS = 3000
 
 
@@ -344,6 +358,10 @@ def _value_paths(node, path=()):
     for key, child in items:
         yield path + (key,), child
         yield from _value_paths(child, path + (key,))
+
+
+def _refuse_constant(name):
+    raise ValueError(f"capture line holds {name}, which is not JSON")
 
 
 def _hostile_for(original):
@@ -367,7 +385,9 @@ def test_hostile_values_in_shipped_scenarios_are_refused_or_run():
                 parent[path[-1]] = value
                 try:
                     sc = parse_scenario(doc)
-                    Engine(dataclasses.replace(sc, duration_ms=min(sc.duration_ms, MUTATION_RUN_MS))).run()
+                    result = Engine(dataclasses.replace(sc, duration_ms=min(sc.duration_ms, MUTATION_RUN_MS))).run()
+                    for line in result.capture_lines:
+                        json.loads(line, parse_constant=_refuse_constant)
                 except ScenarioInvalid:
                     pass
                 except Exception as exc:  # noqa: BLE001 - any escape is the finding
