@@ -8,13 +8,18 @@
 
 Exit codes: 0 success, 1 scan found no broadcast to impersonate, 2 an
 input file (scenario, capture, ground truth or report) that is missing,
-unreadable or malformed, 3 a run tripped an internal consistency check.
+unreadable or malformed, 3 a run tripped an internal consistency check,
+4 an output path (`--capture`, `--report`, `--ground-truth`) that cannot
+be written. Output files are opened before a run or replay starts, so an
+unwritable path fails at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 from typing import Optional
 
@@ -30,10 +35,31 @@ from .scenario import ScenarioInvalid, load_scenario
 INVARIANT_ERRORS = (CodecInvariantViolation, CoreInvariantViolation)
 
 
-def _write_json(path: str, obj: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class OutputUnwritable(Exception):
+    """An output path that cannot be opened for writing."""
+
+
+def _create(path: Optional[str]):
+    """An output file, opened before any work starts so that an unwritable
+    path fails at once, but not emptied until `_write` replaces its
+    contents: a failed run leaves an old file as it was, and `replay
+    x --report x` still reads x first. A do-nothing context when the flag
+    is absent."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8")
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _write(fh, text: str) -> None:
+    fh.write(text)
+    fh.truncate()
+
+
+def _write_json(fh, obj: dict) -> None:
+    _write(fh, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -42,19 +68,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ScenarioInvalid as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    try:
-        result = run(scenario, seed=args.seed)
-    except INVARIANT_ERRORS as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 3
-
-    if args.capture:
-        with open(args.capture, "w", encoding="utf-8") as fh:
-            fh.write(result.capture_text())
-    if args.report and result.report is not None:
-        _write_json(args.report, result.report.as_json())
-    if args.ground_truth:
-        _write_json(args.ground_truth, result.ground_truth)
+    report_path = args.report if scenario.sniffer_enabled else None  # no observer, no report
+    with _create(args.capture) as capture, _create(report_path) as report, _create(args.ground_truth) as truth:
+        try:
+            result = run(scenario, seed=args.seed)
+        except INVARIANT_ERRORS as exc:
+            print(f"invariant violation: {exc}", file=sys.stderr)
+            return 3
+        if capture:
+            _write(capture, result.capture_text())
+        if report:
+            _write_json(report, result.report.as_json())
+        if truth:
+            _write_json(truth, result.ground_truth)
 
     if not args.quiet:
         print(f"{scenario.name}: seed {result.seed}, {result.duration_ms} ms")
@@ -118,13 +144,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    with _open(args.capture) as fh:  # bytes, as in _read_capture
-        report = replay_capture(fh)
-    obj = report.as_json()
-    if args.report:
-        _write_json(args.report, obj)
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+    with _open(args.capture) as fh, _create(args.report) as out:  # bytes, as in _read_capture
+        obj = replay_capture(fh).as_json()
+        if out:
+            _write_json(out, obj)
+        else:
+            print(json.dumps(obj, indent=2, sort_keys=True))
     return 0
 
 
@@ -170,6 +195,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CaptureInvalid as exc:
         print(f"unusable input: {exc}", file=sys.stderr)
         return 2
+    except OutputUnwritable as exc:
+        print(exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

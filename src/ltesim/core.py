@@ -28,6 +28,8 @@ refreshed id never equals the prior one.
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -197,6 +199,10 @@ class NetworkCore:
         self.idle_by_tmsi: dict[int, SessionRecord] = {}
         self.idle_by_imsi: dict[str, SessionRecord] = {}
         self._ho_pending: dict[int, deque[_PendingHandover]] = {}
+        # Idle timeouts and preparation expiries as (due, push order, owner)
+        # entries, lazily invalidated: see _owed.
+        self._deadlines: list[tuple[int, int, object]] = []
+        self._pushes = itertools.count()
 
         self.drops: dict[str, int] = {}
         self.handovers_completed = 0
@@ -259,6 +265,7 @@ class NetworkCore:
         if isinstance(msg, UserData):
             if rec.state is SessionState.REGISTERED:
                 rec.last_activity_ms = now_ms
+                self._owe(now_ms + IDLE_AFTER_MS + 1, rec)
             return []
         self._drop("unexpected_" + type(msg).__name__)
         return []
@@ -406,6 +413,7 @@ class NetworkCore:
         rec.tmsi = tmsi
         rec.state = SessionState.REGISTERED
         rec.last_activity_ms = now_ms
+        self._owe(now_ms + IDLE_AFTER_MS + 1, rec)
         self.last_tac[imsi_str] = cfg.radio.identity.tac
         return [Downlink(cfg.cell_id, rec.rnti, AttachAccept(tmsi, cfg.radio.identity.tac), key_id=rec.key_id)]
 
@@ -434,7 +442,9 @@ class NetworkCore:
         except CellFull:
             self._drop("handover_target_full")
             return []
-        self._ho_pending.setdefault(target_id, deque()).append(_PendingHandover(rec, final, now_ms))
+        pending = self._ho_pending.setdefault(target_id, deque())
+        pending.append(_PendingHandover(rec, final, now_ms))
+        self._owe(now_ms + HO_PENDING_MS + 1, (pending, pending[-1]))
         rec.handover_pending = True
         trigger = RrcConnectionReconfiguration(MobilityControlInfo(target_id, final))
         key_id = rec.key_id if cfg.encrypt_handover_trigger else None
@@ -470,26 +480,28 @@ class NetworkCore:
         The idle comparison is strict: downlink delivery lags emission by
         one tick, so the device's activity clock runs one tick behind
         ours after an accept. Strict-greater lands both sides in idle on
-        the same tick.
+        the same tick. Sessions are scanned, in `active` order, only on a
+        tick where the deadline heap's earliest entry is due.
         """
-        for key in [
-            k
-            for k, rec in self.active.items()
-            if rec.state is SessionState.REGISTERED
-            and rec.last_activity_ms is not None
-            and now_ms - rec.last_activity_ms > IDLE_AFTER_MS
-            and not rec.handover_pending
-        ]:
-            rec = self.active.pop(key)
-            rec.state = SessionState.IDLE
-            rec.prior_rnti = rec.rnti
-            rec.security_active = False
-            rec.key_id = None
-            self.idle_transitions += 1
-            if rec.tmsi is not None:
-                self.idle_by_tmsi[rec.tmsi] = rec
-            if rec.imsi is not None:
-                self.idle_by_imsi[str(rec.imsi)] = rec
+        if self._deadlines and self._deadlines[0][0] <= now_ms:
+            for key in [
+                k
+                for k, rec in self.active.items()
+                if rec.state is SessionState.REGISTERED
+                and rec.last_activity_ms is not None
+                and now_ms - rec.last_activity_ms > IDLE_AFTER_MS
+                and not rec.handover_pending
+            ]:
+                rec = self.active.pop(key)
+                rec.state = SessionState.IDLE
+                rec.prior_rnti = rec.rnti
+                rec.security_active = False
+                rec.key_id = None
+                self.idle_transitions += 1
+                if rec.tmsi is not None:
+                    self.idle_by_tmsi[rec.tmsi] = rec
+                if rec.imsi is not None:
+                    self.idle_by_imsi[str(rec.imsi)] = rec
         for target_id, pending in self._ho_pending.items():
             while pending and now_ms - pending[0].issued_ms > HO_PENDING_MS:
                 entry = pending.popleft()
@@ -497,14 +509,30 @@ class NetworkCore:
                 entry.record.handover_pending = False
 
     def next_deadline_ms(self) -> Optional[int]:
-        candidates = []
-        for rec in self.active.values():
-            if rec.state is SessionState.REGISTERED and rec.last_activity_ms is not None:
-                candidates.append(rec.last_activity_ms + IDLE_AFTER_MS + 1)
-        for pending in self._ho_pending.values():
-            for entry in pending:
-                candidates.append(entry.issued_ms + HO_PENDING_MS + 1)
-        return min(candidates) if candidates else None
+        """The earliest idle timeout (`last_activity_ms + IDLE_AFTER_MS + 1`
+        of a registered session) or preparation expiry still owed, even one
+        already past, as a handover-pending session's idle timeout can be.
+        Stale heap entries are dropped on the way to it."""
+        heap = self._deadlines
+        while heap and not self._owed(heap[0][0], heap[0][2]):
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def _owe(self, due_ms: int, owner) -> None:
+        heapq.heappush(self._deadlines, (due_ms, next(self._pushes), owner))
+
+    def _owed(self, due_ms: int, owner) -> bool:
+        """Whether a heap entry still stands: its session is active, registered
+        and last active IDLE_AFTER_MS + 1 before due_ms, or its preparation is
+        pending (one on top of the heap heads its deque, kept in push order)."""
+        if isinstance(owner, SessionRecord):
+            return (
+                self.active.get((owner.cell_id, owner.rnti)) is owner
+                and owner.state is SessionState.REGISTERED
+                and owner.last_activity_ms + IDLE_AFTER_MS + 1 == due_ms
+            )
+        pending, entry = owner
+        return bool(pending) and pending[0] is entry
 
     # -- paging -------------------------------------------------------------------
 

@@ -36,15 +36,9 @@ def derive_keystream_seed(key: bytes, key_id: int) -> bytes:
 
 
 def keystream_mask(seed: bytes, data: bytes) -> bytes:
-    """XOR `data` with the keystream expanded from `seed`. Involution:
+    """XOR `data` with the keystream expanded from `seed`: 32-byte blocks
+    sha256(seed + counter), counter big-endian from 0. Involution:
     applying it twice returns the input."""
-    out = bytearray(len(data))
-    block = b""
-    counter = 0
-    for i in range(len(data)):
-        j = i % 32
-        if j == 0:
-            block = hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
-            counter += 1
-        out[i] = data[i] ^ block[j]
-    return bytes(out)
+    n = len(data)
+    stream = b"".join(hashlib.sha256(seed + counter.to_bytes(8, "big")).digest() for counter in range((n + 31) // 32))
+    return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(n, "big")

@@ -8,6 +8,12 @@ instant, so quiet stretches cost nothing. An instant, once scheduled,
 is processed even if the timer that asked for it has moved: a device
 whose timer is past due is stepped on every processed tick.
 
+A tick polls only the devices stepped so far in it (stages 2 and 3) and
+those whose last-read wake is due, off a lazily invalidated heap of
+(wake, device index) entries. A wake changes only when its device steps,
+so no other device can be due. A device still past due after its Tick
+goes back on the heap, to be stepped again on the next processed tick.
+
 Within one tick the stages are fixed, and that order is part of the
 determinism contract:
 
@@ -141,7 +147,11 @@ class Engine:
         for t_ms in [t_ms for t_ms in self._agenda if not 0 <= t_ms <= scenario.duration_ms]:
             del self._agenda[t_ms]  # outside the run: never due
         self._heap = sorted(self._agenda)
-        self._downlinks: list[tuple[Downlink, Optional[Ue]]] = []
+        self._downlinks: list[tuple[Downlink, Optional[int]]] = []
+        # Each device's wake as last read (a device starts off, with no
+        # timer); a heap entry counts only while it equals the stored wake.
+        self._wakes: list[Optional[int]] = [None] * len(self._devices)
+        self._wake_heap: list[tuple[int, int]] = []
 
     # -- wiring -----------------------------------------------------------------
 
@@ -175,7 +185,7 @@ class Engine:
         return self._result()
 
     def _process(self, t: int) -> None:
-        ul_batch: list[tuple[Ue, list[Emission]]] = []
+        ul_batch: list[tuple[int, list[Emission]]] = []
         downlinks, self._downlinks = self._downlinks, []
 
         for cell in self._broadcasters:
@@ -186,14 +196,24 @@ class Engine:
 
         devices = self._devices
         for i, event in self._agenda.pop(t):
+            ul_batch.append((i, devices[i].step(event, t)))
+        # Poll the devices stepped so far and those whose stored wake is due.
+        due = {i for i, _ in ul_batch}
+        heap, wakes = self._wake_heap, self._wakes
+        while heap and heap[0][0] <= t:
+            wake, i = heapq.heappop(heap)
+            if wakes[i] == wake:
+                due.add(i)
+        for i in sorted(due) if len(due) > 1 else due:
             ue = devices[i]
-            ul_batch.append((ue, ue.step(event, t)))
-        for ue in devices:
             wake = ue.next_wake_ms()
             if wake is not None and wake <= t:
-                ul_batch.append((ue, ue.step(Tick(t), t)))
+                ul_batch.append((i, ue.step(Tick(t), t)))
                 wake = ue.next_wake_ms()
-            self._at(wake, t)
+            if wake is not None and (wake <= t or wake != wakes[i]):
+                heapq.heappush(heap, (wake, i))  # past due: popped again next tick
+                self._at(wake, t)  # an unchanged future wake is scheduled already
+            wakes[i] = wake
 
         for msisdn in self._page_calls.pop(t, ()):
             if self.sniffer is not None:
@@ -201,9 +221,9 @@ class Engine:
             self.capture.append(_dump({"meta": "page_trigger", "t": t, "msisdn": msisdn}))
             self._downlinks += [(dl, None) for dl in self.core.page(msisdn, t)]
 
-        for ue, emissions in ul_batch:
+        for i, emissions in ul_batch:
             for emission in emissions:
-                self._air_uplink(ue, emission, t)
+                self._air_uplink(i, emission, t)
 
         self.core.tick(t)
         self.core.check_invariants()
@@ -216,28 +236,29 @@ class Engine:
 
     # -- the air -----------------------------------------------------------------
 
-    def _air_downlink(self, dl: Downlink, t: int, causal: Optional[Ue], ul_batch: list) -> None:
+    def _air_downlink(self, dl: Downlink, t: int, causal: Optional[int], ul_batch: list) -> None:
         header = FrameHeader(t, dl.cell_id, dl.rnti, Direction.DOWNLINK, key_id=dl.key_id)
         data = codec.encode(header, dl.message, self.core.keys)
         radio = self._radios[dl.cell_id]
         self._tap(data, header, dl.message, radio.position, radio.tx_power_dbm)
         if dl.rnti == 0:
-            for ue in self._devices:
+            for i, ue in enumerate(self._devices):
                 if ue.phase is UePhase.POWERED_OFF:
                     continue
                 at = ue.profile.position_at(t)
                 if rx_power(radio, at, self.sc.path_loss) >= self.sc.rx_floor_dbm:
-                    ul_batch.append((ue, ue.step(Rx(header, dl.message), t)))
+                    ul_batch.append((i, ue.step(Rx(header, dl.message), t)))
         elif causal is not None:
-            ul_batch.append((causal, causal.step(Rx(header, dl.message), t)))
+            ul_batch.append((causal, self._devices[causal].step(Rx(header, dl.message), t)))
 
-    def _air_uplink(self, ue: Ue, emission: Emission, t: int) -> None:
+    def _air_uplink(self, i: int, emission: Emission, t: int) -> None:
+        ue = self._devices[i]
         header = FrameHeader(t, emission.cell_id, emission.rnti, Direction.UPLINK, key_id=emission.key_id)
         data = codec.encode(header, emission.message, self.core.keys)
         self._tap(data, header, emission.message, ue.profile.position_at(t), UE_TX_POWER_DBM)
         owner = self._owners.get(emission.cell_id)
         if owner is not None:
-            self._downlinks += [(dl, ue) for dl in owner.handle_uplink(header, emission.message, t)]
+            self._downlinks += [(dl, i) for dl in owner.handle_uplink(header, emission.message, t)]
 
     def _tap(self, data: bytes, header: FrameHeader, msg, tx_pos: tuple[float, float], tx_power: float) -> None:
         if self.sniffer is not None:

@@ -105,3 +105,30 @@ def benign_day_scenario(seed=29):
         ],
         "sniffer": True,
     }
+
+
+def crowd_scenario(n, seed=1):
+    """N mostly idle devices on two cells: device i stands at
+    x = 40 + (i mod 20)*40, powers on at 50 + 7i ms and sends one
+    200-byte burst at 20,000 + 13i ms."""
+    ues = [
+        subscriber(
+            f"c{i:04d}",
+            i,
+            40 + (i % 20) * 40,
+            power_on_ms=50 + 7 * i,
+            app_traffic=[{"t_ms": 20_000 + 13 * i, "bytes": 200}],
+        )
+        for i in range(n)
+    ]
+    return {
+        "name": f"crowd-{n}",
+        "seed": seed,
+        "duration_ms": 60_000,
+        "cells": [
+            lte_cell(10, 0, tac=100, broadcast_period_ms=200),
+            lte_cell(11, 800, tac=100, broadcast_period_ms=200),
+        ],
+        "ues": ues,
+        "sniffer": True,
+    }

@@ -179,6 +179,51 @@ def test_unreadable_input_is_named(tmp_path, capsys, command, missing):
     assert f"cannot read {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", ATTACH, "--capture"],
+        ["run", ATTACH, "--report"],
+        ["run", ATTACH, "--ground-truth"],
+        ["replay", ATTACH, "--report"],  # refused before the capture is read
+    ],
+    ids=["run-capture", "run-report", "run-ground-truth", "replay-report"],
+)
+def test_unwritable_output_fails_before_any_work(monkeypatch, tmp_path, capsys, args):
+    from ltesim import cli
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("the run or replay started")
+
+    monkeypatch.setattr(cli, "run", never)
+    monkeypatch.setattr(cli, "replay_capture", never)
+    path = str(tmp_path / "no" / "such" / "dir" / "out.json")
+    assert cli.main([*args, path]) == 4
+    assert f"cannot write {path}: " in capsys.readouterr().err
+
+
+def test_outputs_are_replaced_only_once_written(monkeypatch, tmp_path):
+    from ltesim import cli
+    from ltesim.core import InvariantViolation
+
+    truth = tmp_path / "truth.json"
+    truth.write_text("x" * 100_000)  # longer than what replaces it
+    assert main(["run", ATTACH, "--ground-truth", str(truth), "--quiet"]) == 0
+    assert "trajectories" in json.loads(truth.read_text())
+    capture = tmp_path / "air.jsonl"
+    assert main(["run", CATCHER, "--capture", str(capture), "--report", str(truth), "--quiet"]) == 0
+    live = json.loads(truth.read_text())
+    assert main(["replay", str(capture), "--report", str(capture)]) == 0  # read before it is replaced
+    assert json.loads(capture.read_text()) == live
+
+    def tripped(scenario, seed=None):
+        raise InvariantViolation("two sessions share a radio id")
+
+    monkeypatch.setattr(cli, "run", tripped)
+    assert main(["run", ATTACH, "--report", str(truth)]) == 3
+    assert json.loads(truth.read_text()) == live  # a failed run leaves it as it was
+
+
 def test_diff_names_an_unreadable_report(tmp_path, capsys):
     truth = tmp_path / "truth.json"
     truth.write_text('{"trajectories": {}}')

@@ -319,6 +319,33 @@ def test_measurement_report_does_not_defer_idle():
     assert core.next_deadline_ms() == IDLE_AFTER_MS + 1
 
 
+def full_scan_deadline(core):
+    """The scan over every session and preparation that next_deadline_ms
+    replaced, kept as its reference."""
+    idle = [
+        rec.last_activity_ms + IDLE_AFTER_MS + 1
+        for rec in core.active.values()
+        if rec.state is SessionState.REGISTERED and rec.last_activity_ms is not None
+    ]
+    expiries = [entry.issued_ms + HO_PENDING_MS + 1 for pending in core._ho_pending.values() for entry in pending]
+    return min(idle + expiries, default=None)
+
+
+def test_deadline_heap_matches_the_full_scan():
+    IMSI_B = parse_imsi("310260000000002")
+    core = build(subscribers=[HssRecord(IMSI, KEY, "15550000001"), HssRecord(IMSI_B, KEY, "15550000002")])
+    assert core.next_deadline_ms() is full_scan_deadline(core) is None
+    a, _, _ = run_ladder(core)
+    b, _, _ = run_ladder(core, t=300, identity=AttachRequest(imsi=IMSI_B))
+    for t, rnti in ((1000, a), (1000, a), (2500, b), (2600, a)):
+        ul(core, 10, rnti, UserData(8), t=t)
+        assert core.next_deadline_ms() == full_scan_deadline(core)
+    for t in (7000, 7500, 7600, 7601, 9000):
+        core.tick(t)
+        assert core.next_deadline_ms() == full_scan_deadline(core)
+    assert not core.active and core.next_deadline_ms() is None
+
+
 # -- handover ----------------------------------------------------------------------
 
 
@@ -391,6 +418,23 @@ def test_stale_handover_preparation_expires():
     assert 900 not in core.allocators[11].in_use
     rec = core.active[(10, rnti)]
     assert not rec.handover_pending  # free to try again
+
+
+def test_past_due_idle_of_a_pending_handover_stays_the_deadline():
+    core = two_cell_core()
+    rnti, _, _ = run_ladder(core)  # idle due at IDLE_AFTER_MS + 1
+    ul(core, 10, rnti, MeasurementReport(((10, -70), (11, -60))), t=4900)
+    for t in (4900, IDLE_AFTER_MS + 1, 5500):
+        core.tick(t)
+        # held back by the pending handover, yet still the earliest deadline
+        assert (10, rnti) in core.active
+        assert core.next_deadline_ms() == full_scan_deadline(core) == IDLE_AFTER_MS + 1
+    core.tick(4900 + HO_PENDING_MS + 1)  # the preparation lapses; idling waits a tick
+    assert (10, rnti) in core.active
+    assert core.next_deadline_ms() == full_scan_deadline(core) == IDLE_AFTER_MS + 1
+    core.tick(4900 + HO_PENDING_MS + 2)
+    assert (10, rnti) not in core.active
+    assert core.next_deadline_ms() is full_scan_deadline(core) is None
 
 
 def test_no_second_trigger_while_one_is_pending():

@@ -1,17 +1,27 @@
 """Whole-system runs: determinism, capture replay, truth scoring."""
 
+import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltesim import codec
-from ltesim.engine import diff_tracking, reconstruct_frame, replay_capture, run
+from ltesim.codec import CaptureInvalid
+from ltesim.core import NetworkCore
+from ltesim.engine import Engine, diff_tracking, reconstruct_frame, replay_capture, run
 from ltesim.scenario import load_scenario, parse_scenario
-from ltesim.ue import UePhase
+from ltesim.ue import Tick, Ue, UePhase
 
-from tests.conftest import SCENARIO_DIR
-from tests.scenario_builders import lte_cell, subscriber
+from tests.conftest import REPO_ROOT, SCENARIO_DIR
+from tests.scenario_builders import crowd_scenario, lte_cell, subscriber, walk_scenario
+from tests.test_codec import JSON_VALUES, _positions
+from tests.test_core import full_scan_deadline
+from tests.test_scenario import HOSTILE
 
 
 def small_scenario(seed=7, **extra):
@@ -125,6 +135,37 @@ def test_shipped_scenarios_run_clean():
         assert result.capture_lines, path.name
 
 
+SHIPPED = sorted(path.stem for path in SCENARIO_DIR.glob("*.json"))
+
+
+@functools.lru_cache(maxsize=None)
+def shipped_capture(stem):
+    return tuple(run(load_scenario(SCENARIO_DIR / f"{stem}.json")).capture_lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHIPPED), st.data())
+def test_edited_capture_replays_or_is_refused(stem, data):
+    lines = list(shipped_capture(stem))
+    if data.draw(st.booleans(), label="truncate"):
+        text = "".join(line + "\n" for line in lines).encode()
+        lines = text[: data.draw(st.integers(0, len(text)), label="cut")].splitlines()
+    else:
+        k = data.draw(st.integers(0, len(lines) - 1), label="line")
+        obj = json.loads(lines[k])
+        path, key = data.draw(st.sampled_from(list(_positions(obj))), label="field")
+        holder = obj
+        for step in path:
+            holder = holder[step]
+        holder[key] = data.draw(st.sampled_from(HOSTILE) | JSON_VALUES, label="value")
+        lines[k] = json.dumps(obj)
+    try:
+        report = replay_capture(lines)
+    except CaptureInvalid:
+        return
+    assert report.total_frames <= len(lines)
+
+
 # -- truth scoring ------------------------------------------------------------------
 
 
@@ -177,3 +218,135 @@ def test_ground_truth_collapses_same_cell_rekeys():
     traj = result.ground_truth["trajectories"]["anna"]
     cells = [hop[0] for hop in traj]
     assert cells == sorted(set(cells), key=cells.index)  # no repeats in a row
+
+
+# -- the schedule against full scans ----------------------------------------------
+
+
+class ScheduleOracle:
+    """Checks every processed tick of one engine against the full scans
+    the lazy wake and deadline heaps replaced: the devices stepped with
+    Tick must be exactly those whose next_wake_ms() is due by a scan of
+    every device just before the first of them steps, in device order,
+    and next_deadline_ms() must equal a scan of every session."""
+
+    def __init__(self, monkeypatch, engine):
+        self.devices = list(engine.ues.values())
+        self.wake, step = Ue.next_wake_ms, Ue.step
+        tick, deadline = NetworkCore.tick, NetworkCore.next_deadline_ms
+        self.due, self.ticked, self.now = None, [], None
+        self.ticks = self.past_due = 0
+
+        def checked_step(ue, event, now_ms):
+            if type(event) is Tick:
+                if self.due is None:
+                    self.due = self.scan(now_ms)
+                self.ticked.append(ue)
+            return step(ue, event, now_ms)
+
+        def checked_tick(core, now_ms):  # stage 6: no device steps after stage 3
+            due = self.scan(now_ms) if self.due is None else self.due
+            assert [u.profile.name for u in self.ticked] == [u.profile.name for u in due], now_ms
+            self.due, self.ticked, self.now = None, [], now_ms
+            self.ticks += 1
+            return tick(core, now_ms)
+
+        def checked_deadline(core):
+            got = deadline(core)
+            assert got == full_scan_deadline(core), self.now
+            self.past_due += got is not None and got <= self.now
+            return got
+
+        monkeypatch.setattr(Ue, "step", checked_step)
+        monkeypatch.setattr(NetworkCore, "tick", checked_tick)
+        monkeypatch.setattr(NetworkCore, "next_deadline_ms", checked_deadline)
+
+    def scan(self, now_ms):
+        return [ue for ue in self.devices if (w := self.wake(ue)) is not None and w <= now_ms]
+
+
+SCHEDULE_CASES = [
+    *[(path.stem, lambda path=path: load_scenario(path)) for path in sorted(SCENARIO_DIR.glob("*.json"))],
+    ("walk", lambda: parse_scenario(walk_scenario(0))),
+    ("walk-encrypt", lambda: parse_scenario(walk_scenario(0, encrypt=True))),
+    ("walk-refresh", lambda: parse_scenario(walk_scenario(0, refresh=True))),
+    ("crowd-30", lambda: parse_scenario(crowd_scenario(30))),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in SCHEDULE_CASES], ids=[name for name, _ in SCHEDULE_CASES])
+def test_schedule_matches_full_scans(monkeypatch, make):
+    engine = Engine(make())
+    oracle = ScheduleOracle(monkeypatch, engine)
+    engine.run()
+    assert oracle.ticks > 0
+
+
+def abandoned_handover_scenario():
+    """A device ordered to hand over at 3,885 ms switches to airplane mode
+    one tick later, after its access burst at the target: the core's
+    session stays handover-pending with its idle timeout past due."""
+    mia = subscriber("mia", 1, 50.0, moves=[{"t_ms": 3000, "position": [50.0, 0]}, {"t_ms": 4500, "position": [550.0, 0]}])
+    return parse_scenario(
+        {
+            "name": "abandoned-handover",
+            "seed": 3,
+            "duration_ms": 12000,
+            "cells": [lte_cell(10, 0), lte_cell(11, 600)],
+            "ues": [mia],
+            "airplane_toggles": [{"t_ms": 3886, "ue": "mia"}],
+        }
+    )
+
+
+def test_past_due_deadline_of_a_pending_handover(monkeypatch):
+    engine = Engine(abandoned_handover_scenario())
+    oracle = ScheduleOracle(monkeypatch, engine)
+    engine.run()
+    assert oracle.past_due > 0
+
+
+def test_idle_devices_are_not_polled(monkeypatch):
+    engine = Engine(parse_scenario(crowd_scenario(100)))
+    calls = {"next_wake_ms": 0, "ticks": 0}
+    wake, tick = Ue.next_wake_ms, NetworkCore.tick
+
+    def counted_wake(ue):
+        calls["next_wake_ms"] += 1
+        return wake(ue)
+
+    def counted_tick(core, now_ms):
+        calls["ticks"] += 1
+        return tick(core, now_ms)
+
+    monkeypatch.setattr(Ue, "next_wake_ms", counted_wake)
+    monkeypatch.setattr(NetworkCore, "tick", counted_tick)
+    engine.run()
+    assert calls["next_wake_ms"] < 0.1 * calls["ticks"] * len(engine.ues), calls
+
+
+HASH_SEED_DIGEST = """
+import hashlib, pathlib, sys
+from ltesim.engine import run
+from ltesim.scenario import load_scenario
+h = hashlib.sha256()
+for path in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
+    h.update(run(load_scenario(path)).capture_text().encode())
+print(h.hexdigest())
+"""
+
+
+def test_captures_do_not_depend_on_the_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", HASH_SEED_DIGEST, str(SCENARIO_DIR)],
+            env=dict(env, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "1", "12345")
+    ]
+    digests = [proc.communicate(timeout=60)[0].strip() for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs)
+    assert len(set(digests)) == 1 and len(digests[0]) == 64, digests

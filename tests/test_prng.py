@@ -1,3 +1,5 @@
+import hashlib
+
 from hypothesis import given, strategies as st
 
 from ltesim.crypto_stub import derive_keystream_seed, keystream_mask, stub_mac
@@ -27,6 +29,27 @@ def test_distinct_paths_distinct_seeds():
 @given(st.binary(min_size=1, max_size=64), st.binary(min_size=0, max_size=200))
 def test_keystream_mask_is_an_involution(seed, data):
     assert keystream_mask(seed, keystream_mask(seed, data)) == data
+
+
+def per_byte_mask(seed, data):
+    """The per-byte loop keystream_mask replaced, kept as its reference."""
+    out = bytearray(len(data))
+    block = b""
+    counter = 0
+    for i in range(len(data)):
+        j = i % 32
+        if j == 0:
+            block = hashlib.sha256(seed + counter.to_bytes(8, "big")).digest()
+            counter += 1
+        out[i] = data[i] ^ block[j]
+    return bytes(out)
+
+
+def test_keystream_mask_matches_the_per_byte_loop():
+    seed = derive_keystream_seed(b"k" * 16, 7)
+    for n in [*range(131), 4096]:
+        for data in (bytes((i * 37 + n) % 256 for i in range(n)), bytes(n)):  # zeros: the bare keystream
+            assert keystream_mask(seed, data) == per_byte_mask(seed, data), n
 
 
 def test_keystream_depends_on_seed():
