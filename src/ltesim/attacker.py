@@ -56,6 +56,17 @@ TAU_DOS_MODE = "tau_reject_dos"
 DOWNGRADE_MODE = "downgrade"
 MODES = (CATCHER_MODE, ATTACH_DOS_MODE, TAU_DOS_MODE, DOWNGRADE_MODE)
 
+# Reject mode -> registration type -> (reject sent, its cause); a None cause
+# is the configured `reject_cause`.
+_REJECTS = {
+    ATTACH_DOS_MODE: {AttachRequest: (AttachReject, None), TauRequest: (TauReject, None)},
+    TAU_DOS_MODE: {TauRequest: (TauReject, None), AttachRequest: (AttachReject, EmmCause.CONGESTION_BENIGN)},
+    DOWNGRADE_MODE: {
+        AttachRequest: (AttachReject, EmmCause.EPS_SERVICES_NOT_ALLOWED),
+        TauRequest: (TauReject, EmmCause.EPS_SERVICES_NOT_ALLOWED),
+    },
+}
+
 
 class NoBroadcastFound(ValueError):
     """The capture held nothing worth impersonating."""
@@ -130,7 +141,8 @@ class RogueCell:
     def handle_uplink(self, header: FrameHeader, msg: Message, now_ms: int) -> list[Downlink]:
         if not self.active(now_ms):
             return []
-        if isinstance(msg, RachPreamble):
+        kind = type(msg)
+        if kind is RachPreamble:
             try:
                 temp = self.allocator.allocate()
             except CellFull:
@@ -140,28 +152,16 @@ class RogueCell:
         session = self.sessions.get(header.rnti)
         if session is None:
             return []
-        if isinstance(msg, RrcConnectionRequest):
+        if kind is RrcConnectionRequest:
             session.tmsi = msg.tmsi
             return [Downlink(self.cell_id, header.rnti, RrcConnectionSetup())]
-        mode = self.config.mode
-        if mode == CATCHER_MODE:
+        if self.config.mode == CATCHER_MODE:
             return self._catcher(header.rnti, session, msg, now_ms)
-        if mode == ATTACH_DOS_MODE:
-            if isinstance(msg, AttachRequest):
-                return self._finish(header.rnti, AttachReject(self.config.reject_cause))
-            if isinstance(msg, TauRequest):
-                return self._finish(header.rnti, TauReject(self.config.reject_cause))
-        elif mode == TAU_DOS_MODE:
-            if isinstance(msg, TauRequest):
-                return self._finish(header.rnti, TauReject(self.config.reject_cause))
-            if isinstance(msg, AttachRequest):
-                return self._finish(header.rnti, AttachReject(EmmCause.CONGESTION_BENIGN))
-        elif mode == DOWNGRADE_MODE:
-            if isinstance(msg, AttachRequest):
-                return self._finish(header.rnti, AttachReject(EmmCause.EPS_SERVICES_NOT_ALLOWED))
-            if isinstance(msg, TauRequest):
-                return self._finish(header.rnti, TauReject(EmmCause.EPS_SERVICES_NOT_ALLOWED))
-        return []
+        reject = _REJECTS[self.config.mode].get(kind)
+        if reject is None:
+            return []
+        reject_type, cause = reject
+        return self._finish(header.rnti, reject_type(self.config.reject_cause if cause is None else cause))
 
     def _catcher(self, rnti: int, session: _RogueSession, msg: Message, now_ms: int) -> list[Downlink]:
         if isinstance(msg, AttachRequest):

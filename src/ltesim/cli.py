@@ -8,10 +8,11 @@
 
 Exit codes: 0 success, 1 scan found no broadcast to impersonate, 2 an
 input file (scenario, capture, ground truth or report) that is missing,
-unreadable or malformed, 3 a run tripped an internal consistency check,
-4 an output path (`--capture`, `--report`, `--ground-truth`) that cannot
-be written. Output files are opened before a run or replay starts, so an
-unwritable path fails at once.
+unreadable or malformed, or `run --report` on a scenario whose sniffer
+is off, 3 a run tripped an internal consistency check, 4 an output path
+(`--capture`, `--report`, `--ground-truth`) that cannot be written.
+Output files are opened before a run or replay starts, so an unwritable
+path fails at once.
 """
 
 from __future__ import annotations
@@ -68,8 +69,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ScenarioInvalid as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    report_path = args.report if scenario.sniffer_enabled else None  # no observer, no report
-    with _create(args.capture) as capture, _create(report_path) as report, _create(args.ground_truth) as truth:
+    if args.report and not scenario.sniffer_enabled:
+        print(f'scenario error: {args.scenario}: "sniffer" is off, so --report has nothing to write', file=sys.stderr)
+        return 2
+    with _create(args.capture) as capture, _create(args.report) as report, _create(args.ground_truth) as truth:
         try:
             result = run(scenario, seed=args.seed)
         except INVARIANT_ERRORS as exc:

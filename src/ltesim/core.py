@@ -240,37 +240,20 @@ class NetworkCore:
         if cfg is None:
             self._drop("foreign_cell")
             return []
-        if isinstance(msg, RachPreamble):
+        kind = type(msg)
+        if kind is RachPreamble:
             return self._on_rach(cfg, now_ms)
         rec = self.active.get((header.cell_id, header.rnti))
         if rec is None:
             self._drop("no_session")
             return []
-        if isinstance(msg, RrcConnectionRequest):
-            return self._on_connection_request(cfg, rec, msg, now_ms)
-        if isinstance(msg, AttachRequest):
-            return self._on_attach_request(cfg, rec, msg, now_ms)
-        if isinstance(msg, TauRequest):
-            return self._on_tau_request(cfg, rec, msg, now_ms)
-        if isinstance(msg, IdentityResponse):
-            return self._on_identity_response(cfg, rec, msg, now_ms)
-        if isinstance(msg, AuthenticationResponse):
-            return self._on_auth_response(cfg, rec, msg, now_ms)
-        if isinstance(msg, SecurityModeComplete):
-            return self._on_security_complete(cfg, rec, now_ms)
-        if isinstance(msg, MeasurementReport):
-            return self.maybe_trigger_handover(cfg, rec, msg, now_ms)
-        if isinstance(msg, RrcConnectionReconfigurationComplete):
-            return self._on_reconfiguration_complete(cfg, rec, now_ms)
-        if isinstance(msg, UserData):
-            if rec.state is SessionState.REGISTERED:
-                rec.last_activity_ms = now_ms
-                self._owe(now_ms + IDLE_AFTER_MS + 1, rec)
+        handler = _ON_UPLINK.get(kind)
+        if handler is None:
+            self._drop("unexpected_" + kind.__name__)
             return []
-        self._drop("unexpected_" + type(msg).__name__)
-        return []
+        return handler(self, cfg, rec, msg, now_ms)
 
-    # -- ladder steps ----------------------------------------------------------
+    # -- ladder steps: each takes (cfg, rec, msg, now_ms); see _ON_UPLINK -------
 
     def _on_rach(self, cfg: CellConfig, now_ms: int) -> list[Downlink]:
         pending = self._ho_pending.get(cfg.cell_id)
@@ -281,14 +264,9 @@ class NetworkCore:
             return []
         if pending:
             entry = pending.popleft()
-            rec = entry.record
             # The travelling session arrives: re-home it under the RAR id.
-            self.active.pop((rec.cell_id, rec.rnti), None)
-            self.allocators[rec.cell_id].release(rec.rnti)
-            rec.cell_id = cfg.cell_id
-            rec.rnti = temp
-            rec.handover_final_rnti = entry.final_rnti
-            self.active[(cfg.cell_id, temp)] = rec
+            self._rekey(entry.record, cfg.cell_id, temp)
+            entry.record.handover_final_rnti = entry.final_rnti
         else:
             rec = SessionRecord(cfg.cell_id, temp, SessionState.RACH_DONE)
             self.active[(cfg.cell_id, temp)] = rec
@@ -316,10 +294,7 @@ class NetworkCore:
                             RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, prior)),
                         )
                     )
-                    self.active.pop((rec.cell_id, rec.rnti), None)
-                    self.allocators[cfg.cell_id].release(rec.rnti)
-                    rec.rnti = prior
-                    self.active[(cfg.cell_id, prior)] = rec
+                    self._rekey(rec, cfg.cell_id, prior)
                 else:
                     self.allocators[idle.cell_id].release(prior)
         out.append(Downlink(cfg.cell_id, rec.rnti, RrcConnectionSetup()))
@@ -400,7 +375,9 @@ class NetworkCore:
         self.keys[key_id] = derive_keystream_seed(self.hss[str(rec.imsi)].key, key_id)
         return [Downlink(cfg.cell_id, rec.rnti, SecurityModeCommand(key_id))]
 
-    def _on_security_complete(self, cfg: CellConfig, rec: SessionRecord, now_ms: int) -> list[Downlink]:
+    def _on_security_complete(
+        self, cfg: CellConfig, rec: SessionRecord, msg: SecurityModeComplete, now_ms: int
+    ) -> list[Downlink]:
         if rec.state is not SessionState.AUTHENTICATED:
             self._drop("smc_out_of_order")
             return []
@@ -450,27 +427,31 @@ class NetworkCore:
         key_id = rec.key_id if cfg.encrypt_handover_trigger else None
         return [Downlink(cfg.cell_id, rec.rnti, trigger, key_id=key_id)]
 
-    def _on_reconfiguration_complete(self, cfg: CellConfig, rec: SessionRecord, now_ms: int) -> list[Downlink]:
+    def _on_reconfiguration_complete(
+        self, cfg: CellConfig, rec: SessionRecord, msg: RrcConnectionReconfigurationComplete, now_ms: int
+    ) -> list[Downlink]:
         if rec.handover_final_rnti is None:
             return []
         final = rec.handover_final_rnti
         rec.handover_final_rnti = None
         rec.handover_pending = False
-        temp = rec.rnti
         out = [
             Downlink(
                 cfg.cell_id,
-                temp,
+                rec.rnti,
                 RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, final)),
                 key_id=rec.key_id if cfg.encrypt_handover_trigger else None,
             )
         ]
-        self.active.pop((cfg.cell_id, temp), None)
-        self.allocators[cfg.cell_id].release(temp)
-        rec.rnti = final
-        self.active[(cfg.cell_id, final)] = rec
+        self._rekey(rec, cfg.cell_id, final)
         self.handovers_completed += 1
         return out
+
+    def _on_user_data(self, cfg: CellConfig, rec: SessionRecord, msg: UserData, now_ms: int) -> list[Downlink]:
+        if rec.state is SessionState.REGISTERED:
+            rec.last_activity_ms = now_ms
+            self._owe(now_ms + IDLE_AFTER_MS + 1, rec)
+        return []
 
     # -- time -------------------------------------------------------------------
 
@@ -554,12 +535,16 @@ class NetworkCore:
     # -- bookkeeping ----------------------------------------------------------------
 
     def _reject(self, cfg: CellConfig, rec: SessionRecord, cause: EmmCause) -> list[Downlink]:
-        self._teardown(rec)
-        return [Downlink(cfg.cell_id, rec.rnti, AttachReject(cause))]
-
-    def _teardown(self, rec: SessionRecord) -> None:
         self.active.pop((rec.cell_id, rec.rnti), None)
         self.allocators[rec.cell_id].release(rec.rnti)
+        return [Downlink(cfg.cell_id, rec.rnti, AttachReject(cause))]
+
+    def _rekey(self, rec: SessionRecord, cell_id: int, rnti: int) -> None:
+        """Move a session to a new (cell, rnti) key, releasing its old id."""
+        self.active.pop((rec.cell_id, rec.rnti), None)
+        self.allocators[rec.cell_id].release(rec.rnti)
+        rec.cell_id, rec.rnti = cell_id, rnti
+        self.active[(cell_id, rnti)] = rec
 
     def _drop(self, reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
@@ -576,3 +561,18 @@ class NetworkCore:
                 reserved[cell_id] = self.allocators[cell_id].in_use
             if rnti not in reserved[cell_id]:
                 raise InvariantViolation(f"active rnti {rnti} not reserved at cell {cell_id}")
+
+
+# Uplink type -> ladder step, for frames on a session's (cell, rnti); a
+# preamble opens a session and is answered before any lookup.
+_ON_UPLINK = {
+    RrcConnectionRequest: NetworkCore._on_connection_request,
+    AttachRequest: NetworkCore._on_attach_request,
+    TauRequest: NetworkCore._on_tau_request,
+    IdentityResponse: NetworkCore._on_identity_response,
+    AuthenticationResponse: NetworkCore._on_auth_response,
+    SecurityModeComplete: NetworkCore._on_security_complete,
+    MeasurementReport: NetworkCore.maybe_trigger_handover,
+    RrcConnectionReconfigurationComplete: NetworkCore._on_reconfiguration_complete,
+    UserData: NetworkCore._on_user_data,
+}

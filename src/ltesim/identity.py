@@ -136,10 +136,6 @@ def format_tmsi(value: int) -> str:
     return f"0x{value:08x}"
 
 
-def format_rnti(value: int) -> str:
-    return f"0x{value:04X}"
-
-
 def is_device_rnti(value: int) -> bool:
     """True for values a connected device may hold. 0x0000 is the
     broadcast sentinel; 0xFFF4..0xFFFF are reserved."""
@@ -168,19 +164,18 @@ class RntiAllocator:
     def in_use(self) -> frozenset[int]:
         return frozenset(self._in_use)
 
-    def allocate(self, exclude: Iterable[int] = ()) -> int:
-        excluded = set(exclude)
+    def allocate(self) -> int:
         span = RNTI_MAX - RNTI_MIN + 1
         if len(self._in_use) >= span:
             raise CellFull("rnti space exhausted")
         while self._preset:
             v = self._preset.popleft()
-            if v not in self._in_use and v not in excluded:
+            if v not in self._in_use:
                 self._in_use.add(v)
                 return v
-        if span - len(self._in_use) - len(excluded) <= 64:
+        if span - len(self._in_use) <= 64:
             # Near exhaustion random rejection may spin; scan the exact free set.
-            free = [v for v in range(RNTI_MIN, RNTI_MAX + 1) if v not in self._in_use and v not in excluded]
+            free = [v for v in range(RNTI_MIN, RNTI_MAX + 1) if v not in self._in_use]
             if not free:
                 raise CellFull("rnti space exhausted")
             v = self._rng.choice(free)
@@ -188,7 +183,7 @@ class RntiAllocator:
             return v
         while True:
             v = self._rng.randint(RNTI_MIN, RNTI_MAX)
-            if v not in self._in_use and v not in excluded:
+            if v not in self._in_use:
                 self._in_use.add(v)
                 return v
 
@@ -203,10 +198,6 @@ class TmsiAllocator:
         self._rng = rng
         self._in_use: set[int] = set()
 
-    @property
-    def in_use(self) -> frozenset[int]:
-        return frozenset(self._in_use)
-
     def allocate(self) -> int:
         if len(self._in_use) >= TMSI_SPACE:
             raise CellFull("tmsi space exhausted")
@@ -215,6 +206,3 @@ class TmsiAllocator:
             if v not in self._in_use:
                 self._in_use.add(v)
                 return v
-
-    def release(self, value: int) -> None:
-        self._in_use.discard(value)

@@ -6,7 +6,8 @@ orders, fall idle, wake on paging. The transition table below is the
 contract; everything in it is deterministic given the event stream and
 the device's seeded RNG.
 
-Phase transitions:
+Phase transitions. A row on a serving-cell downlink is an entry of
+`_ON_SERVING_RX`: only the phases on its left act on the message.
 
     PoweredOff   --PowerOn-->                    Searching
     Searching    --eligible cell selected-->     RachInProgress (preamble sent)
@@ -18,19 +19,21 @@ Phase transitions:
     Connecting   --RrcConnectionSetup-->         Connecting (send AttachRequest,
                                                  or TauRequest when registered
                                                  area differs)
+    Connecting, Authenticating --IdentityRequest--> same (IMSI or IMEI, clear)
     Connecting   --AuthenticationRequest-->      Authenticating (verify autn,
                                                  send response)
     Authenticating --SecurityModeCommand-->      Secured (send complete clear,
                                                  then activate protection)
     Secured      --AttachAccept-->               Registered (store tmsi, tac)
-    any pre-accept --AttachReject/TauReject-->   by cause:
+    RachInProgress..Secured --AttachReject/TauReject--> by cause:
         congestion_benign: bar the cell, back off 1000 ms, Searching
         plmn_not_allowed: forbid the plmn for a T3245 draw of 24..48 h,
                           Blocked if every visible cell is now forbidden
                           else Searching
         eps_services_not_allowed: GsmOnly (LTE abandoned until toggle)
     Registered   --reconfiguration w/ mobility-->RachInProgress at target
-    Registered   --reconfiguration to self-->    Registered (adopt new rnti)
+    Connecting..Registered --reconfiguration to self--> same (adopt new rnti)
+    Registered   --UserData-->                   Registered (note activity)
     Registered   --5000 ms without user data-->  CampedIdle (drop rnti and
                                                  security context, keep tmsi)
     CampedIdle   --paging/app traffic-->         RachInProgress (wake)
@@ -71,7 +74,6 @@ from .codec import (
     MacRar,
     MeasurementReport,
     Message,
-    Mib,
     Paging,
     RachPreamble,
     RrcConnectionReconfiguration,
@@ -279,22 +281,11 @@ class Ue:
     # -- event entry point ------------------------------------------------
 
     def step(self, event: object, now_ms: int) -> list[Emission]:
-        out: list[Emission] = []
-        if isinstance(event, PowerOn):
-            self._power_on(now_ms)
-        elif isinstance(event, AirplaneToggle):
-            if self.phase is not UePhase.POWERED_OFF:
-                self._airplane_toggle(now_ms)
-        elif isinstance(event, Tick):
-            self._tick(now_ms, out)
-        elif isinstance(event, Rx):
-            self._rx(event.header, event.message, now_ms, out)
-        elif isinstance(event, AppTraffic):
-            self._app_traffic(event.byte_count, now_ms, out)
-        elif isinstance(event, EraseTmsi):
-            self.erase_tmsi()
-        else:
+        handler = _ON_EVENT.get(type(event))
+        if handler is None:
             raise IllegalTransition(f"unknown event: {event!r}")
+        out: list[Emission] = []
+        handler(self, event, now_ms, out)
         self._check_local_invariants()
         return out
 
@@ -323,9 +314,9 @@ class Ue:
             candidates.append(deadline)
         return min(candidates) if candidates else None
 
-    # -- events ------------------------------------------------------------
+    # -- events: each takes (event, now_ms, out); see _ON_EVENT --------------
 
-    def _power_on(self, now_ms: int) -> None:
+    def _power_on(self, event: PowerOn, now_ms: int, out: list[Emission]) -> None:
         if self.phase is not UePhase.POWERED_OFF:
             return
         self.phase = UePhase.SEARCHING
@@ -335,7 +326,9 @@ class Ue:
         self.sib1s.clear()
         self.earfcn_priority.clear()
 
-    def _airplane_toggle(self, now_ms: int) -> None:
+    def _airplane_toggle(self, event: AirplaneToggle, now_ms: int, out: list[Emission]) -> None:
+        if self.phase is UePhase.POWERED_OFF:
+            return
         self.forbidden_plmns.clear()
         self.rat_allowed = RatAllowed.LTE_AND_GSM
         self._drop_session()
@@ -344,7 +337,7 @@ class Ue:
         self.earfcn_priority.clear()
         self.phase = UePhase.SEARCHING
 
-    def _tick(self, now_ms: int, out: list[Emission]) -> None:
+    def _tick(self, event: Tick, now_ms: int, out: list[Emission]) -> None:
         self._expire_forbidden(now_ms)
         if self.phase in (UePhase.SEARCHING, UePhase.BLOCKED):
             if self._backoff_until_ms is None or now_ms >= self._backoff_until_ms:
@@ -372,62 +365,41 @@ class Ue:
                 self.phase = UePhase.SEARCHING
                 self._attempt_selection(now_ms, out)
 
-    def _rx(self, header: FrameHeader, msg: Message, now_ms: int, out: list[Emission]) -> None:
-        if isinstance(msg, Mib):
-            return
-        if isinstance(msg, Sib1):
+    def _rx(self, event: Rx, now_ms: int, out: list[Emission]) -> None:
+        header, msg = event.header, event.message
+        kind = type(msg)
+        if kind is Sib1:
             self.sib1s[msg.cell_id] = msg
             for earfcn, priority in msg.priority_earfcns:
                 self.earfcn_priority[earfcn] = priority
             if self.phase in (UePhase.SEARCHING, UePhase.BLOCKED):
                 if self._backoff_until_ms is None or now_ms >= self._backoff_until_ms:
                     self._attempt_selection(now_ms, out)
-            return
-        if isinstance(msg, Paging):
-            self._on_paging(msg, now_ms, out)
-            return
-        if header.cell_id != self.serving_cell:
-            return
-        if isinstance(msg, MacRar):
-            self._on_mac_rar(msg, now_ms, out)
-        elif isinstance(msg, RrcConnectionSetup):
-            self._on_setup(now_ms, out)
-        elif isinstance(msg, IdentityRequest):
-            self._on_identity_request(msg, out)
-        elif isinstance(msg, AuthenticationRequest):
-            self._on_auth_request(msg, now_ms, out)
-        elif isinstance(msg, SecurityModeCommand):
-            self._on_security_mode_command(msg, now_ms, out)
-        elif isinstance(msg, AttachAccept):
-            self._on_attach_accept(msg, now_ms, out)
-        elif isinstance(msg, (AttachReject, TauReject)):
-            self._on_reject(header, msg.emm_cause, now_ms, out)
-        elif isinstance(msg, RrcConnectionReconfiguration):
-            self._on_reconfiguration(msg, now_ms, out)
-        elif isinstance(msg, UserData):
-            self._touch_activity(now_ms)
+        elif kind is Paging:
+            mine = (msg.tmsi is not None and msg.tmsi == self.tmsi) or (
+                msg.imsi is not None and msg.imsi == self.profile.imsi
+            )
+            if mine and self.phase is UePhase.CAMPED_IDLE:
+                self._paged = True
+                self._start_wake(now_ms, out)
+        elif header.cell_id == self.serving_cell:
+            entry = _ON_SERVING_RX.get(kind)
+            if entry is not None and self.phase in entry[1]:
+                entry[0](self, header, msg, now_ms, out)
 
-    def _app_traffic(self, byte_count: int, now_ms: int, out: list[Emission]) -> None:
+    def _app_traffic(self, event: AppTraffic, now_ms: int, out: list[Emission]) -> None:
         if self.phase is UePhase.REGISTERED:
-            self._touch_activity(now_ms)
-            out.append(self._emission(UserData(byte_count)))
-        elif self.phase is UePhase.CAMPED_IDLE:
-            self._pending_app.append(byte_count)
-            self._start_wake(now_ms, out)
-        elif self.phase is UePhase.POWERED_OFF:
-            pass
-        else:
-            self._pending_app.append(byte_count)
+            self._last_activity_ms = now_ms
+            out.append(self._emission(UserData(event.byte_count)))
+        elif self.phase is not UePhase.POWERED_OFF:
+            self._pending_app.append(event.byte_count)
+            if self.phase is UePhase.CAMPED_IDLE:
+                self._start_wake(now_ms, out)
 
     # -- selection and camping ----------------------------------------------
 
-    def _attempt_selection(self, now_ms: int, out: list[Emission]) -> None:
-        if self.rat_allowed is RatAllowed.GSM_ONLY:
-            # Still hunting for a 2G cell; camped only once one is found.
-            self._try_gsm_attach()
-            return
-        visible = self._visible()
-        choice = select_cell(
+    def _select(self, visible: list[tuple[RadioCell, float]], now_ms: int) -> Optional[int]:
+        return select_cell(
             visible,
             self.sib1s,
             self.earfcn_priority,
@@ -436,8 +408,15 @@ class Ue:
             self.rat_allowed,
             now_ms,
         )
+
+    def _attempt_selection(self, now_ms: int, out: list[Emission]) -> None:
+        if self.rat_allowed is RatAllowed.GSM_ONLY:
+            # Still hunting for a 2G cell; camped only once one is found.
+            self._try_gsm_attach()
+            return
+        visible = self._visible()
+        choice = self._select(visible, now_ms)
         if choice is not None:
-            self.serving_cell = choice
             self._start_rach(choice, "attach", now_ms, out)
             return
         self.phase = UePhase.BLOCKED if self._all_visible_forbidden(visible, now_ms) else UePhase.SEARCHING
@@ -450,15 +429,7 @@ class Ue:
         return all(str(self.sib1s[c.cell_id].plmn) in live for c in known)
 
     def _camped_reselect(self, now_ms: int, out: list[Emission]) -> None:
-        choice = select_cell(
-            self._visible(),
-            self.sib1s,
-            self.earfcn_priority,
-            self.forbidden_plmns,
-            self.barred_cells,
-            self.rat_allowed,
-            now_ms,
-        )
+        choice = self._select(self._visible(), now_ms)
         if choice is None or choice == self.serving_cell:
             return
         self.serving_cell = choice
@@ -481,6 +452,7 @@ class Ue:
                 return
 
     def _start_rach(self, cell_id: int, purpose: str, now_ms: int, out: list[Emission]) -> None:
+        self.serving_cell = cell_id
         self.phase = UePhase.RACH_IN_PROGRESS
         self._purpose = purpose
         self.rnti = None
@@ -498,11 +470,10 @@ class Ue:
             purpose = "tau"
         self._start_rach(self.serving_cell, purpose, now_ms, out)
 
-    # -- connection ladder ---------------------------------------------------
+    # -- serving-cell downlinks: each takes (header, msg, now_ms, out) and
+    # runs only in the phases _ON_SERVING_RX names for its message type ----
 
-    def _on_mac_rar(self, msg: MacRar, now_ms: int, out: list[Emission]) -> None:
-        if self.phase is not UePhase.RACH_IN_PROGRESS:
-            return
+    def _on_mac_rar(self, header: FrameHeader, msg: MacRar, now_ms: int, out: list[Emission]) -> None:
         self.rnti = msg.temp_rnti
         self.stats.rnti_history.append((now_ms, self.serving_cell, msg.temp_rnti))
         self._proc_deadline_ms = now_ms + PROC_GUARD_MS
@@ -519,9 +490,7 @@ class Ue:
             ident = RrcConnectionRequest(random_id=self.rng.getrandbits(40))
         out.append(self._emission(ident))
 
-    def _on_setup(self, now_ms: int, out: list[Emission]) -> None:
-        if self.phase is not UePhase.CONNECTING:
-            return
+    def _on_setup(self, header: FrameHeader, msg: RrcConnectionSetup, now_ms: int, out: list[Emission]) -> None:
         self._proc_deadline_ms = now_ms + PROC_GUARD_MS
         plmn = str(self._serving_plmn() or "?")
         if self._purpose == "tau" and self.tmsi is not None:
@@ -536,18 +505,16 @@ class Ue:
             self.stats.imsi_cleartext_uplinks += 1
             out.append(self._emission(AttachRequest(imsi=self.profile.imsi)))
 
-    def _on_identity_request(self, msg: IdentityRequest, out: list[Emission]) -> None:
-        if self.phase not in (UePhase.CONNECTING, UePhase.AUTHENTICATING) or self.security_active:
-            return
+    def _on_identity_request(self, header: FrameHeader, msg: IdentityRequest, now_ms: int, out: list[Emission]) -> None:
         if msg.requested is IdentityKind.IMSI:
             self.stats.imsi_cleartext_uplinks += 1
             out.append(self._emission(IdentityResponse(imsi=self.profile.imsi)))
         else:
             out.append(self._emission(IdentityResponse(imei=self.profile.imei)))
 
-    def _on_auth_request(self, msg: AuthenticationRequest, now_ms: int, out: list[Emission]) -> None:
-        if self.phase is not UePhase.CONNECTING:
-            return
+    def _on_auth_request(
+        self, header: FrameHeader, msg: AuthenticationRequest, now_ms: int, out: list[Emission]
+    ) -> None:
         if derive_autn(self.profile.key, msg.rand) != msg.autn:
             # Challenger does not hold our key; a real network always does.
             return
@@ -555,9 +522,9 @@ class Ue:
         self._proc_deadline_ms = now_ms + PROC_GUARD_MS
         out.append(self._emission(AuthenticationResponse(stub_mac(self.profile.key, msg.rand))))
 
-    def _on_security_mode_command(self, msg: SecurityModeCommand, now_ms: int, out: list[Emission]) -> None:
-        if self.phase is not UePhase.AUTHENTICATING:
-            return
+    def _on_security_mode_command(
+        self, header: FrameHeader, msg: SecurityModeCommand, now_ms: int, out: list[Emission]
+    ) -> None:
         self.key_id = msg.key_id
         self.keys[msg.key_id] = derive_keystream_seed(self.profile.key, msg.key_id)
         # The completion itself crosses before protection switches on.
@@ -566,9 +533,7 @@ class Ue:
         self.phase = UePhase.SECURED
         self._proc_deadline_ms = now_ms + PROC_GUARD_MS
 
-    def _on_attach_accept(self, msg: AttachAccept, now_ms: int, out: list[Emission]) -> None:
-        if self.phase is not UePhase.SECURED:
-            return
+    def _on_attach_accept(self, header: FrameHeader, msg: AttachAccept, now_ms: int, out: list[Emission]) -> None:
         self.tmsi = msg.tmsi
         self.registered_tac = msg.tac
         self.phase = UePhase.REGISTERED
@@ -577,31 +542,22 @@ class Ue:
         self._proc_deadline_ms = None
         self._next_meas_ms = now_ms + MEAS_PERIOD_MS
         self._camped_recheck_ms = None
-        self._touch_activity(now_ms)
+        self._last_activity_ms = now_ms
         for byte_count in self._pending_app:
             out.append(self._emission(UserData(byte_count)))
         self._pending_app.clear()
 
-    def _on_reject(self, header: FrameHeader, cause: EmmCause, now_ms: int, out: list[Emission]) -> None:
-        if self.phase not in (
-            UePhase.RACH_IN_PROGRESS,
-            UePhase.CONNECTING,
-            UePhase.AUTHENTICATING,
-            UePhase.SECURED,
-        ):
-            return
-        rejecting_cell = header.cell_id
+    def _on_reject(self, header: FrameHeader, msg: AttachReject | TauReject, now_ms: int, out: list[Emission]) -> None:
+        cause = msg.emm_cause
+        if self.profile.hardened and not header.protected:
+            # Unauthenticated cause byte: refuse to honor it, back off as
+            # from congestion.
+            self.stats.rejects_ignored += 1
+            cause = EmmCause.CONGESTION_BENIGN
         plmn = self._serving_plmn()
         self._drop_session()
-        if self.profile.hardened and not header.protected:
-            # Unauthenticated cause byte: refuse to honor it.
-            self.stats.rejects_ignored += 1
-            self.barred_cells[rejecting_cell] = now_ms + CELL_BAR_MS
-            self._backoff_until_ms = now_ms + ATTACH_BACKOFF_MS
-            self.phase = UePhase.SEARCHING
-            return
         if cause is EmmCause.CONGESTION_BENIGN:
-            self.barred_cells[rejecting_cell] = now_ms + CELL_BAR_MS
+            self.barred_cells[header.cell_id] = now_ms + CELL_BAR_MS
             self._backoff_until_ms = now_ms + ATTACH_BACKOFF_MS
             self.phase = UePhase.SEARCHING
         elif cause is EmmCause.PLMN_NOT_ALLOWED:
@@ -618,41 +574,27 @@ class Ue:
             if not self.gsm_attached:
                 self.phase = UePhase.SEARCHING
 
-    def _on_reconfiguration(self, msg: RrcConnectionReconfiguration, now_ms: int, out: list[Emission]) -> None:
-        if msg.mobility is None:
-            return
+    def _on_reconfiguration(
+        self, header: FrameHeader, msg: RrcConnectionReconfiguration, now_ms: int, out: list[Emission]
+    ) -> None:
         mob = msg.mobility
+        if mob is None:
+            return
         if mob.target_cell_id == self.serving_cell:
             # In-place radio id change; also reached mid-ladder when the
             # network re-issues a parked radio id on wake from idle.
-            if self.phase not in (UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED, UePhase.REGISTERED):
-                return
             self.rnti = mob.new_rnti
             self.stats.rnti_history.append((now_ms, self.serving_cell, mob.new_rnti))
             if self._purpose == "handover":
                 self.stats.handovers_completed += 1
                 self._purpose = None
             out.append(self._emission(RrcConnectionReconfigurationComplete()))
-            return
-        if self.phase is not UePhase.REGISTERED:
-            return
-        # Handover order: leave now, arrive via RACH.
-        self.serving_cell = mob.target_cell_id
-        self._purpose = "handover"
-        self.rnti = None
-        self.phase = UePhase.RACH_IN_PROGRESS
-        self._proc_deadline_ms = now_ms + PROC_GUARD_MS
-        out.append(self._emission(RachPreamble(self.rng.randrange(64)), force_clear=True))
+        elif self.phase is UePhase.REGISTERED:
+            # Handover order: leave now, arrive via RACH.
+            self._start_rach(mob.target_cell_id, "handover", now_ms, out)
 
-    def _on_paging(self, msg: Paging, now_ms: int, out: list[Emission]) -> None:
-        mine = (msg.tmsi is not None and msg.tmsi == self.tmsi) or (
-            msg.imsi is not None and msg.imsi == self.profile.imsi
-        )
-        if not mine:
-            return
-        if self.phase is UePhase.CAMPED_IDLE:
-            self._paged = True
-            self._start_wake(now_ms, out)
+    def _on_user_data(self, header: FrameHeader, msg: UserData, now_ms: int, out: list[Emission]) -> None:
+        self._last_activity_ms = now_ms
 
     # -- periodic work -------------------------------------------------------
 
@@ -679,17 +621,13 @@ class Ue:
     # -- helpers ---------------------------------------------------------------
 
     def _emission(self, msg: Message, force_clear: bool = False) -> Emission:
-        protected = self.security_active and not force_clear and not isinstance(msg, RachPreamble)
+        protected = self.security_active and not force_clear
         return Emission(
             cell_id=self.serving_cell,
             rnti=self.rnti or 0,
             message=msg,
             key_id=self.key_id if protected else None,
         )
-
-    def _touch_activity(self, now_ms: int) -> None:
-        if self.phase is UePhase.REGISTERED:
-            self._last_activity_ms = now_ms
 
     def _drop_session(self) -> None:
         self.rnti = None
@@ -724,3 +662,28 @@ class Ue:
             raise IllegalTransition(f"security context live in phase {self.phase}")
         if self.security_active and self.phase is UePhase.RACH_IN_PROGRESS and self._purpose != "handover":
             raise IllegalTransition("security context live in a non-handover RACH")
+
+
+_ON_EVENT = {
+    PowerOn: Ue._power_on,
+    AirplaneToggle: Ue._airplane_toggle,
+    Tick: Ue._tick,
+    Rx: Ue._rx,
+    AppTraffic: Ue._app_traffic,
+    EraseTmsi: lambda ue, event, now_ms, out: ue.erase_tmsi(),
+}
+
+# Serving-cell downlink type -> (handler, the phases that act on it).
+_PRE_ACCEPT = {UePhase.RACH_IN_PROGRESS, UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED}
+_ON_SERVING_RX = {
+    MacRar: (Ue._on_mac_rar, {UePhase.RACH_IN_PROGRESS}),
+    RrcConnectionSetup: (Ue._on_setup, {UePhase.CONNECTING}),
+    IdentityRequest: (Ue._on_identity_request, {UePhase.CONNECTING, UePhase.AUTHENTICATING}),
+    AuthenticationRequest: (Ue._on_auth_request, {UePhase.CONNECTING}),
+    SecurityModeCommand: (Ue._on_security_mode_command, {UePhase.AUTHENTICATING}),
+    AttachAccept: (Ue._on_attach_accept, {UePhase.SECURED}),
+    AttachReject: (Ue._on_reject, _PRE_ACCEPT),
+    TauReject: (Ue._on_reject, _PRE_ACCEPT),
+    RrcConnectionReconfiguration: (Ue._on_reconfiguration, RNTI_PHASES - {UePhase.RACH_IN_PROGRESS}),
+    UserData: (Ue._on_user_data, {UePhase.REGISTERED}),
+}

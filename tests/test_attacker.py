@@ -24,6 +24,7 @@ from ltesim.codec import (
     IdentityRequest,
     IdentityResponse,
     MacRar,
+    MeasurementReport,
     Mib,
     RachPreamble,
     RrcConnectionRequest,
@@ -56,6 +57,14 @@ def open_session(cell, tmsi=None, t=100):
     out = ul(cell, rnti, req, t)
     assert isinstance(out[0].message, RrcConnectionSetup)
     return rnti
+
+
+@pytest.mark.parametrize("mode", [ATTACH_DOS_MODE, TAU_DOS_MODE, DOWNGRADE_MODE])
+def test_reject_modes_ignore_a_measurement_report(mode):
+    cell = rogue(mode)
+    rnti = open_session(cell)
+    assert ul(cell, rnti, MeasurementReport(((999, -60),))) == []
+    assert rnti in cell.sessions and cell.rejects_sent == {}
 
 
 def test_unknown_mode_refused():

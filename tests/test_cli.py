@@ -10,6 +10,7 @@ from tests.conftest import SCENARIO_DIR
 
 ATTACH = str(SCENARIO_DIR / "attach_single.json")
 CATCHER = str(SCENARIO_DIR / "imsi_catcher.json")
+NO_SNIFFER = str(SCENARIO_DIR / "downgrade.json")
 
 
 def test_run_writes_all_outputs(tmp_path, capsys):
@@ -200,6 +201,19 @@ def test_unwritable_output_fails_before_any_work(monkeypatch, tmp_path, capsys, 
     path = str(tmp_path / "no" / "such" / "dir" / "out.json")
     assert cli.main([*args, path]) == 4
     assert f"cannot write {path}: " in capsys.readouterr().err
+
+
+def test_report_without_a_sniffer_is_refused_before_any_output(monkeypatch, tmp_path, capsys):
+    from ltesim import cli
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run", never)
+    capture, report = tmp_path / "air.jsonl", tmp_path / "report.json"
+    assert cli.main(["run", NO_SNIFFER, "--capture", str(capture), "--report", str(report)]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: ")
+    assert not capture.exists() and not report.exists()
 
 
 def test_outputs_are_replaced_only_once_written(monkeypatch, tmp_path):

@@ -232,6 +232,13 @@ def test_out_of_order_steps_are_dropped():
     assert core.drops["foreign_cell"] == 1
 
 
+def test_uplink_of_no_ladder_step_is_dropped_by_type():
+    core = build()
+    rnti, _, _ = run_ladder(core)
+    assert ul(core, 10, rnti, Mib(50, 0)) == []
+    assert core.drops == {"unexpected_Mib": 1}
+
+
 def test_tmsi_is_stable_across_sessions():
     core = build()
     _, _, first = run_ladder(core)

@@ -325,6 +325,23 @@ def test_idle_devices_are_not_polled(monkeypatch):
     assert calls["next_wake_ms"] < 0.1 * calls["ticks"] * len(engine.ues), calls
 
 
+# sha256 over the captures of walk_scenario(1) under each
+# (encrypt_handover_trigger, rnti_refresh_on_idle) setting, then of
+# crowd_scenario(50). No shipped scenario turns either defence on, so the
+# combined digest never runs them.
+DEFENCE_CAPTURES_SHA256 = "5f34d209183f0d92c40168b9ba938efbd1247760438263aa73a9ee8e0e16035f"
+
+
+def test_defence_variant_captures_are_pinned():
+    h = hashlib.sha256()
+    for encrypt in (False, True):
+        for refresh in (False, True):
+            scenario = parse_scenario(walk_scenario(1, encrypt=encrypt, refresh=refresh))
+            h.update(run(scenario).capture_text().encode())
+    h.update(run(parse_scenario(crowd_scenario(50))).capture_text().encode())
+    assert h.hexdigest() == DEFENCE_CAPTURES_SHA256
+
+
 HASH_SEED_DIGEST = """
 import hashlib, pathlib, sys
 from ltesim.engine import run

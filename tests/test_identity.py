@@ -14,7 +14,6 @@ from ltesim.identity import (
     RntiAllocator,
     TmsiAllocator,
     WrongLength,
-    format_rnti,
     format_tmsi,
     is_device_rnti,
     parse_imsi,
@@ -110,7 +109,6 @@ def test_only_ascii_digits_are_digits(digits):
 def test_formatting():
     assert format_tmsi(0x33A81372) == "0x33a81372"
     assert format_tmsi(5) == "0x00000005"
-    assert format_rnti(10848) == "0x2A60"
     assert is_device_rnti(RNTI_MIN)
     assert is_device_rnti(RNTI_MAX)
     assert not is_device_rnti(0)
@@ -153,10 +151,6 @@ class TestRntiAllocator:
             RntiAllocator(random.Random(5), preset=[0])
         with pytest.raises(ValueError):
             RntiAllocator(random.Random(5), preset=[RNTI_MAX + 1])
-
-    def test_exclude_respected(self):
-        alloc = RntiAllocator(random.Random(6), preset=[50])
-        assert alloc.allocate(exclude=[50]) != 50
 
     def test_exhaustion_raises(self):
         alloc = RntiAllocator(random.Random(7))

@@ -29,6 +29,7 @@ from ltesim.codec import (
     SecurityModeCommand,
     SecurityModeComplete,
     Sib1,
+    TauReject,
     TauRequest,
     UserData,
 )
@@ -40,11 +41,13 @@ from ltesim.ue import (
     CELL_BAR_MS,
     IDLE_AFTER_MS,
     MEAS_PERIOD_MS,
+    RNTI_PHASES,
     T3245_MAX_MS,
     T3245_MIN_MS,
     AirplaneToggle,
     AppTraffic,
     EraseTmsi,
+    IllegalTransition,
     PowerOn,
     RatAllowed,
     Rx,
@@ -472,6 +475,54 @@ def test_handover_rnti_history_records_the_trail():
     drv.dl(RrcConnectionReconfiguration(MobilityControlInfo(11, 4321)))
     cells_and_ids = [(c, r) for _, c, r in ue.stats.rnti_history]
     assert cells_and_ids == [(10, 500), (11, 777), (11, 4321)]
+
+
+# -- which phases act on which serving-cell downlink ------------------------------
+
+P = UePhase
+PRE_ACCEPT = {P.RACH_IN_PROGRESS, P.CONNECTING, P.AUTHENTICATING, P.SECURED}
+# Each serving-cell downlink and the phases that act on it, as the transition
+# table in the module docstring of ltesim.ue lists them.
+SERVING_DOWNLINKS = {
+    "mac_rar": (MacRar(600), {P.RACH_IN_PROGRESS}),
+    "setup": (RrcConnectionSetup(), {P.CONNECTING}),
+    "identity_request": (IdentityRequest(IdentityKind.IMSI), {P.CONNECTING, P.AUTHENTICATING}),
+    "auth_request": (AuthenticationRequest(bytes(16), derive_autn(KEY, bytes(16))), {P.CONNECTING}),
+    "security_mode_command": (SecurityModeCommand(2), {P.AUTHENTICATING}),
+    "attach_accept": (AttachAccept(0x2222BBBB, 100), {P.SECURED}),
+    "attach_reject": (AttachReject(EmmCause.PLMN_NOT_ALLOWED), PRE_ACCEPT),
+    "tau_reject": (TauReject(EmmCause.PLMN_NOT_ALLOWED), PRE_ACCEPT),
+    "rekey_in_place": (
+        RrcConnectionReconfiguration(MobilityControlInfo(10, 999)),
+        {P.CONNECTING, P.AUTHENTICATING, P.SECURED, P.REGISTERED},
+    ),
+    "handover_order": (RrcConnectionReconfiguration(MobilityControlInfo(11, 999)), {P.REGISTERED}),
+    "user_data": (UserData(10), {P.REGISTERED}),
+}
+
+
+@pytest.mark.parametrize("phase", list(UePhase), ids=lambda phase: phase.value)
+@pytest.mark.parametrize("name", list(SERVING_DOWNLINKS))
+def test_serving_downlink_acts_only_in_its_phases(name, phase):
+    msg, accepting = SERVING_DOWNLINKS[name]
+    ue, drv = fresh()
+    ue.sib1s[10] = sib(10)
+    ue.phase, ue.serving_cell = phase, 10
+    if phase in RNTI_PHASES - {P.RACH_IN_PROGRESS}:
+        ue.rnti = 500
+    before = (ue.phase, ue.rnti, ue.serving_cell, ue.next_wake_ms())
+    out = drv.dl(msg, rnti=500)
+    after = (ue.phase, ue.rnti, ue.serving_cell, ue.next_wake_ms())
+    if phase in accepting:
+        assert out or after != before
+    else:
+        assert out == [] and after == before
+
+
+def test_unknown_event_is_an_illegal_transition():
+    ue, _ = fresh()
+    with pytest.raises(IllegalTransition):
+        ue.step(object(), 0)
 
 
 # -- misc ------------------------------------------------------------------------
