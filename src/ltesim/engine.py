@@ -30,11 +30,14 @@ Uplinks arrive the tick they are sent and go to the cell's owner, the
 operator core or the rogue. Every downlink answer lands one tick later,
 which is always the next tick processed, and is stamped with its
 delivery time. An addressed downlink goes to the device whose uplink
-caused it; broadcasts go to every powered device in range. No device is
-stepped after stage 3, so the same pass that fires due timers also
-schedules each device's next one. Each frame is encoded exactly once,
-and the same bytes feed the sniffer, the capture log, and (decoded) the
-receiving party.
+caused it. A broadcast goes to the powered devices in range that it can
+change: a page to all of them, a Sib1 to those it would change (see
+`Ue.already_has`), a Mib to none. A skipped delivery changes no device,
+so it cannot move a wake, and a device already due is on the wake heap:
+the poll set stays exact. No device is stepped after stage 3, so the
+same pass that fires due timers also schedules each device's next one.
+Each frame is encoded exactly once, and the same bytes feed the sniffer,
+the capture log, and (decoded) the receiving party.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -56,7 +59,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import codec
 from .attacker import RogueCell
-from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader
+from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, Mib
 from .core import Downlink, NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
@@ -152,17 +155,23 @@ class Engine:
         # timer); a heap entry counts only while it equals the stored wake.
         self._wakes: list[Optional[int]] = [None] * len(self._devices)
         self._wake_heap: list[tuple[int, int]] = []
+        # Per-link state, recomputed only when an input moves: (position,
+        # heard) per (cell id, device index), sniffer rx per cell transmitter.
+        self._links: dict[tuple[int, int], tuple[tuple[float, float], bool]] = {}
+        self._sniffer_rx: dict[tuple[tuple[float, float], float], float] = {}
 
     # -- wiring -----------------------------------------------------------------
 
     def _visibility_for(self, spec: UeSpec):
+        memo: dict = {}  # (position, rogue on air) -> cells heard; callers only read it
+
         def visible():
-            return visible_cells(
-                self._radios_on_air(self.now),
-                spec.position_at(self.now),
-                self.sc.rx_floor_dbm,
-                self.sc.path_loss,
-            )
+            key = (spec.position_at(self.now), self.rogue is not None and self.rogue.active(self.now))
+            if key not in memo:
+                memo.clear()
+                radios = self._radios_on_air(self.now)
+                memo[key] = visible_cells(radios, key[0], self.sc.rx_floor_dbm, self.sc.path_loss)
+            return memo[key]
 
         return visible
 
@@ -240,13 +249,20 @@ class Engine:
         header = FrameHeader(t, dl.cell_id, dl.rnti, Direction.DOWNLINK, key_id=dl.key_id)
         data = codec.encode(header, dl.message, self.core.keys)
         radio = self._radios[dl.cell_id]
-        self._tap(data, header, dl.message, radio.position, radio.tx_power_dbm)
-        if dl.rnti == 0:
+        key = (radio.position, radio.tx_power_dbm)
+        if key not in self._sniffer_rx:  # a cell stands still: one computation each
+            self._sniffer_rx[key] = self._rx_at_sniffer(*key)
+        self._tap(data, header, dl.message, self._sniffer_rx[key])
+        if dl.rnti == 0 and type(dl.message) is not Mib:  # a Mib changes no device
+            links = self._links
             for i, ue in enumerate(self._devices):
-                if ue.phase is UePhase.POWERED_OFF:
+                if ue.phase is UePhase.POWERED_OFF or ue.already_has(dl.message):
                     continue
                 at = ue.profile.position_at(t)
-                if rx_power(radio, at, self.sc.path_loss) >= self.sc.rx_floor_dbm:
+                link = links.get((dl.cell_id, i))
+                if link is None or link[0] != at:
+                    link = links[dl.cell_id, i] = (at, rx_power(radio, at, self.sc.path_loss) >= self.sc.rx_floor_dbm)
+                if link[1]:
                     ul_batch.append((i, ue.step(Rx(header, dl.message), t)))
         elif causal is not None:
             ul_batch.append((causal, self._devices[causal].step(Rx(header, dl.message), t)))
@@ -255,17 +271,19 @@ class Engine:
         ue = self._devices[i]
         header = FrameHeader(t, emission.cell_id, emission.rnti, Direction.UPLINK, key_id=emission.key_id)
         data = codec.encode(header, emission.message, self.core.keys)
-        self._tap(data, header, emission.message, ue.profile.position_at(t), UE_TX_POWER_DBM)
+        self._tap(data, header, emission.message, self._rx_at_sniffer(ue.profile.position_at(t), UE_TX_POWER_DBM))
         owner = self._owners.get(emission.cell_id)
         if owner is not None:
             self._downlinks += [(dl, i) for dl in owner.handle_uplink(header, emission.message, t)]
 
-    def _tap(self, data: bytes, header: FrameHeader, msg, tx_pos: tuple[float, float], tx_power: float) -> None:
-        if self.sniffer is not None:
-            self.sniffer.observe(data)
+    def _rx_at_sniffer(self, tx_pos: tuple[float, float], tx_power: float) -> float:
         dx = tx_pos[0] - self.sc.sniffer_position[0]
         dy = tx_pos[1] - self.sc.sniffer_position[1]
-        rx = tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5)
+        return tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5)
+
+    def _tap(self, data: bytes, header: FrameHeader, msg, rx: float) -> None:
+        if self.sniffer is not None:
+            self.sniffer.observe(data)
         line = {
             "t": header.timestamp_ms,
             "cell": header.cell_id,

@@ -289,6 +289,17 @@ class Ue:
         self._check_local_invariants()
         return out
 
+    def already_has(self, msg: Message) -> bool:
+        """True when receiving this broadcast would change nothing: a Sib1
+        equal to the one held for its cell, whose channel priorities all
+        still stand, reaching a device that is not selecting a cell."""
+        return (
+            type(msg) is Sib1
+            and self.phase not in (UePhase.SEARCHING, UePhase.BLOCKED)
+            and self.sib1s.get(msg.cell_id) == msg
+            and all(self.earfcn_priority.get(earfcn) == priority for earfcn, priority in msg.priority_earfcns)
+        )
+
     def erase_tmsi(self) -> None:
         """Directive: lose the temporary identity, as after SIM state loss."""
         self.tmsi = None

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ltesim import codec
+from ltesim import engine as engine_module
 from ltesim.codec import CaptureInvalid
 from ltesim.core import NetworkCore
 from ltesim.engine import Engine, diff_tracking, reconstruct_frame, replay_capture, run
@@ -323,6 +324,28 @@ def test_idle_devices_are_not_polled(monkeypatch):
     monkeypatch.setattr(NetworkCore, "tick", counted_tick)
     engine.run()
     assert calls["next_wake_ms"] < 0.1 * calls["ticks"] * len(engine.ues), calls
+
+
+def test_broadcasts_step_only_the_devices_they_change(monkeypatch):
+    engine = Engine(parse_scenario(crowd_scenario(100)))
+    calls = {"step": 0, "rx_power": 0}
+    step, rx_power = Ue.step, engine_module.rx_power
+
+    def counted_step(ue, event, now_ms):
+        calls["step"] += 1
+        return step(ue, event, now_ms)
+
+    def counted_rx_power(*args):
+        calls["rx_power"] += 1
+        return rx_power(*args)
+
+    monkeypatch.setattr(Ue, "step", counted_step)
+    monkeypatch.setattr(engine_module, "rx_power", counted_rx_power)
+    engine.run()
+    # Offering every Mib and Sib1 to every powered device in range steps
+    # devices 150,500 times on this crowd; each link's rx is computed once.
+    assert calls["step"] < 0.3 * 150_500, calls
+    assert calls["rx_power"] <= len(engine.sc.cells) * len(engine.ues), calls
 
 
 # sha256 over the captures of walk_scenario(1) under each

@@ -1,5 +1,6 @@
 """Device state machine driven directly, with the test playing network."""
 
+import copy
 import random
 
 import pytest
@@ -517,6 +518,60 @@ def test_serving_downlink_acts_only_in_its_phases(name, phase):
         assert out or after != before
     else:
         assert out == [] and after == before
+
+
+# -- broadcasts that change nothing ---------------------------------------------
+
+
+def state_of(ue):
+    """Everything a step could change, as a comparable deep copy."""
+    state = copy.deepcopy({k: v for k, v in vars(ue).items() if k != "rng"})
+    state["rng"] = ue.rng.getstate()
+    return state
+
+
+def ue_in(phase):
+    """A device in `phase`, serving cell 10, holding both cells' Sib1s."""
+    ue, drv = fresh()
+    for cell_id, priority in ((11, ((1850, 3),)), (10, ((1850, 5), (1900, 1)))):
+        drv.dl(sib(cell_id, priority=priority), rnti=0, cell_id=cell_id)
+    ue.phase, ue.serving_cell, ue.rnti = phase, 10, 500 if phase in RNTI_PHASES - {P.RACH_IN_PROGRESS} else None
+    return ue, drv
+
+
+@pytest.mark.parametrize("phase", list(UePhase), ids=lambda phase: phase.value)
+def test_mib_changes_no_device(phase):
+    ue, drv = ue_in(phase)
+    for cell_id in (10, 11):  # serving and foreign
+        before = state_of(ue)
+        assert drv.dl(Mib(50, 7), rnti=0, cell_id=cell_id) == []
+        assert state_of(ue) == before
+
+
+@pytest.mark.parametrize("phase", list(UePhase), ids=lambda phase: phase.value)
+def test_a_sib1_already_held_changes_nothing(phase):
+    ue, drv = ue_in(phase)
+    offers = [sib(10, priority=((1850, 5), (1900, 1))), sib(10, tac=101), sib(11, priority=((1850, 3),)), sib(12)]
+    held = [ue.already_has(msg) for msg in offers]
+    if phase in (P.SEARCHING, P.BLOCKED):
+        assert held == [False] * 4
+        # A selecting device acts on any Sib1: this one finds its cell.
+        assert [type(e.message) for e in drv.dl(offers[0], rnti=0)] == [RachPreamble]
+        return
+    assert held == [True, False, False, False]
+    before = state_of(ue)
+    assert drv.dl(offers[0], rnti=0) == []
+    assert state_of(ue) == before
+
+
+def test_a_sib1_is_news_again_once_another_cell_moves_a_shared_priority():
+    ue, drv = ue_in(P.CAMPED_IDLE)
+    own = sib(10, priority=((1850, 5), (1900, 1)))
+    assert ue.already_has(own) and ue.earfcn_priority == {1850: 5, 1900: 1}
+    drv.dl(sib(11, priority=((1850, 3),)), rnti=0, cell_id=11)
+    assert not ue.already_has(own) and ue.earfcn_priority[1850] == 3
+    drv.dl(own, rnti=0, cell_id=10)
+    assert ue.already_has(own) and ue.earfcn_priority[1850] == 5
 
 
 def test_unknown_event_is_an_illegal_transition():
