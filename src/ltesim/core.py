@@ -17,9 +17,14 @@ Radio-id lifecycle: the MAC RAR assigns a temporary id which is simply
 promoted to the connected id. A handover pre-allocates the final id at
 the target when the trigger is sent, so the arriving device briefly
 holds a RAR temp id and is then re-keyed to the prepared value by the
-target's reconfiguration. An idle session parks its id (still reserved,
-never reissued to others); on wake the network either re-keys the new
-connection back to the parked value (default) or, with
+target's reconfiguration. The handover stays open on the session from
+the trigger until completion, or until it lapses HO_PENDING_MS + 1 after
+the trigger whether or not the device arrived; a lapse releases the
+prepared id. A session idles at its idle timeout or when its handover
+ends, whichever is later. An idle session parks its id (still reserved,
+never reissued to others) until its subscriber wakes, attaches afresh or
+idles again from a newer session; on wake the network either re-keys the
+new connection back to the parked value (default) or, with
 `rnti_refresh_on_idle`, retires it so the device returns under a fresh
 one. The parked value is excluded from draws by staying reserved, so a
 refreshed id never equals the prior one.
@@ -33,7 +38,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codec import (
     AttachAccept,
@@ -111,6 +116,14 @@ class HssRecord:
     msisdn: str
 
 
+class OpenHandover(NamedTuple):
+    """A handover from its trigger until completion or lapse."""
+
+    target_cell_id: int
+    final_rnti: int  # prepared at the target
+    lapse_ms: int
+
+
 class SessionState(enum.Enum):
     RACH_DONE = "rach_done"
     ATTACHING = "attaching"
@@ -127,13 +140,11 @@ class SessionRecord:
     imsi: Optional[Imsi] = None
     tmsi: Optional[int] = None
     key_id: Optional[int] = None
-    security_active: bool = False
     expected_res: Optional[bytes] = None
     awaiting_identity: bool = False
     last_activity_ms: Optional[int] = None
     prior_rnti: Optional[int] = None
-    handover_final_rnti: Optional[int] = None
-    handover_pending: bool = False
+    handover: Optional[OpenHandover] = None
 
 
 @dataclass
@@ -157,13 +168,6 @@ def broadcast_frames(cfg, now_ms: int) -> list[Downlink]:
         Downlink(cfg.cell_id, 0, Mib(DEFAULT_MIB_BANDWIDTH_RB, (now_ms // 10) % 1024)),
         Downlink(cfg.cell_id, 0, sib1),
     ]
-
-
-@dataclass
-class _PendingHandover:
-    record: SessionRecord
-    final_rnti: int
-    issued_ms: int
 
 
 class NetworkCore:
@@ -197,11 +201,11 @@ class NetworkCore:
 
         self.active: dict[tuple[int, int], SessionRecord] = {}
         self.idle_by_tmsi: dict[int, SessionRecord] = {}
-        self.idle_by_imsi: dict[str, SessionRecord] = {}
-        self._ho_pending: dict[int, deque[_PendingHandover]] = {}
-        # Idle timeouts and preparation expiries as (due, push order, owner)
+        # Sessions whose device has yet to arrive, per target, in trigger order.
+        self._ho_pending: dict[int, deque[SessionRecord]] = {}
+        # Idle timeouts and handover lapses as (due, push order, session)
         # entries, lazily invalidated: see _owed.
-        self._deadlines: list[tuple[int, int, object]] = []
+        self._deadlines: list[tuple[int, int, SessionRecord]] = []
         self._pushes = itertools.count()
 
         self.drops: dict[str, int] = {}
@@ -263,10 +267,8 @@ class NetworkCore:
             self._drop("cell_full")
             return []
         if pending:
-            entry = pending.popleft()
             # The travelling session arrives: re-home it under the RAR id.
-            self._rekey(entry.record, cfg.cell_id, temp)
-            entry.record.handover_final_rnti = entry.final_rnti
+            self._rekey(pending.popleft(), cfg.cell_id, temp)
         else:
             rec = SessionRecord(cfg.cell_id, temp, SessionState.RACH_DONE)
             self.active[(cfg.cell_id, temp)] = rec
@@ -281,22 +283,20 @@ class NetworkCore:
         out: list[Downlink] = []
         if msg.tmsi is not None and msg.tmsi in self.idle_by_tmsi:
             idle = self.idle_by_tmsi.pop(msg.tmsi)
-            self.idle_by_imsi.pop(str(idle.imsi), None)
             rec.imsi, rec.tmsi = idle.imsi, idle.tmsi
             prior = idle.prior_rnti
-            if prior is not None:
-                if idle.cell_id == cfg.cell_id and not cfg.rnti_refresh_on_idle:
-                    # Reissue the parked id: re-key before the ladder continues.
-                    out.append(
-                        Downlink(
-                            cfg.cell_id,
-                            rec.rnti,
-                            RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, prior)),
-                        )
+            if idle.cell_id == cfg.cell_id and not cfg.rnti_refresh_on_idle:
+                # Reissue the parked id: re-key before the ladder continues.
+                out.append(
+                    Downlink(
+                        cfg.cell_id,
+                        rec.rnti,
+                        RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, prior)),
                     )
-                    self._rekey(rec, cfg.cell_id, prior)
-                else:
-                    self.allocators[idle.cell_id].release(prior)
+                )
+                self._rekey(rec, cfg.cell_id, prior)
+            else:
+                self.allocators[idle.cell_id].release(prior)
         out.append(Downlink(cfg.cell_id, rec.rnti, RrcConnectionSetup()))
         return out
 
@@ -311,11 +311,9 @@ class NetworkCore:
             if str(msg.imsi) not in self.hss:
                 return self._reject(cfg, rec, EmmCause.PLMN_NOT_ALLOWED)
             rec.imsi = msg.imsi
-            stale = self.idle_by_imsi.pop(str(msg.imsi), None)
+            stale = self.idle_by_tmsi.pop(self.tmsi_of_imsi.get(str(msg.imsi)), None)
             if stale is not None:
-                self.idle_by_tmsi.pop(stale.tmsi, None)
-                if stale.prior_rnti is not None:
-                    self.allocators[stale.cell_id].release(stale.prior_rnti)
+                self.allocators[stale.cell_id].release(stale.prior_rnti)
             return self._start_auth(cfg, rec)
         return self._resolve_tmsi(cfg, rec, msg.tmsi)
 
@@ -381,7 +379,6 @@ class NetworkCore:
         if rec.state is not SessionState.AUTHENTICATED:
             self._drop("smc_out_of_order")
             return []
-        rec.security_active = True
         imsi_str = str(rec.imsi)
         tmsi = self.tmsi_of_imsi.get(imsi_str)
         if tmsi is None:
@@ -401,7 +398,7 @@ class NetworkCore:
     ) -> list[Downlink]:
         """Order a handover when a neighbor we own beats the serving cell
         by the hysteresis margin."""
-        if rec.state is not SessionState.REGISTERED or rec.handover_pending:
+        if rec.state is not SessionState.REGISTERED or rec.handover is not None:
             return []
         serving_rsrp = -128
         best: Optional[tuple[int, int]] = None
@@ -419,10 +416,9 @@ class NetworkCore:
         except CellFull:
             self._drop("handover_target_full")
             return []
-        pending = self._ho_pending.setdefault(target_id, deque())
-        pending.append(_PendingHandover(rec, final, now_ms))
-        self._owe(now_ms + HO_PENDING_MS + 1, (pending, pending[-1]))
-        rec.handover_pending = True
+        rec.handover = OpenHandover(target_id, final, now_ms + HO_PENDING_MS + 1)
+        self._ho_pending.setdefault(target_id, deque()).append(rec)
+        self._owe(rec.handover.lapse_ms, rec)
         trigger = RrcConnectionReconfiguration(MobilityControlInfo(target_id, final))
         key_id = rec.key_id if cfg.encrypt_handover_trigger else None
         return [Downlink(cfg.cell_id, rec.rnti, trigger, key_id=key_id)]
@@ -430,11 +426,12 @@ class NetworkCore:
     def _on_reconfiguration_complete(
         self, cfg: CellConfig, rec: SessionRecord, msg: RrcConnectionReconfigurationComplete, now_ms: int
     ) -> list[Downlink]:
-        if rec.handover_final_rnti is None:
+        ho = rec.handover
+        if ho is None or ho.target_cell_id != rec.cell_id:  # none open, or not arrived
             return []
-        final = rec.handover_final_rnti
-        rec.handover_final_rnti = None
-        rec.handover_pending = False
+        final = ho.final_rnti
+        rec.handover = None
+        self._owe(rec.last_activity_ms + IDLE_AFTER_MS + 1, rec)
         out = [
             Downlink(
                 cfg.cell_id,
@@ -456,64 +453,59 @@ class NetworkCore:
     # -- time -------------------------------------------------------------------
 
     def tick(self, now_ms: int) -> None:
-        """Idle out quiet sessions and expire stale handover preparations.
+        """Act on every deadline due by now: idle a quiet session, or lapse
+        an open handover and owe the session's idle timeout again.
 
         The idle comparison is strict: downlink delivery lags emission by
         one tick, so the device's activity clock runs one tick behind
         ours after an accept. Strict-greater lands both sides in idle on
-        the same tick. Sessions are scanned, in `active` order, only on a
-        tick where the deadline heap's earliest entry is due.
+        the same tick.
         """
-        if self._deadlines and self._deadlines[0][0] <= now_ms:
-            for key in [
-                k
-                for k, rec in self.active.items()
-                if rec.state is SessionState.REGISTERED
-                and rec.last_activity_ms is not None
-                and now_ms - rec.last_activity_ms > IDLE_AFTER_MS
-                and not rec.handover_pending
-            ]:
-                rec = self.active.pop(key)
-                rec.state = SessionState.IDLE
-                rec.prior_rnti = rec.rnti
-                rec.security_active = False
-                rec.key_id = None
-                self.idle_transitions += 1
-                if rec.tmsi is not None:
-                    self.idle_by_tmsi[rec.tmsi] = rec
-                if rec.imsi is not None:
-                    self.idle_by_imsi[str(rec.imsi)] = rec
-        for target_id, pending in self._ho_pending.items():
-            while pending and now_ms - pending[0].issued_ms > HO_PENDING_MS:
-                entry = pending.popleft()
-                self.allocators[target_id].release(entry.final_rnti)
-                entry.record.handover_pending = False
+        heap = self._deadlines
+        while heap and heap[0][0] <= now_ms:
+            due, _, rec = heapq.heappop(heap)
+            if not self._owed(due, rec):
+                continue
+            ho = rec.handover
+            if ho is not None:
+                rec.handover = None
+                pending = self._ho_pending[ho.target_cell_id]
+                if pending and pending[0] is rec:  # lapses come in trigger order
+                    pending.popleft()
+                self.allocators[ho.target_cell_id].release(ho.final_rnti)
+                self._owe(rec.last_activity_ms + IDLE_AFTER_MS + 1, rec)
+                continue
+            del self.active[(rec.cell_id, rec.rnti)]
+            rec.state = SessionState.IDLE
+            rec.prior_rnti = rec.rnti
+            rec.key_id = None
+            self.idle_transitions += 1
+            # The subscriber's newest idle record replaces any older one.
+            replaced = self.idle_by_tmsi.get(rec.tmsi)
+            if replaced is not None:
+                self.allocators[replaced.cell_id].release(replaced.prior_rnti)
+            self.idle_by_tmsi[rec.tmsi] = rec
 
     def next_deadline_ms(self) -> Optional[int]:
-        """The earliest idle timeout (`last_activity_ms + IDLE_AFTER_MS + 1`
-        of a registered session) or preparation expiry still owed, even one
-        already past, as a handover-pending session's idle timeout can be.
-        Stale heap entries are dropped on the way to it."""
+        """The earliest idle timeout or handover lapse still owed, even one
+        already past. Stale heap entries are dropped on the way to it."""
         heap = self._deadlines
         while heap and not self._owed(heap[0][0], heap[0][2]):
             heapq.heappop(heap)
         return heap[0][0] if heap else None
 
-    def _owe(self, due_ms: int, owner) -> None:
-        heapq.heappush(self._deadlines, (due_ms, next(self._pushes), owner))
+    def _owe(self, due_ms: int, rec: SessionRecord) -> None:
+        heapq.heappush(self._deadlines, (due_ms, next(self._pushes), rec))
 
-    def _owed(self, due_ms: int, owner) -> bool:
-        """Whether a heap entry still stands: its session is active, registered
-        and last active IDLE_AFTER_MS + 1 before due_ms, or its preparation is
-        pending (one on top of the heap heads its deque, kept in push order)."""
-        if isinstance(owner, SessionRecord):
-            return (
-                self.active.get((owner.cell_id, owner.rnti)) is owner
-                and owner.state is SessionState.REGISTERED
-                and owner.last_activity_ms + IDLE_AFTER_MS + 1 == due_ms
-            )
-        pending, entry = owner
-        return bool(pending) and pending[0] is entry
+    def _owed(self, due_ms: int, rec: SessionRecord) -> bool:
+        """Whether a heap entry still stands: its session is active and
+        either lapses its open handover at due_ms, or has none open, is
+        registered and was last active IDLE_AFTER_MS + 1 before due_ms."""
+        if self.active.get((rec.cell_id, rec.rnti)) is not rec:
+            return False
+        if rec.handover is not None:
+            return rec.handover.lapse_ms == due_ms
+        return rec.state is SessionState.REGISTERED and rec.last_activity_ms + IDLE_AFTER_MS + 1 == due_ms
 
     # -- paging -------------------------------------------------------------------
 

@@ -95,6 +95,7 @@ class _PageSighting:
     identity: str
     msisdn: Optional[str] = None
     consumed: bool = False
+    arrivals: int = 0  # RARs at the cell inside the window so far
     # Set while a bind is still provisional: a second arrival inside the
     # window revokes it.
     bound: Optional[TrackedSession] = None
@@ -125,7 +126,6 @@ class Sniffer:
         self._dropped: set[int] = set()
         self._pending: list[_PendingHandover] = []
         self._pages: list[_PageSighting] = []
-        self._rar_times: dict[int, list[int]] = {}
         self._triggered: list[tuple[int, str]] = []
         self._next_id = 1
         self.total_frames = 0
@@ -193,8 +193,7 @@ class Sniffer:
 
     def _on_rar(self, header: FrameHeader, now: int) -> TrackedSession:
         cell_id, temp = header.cell_id, header.rnti
-        self._rar_times.setdefault(cell_id, []).append(now)
-        self._revoke_crowded_pages(cell_id, now)
+        self._count_arrival(cell_id, now)
         waiting = [p for p in self._pending if p.target_cell == cell_id]
         if len(waiting) == 1:
             # Unambiguous: this arrival is the handover we watched leave.
@@ -247,6 +246,14 @@ class Sniffer:
         return source
 
     def _absorb(self, keeper: TrackedSession, fragment: TrackedSession) -> None:
+        # A provisional page bind follows the identity to the keeper, or
+        # ends here if the keeper keeps its own; a revoke then leaves the
+        # keeper its own number.
+        for page in self._pages:
+            if page.bound is fragment:
+                page.bound = keeper if keeper.bound_identity is None else None
+                if keeper.bound_msisdn is not None:
+                    page.prior_msisdn = keeper.bound_msisdn
         keeper.ul_bytes += fragment.ul_bytes
         keeper.dl_bytes += fragment.dl_bytes
         keeper.frames += fragment.frames
@@ -290,9 +297,8 @@ class Sniffer:
             return
         page = candidates[0]
         # A second arrival in the window makes the match guesswork; see
-        # _revoke_crowded_pages for the case where it shows up later.
-        rars = [t for t in self._rar_times.get(cell_id, []) if page.t_ms < t <= now]
-        if len(rars) != 1:
+        # _count_arrival for the case where it shows up later.
+        if page.arrivals != 1:
             return
         page.consumed = True
         page.bound = session
@@ -302,15 +308,14 @@ class Sniffer:
         if page.msisdn is not None:
             session.bound_msisdn = page.msisdn
 
-    def _revoke_crowded_pages(self, cell_id: int, now: int) -> None:
-        """Unwind a provisional bind once its window holds two arrivals."""
+    def _count_arrival(self, cell_id: int, now: int) -> None:
+        """Count a RAR on each page sighting whose window it falls in, and
+        unwind a provisional bind once its window holds two arrivals."""
         for page in self._pages:
-            if page.bound is None or page.cell_id != cell_id:
+            if page.cell_id != cell_id or not 0 < now - page.t_ms <= PAGE_CORRELATE_MS:
                 continue
-            if not 0 < now - page.t_ms <= PAGE_CORRELATE_MS:
-                continue
-            rars = [t for t in self._rar_times.get(cell_id, []) if page.t_ms < t <= now]
-            if len(rars) > 1:
+            page.arrivals += 1
+            if page.bound is not None and page.arrivals > 1:
                 page.bound.bound_identity = page.prior_identity
                 page.bound.bound_msisdn = page.prior_msisdn
                 page.bound = None
@@ -321,12 +326,6 @@ class Sniffer:
         self._pending = [p for p in self._pending if now - p.seen_ms <= HANDOVER_WATCH_MS]
         self._pages = [p for p in self._pages if now - p.t_ms <= PAGE_CORRELATE_MS]
         self._triggered = [t for t in self._triggered if now - t[0] <= PAGE_TRIGGER_SLOP_MS]
-        for cell_id in list(self._rar_times):
-            kept = [t for t in self._rar_times[cell_id] if now - t <= PAGE_CORRELATE_MS]
-            if kept:
-                self._rar_times[cell_id] = kept
-            else:
-                del self._rar_times[cell_id]
 
     # -- output ----------------------------------------------------------------------
 

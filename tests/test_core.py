@@ -267,7 +267,7 @@ def test_idle_is_strictly_after_the_deadline():
     assert core.idle_transitions == 1
     rec = core.idle_by_tmsi[core.tmsi_of_imsi[str(IMSI)]]
     assert rec.state is SessionState.IDLE
-    assert not rec.security_active and rec.key_id is None
+    assert rec.key_id is None
     assert rec.prior_rnti == rnti
     assert rnti in core.allocators[10].in_use  # parked, not reissued
 
@@ -311,6 +311,17 @@ def test_fresh_imsi_attach_clears_stale_idle_entry():
     assert rnti not in core.allocators[10].in_use
 
 
+def test_a_replaced_idle_record_frees_its_parked_id():
+    core = build()
+    first, _, tmsi = run_ladder(core)
+    core.tick(IDLE_AFTER_MS + 1)
+    # the same subscriber attaches again by TMSI, never waking the idle record
+    second, _, _ = run_ladder(core, t=6000, identity=AttachRequest(tmsi=tmsi))
+    core.tick(6000 + IDLE_AFTER_MS + 1)
+    assert core.idle_by_tmsi[tmsi].prior_rnti == second
+    assert core.allocators[10].in_use == {second}  # first is no longer parked
+
+
 def test_next_deadline_follows_activity():
     core = build()
     rnti, _, _ = run_ladder(core)
@@ -327,15 +338,17 @@ def test_measurement_report_does_not_defer_idle():
 
 
 def full_scan_deadline(core):
-    """The scan over every session and preparation that next_deadline_ms
-    replaced, kept as its reference."""
-    idle = [
-        rec.last_activity_ms + IDLE_AFTER_MS + 1
-        for rec in core.active.values()
-        if rec.state is SessionState.REGISTERED and rec.last_activity_ms is not None
-    ]
-    expiries = [entry.issued_ms + HO_PENDING_MS + 1 for pending in core._ho_pending.values() for entry in pending]
-    return min(idle + expiries, default=None)
+    """The scan over every session that next_deadline_ms replaced, kept as
+    its reference: an open handover's lapse, else a registered session's
+    idle timeout."""
+    return min(
+        (
+            rec.handover.lapse_ms if rec.handover is not None else rec.last_activity_ms + IDLE_AFTER_MS + 1
+            for rec in core.active.values()
+            if rec.state is SessionState.REGISTERED and rec.last_activity_ms is not None
+        ),
+        default=None,
+    )
 
 
 def test_deadline_heap_matches_the_full_scan():
@@ -401,7 +414,7 @@ def test_handover_completion_rekeys_and_rehomes():
     assert temp not in core.allocators[11].in_use
     assert core.handovers_completed == 1
     rec = core.active[(11, 900)]
-    assert rec.state is SessionState.REGISTERED and rec.security_active
+    assert rec.state is SessionState.REGISTERED and rec.key_id == key_id
 
 
 def test_encrypted_trigger_follows_the_serving_cell():
@@ -424,24 +437,43 @@ def test_stale_handover_preparation_expires():
     core.tick(1000 + HO_PENDING_MS + 1)
     assert 900 not in core.allocators[11].in_use
     rec = core.active[(10, rnti)]
-    assert not rec.handover_pending  # free to try again
+    assert rec.handover is None  # free to try again
 
 
-def test_past_due_idle_of_a_pending_handover_stays_the_deadline():
+def test_idle_waits_for_an_open_handover_to_lapse():
     core = two_cell_core()
     rnti, _, _ = run_ladder(core)  # idle due at IDLE_AFTER_MS + 1
     ul(core, 10, rnti, MeasurementReport(((10, -70), (11, -60))), t=4900)
+    lapse = 4900 + HO_PENDING_MS + 1
     for t in (4900, IDLE_AFTER_MS + 1, 5500):
         core.tick(t)
-        # held back by the pending handover, yet still the earliest deadline
+        # held while the handover is open; the lapse is the deadline
         assert (10, rnti) in core.active
-        assert core.next_deadline_ms() == full_scan_deadline(core) == IDLE_AFTER_MS + 1
-    core.tick(4900 + HO_PENDING_MS + 1)  # the preparation lapses; idling waits a tick
-    assert (10, rnti) in core.active
-    assert core.next_deadline_ms() == full_scan_deadline(core) == IDLE_AFTER_MS + 1
-    core.tick(4900 + HO_PENDING_MS + 2)
+        assert core.next_deadline_ms() == full_scan_deadline(core) == lapse
+    core.tick(lapse)  # the handover lapses and the session idles on the same tick
     assert (10, rnti) not in core.active
+    assert core.idle_transitions == 1
     assert core.next_deadline_ms() is full_scan_deadline(core) is None
+
+
+def test_a_handover_that_arrives_but_never_completes_lapses():
+    core = two_cell_core()
+    rnti, _, tmsi = run_ladder(core)
+    ul(core, 10, rnti, MeasurementReport(((10, -70), (11, -60))), t=1000)
+    temp = ul(core, 11, 0, RachPreamble(3), t=1001)[0].message.temp_rnti
+    assert (11, temp) in core.active and 900 in core.allocators[11].in_use
+    assert core.next_deadline_ms() == full_scan_deadline(core) == 1000 + HO_PENDING_MS + 1
+    core.tick(1000 + HO_PENDING_MS + 1)
+    rec = core.active[(11, temp)]
+    assert rec.handover is None
+    assert 900 not in core.allocators[11].in_use  # the prepared id is free again
+    assert core.next_deadline_ms() == full_scan_deadline(core) == IDLE_AFTER_MS + 1
+    # a completion after the lapse changes nothing
+    assert ul(core, 11, temp, RrcConnectionReconfigurationComplete(), t=2500) == []
+    core.tick(IDLE_AFTER_MS + 1)
+    assert not core.active and core.idle_by_tmsi[tmsi] is rec
+    assert core.allocators[11].in_use == {temp} and not core.allocators[10].in_use
+    assert core.next_deadline_ms() is None
 
 
 def test_no_second_trigger_while_one_is_pending():

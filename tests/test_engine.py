@@ -19,7 +19,7 @@ from ltesim.scenario import load_scenario, parse_scenario
 from ltesim.ue import Tick, Ue, UePhase
 
 from tests.conftest import REPO_ROOT, SCENARIO_DIR
-from tests.scenario_builders import crowd_scenario, lte_cell, subscriber, walk_scenario
+from tests.scenario_builders import benign_day_scenario, crowd_scenario, lte_cell, subscriber, walk_scenario
 from tests.test_codec import JSON_VALUES, _positions
 from tests.test_core import full_scan_deadline
 from tests.test_scenario import HOSTILE
@@ -286,7 +286,7 @@ def test_schedule_matches_full_scans(monkeypatch, make):
 def abandoned_handover_scenario():
     """A device ordered to hand over at 3,885 ms switches to airplane mode
     one tick later, after its access burst at the target: the core's
-    session stays handover-pending with its idle timeout past due."""
+    session arrives there under the access id (9078) and never completes."""
     mia = subscriber("mia", 1, 50.0, moves=[{"t_ms": 3000, "position": [50.0, 0]}, {"t_ms": 4500, "position": [550.0, 0]}])
     return parse_scenario(
         {
@@ -300,11 +300,41 @@ def abandoned_handover_scenario():
     )
 
 
-def test_past_due_deadline_of_a_pending_handover(monkeypatch):
+def test_an_abandoned_handover_lapses_and_its_session_idles(monkeypatch):
     engine = Engine(abandoned_handover_scenario())
     oracle = ScheduleOracle(monkeypatch, engine)
+    tick, left = NetworkCore.tick, []
+
+    def watched_tick(core, now_ms):
+        held = (11, 9078) in core.active
+        tick(core, now_ms)
+        if held and (11, 9078) not in core.active:
+            left.append(now_ms)
+
+    monkeypatch.setattr(NetworkCore, "tick", watched_tick)
     engine.run()
-    assert oracle.past_due > 0
+    assert oracle.past_due == 0  # no deadline at or before the tick just processed
+    # the handover lapses at 4,886 ms; the session idles at its own timeout
+    assert left == [5085]
+
+
+def test_every_reserved_radio_id_has_an_owner():
+    """At the end of a run each id a core allocator holds belongs to an
+    active session, an idle record or an open handover."""
+    for name, make in [*SCHEDULE_CASES, ("abandoned-handover", abandoned_handover_scenario)]:
+        engine = Engine(make())
+        engine.run()
+        core = engine.core
+        owned = {cell_id: set() for cell_id in core.allocators}
+        for cell_id, rnti in core.active:
+            owned[cell_id].add(rnti)
+        for rec in core.idle_by_tmsi.values():
+            owned[rec.cell_id].add(rec.prior_rnti)
+        for rec in core.active.values():
+            if rec.handover is not None:
+                owned[rec.handover.target_cell_id].add(rec.handover.final_rnti)
+        for cell_id, allocator in core.allocators.items():
+            assert allocator.in_use == owned[cell_id], (name, cell_id)
 
 
 def test_idle_devices_are_not_polled(monkeypatch):
@@ -363,6 +393,28 @@ def test_defence_variant_captures_are_pinned():
             h.update(run(scenario).capture_text().encode())
     h.update(run(parse_scenario(crowd_scenario(50))).capture_text().encode())
     assert h.hexdigest() == DEFENCE_CAPTURES_SHA256
+
+
+# sha256 over each run's tracking report then ground truth, as sorted-key
+# JSON, for every shipped scenario (by name), walk_scenario(1) under the
+# four defence settings, crowd_scenario(50) and benign_day_scenario().
+REPORTS_AND_TRUTH_SHA256 = "6d80272798ea5cfcbcbf4cd1c77b5f3c3e8ca2668f3c63faa37e67a813601492"
+
+
+def test_reports_and_ground_truth_are_pinned():
+    scenarios = [load_scenario(path) for path in sorted(SCENARIO_DIR.glob("*.json"))]
+    scenarios += [
+        parse_scenario(walk_scenario(1, encrypt=encrypt, refresh=refresh))
+        for encrypt in (False, True)
+        for refresh in (False, True)
+    ]
+    scenarios += [parse_scenario(crowd_scenario(50)), parse_scenario(benign_day_scenario())]
+    h = hashlib.sha256()
+    for scenario in scenarios:
+        result = run(scenario)
+        h.update(json.dumps(result.report.as_json() if result.report else None, sort_keys=True).encode())
+        h.update(json.dumps(result.ground_truth, sort_keys=True).encode())
+    assert h.hexdigest() == REPORTS_AND_TRUTH_SHA256
 
 
 HASH_SEED_DIGEST = """

@@ -1,5 +1,7 @@
 """Passive observer: linking rules, paging correlation, accounting."""
 
+import pytest
+
 from ltesim import codec
 from ltesim.codec import (
     Direction,
@@ -11,7 +13,11 @@ from ltesim.codec import (
     UserData,
 )
 from ltesim.crypto_stub import derive_keystream_seed
+from ltesim.engine import run
+from ltesim.scenario import parse_scenario
 from ltesim.sniffer import HANDOVER_WATCH_MS, PAGE_CORRELATE_MS, Sniffer
+
+from tests.scenario_builders import lte_cell, subscriber
 
 KEYS = {1: derive_keystream_seed(b"\x42" * 16, 1)}
 
@@ -239,6 +245,57 @@ def test_second_arrival_after_the_window_keeps_the_bind():
     )
     bound = [sess.bound_identity for sess in s.report().sessions]
     assert bound == ["tmsi:aabb0011", None]
+
+
+def wake_to_a_parked_id_after_a_page(*later):
+    """A page, one arrival that is bound to it, then the in-place re-key
+    that merges the arrival into the device's history from before idle."""
+    s = Sniffer()
+    s.note_triggered_page(990, "15550000001")
+    feed(
+        s,
+        frame(100, 10, 500, UserData(4)),
+        dl(1000, 10, 0, Paging(tmsi=0xAABB0011)),
+        dl(1040, 10, 700, MacRar(700)),
+        dl(1042, 10, 700, RrcConnectionReconfiguration(MobilityControlInfo(10, 500))),
+        *later,
+    )
+    return s
+
+
+def test_a_page_bind_moves_with_a_merge():
+    session = sole_session(wake_to_a_parked_id_after_a_page())
+    assert session.trajectory == [(10, 500)]
+    assert (session.bound_identity, session.bound_msisdn) == ("tmsi:aabb0011", "15550000001")
+
+
+def test_a_page_bind_revoked_after_a_merge_leaves_the_keeper_unbound():
+    s = wake_to_a_parked_id_after_a_page(dl(1100, 10, 701, MacRar(701)))
+    assert [(sess.bound_identity, sess.bound_msisdn) for sess in s.report().sessions] == [(None, None)] * 2
+
+
+@pytest.mark.parametrize("refresh", [False, True])
+def test_a_second_arrival_unbinds_a_woken_device(refresh):
+    """Two idle devices on one cell: a is paged at 12,000 ms and b sends
+    data at 12,100 ms, inside the page's window. Without refresh, a's wake
+    merges into its pre-idle session; with it, a returns under a new id."""
+    scenario = parse_scenario(
+        {
+            "name": "page-then-data",
+            "seed": 1,
+            "duration_ms": 14000,
+            "cells": [lte_cell(10, 0, rnti_refresh_on_idle=refresh)],
+            "ues": [
+                subscriber("a", 1, 50.0),
+                subscriber("b", 2, 80.0, app_traffic=[{"t_ms": 12100, "bytes": 40}]),
+            ],
+            "page_calls": [{"t_ms": 12000, "msisdn": "15550000001"}],
+            "sniffer": True,
+        }
+    )
+    sessions = run(scenario).report.sessions
+    assert len(sessions) == (4 if refresh else 2)
+    assert all(sess.bound_identity is None and sess.bound_msisdn is None for sess in sessions)
 
 
 def test_late_arrival_is_not_correlated():
