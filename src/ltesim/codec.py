@@ -796,35 +796,40 @@ def encode(header: FrameHeader, msg: Message, keys: Optional[Mapping[int, bytes]
     return head + struct.pack(">I", header.key_id) + keystream_mask(seed, body)
 
 
-def decode(data: bytes, keys: Optional[Mapping[int, bytes]] = None) -> tuple[FrameHeader, Union[Message, Opaque]]:
-    """Parse one frame. The header always comes back readable; a
-    protected body without a matching key comes back Opaque."""
+_DIRECTIONS = {d.value: d for d in Direction}
+
+
+def decode_header(data: bytes) -> FrameHeader:
+    """The validated header of one frame, with the cleartext key_id of a
+    protected one; the body is not read."""
     if len(data) < HEADER_LEN:
         raise Truncated(f"frame shorter than header: {len(data)} bytes")
     ts, cell_id, rnti, direction, protection = struct.unpack(">QIHBB", data[:HEADER_LEN])
-    if direction not in (0, 1):
+    way = _DIRECTIONS.get(direction)
+    if way is None:
         raise InvariantViolation(f"bad direction byte: {direction}")
     if protection not in (0, 1):
         raise InvariantViolation(f"bad protection byte: {protection}")
-    body = data[HEADER_LEN:]
-    if protection == 0:
-        header = FrameHeader(ts, cell_id, rnti, Direction(direction))
-        header.validate()
-        return header, decode_body(body)
-    if len(body) < 4:
-        raise Truncated("protected frame missing key_id")
-    key_id = struct.unpack(">I", body[:4])[0]
-    header = FrameHeader(ts, cell_id, rnti, Direction(direction), key_id=key_id)
+    key_id = None
+    if protection:
+        if len(data) < HEADER_LEN + 4:
+            raise Truncated("protected frame missing key_id")
+        key_id = struct.unpack(">I", data[HEADER_LEN : HEADER_LEN + 4])[0]
+    header = FrameHeader(ts, cell_id, rnti, way, key_id=key_id)
     header.validate()
-    seed = (keys or {}).get(key_id)
+    return header
+
+
+def decode(data: bytes, keys: Optional[Mapping[int, bytes]] = None) -> tuple[FrameHeader, Union[Message, Opaque]]:
+    """Parse one frame. The header always comes back readable; a
+    protected body without a matching key comes back Opaque."""
+    header = decode_header(data)
+    if not header.protected:
+        return header, decode_body(data[HEADER_LEN:])
+    seed = (keys or {}).get(header.key_id)
     if seed is None:
-        return header, Opaque(body_len=len(body))
-    return header, decode_body(keystream_mask(seed, body[4:]))
-
-
-def body_len(data: bytes) -> int:
-    """Body-region length of an encoded frame (everything past the header)."""
-    return len(data) - HEADER_LEN
+        return header, Opaque(body_len=len(data) - HEADER_LEN)
+    return header, decode_body(keystream_mask(seed, data[HEADER_LEN + 4 :]))
 
 
 def message_to_json(msg: Union[Message, Opaque]) -> dict:

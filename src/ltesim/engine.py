@@ -36,8 +36,12 @@ change: a page to all of them, a Sib1 to those it would change (see
 so it cannot move a wake, and a device already due is on the wake heap:
 the poll set stays exact. No device is stepped after stage 3, so the
 same pass that fires due timers also schedules each device's next one.
-Each frame is encoded exactly once, and the same bytes feed the sniffer,
-the capture log, and (decoded) the receiving party.
+Every frame's header is built and validated, and the frame's bytes
+feed the sniffer and its line the capture log; the receiving party gets
+the message itself. A cleartext rnti-0 downlink (Mib, Sib1, Paging) is
+a broadcast that repeats, so each distinct body is encoded and
+serialised to capture JSON once per run and then remembered; every
+other frame is encoded whole.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -159,6 +163,8 @@ class Engine:
         # heard) per (cell id, device index), sniffer rx per cell transmitter.
         self._links: dict[tuple[int, int], tuple[tuple[float, float], bool]] = {}
         self._sniffer_rx: dict[tuple[tuple[float, float], float], float] = {}
+        # Broadcast body bytes and capture JSON text per message value.
+        self._broadcast_bodies: dict[object, tuple[bytes, str]] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -191,7 +197,12 @@ class Engine:
             t = heapq.heappop(self._heap)
             self.now = t
             self._process(t)
-        return self._result()
+        result = self._result()
+        # The result's devices reach this engine through their visibility
+        # callbacks: drop the broadcast memos, this one and the sniffer's.
+        self._broadcast_bodies = {}
+        self.sniffer = None
+        return result
 
     def _process(self, t: int) -> None:
         ul_batch: list[tuple[int, list[Emission]]] = []
@@ -247,12 +258,23 @@ class Engine:
 
     def _air_downlink(self, dl: Downlink, t: int, causal: Optional[int], ul_batch: list) -> None:
         header = FrameHeader(t, dl.cell_id, dl.rnti, Direction.DOWNLINK, key_id=dl.key_id)
-        data = codec.encode(header, dl.message, self.core.keys)
+        body = None
+        if dl.rnti == 0 and dl.key_id is None:  # a broadcast: its body repeats
+            known = self._broadcast_bodies.get(dl.message)
+            if known is None:
+                data = codec.encode(header, dl.message)
+                text = _dump(codec.message_to_json(dl.message))
+                known = self._broadcast_bodies[dl.message] = (data[HEADER_LEN:], text)
+            else:
+                data = codec.pack_header(header) + known[0]
+            body = known[1]
+        else:
+            data = codec.encode(header, dl.message, self.core.keys)
         radio = self._radios[dl.cell_id]
         key = (radio.position, radio.tx_power_dbm)
         if key not in self._sniffer_rx:  # a cell stands still: one computation each
             self._sniffer_rx[key] = self._rx_at_sniffer(*key)
-        self._tap(data, header, dl.message, self._sniffer_rx[key])
+        self._tap(data, header, dl.message, self._sniffer_rx[key], body)
         if dl.rnti == 0 and type(dl.message) is not Mib:  # a Mib changes no device
             links = self._links
             for i, ue in enumerate(self._devices):
@@ -281,25 +303,28 @@ class Engine:
         dy = tx_pos[1] - self.sc.sniffer_position[1]
         return tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5)
 
-    def _tap(self, data: bytes, header: FrameHeader, msg, rx: float) -> None:
+    def _tap(self, data: bytes, header: FrameHeader, msg, rx: float, body: Optional[str] = None) -> None:
+        """Show the frame to the sniffer and log its capture line: the keys
+        in sorted order, as `_dump` writes them. `body` is the cleartext
+        body's JSON text when the caller already has it."""
         if self.sniffer is not None:
             self.sniffer.observe(data)
-        line = {
-            "t": header.timestamp_ms,
-            "cell": header.cell_id,
-            "rnti": header.rnti,
-            "dir": "ul" if header.direction == Direction.UPLINK else "dl",
-            "prot": "protected" if header.protected else "clear",
-            "len": codec.body_len(data),
-            "rx": round(rx, 1),
-        }
+        way = "ul" if header.direction == Direction.UPLINK else "dl"
+        n = len(data) - HEADER_LEN
+        rx_text = repr(round(rx, 1))  # what json writes for the float
         if header.protected:
-            line["type"] = "opaque"
-            line["key_id"] = header.key_id
+            line = (
+                f'{{"cell":{header.cell_id},"dir":"{way}","key_id":{header.key_id},"len":{n},"prot":"protected",'
+                f'"rnti":{header.rnti},"rx":{rx_text},"t":{header.timestamp_ms},"type":"opaque"}}'
+            )
         else:
-            line["type"] = msg.NAME
-            line["body"] = codec.message_to_json(msg)
-        self.capture.append(_dump(line))
+            if body is None:
+                body = _dump(codec.message_to_json(msg))
+            line = (
+                f'{{"body":{body},"cell":{header.cell_id},"dir":"{way}","len":{n},"prot":"clear",'
+                f'"rnti":{header.rnti},"rx":{rx_text},"t":{header.timestamp_ms},"type":"{msg.NAME}"}}'
+            )
+        self.capture.append(line)
 
     # -- results ------------------------------------------------------------------
 

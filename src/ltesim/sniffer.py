@@ -29,6 +29,11 @@ idle, which is exactly what the two mitigations are for.
 Byte accounting is body bytes (frame length minus the fixed header) per
 direction, excluding broadcast frames. Undecodable input is counted and
 otherwise ignored.
+
+Every frame's header is read and validated. A cleartext rnti-0 body (a
+Mib, Sib1, Paging or access preamble) repeats, so each distinct one is
+decoded once per sniffer and remembered; a body the codec refuses is
+never remembered, and counts as undecodable every time it is seen.
 """
 
 from __future__ import annotations
@@ -131,6 +136,7 @@ class Sniffer:
         self.total_frames = 0
         self.undecodable = 0
         self.pages_seen = 0
+        self._broadcasts: dict[bytes, codec.Message] = {}  # cleartext rnti-0 body -> message
 
     # -- input ----------------------------------------------------------------
 
@@ -140,7 +146,7 @@ class Sniffer:
 
     def observe(self, data: bytes) -> None:
         try:
-            header, msg = codec.decode(data)
+            header, msg = self._decode(data)
         except codec.CodecError:
             self.undecodable += 1
             return
@@ -172,6 +178,19 @@ class Sniffer:
             and msg.mobility is not None
         ):
             self._on_mobility(session, header, msg.mobility.target_cell_id, msg.mobility.new_rnti, now)
+
+    def _decode(self, data: bytes):
+        """codec.decode, with each distinct cleartext rnti-0 body decoded once."""
+        body = data[codec.HEADER_LEN :]
+        msg = self._broadcasts.get(body)
+        if msg is not None:
+            header = codec.decode_header(data)
+            if header.rnti == 0 and not header.protected:
+                return header, msg
+        header, msg = codec.decode(data)
+        if header.rnti == 0 and not header.protected:
+            self._broadcasts[body] = msg
+        return header, msg
 
     # -- session plumbing ---------------------------------------------------------
 
@@ -323,6 +342,8 @@ class Sniffer:
     # -- housekeeping ------------------------------------------------------------------
 
     def _expire(self, now: int) -> None:
+        if not (self._pending or self._pages or self._triggered):
+            return
         self._pending = [p for p in self._pending if now - p.seen_ms <= HANDOVER_WATCH_MS]
         self._pages = [p for p in self._pages if now - p.t_ms <= PAGE_CORRELATE_MS]
         self._triggered = [t for t in self._triggered if now - t[0] <= PAGE_TRIGGER_SLOP_MS]

@@ -1,19 +1,23 @@
 """Passive observer: linking rules, paging correlation, accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltesim import codec
 from ltesim.codec import (
     Direction,
     FrameHeader,
     MacRar,
+    Mib,
     MobilityControlInfo,
     Paging,
     RrcConnectionReconfiguration,
+    Sib1,
     UserData,
 )
 from ltesim.crypto_stub import derive_keystream_seed
 from ltesim.engine import run
+from ltesim.identity import Plmn, parse_imsi
 from ltesim.scenario import parse_scenario
 from ltesim.sniffer import HANDOVER_WATCH_MS, PAGE_CORRELATE_MS, Sniffer
 
@@ -328,3 +332,96 @@ def test_report_json_shape():
     sess = data["sessions"][0]
     assert sess["trajectory"] == [[10, 500]]
     assert sess["session_id"] == 1
+
+
+# -- the broadcast memo ------------------------------------------------------------
+
+
+class FullDecodeSniffer(Sniffer):
+    """The observer with every frame decoded in full: nothing remembered."""
+
+    def _decode(self, data):
+        return codec.decode(data)
+
+
+# (rnti, direction, message, key_id): broadcasts to repeat, a device to
+# page, and a protected broadcast whose body region a cleartext copy reuses.
+POOL = [
+    (0, Direction.DOWNLINK, Mib(25, 0), None),
+    (0, Direction.DOWNLINK, Mib(25, 1), None),
+    (0, Direction.DOWNLINK, Sib1(Plmn("310", "260"), 300, 10, -110, ((1850, 3),)), None),
+    (0, Direction.DOWNLINK, Paging(tmsi=0xAABB0011), None),
+    (0, Direction.DOWNLINK, Paging(imsi=parse_imsi("310260000000001")), None),
+    (0, Direction.DOWNLINK, Paging(tmsi=0x00C0FFEE), 1),
+    (700, Direction.DOWNLINK, MacRar(700), None),
+    (701, Direction.DOWNLINK, MacRar(701), None),
+    (700, Direction.UPLINK, UserData(4), None),
+]
+# Each frame is seen as sent, then, unless its edit is None, again with
+# one edit: a body byte flipped (the type byte, the next, the last), a
+# header field rewritten at (offset, width) to a value that moves the
+# frame in or out of the broadcast class or that the codec refuses, or
+# the frame cut inside its header.
+EDITS = [
+    None,
+    ("body", codec.HEADER_LEN, 0x01),
+    ("body", codec.HEADER_LEN + 1, 0xFF),
+    ("body", -1, 0x80),
+    ("header", 8, 4, 1 << 28),
+    ("header", 12, 2, 0),
+    ("header", 12, 2, 700),
+    ("header", 12, 2, 0xFFFF),
+    ("header", 14, 1, 1),
+    ("header", 14, 1, 2),
+    ("header", 15, 1, 0),
+    ("header", 15, 1, 1),
+    ("header", 15, 1, 2),
+    ("truncate",),
+]
+
+
+def edited(data, edit):
+    if edit is None:
+        return data
+    if edit[0] == "truncate":
+        return data[: codec.HEADER_LEN - 1]
+    out = bytearray(data)
+    if edit[0] == "body":
+        out[edit[1]] ^= edit[2]
+    else:
+        _, at, width, value = edit
+        out[at : at + width] = value.to_bytes(width, "big")
+    return bytes(out)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 300), st.sampled_from(POOL), st.sampled_from((10, 11)), st.sampled_from(EDITS)),
+        min_size=10,
+        max_size=60,
+    )
+)
+def test_remembered_broadcasts_report_as_full_decoding_does(stream):
+    memo, full = Sniffer(), FullDecodeSniffer()
+    t = 1000
+    for dt, (rnti, direction, msg, key_id), cell, edit in stream:
+        t += dt
+        data = frame(t, cell, rnti, msg, direction, key_id)
+        for copy in (data, edited(data, edit)) if edit else (data,):
+            memo.observe(copy)
+            full.observe(copy)
+    got, want = memo.report(), full.report()
+    assert (got.undecodable, got.total_frames, got.pages_seen) == (want.undecodable, want.total_frames, want.pages_seen)
+    assert got.as_json() == want.as_json()
+
+
+def test_a_refused_broadcast_body_counts_every_time_it_is_seen():
+    good = dl(100, 10, 0, Mib(25, 7))
+    bad_body = good[:17] + b"\x18" + good[18:]  # 24 resource blocks is no Mib bandwidth
+    bad_header = good[:14] + b"\x02" + good[15:]  # no such direction
+    s = Sniffer()
+    feed(s, bad_body, bad_body)
+    assert (s.undecodable, s.total_frames) == (2, 0)
+    feed(s, good, bad_header, good, bad_body)
+    assert (s.undecodable, s.total_frames) == (4, 2)
