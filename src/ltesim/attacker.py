@@ -46,7 +46,7 @@ from .codec import (
     TauRequest,
     message_from_json,
 )
-from .core import Downlink, broadcast_frames
+from .core import Downlink, broadcast_frames, cell_sib1
 from .identity import CellFull, Imsi, Plmn, RntiAllocator
 from .radio import RadioCell
 
@@ -106,6 +106,7 @@ class RogueCell:
         if config.mode not in MODES:
             raise ValueError(f"unknown rogue mode: {config.mode!r}")
         self.config = config
+        self.sib1 = cell_sib1(config)
         self.allocator = RntiAllocator(rng)
         self.sessions: dict[int, _RogueSession] = {}
         self.catcher_log: list[CatchEntry] = []
@@ -122,11 +123,17 @@ class RogueCell:
             return True
         return window[0] <= now_ms < window[1]
 
+    def next_edge_ms(self, now_ms: int) -> Optional[int]:
+        """The first instant after now_ms at which `active` changes, None
+        for never."""
+        window = self.config.active_ms or ()
+        return next((edge for edge in window if edge > now_ms), None)
+
     def broadcast_tick(self, now_ms: int) -> list[Downlink]:
         cfg = self.config
         if not self.active(now_ms) or now_ms == 0 or now_ms % cfg.broadcast_period_ms != 0:
             return []
-        return broadcast_frames(cfg, now_ms)
+        return broadcast_frames(self.sib1, now_ms)
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:
         period = self.config.broadcast_period_ms

@@ -158,15 +158,20 @@ class Downlink:
     key_id: Optional[int] = None
 
 
-def broadcast_frames(cfg, now_ms: int) -> list[Downlink]:
-    """The Mib and Sib1 a cell transmits at now_ms. `cfg` is a CellConfig
-    or a RogueCellConfig: an operator and a rogue cell broadcast alike.
-    Every cell advertises DEFAULT_MIB_BANDWIDTH_RB."""
+def cell_sib1(cfg) -> Sib1:
+    """The Sib1 a cell broadcasts, built once from its config. `cfg` is a
+    CellConfig or a RogueCellConfig: an operator and a rogue cell
+    broadcast alike."""
     ident = cfg.radio.identity
-    sib1 = Sib1(ident.plmn, ident.tac, cfg.cell_id, cfg.min_rx_level_dbm, cfg.priority_earfcns)
+    return Sib1(ident.plmn, ident.tac, cfg.cell_id, cfg.min_rx_level_dbm, cfg.priority_earfcns)
+
+
+def broadcast_frames(sib1: Sib1, now_ms: int) -> list[Downlink]:
+    """The Mib and Sib1 a cell transmits at now_ms. Every cell advertises
+    DEFAULT_MIB_BANDWIDTH_RB; only the Mib's frame number changes."""
     return [
-        Downlink(cfg.cell_id, 0, Mib(DEFAULT_MIB_BANDWIDTH_RB, (now_ms // 10) % 1024)),
-        Downlink(cfg.cell_id, 0, sib1),
+        Downlink(sib1.cell_id, 0, Mib(DEFAULT_MIB_BANDWIDTH_RB, (now_ms // 10) % 1024)),
+        Downlink(sib1.cell_id, 0, sib1),
     ]
 
 
@@ -188,6 +193,8 @@ class NetworkCore:
             cid: RntiAllocator(rng_for(f"cell/{cid}/rnti"), cfg.rnti_preset)
             for cid, cfg in self.cells.items()
         }
+        # (broadcast period, Sib1) per cell, the Sib1 built once.
+        self._sib1s = [(cfg.broadcast_period_ms, cell_sib1(cfg)) for cfg in self.cells.values()]
         self.hss: dict[str, HssRecord | UeProfile] = {str(rec.imsi): rec for rec in subscribers}
         self._msisdn_index = {rec.msisdn: str(rec.imsi) for rec in subscribers}
         self.tmsi_allocator = TmsiAllocator(rng_for("core/tmsi"))
@@ -225,9 +232,9 @@ class NetworkCore:
     def broadcast_tick(self, now_ms: int) -> list[Downlink]:
         """Mib then Sib1 for every cell whose period divides now."""
         out: list[Downlink] = []
-        for cfg in self.cells.values():
-            if now_ms != 0 and now_ms % cfg.broadcast_period_ms == 0:
-                out += broadcast_frames(cfg, now_ms)
+        for period, sib1 in self._sib1s:
+            if now_ms != 0 and now_ms % period == 0:
+                out += broadcast_frames(sib1, now_ms)
         return out
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:

@@ -8,11 +8,21 @@ instant, so quiet stretches cost nothing. An instant, once scheduled,
 is processed even if the timer that asked for it has moved: a device
 whose timer is past due is stepped on every processed tick.
 
+A device timer is a device's `next_wake_ms`. A camped device rechecks
+its cell on a 200 ms grid, but a quiet one (see `ue.py`) asks for no
+Tick on the grid instants whose recheck cannot change its choice, so
+those instants are never processed unless something else schedules
+them. That is exact only while no device is past due, since a device
+past due is stepped on every processed instant: whenever a tick ends
+with one, every quiet device is put back on its grid after the tick
+(`_end_quiet`), and its grid instants are processed again.
+
 A tick polls only the devices stepped so far in it (stages 2 and 3) and
 those whose last-read wake is due, off a lazily invalidated heap of
-(wake, device index) entries. A wake changes only when its device steps,
-so no other device can be due. A device still past due after its Tick
-goes back on the heap, to be stepped again on the next processed tick.
+(wake, device index) entries. A wake changes only when its device steps
+or `_end_quiet` moves it, and both update the heap, so no other device
+can be due. A device still past due after its Tick goes back on the
+heap, to be stepped again on the next processed tick.
 
 Within one tick the stages are fixed, and that order is part of the
 determinism contract:
@@ -67,7 +77,7 @@ from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, Mib
 from .core import Downlink, NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
-from .radio import RadioCell, Rat, rx_power, visible_cells
+from .radio import PathLossModel, RadioCell, Rat, rx_power, visible_cells
 from .scenario import Scenario, UeSpec
 from .sniffer import Sniffer, TrackingReport
 from .ue import (
@@ -125,14 +135,15 @@ class Engine:
             self._owners[self.rogue.cell_id] = self.rogue
 
         self.ues: dict[str, Ue] = {}
+        radios = list(self._radios.values())
         for spec in scenario.ues:
-            self.ues[spec.name] = Ue(spec, rng_for(f"ue/{spec.name}"), self._visibility_for(spec))
+            sight = Sight(spec, radios, self.rogue, scenario.rx_floor_dbm, scenario.path_loss)
+            self.ues[spec.name] = Ue(spec, rng_for(f"ue/{spec.name}"), sight, sight.steady_until)
             if spec.initial_tmsi is not None:
                 self.core.bind_tmsi(spec.imsi, spec.initial_tmsi)
 
         self.sniffer = Sniffer() if scenario.sniffer_enabled else None
         self.capture: list[str] = []
-        self.now = 0
 
         self._devices = list(self.ues.values())
         index = {name: i for i, name in enumerate(self.ues)}
@@ -159,6 +170,8 @@ class Engine:
         # timer); a heap entry counts only while it equals the stored wake.
         self._wakes: list[Optional[int]] = [None] * len(self._devices)
         self._wake_heap: list[tuple[int, int]] = []
+        # Devices that went quiet in a Tick and may still be (Ue.quiet).
+        self._quiet: set[int] = set()
         # Per-link state, recomputed only when an input moves: (position,
         # heard) per (cell id, device index), sniffer rx per cell transmitter.
         self._links: dict[tuple[int, int], tuple[tuple[float, float], bool]] = {}
@@ -167,22 +180,6 @@ class Engine:
         self._broadcast_bodies: dict[object, tuple[bytes, str]] = {}
 
     # -- wiring -----------------------------------------------------------------
-
-    def _visibility_for(self, spec: UeSpec):
-        memo: dict = {}  # (position, rogue on air) -> cells heard; callers only read it
-
-        def visible():
-            key = (spec.position_at(self.now), self.rogue is not None and self.rogue.active(self.now))
-            if key not in memo:
-                memo.clear()
-                radios = self._radios_on_air(self.now)
-                memo[key] = visible_cells(radios, key[0], self.sc.rx_floor_dbm, self.sc.path_loss)
-            return memo[key]
-
-        return visible
-
-    def _radios_on_air(self, now_ms: int) -> list[RadioCell]:
-        return [r for r in self._radios.values() if not r.is_rogue or self.rogue.active(now_ms)]
 
     def _at(self, t_ms: Optional[int], now: int) -> None:
         """Schedule t_ms if it lies after now and within the run."""
@@ -194,12 +191,11 @@ class Engine:
 
     def run(self) -> RunResult:
         while self._heap:
-            t = heapq.heappop(self._heap)
-            self.now = t
-            self._process(t)
+            self._process(heapq.heappop(self._heap))
         result = self._result()
-        # The result's devices reach this engine through their visibility
-        # callbacks: drop the broadcast memos, this one and the sniffer's.
+        # An engine runs once, but its caller may hold it on (perfbench holds
+        # a unit's engines until all have run): let the broadcast memo and
+        # the sniffer, which the result does not need, go now.
         self._broadcast_bodies = {}
         self.sniffer = None
         return result
@@ -230,10 +226,14 @@ class Engine:
             if wake is not None and wake <= t:
                 ul_batch.append((i, ue.step(Tick(t), t)))
                 wake = ue.next_wake_ms()
+                if ue.quiet:
+                    self._quiet.add(i)
             if wake is not None and (wake <= t or wake != wakes[i]):
                 heapq.heappush(heap, (wake, i))  # past due: popped again next tick
                 self._at(wake, t)  # an unchanged future wake is scheduled already
             wakes[i] = wake
+        if self._quiet and heap and heap[0][0] <= t:
+            self._end_quiet(t)
 
         for msisdn in self._page_calls.pop(t, ()):
             if self.sniffer is not None:
@@ -253,6 +253,20 @@ class Engine:
         self._at(self.core.next_deadline_ms(), t)
         for cell in self._broadcasters:
             self._at(cell.next_broadcast_ms(t), t)
+
+    def _end_quiet(self, t: int) -> None:
+        """A device is past due, so it is stepped at every instant processed
+        from now on: no device may skip one. Put each quiet device back on
+        its recheck grid after t, as if it had rechecked all along."""
+        devices, wakes = self._devices, self._wakes
+        for i in self._quiet:
+            ue = devices[i]
+            if ue.quiet:
+                ue.end_quiet(t + 1)
+                wakes[i] = wake = ue.next_wake_ms()
+                heapq.heappush(self._wake_heap, (wake, i))
+                self._at(wake, t)
+        self._quiet.clear()
 
     # -- the air -----------------------------------------------------------------
 
@@ -376,6 +390,45 @@ class Engine:
             ]
             gt["rogue_rejects"] = dict(sorted(self.rogue.rejects_sent.items()))
         return gt
+
+
+class Sight:
+    """What one device hears: the cells on air above the rx floor at its
+    position, strongest first, kept until the position or the rogue's
+    state moves. It holds only the device's spec, the radios, the rogue,
+    the rx floor and the path-loss model, so devices kept after a run do
+    not keep their engine alive."""
+
+    def __init__(
+        self,
+        spec: UeSpec,
+        radios: list[RadioCell],
+        rogue: Optional[RogueCell],
+        rx_floor_dbm: float,
+        path_loss: PathLossModel,
+    ):
+        self.spec, self.radios, self.rogue = spec, radios, rogue
+        self.rx_floor_dbm, self.path_loss = rx_floor_dbm, path_loss
+        self._key: Optional[tuple] = None  # (position, rogue on air) of _heard
+        self._heard: list[tuple[RadioCell, float]] = []  # callers only read it
+
+    def __call__(self, now_ms: int) -> list[tuple[RadioCell, float]]:
+        on_air = self.rogue is not None and self.rogue.active(now_ms)
+        key = (self.spec.position_at(now_ms), on_air)
+        if key != self._key:
+            self._key = key
+            radios = [r for r in self.radios if on_air or not r.is_rogue]
+            self._heard = visible_cells(radios, key[0], self.rx_floor_dbm, self.path_loss)
+        return self._heard
+
+    def steady_until(self, now_ms: int) -> Optional[int]:
+        """The first instant after which the cells heard may differ from
+        those at now_ms, None for never: the device's next move, or the
+        rogue going on or off air."""
+        ends = [self.spec.still_until(now_ms)]
+        if self.rogue is not None:
+            ends.append(self.rogue.next_edge_ms(now_ms))
+        return min((end for end in ends if end is not None), default=None)
 
 
 def run(scenario: Scenario, seed: Optional[int] = None) -> RunResult:

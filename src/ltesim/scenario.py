@@ -174,6 +174,20 @@ class UeSpec(UeProfile):
             )
         return pos
 
+    def still_until(self, t_ms: int) -> Optional[int]:
+        """The first instant after which `position_at` may differ from its
+        value at t_ms: t_ms itself while the device moves, the start of its
+        next move while it stands, None once it never moves again."""
+        pos, since = self.position, t_ms
+        for wp in self.moves:
+            if t_ms >= wp.t_ms:
+                pos = wp.position
+            elif wp.position != pos:
+                return since
+            else:
+                since = wp.t_ms
+        return None
+
 
 @dataclass(frozen=True)
 class PageCallSpec:

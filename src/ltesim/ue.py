@@ -36,9 +36,23 @@ Phase transitions. A row on a serving-cell downlink is an entry of
     Registered   --UserData-->                   Registered (note activity)
     Registered   --5000 ms without user data-->  CampedIdle (drop rnti and
                                                  security context, keep tmsi)
+    CampedIdle   --recheck every 200 ms-->       CampedIdle on the best cell
+                                                 (RachInProgress for a new
+                                                 tracking area or no context)
     CampedIdle   --paging/app traffic-->         RachInProgress (wake)
     any armed    --AirplaneToggle-->             Searching (forbidden cleared,
                                                  LTE re-allowed, session dropped)
+
+A camped recheck that keeps the serving cell leaves the device quiet:
+its later rechecks are skipped, because their answer cannot change, up
+to the first instant on its 200 ms grid at or after its quiet horizon.
+That horizon is the earlier of a live barred cell's expiry and the
+instant what the device hears may change (`steady_until`: its position,
+or the rogue cell going on or off air). Every other input of a recheck
+changes only in a step; a forbidden operator's expiry is a Tick of its
+own. So any step ends the quiet and puts the next recheck back on the
+grid, at the first grid instant at or after the step, and the device
+goes on exactly as one that rechecked every 200 ms.
 
 A hardened device (`reject_requires_integrity`) refuses to act on the
 cause byte of any reject that arrives without integrity protection: the
@@ -239,18 +253,35 @@ def select_cell(
     return best[2]
 
 
+def _may_change_now(now_ms: int) -> Optional[int]:
+    return now_ms
+
+
+def _on_grid(anchor_ms: int, at_ms: int) -> int:
+    """The first camped recheck instant at or after at_ms on the grid
+    through anchor_ms."""
+    return anchor_ms - (anchor_ms - at_ms) // CAMPED_RECHECK_MS * CAMPED_RECHECK_MS
+
+
 class Ue:
-    """One device. Feed it events via step(); collect its uplinks."""
+    """One device. Feed it events via step(); collect its uplinks.
+
+    `visibility(now_ms)` lists the cells heard then with their rx.
+    `steady_until(now_ms)` is the first instant after which that list may
+    differ from the one at now_ms, None for never; by default it may
+    change at any time, so no camped recheck is skipped."""
 
     def __init__(
         self,
         profile: UeProfile,
         rng: random.Random,
-        visibility: Callable[[], list[tuple[RadioCell, float]]],
+        visibility: Callable[[int], list[tuple[RadioCell, float]]],
+        steady_until: Callable[[int], Optional[int]] = _may_change_now,
     ):
         self.profile = profile
         self.rng = rng
         self._visible = visibility
+        self._steady_until = steady_until
 
         self.phase = UePhase.POWERED_OFF
         self.rat_allowed = RatAllowed.LTE_AND_GSM
@@ -274,6 +305,8 @@ class Ue:
         self._paged = False
         self._next_meas_ms: Optional[int] = None
         self._camped_recheck_ms: Optional[int] = None
+        # The last no-op camped recheck while quiet (see module docstring).
+        self._quiet_since_ms: Optional[int] = None
         self._proc_deadline_ms: Optional[int] = None
         self._backoff_until_ms: Optional[int] = None
         self._last_activity_ms: Optional[int] = None
@@ -284,6 +317,8 @@ class Ue:
         handler = _ON_EVENT.get(type(event))
         if handler is None:
             raise IllegalTransition(f"unknown event: {event!r}")
+        if self._quiet_since_ms is not None:
+            self.end_quiet(now_ms)
         out: list[Emission] = []
         handler(self, event, now_ms, out)
         self._check_local_invariants()
@@ -299,6 +334,17 @@ class Ue:
             and self.sib1s.get(msg.cell_id) == msg
             and all(self.earfcn_priority.get(earfcn) == priority for earfcn, priority in msg.priority_earfcns)
         )
+
+    @property
+    def quiet(self) -> bool:
+        """True while camped rechecks are being skipped."""
+        return self._quiet_since_ms is not None
+
+    def end_quiet(self, now_ms: int) -> None:
+        """Move the next camped recheck back to the first instant at or
+        after now_ms on the grid of the last one."""
+        self._camped_recheck_ms = _on_grid(self._quiet_since_ms, now_ms)
+        self._quiet_since_ms = None
 
     def erase_tmsi(self) -> None:
         """Directive: lose the temporary identity, as after SIM state loss."""
@@ -368,7 +414,7 @@ class Ue:
                 self._go_idle(now_ms)
             elif self._next_meas_ms is not None and now_ms >= self._next_meas_ms:
                 self._next_meas_ms = now_ms + MEAS_PERIOD_MS
-                self._emit_measurement_report(out)
+                self._emit_measurement_report(now_ms, out)
         elif self.phase in (UePhase.RACH_IN_PROGRESS, UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED):
             if self._proc_deadline_ms is not None and now_ms >= self._proc_deadline_ms:
                 # Procedure stalled; drop it and look again.
@@ -423,9 +469,9 @@ class Ue:
     def _attempt_selection(self, now_ms: int, out: list[Emission]) -> None:
         if self.rat_allowed is RatAllowed.GSM_ONLY:
             # Still hunting for a 2G cell; camped only once one is found.
-            self._try_gsm_attach()
+            self._try_gsm_attach(now_ms)
             return
-        visible = self._visible()
+        visible = self._visible(now_ms)
         choice = self._select(visible, now_ms)
         if choice is not None:
             self._start_rach(choice, "attach", now_ms, out)
@@ -440,8 +486,9 @@ class Ue:
         return all(str(self.sib1s[c.cell_id].plmn) in live for c in known)
 
     def _camped_reselect(self, now_ms: int, out: list[Emission]) -> None:
-        choice = self._select(self._visible(), now_ms)
+        choice = self._select(self._visible(now_ms), now_ms)
         if choice is None or choice == self.serving_cell:
+            self._go_quiet(now_ms)
             return
         self.serving_cell = choice
         sib = self.sib1s.get(choice)
@@ -454,8 +501,35 @@ class Ue:
             # New tracking area: the network must be told where we are.
             self._start_rach(choice, "tau", now_ms, out)
 
-    def _try_gsm_attach(self) -> None:
-        for cell, _rx in self._visible():
+    def _go_quiet(self, now_ms: int) -> None:
+        """After a no-op recheck at now_ms: skip to the first grid instant
+        at or after the quiet horizon, or for good if there is none."""
+        if self._backoff_until_ms is not None:
+            # Left over from Searching, so already past: the device is past
+            # due, and the engine would end its quiet at once.
+            return
+        horizon = self._quiet_horizon(now_ms)
+        if horizon is None:
+            self._camped_recheck_ms = None
+        elif horizon > self._camped_recheck_ms:
+            self._camped_recheck_ms = _on_grid(now_ms, horizon)
+        else:
+            return  # the next recheck comes first anyway
+        self._quiet_since_ms = now_ms
+
+    def _quiet_horizon(self, now_ms: int) -> Optional[int]:
+        """No later than the first instant after now_ms at which a camped
+        recheck may choose otherwise though the device is not stepped, None
+        for never. A forbidden operator's expiry needs no place here: the
+        device has a Tick then, and that step ends the quiet."""
+        ends = [until for until in self.barred_cells.values() if until > now_ms]
+        heard = self._steady_until(now_ms)
+        if heard is not None:
+            ends.append(heard)
+        return min(ends, default=None)
+
+    def _try_gsm_attach(self, now_ms: int) -> None:
+        for cell, _rx in self._visible(now_ms):
             if cell.rat is Rat.GSM:
                 self.serving_cell = cell.cell_id
                 self.gsm_attached = True
@@ -581,7 +655,7 @@ class Ue:
             self.rat_allowed = RatAllowed.GSM_ONLY
             self.serving_cell = None
             self._camped_recheck_ms = now_ms + CAMPED_RECHECK_MS
-            self._try_gsm_attach()
+            self._try_gsm_attach(now_ms)
             if not self.gsm_attached:
                 self.phase = UePhase.SEARCHING
 
@@ -609,9 +683,9 @@ class Ue:
 
     # -- periodic work -------------------------------------------------------
 
-    def _emit_measurement_report(self, out: list[Emission]) -> None:
+    def _emit_measurement_report(self, now_ms: int, out: list[Emission]) -> None:
         entries = []
-        for cell, rx in self._visible():
+        for cell, rx in self._visible(now_ms):
             if cell.rat is not Rat.LTE:
                 continue
             rsrp = max(-128, min(127, round(rx)))

@@ -1,11 +1,13 @@
 """Whole-system runs: determinism, capture replay, truth scoring."""
 
 import functools
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -283,6 +285,68 @@ def test_schedule_matches_full_scans(monkeypatch, make):
     assert oracle.ticks > 0
 
 
+def logged_run(monkeypatch, scenario, recheck_always):
+    """Capture, ground truth and a per-device log of (t, phase, serving
+    cell) after every step, with a repeat of the last entry's state left
+    out: a skipped camped recheck is a step that changes neither.
+    `recheck_always` turns quiet off, so every camped device rechecks on
+    each instant of its 200 ms grid."""
+    logs, step = {}, Ue.step
+
+    def logged_step(ue, event, now_ms):
+        out = step(ue, event, now_ms)
+        log = logs.setdefault(ue.profile.name, [])
+        if not log or log[-1][1:] != (ue.phase, ue.serving_cell):
+            log.append((now_ms, ue.phase, ue.serving_cell))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(Ue, "step", logged_step)
+        if recheck_always:
+            m.setattr(Ue, "_quiet_horizon", lambda ue, now_ms: now_ms)
+        result = run(scenario)
+    return result.capture_lines, result.ground_truth, logs
+
+
+def past_due_neighbour_scenario():
+    """Two devices on one cell that broadcasts once a second. "far" idles
+    out of the rogue's range, so it goes quiet for good. "near" leaves its
+    camped cell for the catcher at 8,007 ms and is turned away: searching,
+    with its last recheck instant already past, it is past due, so it
+    re-attaches at the first instant processed after its 1,000 ms backoff.
+    That is one of far's 200 ms rechecks, at 9,207 ms, which far must not
+    skip while near is past due: the next broadcast comes at 10,000 ms."""
+    rogue = lte_cell(999, 5000, tac=101, earfcn=3350, tx_power_dbm=46.0, broadcast_period_ms=1000)
+    rogue.update(mode="imsi_catcher", priority_earfcns=[[3350, 7]], active_ms=[8000, 100_000])
+    return parse_scenario(
+        {
+            "name": "past-due-neighbour",
+            "seed": 5,
+            "duration_ms": 20000,
+            "cells": [lte_cell(10, 0, tac=100, broadcast_period_ms=1000)],
+            "rogue": rogue,
+            "ues": [subscriber("far", 1, -3000.0), subscriber("near", 2, 4500.0, power_on_ms=70)],
+        }
+    )
+
+
+QUIET_CASES = [
+    *SCHEDULE_CASES,
+    ("benign-day", lambda: parse_scenario(benign_day_scenario())),
+    ("crowd-50", lambda: parse_scenario(crowd_scenario(50))),
+    ("past-due-neighbour", past_due_neighbour_scenario),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in QUIET_CASES], ids=[name for name, _ in QUIET_CASES])
+def test_skipped_rechecks_change_nothing(monkeypatch, make):
+    always = logged_run(monkeypatch, make(), recheck_always=True)
+    shipped = logged_run(monkeypatch, make(), recheck_always=False)
+    assert shipped[0] == always[0]
+    assert shipped[1] == always[1]
+    assert shipped[2] == always[2]
+
+
 def abandoned_handover_scenario():
     """A device ordered to hand over at 3,885 ms switches to airplane mode
     one tick later, after its access burst at the target: the core's
@@ -356,6 +420,21 @@ def test_idle_devices_are_not_polled(monkeypatch):
     assert calls["next_wake_ms"] < 0.1 * calls["ticks"] * len(engine.ues), calls
 
 
+def test_quiet_devices_need_a_third_of_the_ticks(monkeypatch):
+    engine = Engine(parse_scenario(crowd_scenario(100)))
+    calls, tick = [0], NetworkCore.tick
+
+    def counted_tick(core, now_ms):
+        calls[0] += 1
+        return tick(core, now_ms)
+
+    monkeypatch.setattr(NetworkCore, "tick", counted_tick)
+    engine.run()
+    # With every camped device rechecked each 200 ms this crowd processes
+    # 20,775 ticks, most of them for those rechecks alone.
+    assert calls[0] <= 20_775 // 3, calls
+
+
 def test_broadcasts_step_only_the_devices_they_change(monkeypatch):
     engine = Engine(parse_scenario(crowd_scenario(100)))
     calls = {"step": 0, "rx_power": 0}
@@ -426,6 +505,16 @@ for path in sorted(pathlib.Path(sys.argv[1]).glob("*.json")):
     h.update(run(load_scenario(path)).capture_text().encode())
 print(h.hexdigest())
 """
+
+
+def test_a_held_result_does_not_keep_its_engine_alive():
+    engine = Engine(load_scenario(SCENARIO_DIR / "imsi_catcher.json"))
+    result = engine.run()
+    ref = weakref.ref(engine)
+    del engine
+    gc.collect()
+    assert ref() is None
+    assert result.ues["fresh"].phase is not UePhase.POWERED_OFF
 
 
 def test_captures_do_not_depend_on_the_hash_seed():

@@ -34,9 +34,12 @@ from ltesim.codec import (
     TauRequest,
     UserData,
 )
+from ltesim.attacker import RogueCell, RogueCellConfig
 from ltesim.crypto_stub import derive_autn, stub_mac
+from ltesim.engine import Sight
 from ltesim.identity import CellIdentity, Plmn, parse_imsi
-from ltesim.radio import RadioCell, Rat
+from ltesim.radio import DEFAULT_RX_FLOOR_DBM, PathLossModel, RadioCell, Rat
+from ltesim.scenario import UeSpec, WaypointSpec
 from ltesim.ue import (
     ATTACH_BACKOFF_MS,
     CELL_BAR_MS,
@@ -127,7 +130,7 @@ class Driver:
 
 def fresh(visible=None, rng_seed=5, **profile_overrides):
     cells = visible if visible is not None else [(radio(10), -40.0)]
-    ue = Ue(profile(**profile_overrides), random.Random(rng_seed), lambda: cells)
+    ue = Ue(profile(**profile_overrides), random.Random(rng_seed), lambda now_ms: cells)
     return ue, Driver(ue)
 
 
@@ -591,7 +594,7 @@ def test_erase_tmsi():
 
 def test_erase_event_forces_full_attach_on_reselect():
     cells = [(radio(10), -40.0)]
-    ue = Ue(profile(), random.Random(5), lambda: cells)
+    ue = Ue(profile(), random.Random(5), lambda now_ms: cells)
     drv = Driver(ue)
     ue.step(PowerOn(), 0)
     drv.broadcast()
@@ -632,3 +635,195 @@ def test_stalled_procedure_times_out_and_reselects():
     out = ue.step(Tick(drv.now), drv.now)
     assert ue.phase is UePhase.RACH_IN_PROGRESS  # re-selected and retried
     assert isinstance(out[0].message, RachPreamble)
+
+
+# -- camped rechecks skipped while their answer cannot change -----------------------
+#
+# Each case runs the same device twice, as shipped and with quiet turned off
+# (`_quiet_horizon` answering "now"), so that the second rechecks on every
+# instant of its 200 ms grid. Both must reselect on the same instant; the
+# first must get there with fewer Ticks. Every device registers at 30 ms
+# past a round second, so its grid (30 ms + k * 200 ms) never meets a
+# round horizon by luck.
+
+def hearing(cells):
+    """A maker of devices that hear `cells` and nothing else, ever."""
+    return lambda: Ue(profile(), random.Random(5), lambda now_ms: cells, lambda now_ms: None)
+
+
+def run_alone(ue, script, start, until):
+    """Step one device as the engine does when it is alone on the air: each
+    scripted (t, event) at its instant, then a Tick if its wake is due.
+    Returns (t, phase, serving cell) at every change, and the Tick count."""
+    script = sorted(script, key=lambda item: item[0])
+    log, ticks, t = [], 0, start
+
+    def note():
+        if not log or log[-1][1:] != (ue.phase, ue.serving_cell):
+            log.append((t, ue.phase, ue.serving_cell))
+
+    while True:
+        wake = ue.next_wake_ms()
+        assert wake is None or wake > t, "past due"
+        t = min(x for x in (wake, script[0][0] if script else None, until + 1) if x is not None)
+        if t > until:
+            return log, ticks
+        while script and script[0][0] == t:
+            ue.step(script.pop(0)[1], t)
+            note()
+        wake = ue.next_wake_ms()
+        if wake is not None and wake <= t:
+            ue.step(Tick(t), t)
+            ticks += 1
+            note()
+
+
+def twins(make, setup):
+    """The same device after the same setup, as shipped and rechecking on
+    every grid instant."""
+    pair = []
+    for always in (False, True):
+        ue = make()
+        if always:
+            ue._quiet_horizon = lambda now_ms: now_ms
+        drv = Driver(ue)
+        drv.now = 30
+        setup(ue, drv)
+        pair.append(ue)
+    return pair
+
+
+def assert_same_reselection(make, setup, until, expect, script=()):
+    shipped, always = twins(make, setup)
+    (log, ticks), (want, want_ticks) = (run_alone(ue, list(script), 30, until) for ue in (shipped, always))
+    assert log == want
+    assert expect in log
+    assert ticks < want_ticks
+
+
+def register_on_10(*sibs):
+    def setup(ue, drv):
+        ue.step(PowerOn(), drv.now)
+        drv.broadcast()
+        drv.run_ladder()
+        for msg in sibs:  # held, but a registered device does not reselect
+            drv.dl(msg, rnti=0, cell_id=msg.cell_id)
+
+    return setup
+
+
+def test_quiet_ends_when_a_barred_cell_is_free_again():
+    cells = [(radio(10), -40.0), (radio(11), -20.0)]
+
+    def setup(ue, drv):
+        ue.step(PowerOn(), drv.now)
+        drv.broadcast(cell_id=11)  # the stronger cell first: it turns us away
+        drv.cell_id = 11
+        drv.dl(MacRar(600), rnti=600)
+        drv.dl(RrcConnectionSetup())
+        drv.dl(AttachReject(EmmCause.CONGESTION_BENIGN))
+        assert ue.barred_cells == {11: 30 + CELL_BAR_MS}
+        drv.now += ATTACH_BACKOFF_MS
+        ue.step(Tick(drv.now), drv.now)
+        drv.cell_id = 10
+        drv.broadcast()
+        drv.run_ladder()
+
+    # The first grid instant at or after the bar's end, 300,030 ms.
+    expect = (30 + CELL_BAR_MS, UePhase.CAMPED_IDLE, 11)
+    assert_same_reselection(hearing(cells), setup, 301_000, expect)
+
+
+def test_quiet_ends_when_a_forbidden_operator_is_allowed_again(monkeypatch):
+    # A short T3245 keeps the twin's rechecks few: the entry lapses at 7,153 ms.
+    monkeypatch.setattr("ltesim.ue.T3245_MIN_MS", 7_123)
+    monkeypatch.setattr("ltesim.ue.T3245_MAX_MS", 7_123)
+    other = Plmn("310", "410")
+    rival = RadioCell(CellIdentity(11, 100, other, 1850), (0.0, 0.0), 43.0)
+    cells = [(radio(10), -40.0), (rival, -20.0)]
+
+    def setup(ue, drv):
+        ue.step(PowerOn(), drv.now)
+        drv.dl(sib(11, plmn=other), rnti=0, cell_id=11)
+        drv.cell_id = 11
+        drv.dl(MacRar(600), rnti=600)
+        drv.dl(RrcConnectionSetup())
+        drv.dl(AttachReject(EmmCause.PLMN_NOT_ALLOWED))
+        assert ue.forbidden_plmns == [(other, 30 + 7_123)]
+        drv.cell_id = 10
+        drv.broadcast()
+        drv.run_ladder()
+
+    # The lapse at 7,153 ms is a Tick off the grid: it ends the quiet, and the
+    # recheck waits for the next grid instant, 7,230.
+    expect = (7_230, UePhase.CAMPED_IDLE, 11)
+    assert_same_reselection(hearing(cells), setup, 9_000, expect)
+
+
+def two_cell_sight(spec, rogue=None):
+    radios = [RadioCell(CellIdentity(cid, 100, PLMN, 1850), (x, 0.0), 43.0) for cid, x in ((10, 0.0), (11, 800.0))]
+    if rogue is not None:
+        radios.append(rogue.config.radio)
+    return Sight(spec, radios, rogue, DEFAULT_RX_FLOOR_DBM, PathLossModel())
+
+
+def walker_spec(x, moves=()):
+    moves = tuple(WaypointSpec(t, (to, 0.0)) for t, to in moves)
+    return UeSpec(**vars(profile()), name="w", position=(x, 0.0), moves=moves)
+
+
+def test_quiet_ends_when_the_device_starts_to_walk():
+    # Stands at x=100 until 8,000 ms, then walks to x=700 by 12,000 ms: it
+    # passes the midpoint between the cells at 10,000 ms.
+    spec = walker_spec(100.0, [(8_000, 100.0), (12_000, 700.0)])
+
+    def make():
+        sight = two_cell_sight(spec)
+        return Ue(spec, random.Random(5), sight, sight.steady_until)
+
+    expect = (10_030, UePhase.CAMPED_IDLE, 11)
+    assert_same_reselection(make, register_on_10(sib(11)), 14_000, expect)
+
+
+def rogue_cell(tac, window):
+    radio = RadioCell(CellIdentity(999, tac, PLMN, 3350), (50.0, 0.0), 46.0, is_rogue=True)
+    config = RogueCellConfig(radio, "imsi_catcher", priority_earfcns=((3350, 7),), active_ms=window)
+    return RogueCell(config, random.Random(1))
+
+
+def test_quiet_ends_when_the_rogue_comes_on_air():
+    # The device holds the rogue's Sib1 (tac 101, top priority) but hears the
+    # rogue only from 9,000 ms: it leaves for it on the next grid instant.
+    spec = walker_spec(100.0)
+
+    def make():
+        sight = two_cell_sight(spec, rogue_cell(101, (9_000, 15_000)))
+        return Ue(spec, random.Random(5), sight, sight.steady_until)
+
+    rogue_sib = sib(999, tac=101, priority=((3350, 7),))
+    expect = (9_030, UePhase.RACH_IN_PROGRESS, 999)
+    assert_same_reselection(make, register_on_10(sib(11), rogue_sib), 12_000, expect)
+
+
+def test_quiet_ends_when_the_rogue_goes_off_air():
+    # A rogue in the device's own tracking area takes it over silently at
+    # its first recheck; when the rogue goes off air at 9,000 ms the device
+    # returns to the operator's cell on the next grid instant.
+    spec = walker_spec(100.0)
+
+    def make():
+        sight = two_cell_sight(spec, rogue_cell(100, (2_000, 9_000)))
+        return Ue(spec, random.Random(5), sight, sight.steady_until)
+
+    rogue_sib = sib(999, priority=((3350, 7),))
+    expect = (9_030, UePhase.CAMPED_IDLE, 10)
+    assert_same_reselection(make, register_on_10(sib(11), rogue_sib), 12_000, expect)
+
+
+def test_quiet_ends_with_any_step():
+    # A quiet device hears at 7,777 ms that cell 11's channel now has the top
+    # priority: that step puts it back on its grid, so it rechecks at 7,830.
+    cells = [(radio(10), -40.0), (radio(11, earfcn=3350), -60.0)]
+    news = Rx(FrameHeader(7_777, 11, 0, Direction.DOWNLINK), sib(11, priority=((3350, 7),)))
+    expect = (7_830, UePhase.CAMPED_IDLE, 11)
+    assert_same_reselection(hearing(cells), register_on_10(sib(11)), 9_000, expect, script=[(7_777, news)])
