@@ -252,7 +252,7 @@ def scan_broadcast(records: list[dict]) -> tuple[list[OverheardCell], SpoofDraft
     """
     heard: dict[int, OverheardCell] = {}
     for number, rec in enumerate(records, 1):
-        if rec.get("type") != "sib1" or rec.get("rx") is None:
+        if rec.get("type") != "sib1" or rec.get("dir") != "dl" or rec.get("rx") is None:
             continue
         rx = rec["rx"]
         if type(rx) not in (int, float) or not abs(rx) <= sys.float_info.max:

@@ -123,6 +123,12 @@ class FrameHeader:
     def protected(self) -> bool:
         return self.key_id is not None
 
+    @property
+    def repeats(self) -> bool:
+        """A cleartext frame to rnti 0 (Mib, Sib1, Paging): a broadcast,
+        whose bodies recur, so each distinct one may be remembered."""
+        return self.rnti == 0 and self.key_id is None
+
     def validate(self) -> None:
         if not 0 <= self.timestamp_ms < (1 << 64):
             raise InvariantViolation(f"timestamp out of range: {self.timestamp_ms}")

@@ -48,9 +48,9 @@ the poll set stays exact. No device is stepped after stage 3, so the
 same pass that fires due timers also schedules each device's next one.
 Every frame's header is built and validated, and the frame's bytes
 feed the sniffer and its line the capture log; the receiving party gets
-the message itself. A cleartext rnti-0 downlink (Mib, Sib1, Paging) is
-a broadcast that repeats, so each distinct body is encoded and
-serialised to capture JSON once per run and then remembered; every
+the message itself. A frame whose header `repeats` (a cleartext rnti-0
+Mib, Sib1 or Paging) is a broadcast, so each distinct body is encoded
+and serialised to capture JSON once per run and then remembered; every
 other frame is encoded whole.
 
 The capture is JSON lines. Frame lines carry the header fields, a
@@ -59,13 +59,17 @@ protected ones, the body length, and the receive level at the sniffer's
 position (rounded to 0.1 dB). Paging directives leave a
 `{"meta": "page_trigger"}` line so a replay knows what the attacker
 knew. `replay_capture` reconstructs the frame stream from such a file
-and must land on the identical tracking report.
+and must land on the identical tracking report. Like the run, a replay
+remembers each distinct broadcast body: a line that repeats one already
+seen valid skips its parse and encode, though its header, `t`, `rx` and
+`len` are checked as on any other line.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+import marshal
 import math
 import struct
 from dataclasses import dataclass
@@ -273,7 +277,7 @@ class Engine:
     def _air_downlink(self, dl: Downlink, t: int, causal: Optional[int], ul_batch: list) -> None:
         header = FrameHeader(t, dl.cell_id, dl.rnti, Direction.DOWNLINK, key_id=dl.key_id)
         body = None
-        if dl.rnti == 0 and dl.key_id is None:  # a broadcast: its body repeats
+        if header.repeats:
             known = self._broadcast_bodies.get(dl.message)
             if known is None:
                 data = codec.encode(header, dl.message)
@@ -442,10 +446,17 @@ def run(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
 MAX_OPAQUE_LEN = 1 << 17
 
 
-def reconstruct_frame(obj: dict) -> bytes:
+def reconstruct_frame(obj: dict, bodies: Optional[dict[tuple[str, bytes], bytes]] = None) -> bytes:
     """Rebuild the on-air bytes a capture line describes. Cleartext
     bodies re-encode exactly; protected bodies get zero filler of the
-    right length, which is indistinguishable to a keyless observer."""
+    right length, which is indistinguishable to a keyless observer.
+
+    `bodies`, when given, remembers the body bytes of each repeating
+    (type, body) that has passed every check, the len check included, so
+    a later line with the same one skips its parse and encode. The key
+    holds the body marshalled at version 2, which writes every value
+    with its type and no back-references: equal bodies give equal keys,
+    and values of different JSON types (1, 1.0, true, "1") never do."""
     t, cell, rnti, way, prot, rx = obj["t"], obj["cell"], obj["rnti"], obj["dir"], obj["prot"], obj["rx"]
     if type(t) is not int or type(cell) is not int or type(rnti) is not int:
         raise CaptureInvalid(f"t, cell, rnti: expected integers, got {t!r}, {cell!r}, {rnti!r}")
@@ -462,9 +473,17 @@ def reconstruct_frame(obj: dict) -> bytes:
         header = FrameHeader(t, cell, rnti, direction, key_id=key_id)
         return codec.pack_header(header) + struct.pack(">I", key_id) + bytes(length - 4)
     header = FrameHeader(t, cell, rnti, direction)
-    data = codec.encode(header, codec.message_from_json(obj["type"], obj["body"]))
+    name, body = obj["type"], obj["body"]
+    key = (name, marshal.dumps(body, 2)) if bodies is not None and header.repeats and type(name) is str else None
+    known = bodies.get(key) if key is not None else None
+    if known is None:
+        data = codec.encode(header, codec.message_from_json(name, body))
+    else:
+        data = codec.pack_header(header) + known
     if type(length) is not int or length != len(data) - HEADER_LEN:
         raise CaptureInvalid(f"len: got {length!r}, but the body encodes to {len(data) - HEADER_LEN} bytes")
+    if key is not None and known is None:
+        bodies[key] = data[HEADER_LEN:]
     return data
 
 
@@ -486,6 +505,7 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
     """Feed a capture file back through a fresh observer. A line that does
     not describe a frame or a page trigger raises CaptureInvalid."""
     sniffer = Sniffer()
+    bodies: dict[tuple[str, bytes], bytes] = {}  # see reconstruct_frame; dropped on return
     for number, line in enumerate(lines, 1):
         obj = parse_capture_line(number, line)
         if obj is None:
@@ -497,7 +517,7 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
                     raise CaptureInvalid(f"t, msisdn: expected integer, string, got {t!r}, {msisdn!r}")
                 sniffer.note_triggered_page(t, msisdn)
                 continue
-            frame = reconstruct_frame(obj)
+            frame = reconstruct_frame(obj, bodies)
         except KeyError as exc:
             raise CaptureInvalid(f"line {number}: missing key {exc}") from None
         except (ValueError, codec.CodecError) as exc:

@@ -136,7 +136,7 @@ class Sniffer:
         self.total_frames = 0
         self.undecodable = 0
         self.pages_seen = 0
-        self._broadcasts: dict[bytes, codec.Message] = {}  # cleartext rnti-0 body -> message
+        self._broadcasts: dict[bytes, codec.Message] = {}  # repeating body -> message
 
     # -- input ----------------------------------------------------------------
 
@@ -180,15 +180,15 @@ class Sniffer:
             self._on_mobility(session, header, msg.mobility.target_cell_id, msg.mobility.new_rnti, now)
 
     def _decode(self, data: bytes):
-        """codec.decode, with each distinct cleartext rnti-0 body decoded once."""
+        """codec.decode, with each distinct repeating body decoded once."""
         body = data[codec.HEADER_LEN :]
         msg = self._broadcasts.get(body)
         if msg is not None:
             header = codec.decode_header(data)
-            if header.rnti == 0 and not header.protected:
+            if header.repeats:
                 return header, msg
         header, msg = codec.decode(data)
-        if header.rnti == 0 and not header.protected:
+        if header.repeats:
             self._broadcasts[body] = msg
         return header, msg
 

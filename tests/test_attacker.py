@@ -195,7 +195,7 @@ def sib1_line(cell_id, rx, tac=100, priority=None, mcc="310", mnc="260"):
         "min_rx_level_dbm": -110,
         "priority_earfcns": priority or [],
     }
-    return {"type": "sib1", "rx": rx, "body": body}
+    return {"type": "sib1", "dir": "dl", "rx": rx, "body": body}
 
 
 def test_scan_ranks_by_strength():
@@ -238,3 +238,12 @@ def test_scan_ignores_everything_else():
     ]
     with pytest.raises(NoBroadcastFound):
         scan_broadcast(lines)
+
+
+def test_scan_ignores_an_uplink_sib1():
+    uplink = dict(sib1_line(11, -40.0), dir="ul")
+    ranked, draft = scan_broadcast([sib1_line(10, -70.0), uplink])
+    assert [c.cell_id for c in ranked] == [10]
+    assert draft.mimics == 10
+    with pytest.raises(NoBroadcastFound):
+        scan_broadcast([uplink])

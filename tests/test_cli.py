@@ -141,11 +141,23 @@ def _edit(line, **changes):
 def test_replay_reports_a_malformed_line(tmp_path, capsys, bad_line):
     lines = _catcher_capture(tmp_path)
     frame = next(i for i, line in enumerate(lines) if '"meta"' not in line)
-    lines[frame] = bad_line(lines[frame])
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join(lines) + "\n")
-    assert main(["replay", str(bad)]) == 2
-    assert f"line {frame + 1}:" in capsys.readouterr().err
+    # The first frame is a broadcast; replay remembers its body, so the
+    # same edit must also be refused on a later line that repeats it.
+    first = _broadcast(lines[frame])
+    assert first
+    repeat = next(i for i in range(frame + 1, len(lines)) if _broadcast(lines[i]) == first)
+    for target in (frame, repeat):
+        edited = list(lines)
+        edited[target] = bad_line(lines[target])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(edited) + "\n")
+        assert main(["replay", str(bad)]) == 2
+        assert f"line {target + 1}:" in capsys.readouterr().err
+
+
+def _broadcast(line):
+    obj = json.loads(line)
+    return obj.get("rnti") == 0 and obj.get("prot") == "clear" and (obj["type"], obj["body"])
 
 
 @pytest.mark.parametrize(

@@ -18,10 +18,12 @@ from ltesim.codec import CaptureInvalid
 from ltesim.core import NetworkCore
 from ltesim.engine import Engine, diff_tracking, reconstruct_frame, replay_capture, run
 from ltesim.scenario import load_scenario, parse_scenario
+from ltesim.sniffer import Sniffer
 from ltesim.ue import Tick, Ue, UePhase
 
 from tests.conftest import REPO_ROOT, SCENARIO_DIR
 from tests.scenario_builders import benign_day_scenario, crowd_scenario, lte_cell, subscriber, walk_scenario
+from tests.test_capture_lines import oracle_runs, scenario_named
 from tests.test_codec import JSON_VALUES, _positions
 from tests.test_core import full_scan_deadline
 from tests.test_scenario import HOSTILE
@@ -167,6 +169,155 @@ def test_edited_capture_replays_or_is_refused(stem, data):
     except CaptureInvalid:
         return
     assert report.total_frames <= len(lines)
+
+
+# -- the replay body memo --------------------------------------------------------
+
+
+def repeating(obj):
+    """A capture line's (type, body) when it is a cleartext rnti-0 frame."""
+    if obj.get("rnti") == 0 and obj.get("prot") == "clear":
+        return obj["type"], json.dumps(obj["body"], sort_keys=True)
+    return None
+
+
+def replay_outcome(lines, memo=True):
+    """The replayed report as JSON, or the text of the CaptureInvalid.
+    Without `memo`, every line is rebuilt from scratch: the oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not memo:
+            rebuild = engine_module.reconstruct_frame
+            mp.setattr(engine_module, "reconstruct_frame", lambda obj, bodies=None: rebuild(obj))
+        try:
+            return replay_capture(lines).as_json()
+        except CaptureInvalid as exc:
+            return f"CaptureInvalid: {exc}"
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
+    lines = run(scenario_named(name)).capture_lines
+    fed, encodes = [], [0]
+    observe, encode = Sniffer.observe, codec.encode
+
+    def spy(sniffer, data):
+        fed.append(data)
+        observe(sniffer, data)
+
+    def counted(*args):
+        encodes[0] += 1
+        return encode(*args)
+
+    monkeypatch.setattr(Sniffer, "observe", spy)
+    monkeypatch.setattr(codec, "encode", counted)
+    replay_capture(lines)
+    monkeypatch.undo()
+    frames = [obj for obj in map(json.loads, lines) if "meta" not in obj]
+    assert fed == [reconstruct_frame(obj) for obj in frames]
+    bodies = {repeating(obj) for obj in frames} - {None}
+    clear = sum(obj["prot"] == "clear" and repeating(obj) is None for obj in frames)
+    assert len(frames) > 2 * (len(bodies) + clear)  # broadcasts dominate every run
+    assert encodes[0] <= len(bodies) + clear
+
+
+def _twins(value):
+    """The same number as another JSON type, or another number of the same."""
+    if type(value) is int:
+        return [float(value), str(value), value + 1, value - 1, bool(value), not value]
+    return []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHIPPED), st.data())
+def test_edited_repeat_replays_as_without_the_memo(stem, data):
+    lines = list(shipped_capture(stem))
+    seen, repeats = set(), []
+    for k, obj in enumerate(map(json.loads, lines)):
+        key = repeating(obj)
+        if key is not None:
+            if key in seen:
+                repeats.append(k)
+            seen.add(key)
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        k = data.draw(st.sampled_from(repeats), label="repeat")
+        obj = json.loads(lines[k])
+        path, key = data.draw(st.sampled_from(list(_positions(obj))), label="field")
+        holder = obj
+        for step in path:
+            holder = holder[step]
+        values = HOSTILE + _twins(holder[key])
+        holder[key] = data.draw(st.sampled_from(values) | JSON_VALUES, label="value")
+        lines[k] = json.dumps(obj)
+    assert replay_outcome(lines) == replay_outcome(lines, memo=False)
+
+
+MIB_LINE = {
+    "body": {"bandwidth_rb": 50, "sfn": 4},
+    "cell": 10,
+    "dir": "dl",
+    "len": 4,
+    "prot": "clear",
+    "rnti": 0,
+    "rx": 23.0,
+    "t": 40,
+    "type": "mib",
+}
+
+
+def mib_twin(t=80, body=None, **changes):
+    return json.dumps(dict(MIB_LINE, t=t, body=dict(MIB_LINE["body"], **(body or {})), **changes))
+
+
+@pytest.mark.parametrize(
+    "twin",
+    [
+        mib_twin(body={"sfn": 4.0}),
+        mib_twin(body={"sfn": True}),
+        mib_twin(body={"sfn": "4"}),
+        mib_twin(len=5),
+        mib_twin(len=3),
+        mib_twin(len=4.0),
+        mib_twin(t=2**64),
+        mib_twin(rx=float("nan")),
+    ],
+    ids=["sfn-float", "sfn-bool", "sfn-string", "len-over", "len-under", "len-float", "t-too-big", "rx-nan"],
+)
+def test_a_bad_twin_of_a_remembered_mib_is_refused_at_its_line(twin):
+    lines = [json.dumps(MIB_LINE), mib_twin(t=60), twin]
+    assert replay_capture(lines[:2]).total_frames == 2
+    with pytest.raises(CaptureInvalid, match="^line 3: "):
+        replay_capture(lines)
+    assert replay_outcome(lines) == replay_outcome(lines, memo=False)
+
+
+@pytest.mark.parametrize("changes", [{"len": 5}, {"t": 2**64}, {"cell": 1 << 28}])
+def test_a_refused_first_sight_is_not_remembered(changes):
+    bad = json.loads(mib_twin(**{"t": 40, **changes}))
+    bodies = {}
+    for _ in range(2):
+        with pytest.raises((CaptureInvalid, codec.CodecError)):
+            reconstruct_frame(bad, bodies)
+    assert bodies == {}
+    with pytest.raises(CaptureInvalid, match="^line 2: "):
+        replay_capture([json.dumps(MIB_LINE), json.dumps(bad)])
+
+
+@pytest.mark.parametrize("name", [[], ["mib"], {}, {"mib": 1}, 1, 1.5, True, None])
+def test_a_broadcast_whose_type_is_not_a_string_is_refused(name):
+    lines = [json.dumps(MIB_LINE), mib_twin(type=name)]
+    with pytest.raises(CaptureInvalid, match="^line 2: "):
+        replay_capture(lines)
+
+
+def test_the_deepest_body_json_reads_is_refused():
+    refused = set()
+    for depth in range(900, 1100, 7):
+        body = "[" * depth + "]" * depth
+        line = json.dumps(MIB_LINE).replace('{"bandwidth_rb": 50, "sfn": 4}', body)
+        with pytest.raises(CaptureInvalid) as info:
+            replay_capture([json.dumps(MIB_LINE), line])
+        refused.add("mib:" in str(info.value))
+    assert refused == {True, False}  # some bodies were read, then refused by the codec
 
 
 # -- truth scoring ------------------------------------------------------------------
