@@ -4,7 +4,7 @@ tries to follow devices across cells by their radio identifiers."""
 
 from .attacker import RogueCell, RogueCellConfig, scan_broadcast
 from .codec import CaptureInvalid
-from .core import CellConfig, HssRecord, NetworkCore
+from .core import CellConfig, NetworkCore
 from .engine import Engine, RunResult, diff_tracking, replay_capture, run
 from .scenario import Scenario, ScenarioInvalid, load_scenario, parse_scenario
 from .sniffer import Sniffer, TrackingReport
@@ -14,7 +14,6 @@ __all__ = [
     "CaptureInvalid",
     "CellConfig",
     "Engine",
-    "HssRecord",
     "NetworkCore",
     "RogueCell",
     "RogueCellConfig",

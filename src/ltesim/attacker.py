@@ -46,9 +46,9 @@ from .codec import (
     TauRequest,
     message_from_json,
 )
-from .core import Downlink, broadcast_frames, cell_sib1
+from .core import Transmitter, broadcast_frames, cell_sib1
 from .identity import CellFull, Imsi, Plmn, RntiAllocator
-from .radio import RadioCell
+from .ue import Emission
 
 CATCHER_MODE = "imsi_catcher"
 ATTACH_DOS_MODE = "attach_reject_dos"
@@ -73,18 +73,13 @@ class NoBroadcastFound(ValueError):
 
 
 @dataclass
-class RogueCellConfig:
-    radio: RadioCell
+class RogueCellConfig(Transmitter):
+    """The rogue: a transmitter plus its attack mode, and the window in
+    which it is on the air (always, when None)."""
+
     mode: str
-    broadcast_period_ms: int = 40
-    min_rx_level_dbm: int = -110
-    priority_earfcns: tuple[tuple[int, int], ...] = ()
     reject_cause: EmmCause = EmmCause.PLMN_NOT_ALLOWED
     active_ms: Optional[tuple[int, int]] = None
-
-    @property
-    def cell_id(self) -> int:
-        return self.radio.cell_id
 
 
 @dataclass(frozen=True)
@@ -92,11 +87,6 @@ class CatchEntry:
     t_ms: int
     imsi: str
     tmsi: Optional[int]
-
-
-@dataclass
-class _RogueSession:
-    tmsi: Optional[int] = None
 
 
 class RogueCell:
@@ -108,7 +98,7 @@ class RogueCell:
         self.config = config
         self.sib1 = cell_sib1(config)
         self.allocator = RntiAllocator(rng)
-        self.sessions: dict[int, _RogueSession] = {}
+        self.sessions: dict[int, Optional[int]] = {}  # rnti -> TMSI heard, if any
         self.catcher_log: list[CatchEntry] = []
         self._caught: set[str] = set()
         self.rejects_sent: dict[str, int] = {}
@@ -129,7 +119,7 @@ class RogueCell:
         window = self.config.active_ms or ()
         return next((edge for edge in window if edge > now_ms), None)
 
-    def broadcast_tick(self, now_ms: int) -> list[Downlink]:
+    def broadcast_tick(self, now_ms: int) -> list[Emission]:
         cfg = self.config
         if not self.active(now_ms) or now_ms == 0 or now_ms % cfg.broadcast_period_ms != 0:
             return []
@@ -145,7 +135,7 @@ class RogueCell:
             return None
         return max(due, ((window[0] + period - 1) // period) * period)
 
-    def handle_uplink(self, header: FrameHeader, msg: Message, now_ms: int) -> list[Downlink]:
+    def handle_uplink(self, header: FrameHeader, msg: Message, now_ms: int) -> list[Emission]:
         if not self.active(now_ms):
             return []
         kind = type(msg)
@@ -154,34 +144,33 @@ class RogueCell:
                 temp = self.allocator.allocate()
             except CellFull:
                 return []
-            self.sessions[temp] = _RogueSession()
-            return [Downlink(self.cell_id, temp, MacRar(temp_rnti=temp))]
-        session = self.sessions.get(header.rnti)
-        if session is None:
+            self.sessions[temp] = None
+            return [Emission(self.cell_id, temp, MacRar(temp_rnti=temp))]
+        if header.rnti not in self.sessions:
             return []
         if kind is RrcConnectionRequest:
-            session.tmsi = msg.tmsi
-            return [Downlink(self.cell_id, header.rnti, RrcConnectionSetup())]
+            self.sessions[header.rnti] = msg.tmsi
+            return [Emission(self.cell_id, header.rnti, RrcConnectionSetup())]
         if self.config.mode == CATCHER_MODE:
-            return self._catcher(header.rnti, session, msg, now_ms)
+            return self._catcher(header.rnti, msg, now_ms)
         reject = _REJECTS[self.config.mode].get(kind)
         if reject is None:
             return []
         reject_type, cause = reject
         return self._finish(header.rnti, reject_type(self.config.reject_cause if cause is None else cause))
 
-    def _catcher(self, rnti: int, session: _RogueSession, msg: Message, now_ms: int) -> list[Downlink]:
+    def _catcher(self, rnti: int, msg: Message, now_ms: int) -> list[Emission]:
         if isinstance(msg, AttachRequest):
             if msg.imsi is not None:
-                self._log(now_ms, msg.imsi, session.tmsi)
+                self._log(now_ms, msg.imsi, self.sessions[rnti])
                 return self._finish(rnti, AttachReject(EmmCause.CONGESTION_BENIGN))
-            session.tmsi = msg.tmsi
-            return [Downlink(self.cell_id, rnti, IdentityRequest(IdentityKind.IMSI))]
+            self.sessions[rnti] = msg.tmsi
+            return [Emission(self.cell_id, rnti, IdentityRequest(IdentityKind.IMSI))]
         if isinstance(msg, TauRequest):
-            session.tmsi = msg.tmsi
-            return [Downlink(self.cell_id, rnti, IdentityRequest(IdentityKind.IMSI))]
+            self.sessions[rnti] = msg.tmsi
+            return [Emission(self.cell_id, rnti, IdentityRequest(IdentityKind.IMSI))]
         if isinstance(msg, IdentityResponse) and msg.imsi is not None:
-            self._log(now_ms, msg.imsi, session.tmsi)
+            self._log(now_ms, msg.imsi, self.sessions[rnti])
             return self._finish(rnti, AttachReject(EmmCause.CONGESTION_BENIGN))
         return []
 
@@ -192,12 +181,12 @@ class RogueCell:
         self._caught.add(text)
         self.catcher_log.append(CatchEntry(now_ms, text, tmsi))
 
-    def _finish(self, rnti: int, reject: Message) -> list[Downlink]:
+    def _finish(self, rnti: int, reject: Message) -> list[Emission]:
         cause = reject.emm_cause.name.lower()
         self.rejects_sent[cause] = self.rejects_sent.get(cause, 0) + 1
         self.sessions.pop(rnti, None)
         self.allocator.release(rnti)
-        return [Downlink(self.cell_id, rnti, reject)]
+        return [Emission(self.cell_id, rnti, reject)]
 
 
 # -- reconnaissance ---------------------------------------------------------

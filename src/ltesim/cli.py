@@ -30,10 +30,11 @@ from .codec import InvariantViolation as CodecInvariantViolation
 from .core import InvariantViolation as CoreInvariantViolation
 from .engine import diff_tracking, parse_capture_line, replay_capture, run
 from .scenario import ScenarioInvalid, load_scenario
+from .ue import IllegalTransition
 
-# The wire layer and the session table each police their own invariants;
-# either one tripping mid-run is the same outcome for the operator.
-INVARIANT_ERRORS = (CodecInvariantViolation, CoreInvariantViolation)
+# The wire layer, the session table and each device police their own
+# invariants; any one tripping mid-run is the same outcome for the operator.
+INVARIANT_ERRORS = (CodecInvariantViolation, CoreInvariantViolation, IllegalTransition)
 
 
 class OutputUnwritable(Exception):

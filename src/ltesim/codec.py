@@ -125,8 +125,9 @@ class FrameHeader:
 
     @property
     def repeats(self) -> bool:
-        """A cleartext frame to rnti 0 (Mib, Sib1, Paging): a broadcast,
-        whose bodies recur, so each distinct one may be remembered."""
+        """A cleartext frame to rnti 0 (a Mib, Sib1 or Paging broadcast,
+        or an access preamble), whose bodies recur, so each distinct one
+        may be remembered."""
         return self.rnti == 0 and self.key_id is None
 
     def validate(self) -> None:

@@ -37,7 +37,7 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codec import (
@@ -71,7 +71,7 @@ from .codec import (
 from .crypto_stub import derive_autn, derive_keystream_seed, stub_mac
 from .identity import CellFull, Imsi, RntiAllocator, TmsiAllocator
 from .radio import RadioCell
-from .ue import IDLE_AFTER_MS, UeProfile
+from .ue import IDLE_AFTER_MS, Emission, UeProfile
 
 HO_PENDING_MS = 1_000
 DEFAULT_BROADCAST_PERIOD_MS = 40
@@ -87,19 +87,16 @@ class InvariantViolation(RuntimeError):
 
 
 @dataclass
-class CellConfig:
-    """One operator cell: its radio face plus scheduling and mitigation
-    knobs. `rnti_preset` pins upcoming radio-id draws for replaying
-    known captures."""
+class Transmitter:
+    """A cell on the air, operator or rogue: its radio face and what its
+    Mib and Sib1 carry. Broadcasts are unauthenticated, so both kinds of
+    cell are this same transmitter."""
 
     radio: RadioCell
+    _: KW_ONLY
     broadcast_period_ms: int = DEFAULT_BROADCAST_PERIOD_MS
     min_rx_level_dbm: int = -110
     priority_earfcns: tuple[tuple[int, int], ...] = ()
-    encrypt_handover_trigger: bool = False
-    rnti_refresh_on_idle: bool = False
-    handover_hysteresis_db: float = 3.0
-    rnti_preset: tuple[int, ...] = ()
 
     @property
     def cell_id(self) -> int:
@@ -107,13 +104,15 @@ class CellConfig:
 
 
 @dataclass
-class HssRecord:
-    """What the HSS keeps per subscriber. A device's UeProfile carries the
-    same three fields and serves as its own record."""
+class CellConfig(Transmitter):
+    """One operator cell: a transmitter plus scheduling and mitigation
+    knobs. `rnti_preset` pins upcoming radio-id draws for replaying
+    known captures."""
 
-    imsi: Imsi
-    key: bytes
-    msisdn: str
+    encrypt_handover_trigger: bool = False
+    rnti_refresh_on_idle: bool = False
+    handover_hysteresis_db: float = 3.0
+    rnti_preset: tuple[int, ...] = ()
 
 
 class OpenHandover(NamedTuple):
@@ -147,31 +146,18 @@ class SessionRecord:
     handover: Optional[OpenHandover] = None
 
 
-@dataclass
-class Downlink:
-    """One frame the core wants on the air. Addressed frames answer the
-    uplink that caused them; rnti 0 marks broadcast."""
-
-    cell_id: int
-    rnti: int
-    message: Message
-    key_id: Optional[int] = None
-
-
-def cell_sib1(cfg) -> Sib1:
-    """The Sib1 a cell broadcasts, built once from its config. `cfg` is a
-    CellConfig or a RogueCellConfig: an operator and a rogue cell
-    broadcast alike."""
+def cell_sib1(cfg: Transmitter) -> Sib1:
+    """The Sib1 a cell broadcasts, built once from its config."""
     ident = cfg.radio.identity
     return Sib1(ident.plmn, ident.tac, cfg.cell_id, cfg.min_rx_level_dbm, cfg.priority_earfcns)
 
 
-def broadcast_frames(sib1: Sib1, now_ms: int) -> list[Downlink]:
+def broadcast_frames(sib1: Sib1, now_ms: int) -> list[Emission]:
     """The Mib and Sib1 a cell transmits at now_ms. Every cell advertises
     DEFAULT_MIB_BANDWIDTH_RB; only the Mib's frame number changes."""
     return [
-        Downlink(sib1.cell_id, 0, Mib(DEFAULT_MIB_BANDWIDTH_RB, (now_ms // 10) % 1024)),
-        Downlink(sib1.cell_id, 0, sib1),
+        Emission(sib1.cell_id, 0, Mib(DEFAULT_MIB_BANDWIDTH_RB, (now_ms // 10) % 1024)),
+        Emission(sib1.cell_id, 0, sib1),
     ]
 
 
@@ -181,7 +167,7 @@ class NetworkCore:
     def __init__(
         self,
         cells: list[CellConfig],
-        subscribers: Sequence[HssRecord | UeProfile],
+        subscribers: Sequence[UeProfile],
         rng_for: Callable[[str], random.Random],
     ):
         self.cells: dict[int, CellConfig] = {}
@@ -195,7 +181,8 @@ class NetworkCore:
         }
         # (broadcast period, Sib1) per cell, the Sib1 built once.
         self._sib1s = [(cfg.broadcast_period_ms, cell_sib1(cfg)) for cfg in self.cells.values()]
-        self.hss: dict[str, HssRecord | UeProfile] = {str(rec.imsi): rec for rec in subscribers}
+        # A device's profile is its subscriber record.
+        self.hss: dict[str, UeProfile] = {str(rec.imsi): rec for rec in subscribers}
         self._msisdn_index = {rec.msisdn: str(rec.imsi) for rec in subscribers}
         self.tmsi_allocator = TmsiAllocator(rng_for("core/tmsi"))
         self._auth_rng = rng_for("core/auth")
@@ -229,9 +216,9 @@ class NetworkCore:
 
     # -- broadcast ------------------------------------------------------------
 
-    def broadcast_tick(self, now_ms: int) -> list[Downlink]:
+    def broadcast_tick(self, now_ms: int) -> list[Emission]:
         """Mib then Sib1 for every cell whose period divides now."""
-        out: list[Downlink] = []
+        out: list[Emission] = []
         for period, sib1 in self._sib1s:
             if now_ms != 0 and now_ms % period == 0:
                 out += broadcast_frames(sib1, now_ms)
@@ -246,7 +233,7 @@ class NetworkCore:
 
     # -- uplink dispatch --------------------------------------------------------
 
-    def handle_uplink(self, header: FrameHeader, msg: Message, now_ms: int) -> list[Downlink]:
+    def handle_uplink(self, header: FrameHeader, msg: Message, now_ms: int) -> list[Emission]:
         cfg = self.cells.get(header.cell_id)
         if cfg is None:
             self._drop("foreign_cell")
@@ -266,7 +253,7 @@ class NetworkCore:
 
     # -- ladder steps: each takes (cfg, rec, msg, now_ms); see _ON_UPLINK -------
 
-    def _on_rach(self, cfg: CellConfig, now_ms: int) -> list[Downlink]:
+    def _on_rach(self, cfg: CellConfig, now_ms: int) -> list[Emission]:
         pending = self._ho_pending.get(cfg.cell_id)
         try:
             temp = self.allocators[cfg.cell_id].allocate()
@@ -279,37 +266,32 @@ class NetworkCore:
         else:
             rec = SessionRecord(cfg.cell_id, temp, SessionState.RACH_DONE)
             self.active[(cfg.cell_id, temp)] = rec
-        return [Downlink(cfg.cell_id, temp, MacRar(temp_rnti=temp))]
+        return [Emission(cfg.cell_id, temp, MacRar(temp_rnti=temp))]
 
     def _on_connection_request(
         self, cfg: CellConfig, rec: SessionRecord, msg: RrcConnectionRequest, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         if rec.state is not SessionState.RACH_DONE:
             self._drop("connection_request_out_of_order")
             return []
-        out: list[Downlink] = []
+        out: list[Emission] = []
         if msg.tmsi is not None and msg.tmsi in self.idle_by_tmsi:
             idle = self.idle_by_tmsi.pop(msg.tmsi)
             rec.imsi, rec.tmsi = idle.imsi, idle.tmsi
             prior = idle.prior_rnti
             if idle.cell_id == cfg.cell_id and not cfg.rnti_refresh_on_idle:
                 # Reissue the parked id: re-key before the ladder continues.
-                out.append(
-                    Downlink(
-                        cfg.cell_id,
-                        rec.rnti,
-                        RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, prior)),
-                    )
-                )
+                reissue = RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, prior))
+                out.append(Emission(cfg.cell_id, rec.rnti, reissue))
                 self._rekey(rec, cfg.cell_id, prior)
             else:
                 self.allocators[idle.cell_id].release(prior)
-        out.append(Downlink(cfg.cell_id, rec.rnti, RrcConnectionSetup()))
+        out.append(Emission(cfg.cell_id, rec.rnti, RrcConnectionSetup()))
         return out
 
     def _on_attach_request(
         self, cfg: CellConfig, rec: SessionRecord, msg: AttachRequest, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         if rec.state is not SessionState.RACH_DONE:
             self._drop("attach_out_of_order")
             return []
@@ -326,14 +308,14 @@ class NetworkCore:
 
     def _on_tau_request(
         self, cfg: CellConfig, rec: SessionRecord, msg: TauRequest, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         if rec.state is not SessionState.RACH_DONE:
             self._drop("tau_out_of_order")
             return []
         rec.state = SessionState.ATTACHING
         return self._resolve_tmsi(cfg, rec, msg.tmsi)
 
-    def _resolve_tmsi(self, cfg: CellConfig, rec: SessionRecord, tmsi: int) -> list[Downlink]:
+    def _resolve_tmsi(self, cfg: CellConfig, rec: SessionRecord, tmsi: int) -> list[Emission]:
         """Authenticate a session that named itself by TMSI, or ask for
         the IMSI when the TMSI maps to no subscriber."""
         if rec.imsi is not None and rec.tmsi == tmsi:
@@ -344,11 +326,11 @@ class NetworkCore:
             rec.tmsi = tmsi
             return self._start_auth(cfg, rec)
         rec.awaiting_identity = True
-        return [Downlink(cfg.cell_id, rec.rnti, IdentityRequest(IdentityKind.IMSI))]
+        return [Emission(cfg.cell_id, rec.rnti, IdentityRequest(IdentityKind.IMSI))]
 
     def _on_identity_response(
         self, cfg: CellConfig, rec: SessionRecord, msg: IdentityResponse, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         if not rec.awaiting_identity or msg.imsi is None:
             self._drop("identity_out_of_order")
             return []
@@ -358,15 +340,15 @@ class NetworkCore:
         rec.imsi = msg.imsi
         return self._start_auth(cfg, rec)
 
-    def _start_auth(self, cfg: CellConfig, rec: SessionRecord) -> list[Downlink]:
+    def _start_auth(self, cfg: CellConfig, rec: SessionRecord) -> list[Emission]:
         key = self.hss[str(rec.imsi)].key
         rand = self._auth_rng.randbytes(16)
         rec.expected_res = stub_mac(key, rand)
-        return [Downlink(cfg.cell_id, rec.rnti, AuthenticationRequest(rand, derive_autn(key, rand)))]
+        return [Emission(cfg.cell_id, rec.rnti, AuthenticationRequest(rand, derive_autn(key, rand)))]
 
     def _on_auth_response(
         self, cfg: CellConfig, rec: SessionRecord, msg: AuthenticationResponse, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         if rec.state is not SessionState.ATTACHING or rec.expected_res is None:
             self._drop("auth_out_of_order")
             return []
@@ -378,11 +360,11 @@ class NetworkCore:
         self._next_key_id += 1
         rec.key_id = key_id
         self.keys[key_id] = derive_keystream_seed(self.hss[str(rec.imsi)].key, key_id)
-        return [Downlink(cfg.cell_id, rec.rnti, SecurityModeCommand(key_id))]
+        return [Emission(cfg.cell_id, rec.rnti, SecurityModeCommand(key_id))]
 
     def _on_security_complete(
         self, cfg: CellConfig, rec: SessionRecord, msg: SecurityModeComplete, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         if rec.state is not SessionState.AUTHENTICATED:
             self._drop("smc_out_of_order")
             return []
@@ -396,13 +378,13 @@ class NetworkCore:
         rec.last_activity_ms = now_ms
         self._owe(now_ms + IDLE_AFTER_MS + 1, rec)
         self.last_tac[imsi_str] = cfg.radio.identity.tac
-        return [Downlink(cfg.cell_id, rec.rnti, AttachAccept(tmsi, cfg.radio.identity.tac), key_id=rec.key_id)]
+        return [Emission(cfg.cell_id, rec.rnti, AttachAccept(tmsi, cfg.radio.identity.tac), key_id=rec.key_id)]
 
     # -- mobility ---------------------------------------------------------------
 
     def maybe_trigger_handover(
         self, cfg: CellConfig, rec: SessionRecord, report: MeasurementReport, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         """Order a handover when a neighbor we own beats the serving cell
         by the hysteresis margin."""
         if rec.state is not SessionState.REGISTERED or rec.handover is not None:
@@ -428,30 +410,24 @@ class NetworkCore:
         self._owe(rec.handover.lapse_ms, rec)
         trigger = RrcConnectionReconfiguration(MobilityControlInfo(target_id, final))
         key_id = rec.key_id if cfg.encrypt_handover_trigger else None
-        return [Downlink(cfg.cell_id, rec.rnti, trigger, key_id=key_id)]
+        return [Emission(cfg.cell_id, rec.rnti, trigger, key_id=key_id)]
 
     def _on_reconfiguration_complete(
         self, cfg: CellConfig, rec: SessionRecord, msg: RrcConnectionReconfigurationComplete, now_ms: int
-    ) -> list[Downlink]:
+    ) -> list[Emission]:
         ho = rec.handover
         if ho is None or ho.target_cell_id != rec.cell_id:  # none open, or not arrived
             return []
         final = ho.final_rnti
         rec.handover = None
         self._owe(rec.last_activity_ms + IDLE_AFTER_MS + 1, rec)
-        out = [
-            Downlink(
-                cfg.cell_id,
-                rec.rnti,
-                RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, final)),
-                key_id=rec.key_id if cfg.encrypt_handover_trigger else None,
-            )
-        ]
+        rekey = RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, final))
+        out = [Emission(cfg.cell_id, rec.rnti, rekey, key_id=rec.key_id if cfg.encrypt_handover_trigger else None)]
         self._rekey(rec, cfg.cell_id, final)
         self.handovers_completed += 1
         return out
 
-    def _on_user_data(self, cfg: CellConfig, rec: SessionRecord, msg: UserData, now_ms: int) -> list[Downlink]:
+    def _on_user_data(self, cfg: CellConfig, rec: SessionRecord, msg: UserData, now_ms: int) -> list[Emission]:
         if rec.state is SessionState.REGISTERED:
             rec.last_activity_ms = now_ms
             self._owe(now_ms + IDLE_AFTER_MS + 1, rec)
@@ -516,7 +492,7 @@ class NetworkCore:
 
     # -- paging -------------------------------------------------------------------
 
-    def page(self, msisdn: str, now_ms: int) -> list[Downlink]:
+    def page(self, msisdn: str, now_ms: int) -> list[Emission]:
         """Page a subscriber across their last known tracking area, by
         temporary identity whenever one exists."""
         imsi_str = self._msisdn_index.get(msisdn)
@@ -529,14 +505,14 @@ class NetworkCore:
             identity = Paging(imsi=self.hss[imsi_str].imsi)
         tac = self.last_tac.get(imsi_str)
         cells = [cfg for cfg in self.cells.values() if tac is None or cfg.radio.identity.tac == tac]
-        return [Downlink(cfg.cell_id, 0, identity) for cfg in cells or self.cells.values()]
+        return [Emission(cfg.cell_id, 0, identity) for cfg in cells or self.cells.values()]
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def _reject(self, cfg: CellConfig, rec: SessionRecord, cause: EmmCause) -> list[Downlink]:
+    def _reject(self, cfg: CellConfig, rec: SessionRecord, cause: EmmCause) -> list[Emission]:
         self.active.pop((rec.cell_id, rec.rnti), None)
         self.allocators[rec.cell_id].release(rec.rnti)
-        return [Downlink(cfg.cell_id, rec.rnti, AttachReject(cause))]
+        return [Emission(cfg.cell_id, rec.rnti, AttachReject(cause))]
 
     def _rekey(self, rec: SessionRecord, cell_id: int, rnti: int) -> None:
         """Move a session to a new (cell, rnti) key, releasing its old id."""

@@ -46,12 +46,13 @@ change: a page to all of them, a Sib1 to those it would change (see
 so it cannot move a wake, and a device already due is on the wake heap:
 the poll set stays exact. No device is stepped after stage 3, so the
 same pass that fires due timers also schedules each device's next one.
-Every frame's header is built and validated, and the frame's bytes
-feed the sniffer and its line the capture log; the receiving party gets
-the message itself. A frame whose header `repeats` (a cleartext rnti-0
-Mib, Sib1 or Paging) is a broadcast, so each distinct body is encoded
-and serialised to capture JSON once per run and then remembered; every
-other frame is encoded whole.
+Every frame, either way, goes on the air through one path (`_air`): its
+header is built and validated, and the frame's bytes feed the sniffer
+and its line the capture log; the receiving party gets the message
+itself. A frame whose header `repeats` (cleartext to rnti 0: a Mib, Sib1
+or Paging broadcast, or an access preamble) has bodies that recur, so
+each distinct body is encoded and serialised to capture JSON once per
+run and then remembered; every other frame is encoded whole.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -78,7 +79,7 @@ from typing import Iterable, Optional, Sequence
 from . import codec
 from .attacker import RogueCell
 from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, Mib
-from .core import Downlink, NetworkCore
+from .core import NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
 from .radio import PathLossModel, RadioCell, Rat, rx_power, visible_cells
@@ -169,7 +170,7 @@ class Engine:
         for t_ms in [t_ms for t_ms in self._agenda if not 0 <= t_ms <= scenario.duration_ms]:
             del self._agenda[t_ms]  # outside the run: never due
         self._heap = sorted(self._agenda)
-        self._downlinks: list[tuple[Downlink, Optional[int]]] = []
+        self._downlinks: list[tuple[Emission, Optional[int]]] = []
         # Each device's wake as last read (a device starts off, with no
         # timer); a heap entry counts only while it equals the stored wake.
         self._wakes: list[Optional[int]] = [None] * len(self._devices)
@@ -180,8 +181,8 @@ class Engine:
         # heard) per (cell id, device index), sniffer rx per cell transmitter.
         self._links: dict[tuple[int, int], tuple[tuple[float, float], bool]] = {}
         self._sniffer_rx: dict[tuple[tuple[float, float], float], float] = {}
-        # Broadcast body bytes and capture JSON text per message value.
-        self._broadcast_bodies: dict[object, tuple[bytes, str]] = {}
+        # Repeating body bytes and capture JSON text per message value (see _air).
+        self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -198,9 +199,9 @@ class Engine:
             self._process(heapq.heappop(self._heap))
         result = self._result()
         # An engine runs once, but its caller may hold it on (perfbench holds
-        # a unit's engines until all have run): let the broadcast memo and
+        # a unit's engines until all have run): let the body memo and
         # the sniffer, which the result does not need, go now.
-        self._broadcast_bodies = {}
+        self._repeating_bodies = {}
         self.sniffer = None
         return result
 
@@ -274,25 +275,30 @@ class Engine:
 
     # -- the air -----------------------------------------------------------------
 
-    def _air_downlink(self, dl: Downlink, t: int, causal: Optional[int], ul_batch: list) -> None:
-        header = FrameHeader(t, dl.cell_id, dl.rnti, Direction.DOWNLINK, key_id=dl.key_id)
-        body = None
+    def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> FrameHeader:
+        """Put one frame on the air: build and validate its header, encode
+        it, and tap it at the sniffer's receive level rx. A repeating body
+        is encoded and serialised once per run, then remembered."""
+        header = FrameHeader(t, frame.cell_id, frame.rnti, direction, key_id=frame.key_id)
+        msg = frame.message
         if header.repeats:
-            known = self._broadcast_bodies.get(dl.message)
+            known = self._repeating_bodies.get(msg)
             if known is None:
-                data = codec.encode(header, dl.message)
-                text = _dump(codec.message_to_json(dl.message))
-                known = self._broadcast_bodies[dl.message] = (data[HEADER_LEN:], text)
+                data = codec.encode(header, msg)
+                known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
             else:
                 data = codec.pack_header(header) + known[0]
-            body = known[1]
+            self._tap(data, header, msg, rx, known[1])
         else:
-            data = codec.encode(header, dl.message, self.core.keys)
+            self._tap(codec.encode(header, msg, self.core.keys), header, msg, rx)
+        return header
+
+    def _air_downlink(self, dl: Emission, t: int, causal: Optional[int], ul_batch: list) -> None:
         radio = self._radios[dl.cell_id]
         key = (radio.position, radio.tx_power_dbm)
         if key not in self._sniffer_rx:  # a cell stands still: one computation each
             self._sniffer_rx[key] = self._rx_at_sniffer(*key)
-        self._tap(data, header, dl.message, self._sniffer_rx[key], body)
+        header = self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[key])
         if dl.rnti == 0 and type(dl.message) is not Mib:  # a Mib changes no device
             links = self._links
             for i, ue in enumerate(self._devices):
@@ -308,10 +314,8 @@ class Engine:
             ul_batch.append((causal, self._devices[causal].step(Rx(header, dl.message), t)))
 
     def _air_uplink(self, i: int, emission: Emission, t: int) -> None:
-        ue = self._devices[i]
-        header = FrameHeader(t, emission.cell_id, emission.rnti, Direction.UPLINK, key_id=emission.key_id)
-        data = codec.encode(header, emission.message, self.core.keys)
-        self._tap(data, header, emission.message, self._rx_at_sniffer(ue.profile.position_at(t), UE_TX_POWER_DBM))
+        rx = self._rx_at_sniffer(self._devices[i].profile.position_at(t), UE_TX_POWER_DBM)
+        header = self._air(emission, Direction.UPLINK, t, rx)
         owner = self._owners.get(emission.cell_id)
         if owner is not None:
             self._downlinks += [(dl, i) for dl in owner.handle_uplink(header, emission.message, t)]

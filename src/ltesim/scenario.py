@@ -13,7 +13,9 @@ and schedule.
 
 Validation is strict and failure names the offending field by path
 (`cells[1].tac`), because a silently-defaulted typo in an experiment
-config costs an afternoon.
+config costs an afternoon. For the same reason an object that carries a
+key its kind does not know (`cells[0].rnti_refresh_on_idl`) is refused
+at that key's path, never ignored.
 """
 
 from __future__ import annotations
@@ -40,6 +42,26 @@ from .ue import UeProfile
 MAX_CELL_ID = (1 << 28) - 1
 # Every scenario number (metres, dBm, dB, loss exponent) lies within this.
 MAX_MAGNITUDE = 1e7
+# A Sib1 counts its channel priorities in one byte.
+MAX_PRIORITY_PAIRS = 255
+
+# The keys each kind of object may carry.
+_TRANSMITTER_KEYS = {
+    "cell_id", "tac", "plmn", "earfcn", "position", "tx_power_dbm",
+    "broadcast_period_ms", "min_rx_level_dbm", "priority_earfcns",
+}
+_CELL_KEYS = _TRANSMITTER_KEYS | {
+    "rat", "rnti_preset", "encrypt_handover_trigger", "rnti_refresh_on_idle", "handover_hysteresis_db",
+}
+_ROGUE_KEYS = _TRANSMITTER_KEYS | {"mode", "reject_cause", "active_ms"}
+_UE_KEYS = {
+    "name", "imsi", "mnc_len", "msisdn", "imei", "key", "position", "initial_tmsi", "hardened",
+    "power_on_ms", "app_traffic", "moves",
+}
+_SCENARIO_KEYS = {
+    "name", "seed", "duration_ms", "cells", "ues", "rogue", "page_calls", "airplane_toggles",
+    "tmsi_erasures", "path_loss", "rx_floor_dbm", "sniffer", "sniffer_position",
+}
 
 
 class ScenarioInvalid(ValueError):
@@ -93,9 +115,13 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _as_object(value: Any, path: str) -> dict:
+def _as_object(value: Any, path: str, keys: set[str]) -> dict:
+    """An object carrying none but the given keys."""
     if not isinstance(value, dict):
         _fail(path, f"expected object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            _fail(f"{path}.{key}", "unknown key")
     return value
 
 
@@ -107,7 +133,7 @@ def _as_position(value: Any, path: str) -> tuple[float, float]:
 
 def _as_plmn(value: Any, path: str) -> Plmn:
     # Digit strings, not ints: "01" and "1" are different mnc values.
-    value = _as_object(value, path)
+    value = _as_object(value, path, {"mcc", "mnc"})
     mcc = _require(value, path, "mcc")
     mnc = _require(value, path, "mnc")
     if not isinstance(mcc, str) or not isinstance(mnc, str):
@@ -119,8 +145,11 @@ def _as_plmn(value: Any, path: str) -> Plmn:
 
 
 def _as_priority_pairs(value: Any, path: str) -> tuple[tuple[int, int], ...]:
+    items = _as_list(value, path)
+    if len(items) > MAX_PRIORITY_PAIRS:
+        _fail(path, f"{len(items)} pairs, but a Sib1 carries at most {MAX_PRIORITY_PAIRS}")
     pairs = []
-    for i, item in enumerate(_as_list(value, path)):
+    for i, item in enumerate(items):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             _fail(f"{path}[{i}]", f"expected [earfcn, priority], got {item!r}")
         pairs.append(
@@ -256,7 +285,7 @@ def _parse_transmitter(obj: dict, path: str, rat: Rat = Rat.LTE, is_rogue: bool 
 
 
 def _parse_cell(obj: Any, path: str) -> CellConfig:
-    obj = _as_object(obj, path)
+    obj = _as_object(obj, path, _CELL_KEYS)
     rat_text = obj.get("rat", "lte")
     if rat_text not in ("lte", "gsm"):
         _fail(f"{path}.rat", f"expected 'lte' or 'gsm', got {rat_text!r}")
@@ -284,7 +313,7 @@ def _parse_tmsi(value: Any, path: str) -> Optional[int]:
 
 
 def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
-    obj = _as_object(obj, path)
+    obj = _as_object(obj, path, _UE_KEYS)
     name = obj.get("name", f"ue{index}")
     if not isinstance(name, str) or not name:
         _fail(f"{path}.name", "expected non-empty string")
@@ -306,7 +335,7 @@ def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
     traffic = []
     for i, item in enumerate(_as_list(obj.get("app_traffic", []), f"{path}.app_traffic")):
         tpath = f"{path}.app_traffic[{i}]"
-        item = _as_object(item, tpath)
+        item = _as_object(item, tpath, {"t_ms", "bytes"})
         traffic.append(
             AppTrafficSpec(
                 _as_int(_require(item, tpath, "t_ms"), f"{tpath}.t_ms", 0, 2**48),
@@ -319,7 +348,7 @@ def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
     moves = []
     for i, item in enumerate(_as_list(obj.get("moves", []), f"{path}.moves")):
         mpath = f"{path}.moves[{i}]"
-        item = _as_object(item, mpath)
+        item = _as_object(item, mpath, {"t_ms", "position"})
         moves.append(
             WaypointSpec(
                 _as_int(_require(item, mpath, "t_ms"), f"{mpath}.t_ms", 0, 2**48),
@@ -345,7 +374,7 @@ def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
 
 
 def _parse_rogue(obj: Any, path: str) -> RogueCellConfig:
-    obj = _as_object(obj, path)
+    obj = _as_object(obj, path, _ROGUE_KEYS)
     mode = _require(obj, path, "mode")
     if mode not in MODES:
         _fail(f"{path}.mode", f"expected one of {MODES}, got {mode!r}")
@@ -374,7 +403,7 @@ def _parse_directives(obj: dict, key: str, who_key: str, known: set, duration: i
     out = []
     for i, item in enumerate(_as_list(obj.get(key, []), key)):
         path = f"{key}[{i}]"
-        item = _as_object(item, path)
+        item = _as_object(item, path, {"t_ms", who_key})
         who = _as_text(_require(item, path, who_key), f"{path}.{who_key}")
         if who not in known:
             _fail(f"{path}.{who_key}", f"{who!r} does not match any device")
@@ -392,7 +421,7 @@ def _reject_duplicates(what: str, keyed: list[tuple[str, Any]]) -> None:
 
 
 def parse_scenario(obj: Any) -> Scenario:
-    obj = _as_object(obj, "scenario")
+    obj = _as_object(obj, "scenario", _SCENARIO_KEYS)
     name = _as_text(obj.get("name", "scenario"), "name")
     seed = _as_int(obj.get("seed", 0), "seed", 0, 2**63 - 1)
     duration = _as_int(_require(obj, "scenario", "duration_ms"), "duration_ms", 1, 2**48)
@@ -410,7 +439,7 @@ def parse_scenario(obj: Any) -> Scenario:
     _reject_duplicates("imsi", [(f"ues[{i}].imsi", str(ue.imsi)) for i, ue in enumerate(ues)])
     names, msisdns = {ue.name for ue in ues}, {ue.msisdn for ue in ues}
 
-    raw_pl = _as_object(obj.get("path_loss", {}), "path_loss")
+    raw_pl = _as_object(obj.get("path_loss", {}), "path_loss", {"exponent", "offset_db", "min_distance_m"})
     path_loss = PathLossModel(
         exponent=_as_number(raw_pl.get("exponent", 3.5), "path_loss.exponent"),
         offset_db=_as_number(raw_pl.get("offset_db", 20.0), "path_loss.offset_db"),

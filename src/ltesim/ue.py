@@ -100,7 +100,7 @@ from .codec import (
     TauRequest,
     UserData,
 )
-from .crypto_stub import derive_autn, derive_keystream_seed, stub_mac
+from .crypto_stub import derive_autn, stub_mac
 from .identity import Imsi, Plmn
 from .radio import RadioCell, Rat
 
@@ -179,7 +179,8 @@ class AppTraffic:
 
 @dataclass(frozen=True)
 class UeProfile:
-    """SIM and hardware identity of one device."""
+    """SIM and hardware identity of one device; the core's HSS keeps it
+    as the subscriber's record."""
 
     imsi: Imsi
     key: bytes
@@ -191,8 +192,9 @@ class UeProfile:
 
 @dataclass
 class Emission:
-    """One uplink the device wants on the air, with the addressing it
-    chose at the moment of creation."""
+    """One frame a party wants on the air, with the addressing it chose
+    at the moment of creation: a device's uplink, or a core or rogue
+    downlink, where rnti 0 marks a broadcast."""
 
     cell_id: int
     rnti: int
@@ -289,9 +291,7 @@ class Ue:
         self.registered_tac: Optional[int] = None
         self.serving_cell: Optional[int] = None
         self.rnti: Optional[int] = None
-        self.key_id: Optional[int] = None
-        self.security_active = False
-        self.keys: dict[int, bytes] = {}
+        self.key_id: Optional[int] = None  # the security context, while one is live
         self.forbidden_plmns: list[tuple[Plmn, int]] = []
         self.barred_cells: dict[int, int] = {}
         self.gsm_attached = False
@@ -611,10 +611,8 @@ class Ue:
         self, header: FrameHeader, msg: SecurityModeCommand, now_ms: int, out: list[Emission]
     ) -> None:
         self.key_id = msg.key_id
-        self.keys[msg.key_id] = derive_keystream_seed(self.profile.key, msg.key_id)
         # The completion itself crosses before protection switches on.
         out.append(self._emission(codec.SecurityModeComplete(), force_clear=True))
-        self.security_active = True
         self.phase = UePhase.SECURED
         self._proc_deadline_ms = now_ms + PROC_GUARD_MS
 
@@ -696,7 +694,6 @@ class Ue:
         self.stats.idle_transitions += 1
         self.rnti = None
         self.key_id = None
-        self.security_active = False
         self._purpose = None
         self._next_meas_ms = None
         self._last_activity_ms = None
@@ -706,18 +703,16 @@ class Ue:
     # -- helpers ---------------------------------------------------------------
 
     def _emission(self, msg: Message, force_clear: bool = False) -> Emission:
-        protected = self.security_active and not force_clear
         return Emission(
             cell_id=self.serving_cell,
             rnti=self.rnti or 0,
             message=msg,
-            key_id=self.key_id if protected else None,
+            key_id=None if force_clear else self.key_id,
         )
 
     def _drop_session(self) -> None:
         self.rnti = None
         self.key_id = None
-        self.security_active = False
         self._purpose = None
         self._next_meas_ms = None
         self._proc_deadline_ms = None
@@ -739,13 +734,13 @@ class Ue:
             raise IllegalTransition(f"rnti held in phase {self.phase}")
         if self.phase in RNTI_PHASES - {UePhase.RACH_IN_PROGRESS} and self.rnti is None:
             raise IllegalTransition(f"no rnti in phase {self.phase}")
-        if self.security_active and self.phase not in (
+        if self.key_id is not None and self.phase not in (
             UePhase.SECURED,
             UePhase.REGISTERED,
             UePhase.RACH_IN_PROGRESS,
         ):
             raise IllegalTransition(f"security context live in phase {self.phase}")
-        if self.security_active and self.phase is UePhase.RACH_IN_PROGRESS and self._purpose != "handover":
+        if self.key_id is not None and self.phase is UePhase.RACH_IN_PROGRESS and self._purpose != "handover":
             raise IllegalTransition("security context live in a non-handover RACH")
 
 

@@ -12,7 +12,7 @@ import types
 import pytest
 
 from ltesim import codec
-from ltesim.codec import Direction, FrameHeader, Mib, Sib1, UserData
+from ltesim.codec import Direction, FrameHeader, Mib, RachPreamble, Sib1, UserData
 from ltesim.engine import Engine, _dump, run
 from ltesim.scenario import load_scenario, parse_scenario
 
@@ -128,11 +128,12 @@ def test_rx_is_written_as_json_writes_it(rx):
 
 
 def test_each_broadcast_body_is_encoded_and_decoded_once(monkeypatch):
-    calls = {"pack": 0, "decode_body": 0}
+    calls = {"pack": 0, "decode_body": 0, "pack_preamble": 0}
     pack, decode_body = codec._Codec.pack, codec.decode_body
 
     def counted_pack(self, rec):
         calls["pack"] += type(rec) in (Mib, Sib1)
+        calls["pack_preamble"] += type(rec) is RachPreamble
         return pack(self, rec)
 
     def counted_decode_body(data):
@@ -149,3 +150,7 @@ def test_each_broadcast_body_is_encoded_and_decoded_once(monkeypatch):
     assert len(broadcasts) > 5 * len(set(broadcasts))
     assert 0 < calls["pack"] <= len(set(broadcasts)), calls
     assert 0 < calls["decode_body"] <= len(set(broadcasts)), calls
+    # Access preambles are cleartext to rnti 0 too: one encode per distinct body.
+    preambles = [_dump(o["body"]) for o in lines if o.get("type") == "rach_preamble"]
+    assert len(preambles) > len(set(preambles))
+    assert 0 < calls["pack_preamble"] <= len(set(preambles)), calls

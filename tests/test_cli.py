@@ -68,6 +68,34 @@ def test_run_reports_invariant_violation(monkeypatch, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_run_reports_a_device_invariant_violation(monkeypatch, capsys):
+    from ltesim import cli
+    from ltesim.ue import IllegalTransition, Ue
+
+    def tripped(self):
+        raise IllegalTransition("rnti held in phase searching")
+
+    monkeypatch.setattr(Ue, "_check_local_invariants", tripped)
+    assert cli.main(["run", ATTACH]) == 3
+    assert "invariant violation: rnti held" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, path",
+    [
+        (lambda doc: doc["cells"][0].update(encrypt_handover_triger=True), "cells[0].encrypt_handover_triger"),
+        (lambda doc: doc["cells"][0].update(priority_earfcns=[[1850, 7]] * 300), "cells[0].priority_earfcns"),
+    ],
+)
+def test_run_refuses_a_scenario_it_would_misread(tmp_path, capsys, edit, path):
+    doc = json.loads(open(ATTACH).read())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", str(bad)]) == 2
+    assert f"scenario error: {path}" in capsys.readouterr().err
+
+
 def test_scan_pipeline(tmp_path, capsys):
     capture = tmp_path / "air.jsonl"
     main(["run", ATTACH, "--capture", str(capture), "--quiet"])

@@ -34,7 +34,6 @@ from ltesim.codec import (
 from ltesim.core import (
     HO_PENDING_MS,
     CellConfig,
-    HssRecord,
     InvariantViolation,
     NetworkCore,
     SessionState,
@@ -44,11 +43,12 @@ from ltesim.crypto_stub import stub_mac
 from ltesim.identity import CellIdentity, Plmn, parse_imsi
 from ltesim.prng import child_rng
 from ltesim.radio import RadioCell
-from ltesim.ue import IDLE_AFTER_MS
+from ltesim.ue import IDLE_AFTER_MS, UeProfile
 
 PLMN = Plmn("310", "260")
 IMSI = parse_imsi("310260000000001")
 KEY = b"\x42" * 16
+IMEI = "990000000000001"
 
 
 def cell(cell_id, tac=100, x=0.0, **overrides):
@@ -58,7 +58,7 @@ def cell(cell_id, tac=100, x=0.0, **overrides):
 
 def build(cells=None, subscribers=None, seed=9):
     cells = cells if cells is not None else [cell(10, rnti_preset=(500, 501, 502))]
-    subs = subscribers if subscribers is not None else [HssRecord(IMSI, KEY, "15550000001")]
+    subs = subscribers if subscribers is not None else [UeProfile(IMSI, KEY, "15550000001", IMEI)]
     return NetworkCore(cells, subs, lambda path: child_rng(seed, path))
 
 
@@ -353,7 +353,7 @@ def full_scan_deadline(core):
 
 def test_deadline_heap_matches_the_full_scan():
     IMSI_B = parse_imsi("310260000000002")
-    core = build(subscribers=[HssRecord(IMSI, KEY, "15550000001"), HssRecord(IMSI_B, KEY, "15550000002")])
+    core = build(subscribers=[UeProfile(IMSI, KEY, "15550000001", IMEI), UeProfile(IMSI_B, KEY, "15550000002", IMEI)])
     assert core.next_deadline_ms() is full_scan_deadline(core) is None
     a, _, _ = run_ladder(core)
     b, _, _ = run_ladder(core, t=300, identity=AttachRequest(imsi=IMSI_B))
@@ -371,7 +371,7 @@ def test_deadline_heap_matches_the_full_scan():
 
 def two_cell_core(**target_overrides):
     cells = [cell(10, rnti_preset=(500,)), cell(11, rnti_preset=(900, 901), **target_overrides)]
-    return NetworkCore(cells, [HssRecord(IMSI, KEY, "15550000001")], lambda p: child_rng(9, p))
+    return NetworkCore(cells, [UeProfile(IMSI, KEY, "15550000001", IMEI)], lambda p: child_rng(9, p))
 
 
 def test_handover_triggered_by_better_neighbor():
@@ -419,7 +419,7 @@ def test_handover_completion_rekeys_and_rehomes():
 
 def test_encrypted_trigger_follows_the_serving_cell():
     cells = [cell(10, rnti_preset=(500,), encrypt_handover_trigger=True), cell(11, rnti_preset=(900, 901))]
-    core = NetworkCore(cells, [HssRecord(IMSI, KEY, "15550000001")], lambda p: child_rng(9, p))
+    core = NetworkCore(cells, [UeProfile(IMSI, KEY, "15550000001", IMEI)], lambda p: child_rng(9, p))
     rnti, key_id, _ = run_ladder(core)
     out = ul(core, 10, rnti, MeasurementReport(((10, -70), (11, -60))), t=1000)
     assert out[0].key_id == key_id
@@ -488,7 +488,7 @@ def test_no_second_trigger_while_one_is_pending():
 
 def test_page_prefers_tmsi_and_stays_in_last_tac():
     cells = [cell(10, tac=100, rnti_preset=(500,)), cell(20, tac=200)]
-    core = NetworkCore(cells, [HssRecord(IMSI, KEY, "15550000001")], lambda p: child_rng(9, p))
+    core = NetworkCore(cells, [UeProfile(IMSI, KEY, "15550000001", IMEI)], lambda p: child_rng(9, p))
     _, _, tmsi = run_ladder(core)
     out = core.page("15550000001", 8000)
     assert [d.cell_id for d in out] == [10]
@@ -498,7 +498,7 @@ def test_page_prefers_tmsi_and_stays_in_last_tac():
 
 def test_page_without_history_goes_wide_by_imsi():
     cells = [cell(10), cell(20, tac=200)]
-    core = NetworkCore(cells, [HssRecord(IMSI, KEY, "15550000001")], lambda p: child_rng(9, p))
+    core = NetworkCore(cells, [UeProfile(IMSI, KEY, "15550000001", IMEI)], lambda p: child_rng(9, p))
     out = core.page("15550000001", 0)
     assert sorted(d.cell_id for d in out) == [10, 20]
     assert all(d.message.imsi == IMSI for d in out)

@@ -317,6 +317,69 @@ def test_directives_name_devices_by_string(value):
     fails_at(minimal(page_calls=[{"t_ms": 100, "msisdn": value}]), "page_calls[0].msisdn")
 
 
+ROGUE_JSON = {
+    "cell_id": 999,
+    "tac": 101,
+    "plmn": dict(PLMN_JSON),
+    "earfcn": 3350,
+    "position": [5, 0],
+    "tx_power_dbm": 46.0,
+    "mode": "imsi_catcher",
+}
+
+
+def every_object_kind():
+    """A scenario that holds at least one object of every kind."""
+    obj = minimal(
+        rogue=dict(ROGUE_JSON, plmn=dict(PLMN_JSON)),
+        path_loss={"exponent": 3.5},
+        page_calls=[{"t_ms": 100, "msisdn": "15550000001"}],
+        airplane_toggles=[{"t_ms": 200, "ue": "a"}],
+        tmsi_erasures=[{"t_ms": 300, "ue": "a"}],
+    )
+    obj["ues"][0]["app_traffic"] = [{"t_ms": 400, "bytes": 10}]
+    obj["ues"][0]["moves"] = [{"t_ms": 500, "position": [6, 0]}]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "where, key",
+    [
+        ((), "sniffr"),
+        (("cells", 0), "rnti_refresh_on_idl"),
+        (("cells", 0), "encrypt_handover_triger"),
+        (("cells", 0, "plmn"), "mnc_len"),
+        (("ues", 0), "hardend"),
+        (("ues", 0, "app_traffic", 0), "byte_count"),
+        (("ues", 0, "moves", 0), "x"),
+        (("rogue",), "rat"),
+        (("rogue", "plmn"), "tac"),
+        (("path_loss",), "exponet"),
+        (("page_calls", 0), "ue"),
+        (("airplane_toggles", 0), "msisdn"),
+        (("tmsi_erasures", 0), "at_ms"),
+    ],
+)
+def test_unknown_keys_are_refused_at_their_path(where, key):
+    obj = every_object_kind()
+    parse_scenario(obj)
+    target = obj
+    for step in where:
+        target = target[step]
+    target[key] = True
+    path = "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in where)
+    fails_at(obj, f"{path.lstrip('.') or 'scenario'}.{key}: unknown key")
+
+
+@pytest.mark.parametrize("path, pick", [("cells[0]", lambda obj: obj["cells"][0]), ("rogue", lambda obj: obj["rogue"])])
+def test_priority_pairs_fit_one_sib1(path, pick):
+    obj = every_object_kind()
+    pick(obj)["priority_earfcns"] = [[1850, 7]] * 255
+    assert Engine(parse_scenario(obj)).run().capture_lines  # the most a Sib1 carries, on the air
+    pick(obj)["priority_earfcns"].append([1850, 7])
+    fails_at(obj, f"{path}.priority_earfcns: 256 pairs")
+
+
 def test_toggles_and_erasures_parse_alike():
     sc = parse_scenario(
         minimal(airplane_toggles=[{"t_ms": 300, "ue": "a"}], tmsi_erasures=[{"t_ms": 100, "ue": "a"}])

@@ -269,7 +269,7 @@ def test_idle_after_quiet_period():
     drv.now = IDLE_AFTER_MS
     ue.step(Tick(drv.now), drv.now)
     assert ue.phase is UePhase.CAMPED_IDLE
-    assert ue.rnti is None and ue.key_id is None and not ue.security_active
+    assert ue.rnti is None and ue.key_id is None
     assert ue.tmsi is not None  # temporary identity survives idle
     assert ue.stats.idle_transitions == 1
 
@@ -449,7 +449,7 @@ def test_handover_order_moves_the_device():
     out = drv.dl(RrcConnectionReconfiguration(MobilityControlInfo(11, 4321)), protected=False)
     assert ue.phase is UePhase.RACH_IN_PROGRESS
     assert ue.serving_cell == 11
-    assert ue.security_active  # context survives the move
+    assert ue.key_id is not None  # context survives the move
     assert isinstance(out[0].message, RachPreamble)
     drv.cell_id = 11
     out = drv.dl(MacRar(777), rnti=777)
