@@ -8,9 +8,10 @@
 
 Exit codes: 0 success, 1 scan found no broadcast to impersonate, 2 an
 input file (scenario, capture, ground truth or report) that is missing,
-unreadable or malformed, or `run --report` on a scenario whose sniffer
-is off, 3 a run tripped an internal consistency check, 4 an output path
-(`--capture`, `--report`, `--ground-truth`) that cannot be written.
+unreadable or malformed, a `--seed` outside a scenario seed's 0..2**63-1,
+or `run --report` on a scenario whose sniffer is off, 3 a run tripped an
+internal consistency check, 4 an output path (`--capture`, `--report`,
+`--ground-truth`) that cannot be written.
 Output files are opened before a run or replay starts, so an unwritable
 path fails at once.
 """
@@ -29,7 +30,7 @@ from .codec import CaptureInvalid
 from .codec import InvariantViolation as CodecInvariantViolation
 from .core import InvariantViolation as CoreInvariantViolation
 from .engine import diff_tracking, parse_capture_line, replay_capture, run
-from .scenario import ScenarioInvalid, load_scenario
+from .scenario import MAX_SEED, ScenarioInvalid, load_scenario
 from .ue import IllegalTransition
 
 # The wire layer, the session table and each device police their own
@@ -62,6 +63,12 @@ def _write(fh, text: str) -> None:
 
 def _write_json(fh, obj: dict) -> None:
     _write(fh, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit() and int(text) <= MAX_SEED):
+        raise argparse.ArgumentTypeError(f"expected an integer in 0..{MAX_SEED}, got {text!r}")
+    return int(text)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -169,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate a scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     p_run.add_argument("--capture", help="write the air capture (json lines)")
     p_run.add_argument("--report", help="write the observer's tracking report")
     p_run.add_argument("--ground-truth", help="write the simulator's ground truth")

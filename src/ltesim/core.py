@@ -21,13 +21,18 @@ target's reconfiguration. The handover stays open on the session from
 the trigger until completion, or until it lapses HO_PENDING_MS + 1 after
 the trigger whether or not the device arrived; a lapse releases the
 prepared id. A session idles at its idle timeout or when its handover
-ends, whichever is later. An idle session parks its id (still reserved,
-never reissued to others) until its subscriber wakes, attaches afresh or
-idles again from a newer session; on wake the network either re-keys the
-new connection back to the parked value (default) or, with
-`rnti_refresh_on_idle`, retires it so the device returns under a fresh
-one. The parked value is excluded from draws by staying reserved, so a
+ends, whichever is later. An idle session parks its id on its subscriber
+(still reserved, never reissued to others) until the subscriber wakes,
+attaches afresh or idles again from a newer session; on wake the network
+either re-keys the new connection back to the parked value (default) or,
+with `rnti_refresh_on_idle`, retires it so the device returns under a
+fresh one. The parked value is excluded from draws by staying reserved, so a
 refreshed id never equals the prior one.
+
+Each HSS entry is one `Subscriber` record, which a session points at
+once it names one. An IMSI, an MSISDN and a TMSI each name exactly one
+subscriber: the scenario parser refuses shared identities, and a drawn
+TMSI is never one already bound.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ from .codec import (
     FrameHeader,
 )
 from .crypto_stub import derive_autn, derive_keystream_seed, stub_mac
-from .identity import CellFull, Imsi, RntiAllocator, TmsiAllocator
+from .identity import CellFull, RntiAllocator, TmsiAllocator
 from .radio import RadioCell
 from .ue import IDLE_AFTER_MS, Emission, UeProfile
 
@@ -128,7 +133,16 @@ class SessionState(enum.Enum):
     ATTACHING = "attaching"
     AUTHENTICATED = "authenticated"
     REGISTERED = "registered"
-    IDLE = "idle"
+
+
+@dataclass
+class Subscriber:
+    """One HSS entry and what the network keeps of it between sessions."""
+
+    profile: UeProfile
+    tmsi: Optional[int] = None
+    tac: Optional[int] = None  # where it last registered
+    parked: Optional[tuple[int, int]] = None  # (cell id, rnti) held across idle
 
 
 @dataclass
@@ -136,13 +150,11 @@ class SessionRecord:
     cell_id: int
     rnti: int
     state: SessionState
-    imsi: Optional[Imsi] = None
-    tmsi: Optional[int] = None
+    subscriber: Optional[Subscriber] = None
     key_id: Optional[int] = None
     expected_res: Optional[bytes] = None
     awaiting_identity: bool = False
     last_activity_ms: Optional[int] = None
-    prior_rnti: Optional[int] = None
     handover: Optional[OpenHandover] = None
 
 
@@ -181,20 +193,16 @@ class NetworkCore:
         }
         # (broadcast period, Sib1) per cell, the Sib1 built once.
         self._sib1s = [(cfg.broadcast_period_ms, cell_sib1(cfg)) for cfg in self.cells.values()]
-        # A device's profile is its subscriber record.
-        self.hss: dict[str, UeProfile] = {str(rec.imsi): rec for rec in subscribers}
-        self._msisdn_index = {rec.msisdn: str(rec.imsi) for rec in subscribers}
+        # One record per subscriber, by IMSI digits, MSISDN and bound TMSI.
+        self.hss = {str(p.imsi): Subscriber(p, p.initial_tmsi) for p in subscribers}
+        self.by_msisdn = {sub.profile.msisdn: sub for sub in self.hss.values()}
+        self.by_tmsi = {sub.tmsi: sub for sub in self.hss.values() if sub.tmsi is not None}
         self.tmsi_allocator = TmsiAllocator(rng_for("core/tmsi"))
         self._auth_rng = rng_for("core/auth")
         self.keys: dict[int, bytes] = {}
         self._next_key_id = 1
 
-        self.tmsi_of_imsi: dict[str, int] = {}
-        self.imsi_of_tmsi: dict[int, str] = {}
-        self.last_tac: dict[str, int] = {}
-
         self.active: dict[tuple[int, int], SessionRecord] = {}
-        self.idle_by_tmsi: dict[int, SessionRecord] = {}
         # Sessions whose device has yet to arrive, per target, in trigger order.
         self._ho_pending: dict[int, deque[SessionRecord]] = {}
         # Idle timeouts and handover lapses as (due, push order, session)
@@ -205,14 +213,6 @@ class NetworkCore:
         self.drops: dict[str, int] = {}
         self.handovers_completed = 0
         self.idle_transitions = 0
-
-    # -- provisioning -------------------------------------------------------
-
-    def bind_tmsi(self, imsi: Imsi, tmsi: int) -> None:
-        """Pre-register a temporary identity, as if assigned in an
-        earlier session."""
-        self.tmsi_of_imsi[str(imsi)] = tmsi
-        self.imsi_of_tmsi[tmsi] = str(imsi)
 
     # -- broadcast ------------------------------------------------------------
 
@@ -275,17 +275,17 @@ class NetworkCore:
             self._drop("connection_request_out_of_order")
             return []
         out: list[Emission] = []
-        if msg.tmsi is not None and msg.tmsi in self.idle_by_tmsi:
-            idle = self.idle_by_tmsi.pop(msg.tmsi)
-            rec.imsi, rec.tmsi = idle.imsi, idle.tmsi
-            prior = idle.prior_rnti
-            if idle.cell_id == cfg.cell_id and not cfg.rnti_refresh_on_idle:
+        sub = self.by_tmsi.get(msg.tmsi)
+        if sub is not None and sub.parked is not None:
+            rec.subscriber = sub
+            (cell_id, prior), sub.parked = sub.parked, None
+            if cell_id == cfg.cell_id and not cfg.rnti_refresh_on_idle:
                 # Reissue the parked id: re-key before the ladder continues.
                 reissue = RrcConnectionReconfiguration(MobilityControlInfo(cfg.cell_id, prior))
                 out.append(Emission(cfg.cell_id, rec.rnti, reissue))
                 self._rekey(rec, cfg.cell_id, prior)
             else:
-                self.allocators[idle.cell_id].release(prior)
+                self.allocators[cell_id].release(prior)
         out.append(Emission(cfg.cell_id, rec.rnti, RrcConnectionSetup()))
         return out
 
@@ -296,15 +296,13 @@ class NetworkCore:
             self._drop("attach_out_of_order")
             return []
         rec.state = SessionState.ATTACHING
-        if msg.imsi is not None:
-            if str(msg.imsi) not in self.hss:
-                return self._reject(cfg, rec, EmmCause.PLMN_NOT_ALLOWED)
-            rec.imsi = msg.imsi
-            stale = self.idle_by_tmsi.pop(self.tmsi_of_imsi.get(str(msg.imsi)), None)
-            if stale is not None:
-                self.allocators[stale.cell_id].release(stale.prior_rnti)
-            return self._start_auth(cfg, rec)
-        return self._resolve_tmsi(cfg, rec, msg.tmsi)
+        if msg.imsi is None:
+            return self._resolve_tmsi(cfg, rec, msg.tmsi)
+        sub = rec.subscriber = self.hss.get(str(msg.imsi))
+        if sub is None:
+            return self._reject(cfg, rec, EmmCause.PLMN_NOT_ALLOWED)
+        self._park(sub, None)  # a fresh attach retires any parked id
+        return self._start_auth(cfg, rec)
 
     def _on_tau_request(
         self, cfg: CellConfig, rec: SessionRecord, msg: TauRequest, now_ms: int
@@ -318,12 +316,9 @@ class NetworkCore:
     def _resolve_tmsi(self, cfg: CellConfig, rec: SessionRecord, tmsi: int) -> list[Emission]:
         """Authenticate a session that named itself by TMSI, or ask for
         the IMSI when the TMSI maps to no subscriber."""
-        if rec.imsi is not None and rec.tmsi == tmsi:
-            return self._start_auth(cfg, rec)
-        known = self.imsi_of_tmsi.get(tmsi)
-        if known is not None:
-            rec.imsi = self.hss[known].imsi
-            rec.tmsi = tmsi
+        sub = self.by_tmsi.get(tmsi)
+        if sub is not None:
+            rec.subscriber = sub
             return self._start_auth(cfg, rec)
         rec.awaiting_identity = True
         return [Emission(cfg.cell_id, rec.rnti, IdentityRequest(IdentityKind.IMSI))]
@@ -335,13 +330,13 @@ class NetworkCore:
             self._drop("identity_out_of_order")
             return []
         rec.awaiting_identity = False
-        if str(msg.imsi) not in self.hss:
+        rec.subscriber = self.hss.get(str(msg.imsi))
+        if rec.subscriber is None:
             return self._reject(cfg, rec, EmmCause.PLMN_NOT_ALLOWED)
-        rec.imsi = msg.imsi
         return self._start_auth(cfg, rec)
 
     def _start_auth(self, cfg: CellConfig, rec: SessionRecord) -> list[Emission]:
-        key = self.hss[str(rec.imsi)].key
+        key = rec.subscriber.profile.key
         rand = self._auth_rng.randbytes(16)
         rec.expected_res = stub_mac(key, rand)
         return [Emission(cfg.cell_id, rec.rnti, AuthenticationRequest(rand, derive_autn(key, rand)))]
@@ -359,7 +354,7 @@ class NetworkCore:
         key_id = self._next_key_id
         self._next_key_id += 1
         rec.key_id = key_id
-        self.keys[key_id] = derive_keystream_seed(self.hss[str(rec.imsi)].key, key_id)
+        self.keys[key_id] = derive_keystream_seed(rec.subscriber.profile.key, key_id)
         return [Emission(cfg.cell_id, rec.rnti, SecurityModeCommand(key_id))]
 
     def _on_security_complete(
@@ -368,17 +363,15 @@ class NetworkCore:
         if rec.state is not SessionState.AUTHENTICATED:
             self._drop("smc_out_of_order")
             return []
-        imsi_str = str(rec.imsi)
-        tmsi = self.tmsi_of_imsi.get(imsi_str)
-        if tmsi is None:
-            tmsi = self.tmsi_allocator.allocate()
-            self.bind_tmsi(rec.imsi, tmsi)
-        rec.tmsi = tmsi
+        sub = rec.subscriber
+        while sub.tmsi is None or self.by_tmsi.get(sub.tmsi, sub) is not sub:
+            sub.tmsi = self.tmsi_allocator.allocate()  # none yet, or another's initial TMSI
+        self.by_tmsi[sub.tmsi] = sub
         rec.state = SessionState.REGISTERED
         rec.last_activity_ms = now_ms
         self._owe(now_ms + IDLE_AFTER_MS + 1, rec)
-        self.last_tac[imsi_str] = cfg.radio.identity.tac
-        return [Emission(cfg.cell_id, rec.rnti, AttachAccept(tmsi, cfg.radio.identity.tac), key_id=rec.key_id)]
+        sub.tac = cfg.radio.identity.tac
+        return [Emission(cfg.cell_id, rec.rnti, AttachAccept(sub.tmsi, sub.tac), key_id=rec.key_id)]
 
     # -- mobility ---------------------------------------------------------------
 
@@ -459,15 +452,8 @@ class NetworkCore:
                 self._owe(rec.last_activity_ms + IDLE_AFTER_MS + 1, rec)
                 continue
             del self.active[(rec.cell_id, rec.rnti)]
-            rec.state = SessionState.IDLE
-            rec.prior_rnti = rec.rnti
-            rec.key_id = None
             self.idle_transitions += 1
-            # The subscriber's newest idle record replaces any older one.
-            replaced = self.idle_by_tmsi.get(rec.tmsi)
-            if replaced is not None:
-                self.allocators[replaced.cell_id].release(replaced.prior_rnti)
-            self.idle_by_tmsi[rec.tmsi] = rec
+            self._park(rec.subscriber, (rec.cell_id, rec.rnti))
 
     def next_deadline_ms(self) -> Optional[int]:
         """The earliest idle timeout or handover lapse still owed, even one
@@ -495,16 +481,11 @@ class NetworkCore:
     def page(self, msisdn: str, now_ms: int) -> list[Emission]:
         """Page a subscriber across their last known tracking area, by
         temporary identity whenever one exists."""
-        imsi_str = self._msisdn_index.get(msisdn)
-        if imsi_str is None:
+        sub = self.by_msisdn.get(msisdn)
+        if sub is None:
             raise UnknownSubscriber(msisdn)
-        tmsi = self.tmsi_of_imsi.get(imsi_str)
-        if tmsi is not None:
-            identity = Paging(tmsi=tmsi)
-        else:
-            identity = Paging(imsi=self.hss[imsi_str].imsi)
-        tac = self.last_tac.get(imsi_str)
-        cells = [cfg for cfg in self.cells.values() if tac is None or cfg.radio.identity.tac == tac]
+        identity = Paging(imsi=sub.profile.imsi) if sub.tmsi is None else Paging(tmsi=sub.tmsi)
+        cells = [cfg for cfg in self.cells.values() if sub.tac is None or cfg.radio.identity.tac == sub.tac]
         return [Emission(cfg.cell_id, 0, identity) for cfg in cells or self.cells.values()]
 
     # -- bookkeeping ----------------------------------------------------------------
@@ -513,6 +494,12 @@ class NetworkCore:
         self.active.pop((rec.cell_id, rec.rnti), None)
         self.allocators[rec.cell_id].release(rec.rnti)
         return [Emission(cfg.cell_id, rec.rnti, AttachReject(cause))]
+
+    def _park(self, sub: Subscriber, parked: Optional[tuple[int, int]]) -> None:
+        """Replace the subscriber's parked id, releasing the one it held."""
+        if sub.parked is not None:
+            self.allocators[sub.parked[0]].release(sub.parked[1])
+        sub.parked = parked
 
     def _rekey(self, rec: SessionRecord, cell_id: int, rnti: int) -> None:
         """Move a session to a new (cell, rnti) key, releasing its old id."""

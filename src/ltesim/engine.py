@@ -144,8 +144,6 @@ class Engine:
         for spec in scenario.ues:
             sight = Sight(spec, radios, self.rogue, scenario.rx_floor_dbm, scenario.path_loss)
             self.ues[spec.name] = Ue(spec, rng_for(f"ue/{spec.name}"), sight, sight.steady_until)
-            if spec.initial_tmsi is not None:
-                self.core.bind_tmsi(spec.imsi, spec.initial_tmsi)
 
         self.sniffer = Sniffer() if scenario.sniffer_enabled else None
         self.capture: list[str] = []
@@ -177,9 +175,7 @@ class Engine:
         self._wake_heap: list[tuple[int, int]] = []
         # Devices that went quiet in a Tick and may still be (Ue.quiet).
         self._quiet: set[int] = set()
-        # Per-link state, recomputed only when an input moves: (position,
-        # heard) per (cell id, device index), sniffer rx per cell transmitter.
-        self._links: dict[tuple[int, int], tuple[tuple[float, float], bool]] = {}
+        # The sniffer's rx per cell transmitter, which stands still.
         self._sniffer_rx: dict[tuple[tuple[float, float], float], float] = {}
         # Repeating body bytes and capture JSON text per message value (see _air).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
@@ -300,15 +296,10 @@ class Engine:
             self._sniffer_rx[key] = self._rx_at_sniffer(*key)
         header = self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[key])
         if dl.rnti == 0 and type(dl.message) is not Mib:  # a Mib changes no device
-            links = self._links
             for i, ue in enumerate(self._devices):
                 if ue.phase is UePhase.POWERED_OFF or ue.already_has(dl.message):
                     continue
-                at = ue.profile.position_at(t)
-                link = links.get((dl.cell_id, i))
-                if link is None or link[0] != at:
-                    link = links[dl.cell_id, i] = (at, rx_power(radio, at, self.sc.path_loss) >= self.sc.rx_floor_dbm)
-                if link[1]:
+                if rx_power(radio, ue.profile.position_at(t), self.sc.path_loss) >= self.sc.rx_floor_dbm:
                     ul_batch.append((i, ue.step(Rx(header, dl.message), t)))
         elif causal is not None:
             ul_batch.append((causal, self._devices[causal].step(Rx(header, dl.message), t)))

@@ -32,6 +32,7 @@ from .identity import (
     CellIdentity,
     Imsi,
     Plmn,
+    format_tmsi,
     parse_imsi,
     validate_imei,
     validate_msisdn,
@@ -40,6 +41,7 @@ from .radio import DEFAULT_RX_FLOOR_DBM, PathLossModel, Rat, RadioCell
 from .ue import UeProfile
 
 MAX_CELL_ID = (1 << 28) - 1
+MAX_SEED = 2**63 - 1
 # Every scenario number (metres, dBm, dB, loss exponent) lies within this.
 MAX_MAGNITUDE = 1e7
 # A Sib1 counts its channel priorities in one byte.
@@ -423,7 +425,7 @@ def _reject_duplicates(what: str, keyed: list[tuple[str, Any]]) -> None:
 def parse_scenario(obj: Any) -> Scenario:
     obj = _as_object(obj, "scenario", _SCENARIO_KEYS)
     name = _as_text(obj.get("name", "scenario"), "name")
-    seed = _as_int(obj.get("seed", 0), "seed", 0, 2**63 - 1)
+    seed = _as_int(obj.get("seed", 0), "seed", 0, MAX_SEED)
     duration = _as_int(_require(obj, "scenario", "duration_ms"), "duration_ms", 1, 2**48)
 
     cells = tuple(_parse_cell(c, f"cells[{i}]") for i, c in enumerate(_as_list(obj.get("cells", []), "cells")))
@@ -437,6 +439,9 @@ def parse_scenario(obj: Any) -> Scenario:
     _reject_duplicates("cell id", cell_ids)
     _reject_duplicates("name", [(f"ues[{i}].name", ue.name) for i, ue in enumerate(ues)])
     _reject_duplicates("imsi", [(f"ues[{i}].imsi", str(ue.imsi)) for i, ue in enumerate(ues)])
+    _reject_duplicates("msisdn", [(f"ues[{i}].msisdn", ue.msisdn) for i, ue in enumerate(ues)])
+    bound = [(i, ue.initial_tmsi) for i, ue in enumerate(ues) if ue.initial_tmsi is not None]
+    _reject_duplicates("initial tmsi", [(f"ues[{i}].initial_tmsi", format_tmsi(tmsi)) for i, tmsi in bound])
     names, msisdns = {ue.name for ue in ues}, {ue.msisdn for ue in ues}
 
     raw_pl = _as_object(obj.get("path_loss", {}), "path_loss", {"exponent", "offset_db", "min_distance_m"})

@@ -49,6 +49,20 @@ def test_run_seed_override(tmp_path):
     assert a.read_text() != b.read_text()
 
 
+@pytest.mark.parametrize("seed", ["-7", "99999999999999999999999", "9223372036854775808", "x", "\u0667"])
+def test_run_refuses_a_seed_out_of_range(seed, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", ATTACH, "--seed", seed])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_run_takes_the_largest_seed(tmp_path):
+    truth = tmp_path / "truth.json"
+    assert main(["run", ATTACH, "--quiet", "--seed", "9223372036854775807", "--ground-truth", str(truth)]) == 0
+    assert json.loads(truth.read_text())["seed"] == 2**63 - 1
+
+
 def test_run_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{}")

@@ -62,6 +62,11 @@ def build(cells=None, subscribers=None, seed=9):
     return NetworkCore(cells, subs, lambda path: child_rng(seed, path))
 
 
+def build_bound(tmsi=0xCAFE0001):
+    """A core whose one subscriber holds a TMSI from an earlier session."""
+    return build(subscribers=[UeProfile(IMSI, KEY, "15550000001", IMEI, initial_tmsi=tmsi)])
+
+
 def ul(core, cell_id, rnti, msg, t=0):
     return core.handle_uplink(FrameHeader(t, cell_id, rnti, Direction.UPLINK), msg, t)
 
@@ -136,9 +141,11 @@ def test_ladder_registers_and_binds_tmsi():
     rnti, key_id, tmsi = run_ladder(core)
     rec = core.active[(10, rnti)]
     assert rec.state is SessionState.REGISTERED
-    assert core.tmsi_of_imsi[str(IMSI)] == tmsi
-    assert core.imsi_of_tmsi[tmsi] == str(IMSI)
-    assert core.last_tac[str(IMSI)] == 100
+    sub = core.hss[str(IMSI)]
+    assert rec.subscriber is sub
+    assert sub.tmsi == tmsi
+    assert core.by_tmsi[tmsi] is sub
+    assert sub.tac == 100
     assert core.keys[key_id]  # keystream seed on file for the tap-side codec
 
 
@@ -155,8 +162,7 @@ def test_unknown_imsi_rejected_and_torn_down():
 
 
 def test_known_tmsi_skips_identity_request():
-    core = build()
-    core.bind_tmsi(IMSI, 0xCAFE0001)
+    core = build_bound()
     out = ul(core, 10, 0, RachPreamble(1))
     rnti = out[0].message.temp_rnti
     ul(core, 10, rnti, RrcConnectionRequest(tmsi=0xCAFE0001))
@@ -183,12 +189,11 @@ def _tau_session(core, tmsi):
 
 
 def test_tau_with_known_tmsi_authenticates():
-    core = build()
-    core.bind_tmsi(IMSI, 0xCAFE0001)
+    core = build_bound()
     rnti = _tau_session(core, 0xCAFE0001)
     out = ul(core, 10, rnti, TauRequest(0xCAFE0001, 100))
     assert isinstance(out[0].message, AuthenticationRequest)
-    assert core.active[(10, rnti)].imsi == IMSI
+    assert core.active[(10, rnti)].subscriber.profile.imsi == IMSI
 
 
 def test_tau_with_unknown_tmsi_asks_for_the_imsi():
@@ -201,8 +206,7 @@ def test_tau_with_unknown_tmsi_asks_for_the_imsi():
 
 
 def test_second_tau_is_dropped_out_of_order():
-    core = build()
-    core.bind_tmsi(IMSI, 0xCAFE0001)
+    core = build_bound()
     rnti = _tau_session(core, 0xCAFE0001)
     ul(core, 10, rnti, TauRequest(0xCAFE0001, 100))
     assert ul(core, 10, rnti, TauRequest(0xCAFE0001, 100)) == []
@@ -265,11 +269,14 @@ def test_idle_is_strictly_after_the_deadline():
     core.tick(IDLE_AFTER_MS + 1)
     assert (10, rnti) not in core.active
     assert core.idle_transitions == 1
-    rec = core.idle_by_tmsi[core.tmsi_of_imsi[str(IMSI)]]
-    assert rec.state is SessionState.IDLE
-    assert rec.key_id is None
-    assert rec.prior_rnti == rnti
+    sub = core.hss[str(IMSI)]
+    assert sub.parked == (10, rnti)
     assert rnti in core.allocators[10].in_use  # parked, not reissued
+    # no keys are parked: the woken session starts without any
+    temp = ul(core, 10, 0, RachPreamble(1), t=6000)[0].message.temp_rnti
+    ul(core, 10, temp, RrcConnectionRequest(tmsi=sub.tmsi), t=6000)
+    woken = core.active[(10, rnti)]
+    assert woken.subscriber is sub and woken.key_id is None
 
 
 def test_wake_same_cell_rekeys_to_parked_id():
@@ -307,7 +314,8 @@ def test_fresh_imsi_attach_clears_stale_idle_entry():
     rnti, _, tmsi = run_ladder(core)
     core.tick(IDLE_AFTER_MS + 1)
     run_ladder(core, t=7000)  # same subscriber, never mentions the tmsi
-    assert tmsi not in core.idle_by_tmsi
+    assert core.hss[str(IMSI)].parked is None
+    assert core.by_tmsi[tmsi] is core.hss[str(IMSI)]  # the tmsi stays bound
     assert rnti not in core.allocators[10].in_use
 
 
@@ -318,7 +326,7 @@ def test_a_replaced_idle_record_frees_its_parked_id():
     # the same subscriber attaches again by TMSI, never waking the idle record
     second, _, _ = run_ladder(core, t=6000, identity=AttachRequest(tmsi=tmsi))
     core.tick(6000 + IDLE_AFTER_MS + 1)
-    assert core.idle_by_tmsi[tmsi].prior_rnti == second
+    assert core.by_tmsi[tmsi].parked == (10, second)
     assert core.allocators[10].in_use == {second}  # first is no longer parked
 
 
@@ -471,7 +479,7 @@ def test_a_handover_that_arrives_but_never_completes_lapses():
     # a completion after the lapse changes nothing
     assert ul(core, 11, temp, RrcConnectionReconfigurationComplete(), t=2500) == []
     core.tick(IDLE_AFTER_MS + 1)
-    assert not core.active and core.idle_by_tmsi[tmsi] is rec
+    assert not core.active and core.by_tmsi[tmsi].parked == (rec.cell_id, rec.rnti) == (11, temp)
     assert core.allocators[11].in_use == {temp} and not core.allocators[10].in_use
     assert core.next_deadline_ms() is None
 
@@ -516,6 +524,16 @@ def test_page_unknown_msisdn_raises():
 def test_duplicate_cell_ids_refused():
     with pytest.raises(InvariantViolation):
         NetworkCore([cell(10), cell(10)], [], lambda p: child_rng(9, p))
+
+
+def test_a_drawn_tmsi_is_never_one_already_bound():
+    first_draw = child_rng(9, "core/tmsi").getrandbits(32)
+    other = UeProfile(parse_imsi("310260000000002"), KEY, "15550000002", IMEI, initial_tmsi=first_draw)
+    core = build(subscribers=[UeProfile(IMSI, KEY, "15550000001", IMEI), other])
+    _, _, tmsi = run_ladder(core)
+    assert tmsi != first_draw
+    assert core.by_tmsi[first_draw] is core.hss[str(other.imsi)]
+    assert core.by_tmsi[tmsi] is core.hss[str(IMSI)]
 
 
 def test_invariants_hold_through_a_ladder():

@@ -535,7 +535,8 @@ def test_an_abandoned_handover_lapses_and_its_session_idles(monkeypatch):
 
 def test_every_reserved_radio_id_has_an_owner():
     """At the end of a run each id a core allocator holds belongs to an
-    active session, an idle record or an open handover."""
+    active session, a subscriber's parked id or an open handover, and the
+    TMSI index returns each subscriber that holds a TMSI."""
     for name, make in [*SCHEDULE_CASES, ("abandoned-handover", abandoned_handover_scenario)]:
         engine = Engine(make())
         engine.run()
@@ -543,8 +544,10 @@ def test_every_reserved_radio_id_has_an_owner():
         owned = {cell_id: set() for cell_id in core.allocators}
         for cell_id, rnti in core.active:
             owned[cell_id].add(rnti)
-        for rec in core.idle_by_tmsi.values():
-            owned[rec.cell_id].add(rec.prior_rnti)
+        for sub in core.hss.values():
+            if sub.parked is not None:
+                owned[sub.parked[0]].add(sub.parked[1])
+        assert core.by_tmsi == {sub.tmsi: sub for sub in core.hss.values() if sub.tmsi is not None}, name
         for rec in core.active.values():
             if rec.handover is not None:
                 owned[rec.handover.target_cell_id].add(rec.handover.final_rnti)
@@ -603,7 +606,8 @@ def test_broadcasts_step_only_the_devices_they_change(monkeypatch):
     monkeypatch.setattr(engine_module, "rx_power", counted_rx_power)
     engine.run()
     # Offering every Mib and Sib1 to every powered device in range steps
-    # devices 150,500 times on this crowd; each link's rx is computed once.
+    # devices 150,500 times on this crowd; rx is computed only for a
+    # device the Sib1 would change, about once per link.
     assert calls["step"] < 0.3 * 150_500, calls
     assert calls["rx_power"] <= len(engine.sc.cells) * len(engine.ues), calls
 

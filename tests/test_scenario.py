@@ -111,6 +111,16 @@ def test_duplicates_rejected():
     obj["ues"].append(twin)
     fails_at(obj, "duplicate imsi")
 
+    obj = minimal()
+    obj["ues"].append(dict(obj["ues"][0], name="b", imsi="310260000000002"))
+    fails_at(obj, "ues[1].msisdn: duplicate msisdn '15550000001'")
+
+    obj = minimal()
+    obj["ues"][0]["initial_tmsi"] = "0x00B0B001"
+    obj["ues"].append(dict(obj["ues"][0], name="b", imsi="310260000000002", msisdn="15550000002"))
+    obj["ues"][1]["initial_tmsi"] = 0x00B0B001
+    fails_at(obj, "ues[1].initial_tmsi: duplicate initial tmsi '0x00b0b001'")
+
 
 def test_rogue_must_not_reuse_a_cell_id():
     obj = minimal(
