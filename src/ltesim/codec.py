@@ -827,10 +827,14 @@ def decode_header(data: bytes) -> FrameHeader:
     return header
 
 
-def decode(data: bytes, keys: Optional[Mapping[int, bytes]] = None) -> tuple[FrameHeader, Union[Message, Opaque]]:
+def decode(
+    data: bytes, keys: Optional[Mapping[int, bytes]] = None, header: Optional[FrameHeader] = None
+) -> tuple[FrameHeader, Union[Message, Opaque]]:
     """Parse one frame. The header always comes back readable; a
-    protected body without a matching key comes back Opaque."""
-    header = decode_header(data)
+    protected body without a matching key comes back Opaque. A given
+    `header` must equal decode_header(data), which is then not called."""
+    if header is None:
+        header = decode_header(data)
     if not header.protected:
         return header, decode_body(data[HEADER_LEN:])
     seed = (keys or {}).get(header.key_id)

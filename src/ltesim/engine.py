@@ -47,12 +47,13 @@ so it cannot move a wake, and a device already due is on the wake heap:
 the poll set stays exact. No device is stepped after stage 3, so the
 same pass that fires due timers also schedules each device's next one.
 Every frame, either way, goes on the air through one path (`_air`): its
-header is built and validated, and the frame's bytes feed the sniffer
-and its line the capture log; the receiving party gets the message
-itself. A frame whose header `repeats` (cleartext to rnti 0: a Mib, Sib1
-or Paging broadcast, or an access preamble) has bodies that recur, so
-each distinct body is encoded and serialised to capture JSON once per
-run and then remembered; every other frame is encoded whole.
+header is built and validated once, the frame's bytes and that header
+feed the sniffer, which does not read the header again, and its line
+goes to the capture log; the receiving party gets the message itself.
+A frame whose header `repeats` (cleartext to rnti 0: a Mib, Sib1 or
+Paging broadcast, or an access preamble) has bodies that recur, so each
+distinct body is encoded and serialised to capture JSON once per run
+and then remembered; every other frame is encoded whole.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -60,10 +61,11 @@ protected ones, the body length, and the receive level at the sniffer's
 position (rounded to 0.1 dB). Paging directives leave a
 `{"meta": "page_trigger"}` line so a replay knows what the attacker
 knew. `replay_capture` reconstructs the frame stream from such a file
-and must land on the identical tracking report. Like the run, a replay
-remembers each distinct broadcast body: a line that repeats one already
-seen valid skips its parse and encode, though its header, `t`, `rx` and
-`len` are checked as on any other line.
+and must land on the identical tracking report. As in the run, each
+frame reaches the sniffer with the header it was packed from, validated
+once, and each distinct broadcast body is remembered: a line that
+repeats one already seen valid skips its parse and encode, though its
+header, `t`, `rx` and `len` are checked as on any other line.
 """
 
 from __future__ import annotations
@@ -321,7 +323,7 @@ class Engine:
         in sorted order, as `_dump` writes them. `body` is the cleartext
         body's JSON text when the caller already has it."""
         if self.sniffer is not None:
-            self.sniffer.observe(data)
+            self.sniffer.observe(data, header)
         way = "ul" if header.direction == Direction.UPLINK else "dl"
         n = len(data) - HEADER_LEN
         rx_text = repr(round(rx, 1))  # what json writes for the float
@@ -441,10 +443,10 @@ def run(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
 MAX_OPAQUE_LEN = 1 << 17
 
 
-def reconstruct_frame(obj: dict, bodies: Optional[dict[tuple[str, bytes], bytes]] = None) -> bytes:
-    """Rebuild the on-air bytes a capture line describes. Cleartext
-    bodies re-encode exactly; protected bodies get zero filler of the
-    right length, which is indistinguishable to a keyless observer.
+def reconstruct_frame(obj: dict, bodies: Optional[dict[tuple[str, bytes], bytes]] = None) -> tuple[FrameHeader, bytes]:
+    """The validated header and on-air bytes a capture line describes.
+    Cleartext bodies re-encode exactly; protected bodies get zero filler
+    of the right length, which is indistinguishable to a keyless observer.
 
     `bodies`, when given, remembers the body bytes of each repeating
     (type, body) that has passed every check, the len check included, so
@@ -466,7 +468,7 @@ def reconstruct_frame(obj: dict, bodies: Optional[dict[tuple[str, bytes], bytes]
         if type(key_id) is not int or type(length) is not int or not 4 <= length <= MAX_OPAQUE_LEN:
             raise CaptureInvalid(f"key_id, len: got {key_id!r}, {length!r}; want integers, len 4..{MAX_OPAQUE_LEN}")
         header = FrameHeader(t, cell, rnti, direction, key_id=key_id)
-        return codec.pack_header(header) + struct.pack(">I", key_id) + bytes(length - 4)
+        return header, codec.pack_header(header) + struct.pack(">I", key_id) + bytes(length - 4)
     header = FrameHeader(t, cell, rnti, direction)
     name, body = obj["type"], obj["body"]
     key = (name, marshal.dumps(body, 2)) if bodies is not None and header.repeats and type(name) is str else None
@@ -479,7 +481,7 @@ def reconstruct_frame(obj: dict, bodies: Optional[dict[tuple[str, bytes], bytes]
         raise CaptureInvalid(f"len: got {length!r}, but the body encodes to {len(data) - HEADER_LEN} bytes")
     if key is not None and known is None:
         bodies[key] = data[HEADER_LEN:]
-    return data
+    return header, data
 
 
 def parse_capture_line(number: int, line: str | bytes) -> Optional[dict]:
@@ -512,12 +514,12 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
                     raise CaptureInvalid(f"t, msisdn: expected integer, string, got {t!r}, {msisdn!r}")
                 sniffer.note_triggered_page(t, msisdn)
                 continue
-            frame = reconstruct_frame(obj, bodies)
+            header, frame = reconstruct_frame(obj, bodies)
         except KeyError as exc:
             raise CaptureInvalid(f"line {number}: missing key {exc}") from None
         except (ValueError, codec.CodecError) as exc:
             raise CaptureInvalid(f"line {number}: {exc}") from None
-        sniffer.observe(frame)
+        sniffer.observe(frame, header)
     return sniffer.report()
 
 

@@ -30,10 +30,12 @@ Byte accounting is body bytes (frame length minus the fixed header) per
 direction, excluding broadcast frames. Undecodable input is counted and
 otherwise ignored.
 
-Every frame's header is read and validated. A cleartext rnti-0 body (a
-Mib, Sib1, Paging or access preamble) repeats, so each distinct one is
-decoded once per sniffer and remembered; a body the codec refuses is
-never remembered, and counts as undecodable every time it is seen.
+Each frame's header is validated once, by whoever built the frame (the
+engine, a replay), and handed over with its bytes; bytes alone have it
+read here. A cleartext rnti-0 body (a Mib, Sib1, Paging or access
+preamble) repeats, so each distinct one is decoded once per sniffer and
+remembered; a body the codec refuses is never remembered, and counts as
+undecodable every time it is seen.
 """
 
 from __future__ import annotations
@@ -144,9 +146,10 @@ class Sniffer:
         """Attacker-side knowledge: a call to msisdn was placed at t."""
         self._triggered.append((t_ms, msisdn))
 
-    def observe(self, data: bytes) -> None:
+    def observe(self, data: bytes, header: Optional[FrameHeader] = None) -> None:
+        """One frame off the air, with the header its producer validated if given."""
         try:
-            header, msg = self._decode(data)
+            header, msg = self._decode(data, header)
         except codec.CodecError:
             self.undecodable += 1
             return
@@ -179,17 +182,17 @@ class Sniffer:
         ):
             self._on_mobility(session, header, msg.mobility.target_cell_id, msg.mobility.new_rnti, now)
 
-    def _decode(self, data: bytes):
-        """codec.decode, with each distinct repeating body decoded once."""
+    def _decode(self, data: bytes, header: Optional[FrameHeader]):
+        """codec.decode, with each distinct repeating body decoded once and
+        a given header, which equals codec.decode_header(data), not read."""
+        if header is None:
+            header = codec.decode_header(data)
+        if not header.repeats:
+            return codec.decode(data, header=header)
         body = data[codec.HEADER_LEN :]
         msg = self._broadcasts.get(body)
-        if msg is not None:
-            header = codec.decode_header(data)
-            if header.repeats:
-                return header, msg
-        header, msg = codec.decode(data)
-        if header.repeats:
-            self._broadcasts[body] = msg
+        if msg is None:
+            msg = self._broadcasts[body] = codec.decode(data, header=header)[1]
         return header, msg
 
     # -- session plumbing ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Whole-system runs: determinism, capture replay, truth scoring."""
 
+import dataclasses
 import functools
 import gc
 import hashlib
@@ -102,7 +103,7 @@ def test_reconstruct_cleartext_frame_is_exact():
     for obj in capture_objs(result):
         if obj.get("meta") or obj["prot"] != "clear":
             continue
-        frame = reconstruct_frame(obj)
+        _, frame = reconstruct_frame(obj)
         header, msg = codec.decode(frame)
         assert header.timestamp_ms == obj["t"]
         assert header.cell_id == obj["cell"]
@@ -114,7 +115,7 @@ def test_reconstruct_cleartext_frame_is_exact():
 def test_reconstruct_protected_frame_keeps_shape():
     result = run(small_scenario())
     obj = next(o for o in capture_objs(result) if o.get("prot") == "protected")
-    frame = reconstruct_frame(obj)
+    _, frame = reconstruct_frame(obj)
     header, msg = codec.decode(frame)
     assert isinstance(msg, codec.Opaque)
     assert header.key_id == obj["key_id"]
@@ -200,9 +201,9 @@ def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
     fed, encodes = [], [0]
     observe, encode = Sniffer.observe, codec.encode
 
-    def spy(sniffer, data):
+    def spy(sniffer, data, header=None):
         fed.append(data)
-        observe(sniffer, data)
+        observe(sniffer, data, header)
 
     def counted(*args):
         encodes[0] += 1
@@ -213,11 +214,46 @@ def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
     replay_capture(lines)
     monkeypatch.undo()
     frames = [obj for obj in map(json.loads, lines) if "meta" not in obj]
-    assert fed == [reconstruct_frame(obj) for obj in frames]
+    assert fed == [reconstruct_frame(obj)[1] for obj in frames]
     bodies = {repeating(obj) for obj in frames} - {None}
     clear = sum(obj["prot"] == "clear" and repeating(obj) is None for obj in frames)
     assert len(frames) > 2 * (len(bodies) + clear)  # broadcasts dominate every run
     assert encodes[0] <= len(bodies) + clear
+
+
+def typed(header):
+    """A header's fields with their types: True and 1 must not pass for equal."""
+    return [(type(v), v) for v in dataclasses.astuple(header)]
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_the_sniffer_is_handed_the_header_its_bytes_carry(monkeypatch, name):
+    """Live and in replay, every frame reaches the sniffer with its
+    producer's header, which must be the one codec.decode_header reads
+    from the frame's bytes; a sniffer fed the bytes alone, and the same
+    page triggers, must give the identical report."""
+    observe, note = Sniffer.observe, Sniffer.note_triggered_page
+    shadows, wrong = {}, []  # each spied sniffer -> its bytes-only twin
+
+    def spy(sniffer, data, header=None):
+        if header is None or typed(header) != typed(codec.decode_header(data)):
+            wrong.append((data.hex(), header))
+        observe(shadows.setdefault(sniffer, Sniffer()), data)
+        observe(sniffer, data, header)
+
+    def spy_note(sniffer, t_ms, msisdn):
+        note(shadows.setdefault(sniffer, Sniffer()), t_ms, msisdn)
+        note(sniffer, t_ms, msisdn)
+
+    monkeypatch.setattr(Sniffer, "observe", spy)
+    monkeypatch.setattr(Sniffer, "note_triggered_page", spy_note)
+    result = run(scenario_named(name))
+    replayed = replay_capture(result.capture_lines)
+    monkeypatch.undo()
+    assert wrong == []
+    reports = [r for r in (result.report, replayed) if r is not None]
+    assert [twin.report().as_json() for twin in shadows.values()] == [r.as_json() for r in reports]
+    assert replayed.total_frames > 0 and replayed.undecodable == 0
 
 
 def _twins(value):

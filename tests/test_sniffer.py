@@ -340,7 +340,7 @@ def test_report_json_shape():
 class FullDecodeSniffer(Sniffer):
     """The observer with every frame decoded in full: nothing remembered."""
 
-    def _decode(self, data):
+    def _decode(self, data, header=None):
         return codec.decode(data)
 
 
@@ -403,7 +403,10 @@ def edited(data, edit):
     )
 )
 def test_remembered_broadcasts_report_as_full_decoding_does(stream):
-    memo, full = Sniffer(), FullDecodeSniffer()
+    """`handed` gets each copy with the header its bytes carry, as a
+    frame's producer hands it over, or the bytes alone when they carry
+    no valid header."""
+    memo, full, handed = Sniffer(), FullDecodeSniffer(), Sniffer()
     t = 1000
     for dt, (rnti, direction, msg, key_id), cell, edit in stream:
         t += dt
@@ -411,9 +414,22 @@ def test_remembered_broadcasts_report_as_full_decoding_does(stream):
         for copy in (data, edited(data, edit)) if edit else (data,):
             memo.observe(copy)
             full.observe(copy)
-    got, want = memo.report(), full.report()
-    assert (got.undecodable, got.total_frames, got.pages_seen) == (want.undecodable, want.total_frames, want.pages_seen)
-    assert got.as_json() == want.as_json()
+            handed.observe(copy, header_or_none(copy))
+    want = full.report()
+    for got in (memo.report(), handed.report()):
+        assert (got.undecodable, got.total_frames, got.pages_seen) == (
+            want.undecodable,
+            want.total_frames,
+            want.pages_seen,
+        )
+        assert got.as_json() == want.as_json()
+
+
+def header_or_none(data):
+    try:
+        return codec.decode_header(data)
+    except codec.CodecError:
+        return None
 
 
 def test_a_refused_broadcast_body_counts_every_time_it_is_seen():
