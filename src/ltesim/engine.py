@@ -41,11 +41,18 @@ operator core or the rogue. Every downlink answer lands one tick later,
 which is always the next tick processed, and is stamped with its
 delivery time. An addressed downlink goes to the device whose uplink
 caused it. A broadcast goes to the powered devices in range that it can
-change: a page to all of them, a Sib1 to those it would change (see
-`Ue.already_has`), a Mib to none. A skipped delivery changes no device,
-so it cannot move a wake, and a device already due is on the wake heap:
-the poll set stays exact. No device is stepped after stage 3, so the
-same pass that fires due timers also schedules each device's next one.
+change: a page to all of them, a Mib to none, and a Sib1 to its
+subscribers. For each Sib1 value broadcast so far the engine keeps the
+set of devices that Sib1 would change (powered and not
+`Ue.already_has` it), filled by one scan of every device at its first
+broadcast; only subscribers get the range check. Every device step,
+whatever its event, goes through one funnel (`_step`), which moves the
+stepped device into or out of each set after a step that changed its
+phase or delivered a Sib1, the only steps that can change the answer.
+A skipped delivery changes no device, so it cannot move a wake, and a
+device already due is on the wake heap: the poll set stays exact. No
+device is stepped after stage 3, so the same pass that fires due timers
+also schedules each device's next one.
 Every frame, either way, goes on the air through one path (`_air`): its
 header is built and validated once, the frame's bytes and that header
 feed the sniffer, which does not read the header again, and its line
@@ -80,7 +87,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import codec
 from .attacker import RogueCell
-from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, Mib
+from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, Mib, Sib1
 from .core import NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
@@ -181,6 +188,8 @@ class Engine:
         self._sniffer_rx: dict[tuple[tuple[float, float], float], float] = {}
         # Repeating body bytes and capture JSON text per message value (see _air).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
+        # Per Sib1 value broadcast so far, the devices it can change (see _step).
+        self._sib1_subs: dict[Sib1, set[int]] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -197,9 +206,10 @@ class Engine:
             self._process(heapq.heappop(self._heap))
         result = self._result()
         # An engine runs once, but its caller may hold it on (perfbench holds
-        # a unit's engines until all have run): let the body memo and
-        # the sniffer, which the result does not need, go now.
+        # a unit's engines until all have run): let the memos and the
+        # sniffer, which the result does not need, go now.
         self._repeating_bodies = {}
+        self._sib1_subs = {}
         self.sniffer = None
         return result
 
@@ -215,7 +225,7 @@ class Engine:
 
         devices = self._devices
         for i, event in self._agenda.pop(t):
-            ul_batch.append((i, devices[i].step(event, t)))
+            self._step(i, event, t, ul_batch)
         # Poll the devices stepped so far and those whose stored wake is due.
         due = {i for i, _ in ul_batch}
         heap, wakes = self._wake_heap, self._wakes
@@ -227,7 +237,7 @@ class Engine:
             ue = devices[i]
             wake = ue.next_wake_ms()
             if wake is not None and wake <= t:
-                ul_batch.append((i, ue.step(Tick(t), t)))
+                self._step(i, Tick(t), t, ul_batch)
                 wake = ue.next_wake_ms()
                 if ue.quiet:
                     self._quiet.add(i)
@@ -297,14 +307,43 @@ class Engine:
         if key not in self._sniffer_rx:  # a cell stands still: one computation each
             self._sniffer_rx[key] = self._rx_at_sniffer(*key)
         header = self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[key])
-        if dl.rnti == 0 and type(dl.message) is not Mib:  # a Mib changes no device
-            for i, ue in enumerate(self._devices):
-                if ue.phase is UePhase.POWERED_OFF or ue.already_has(dl.message):
-                    continue
-                if rx_power(radio, ue.profile.position_at(t), self.sc.path_loss) >= self.sc.rx_floor_dbm:
-                    ul_batch.append((i, ue.step(Rx(header, dl.message), t)))
+        msg, devices = dl.message, self._devices
+        if dl.rnti == 0 and type(msg) is not Mib:  # a Mib changes no device
+            if type(msg) is Sib1:
+                subs = self._sib1_subs.get(msg)
+                if subs is None:
+                    subs = self._sib1_subs[msg] = {
+                        i
+                        for i, ue in enumerate(devices)
+                        if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
+                    }
+                targets = sorted(subs)  # a snapshot: a step changes its own device's membership
+            else:
+                targets = [i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF]
+            for i in targets:
+                if rx_power(radio, devices[i].profile.position_at(t), self.sc.path_loss) >= self.sc.rx_floor_dbm:
+                    self._step(i, Rx(header, msg), t, ul_batch)
         elif causal is not None:
-            ul_batch.append((causal, self._devices[causal].step(Rx(header, dl.message), t)))
+            self._step(causal, Rx(header, msg), t, ul_batch)
+
+    def _step(self, i: int, event: object, t: int, ul_batch: list) -> None:
+        """Step device i, the only way the engine does, and keep its place
+        in each Sib1's subscriber set."""
+        ue = self._devices[i]
+        phase = ue.phase
+        ul_batch.append((i, ue.step(event, t)))
+        # Membership (powered, and not `Ue.already_has`) reads the phase,
+        # `sib1s` and `earfcn_priority`. Only a Sib1 Rx, PowerOn and
+        # AirplaneToggle write the last two, and those two end in
+        # SEARCHING, where a device is always a member: so only a step
+        # that moved the phase or delivered a Sib1 can change the answer.
+        if ue.phase is not phase or type(event) is Rx and type(event.message) is Sib1:
+            powered = ue.phase is not UePhase.POWERED_OFF
+            for sib1, subs in self._sib1_subs.items():
+                if powered and not ue.already_has(sib1):
+                    subs.add(i)
+                else:
+                    subs.discard(i)
 
     def _air_uplink(self, i: int, emission: Emission, t: int) -> None:
         rx = self._rx_at_sniffer(self._devices[i].profile.position_at(t), UE_TX_POWER_DBM)

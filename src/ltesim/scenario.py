@@ -150,16 +150,16 @@ def _as_priority_pairs(value: Any, path: str) -> tuple[tuple[int, int], ...]:
     items = _as_list(value, path)
     if len(items) > MAX_PRIORITY_PAIRS:
         _fail(path, f"{len(items)} pairs, but a Sib1 carries at most {MAX_PRIORITY_PAIRS}")
-    pairs = []
+    pairs, priorities = [], {}
     for i, item in enumerate(items):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             _fail(f"{path}[{i}]", f"expected [earfcn, priority], got {item!r}")
-        pairs.append(
-            (
-                _as_int(item[0], f"{path}[{i}][0]", 0, 0xFFFF),
-                _as_int(item[1], f"{path}[{i}][1]", 0, 7),
-            )
-        )
+        earfcn = _as_int(item[0], f"{path}[{i}][0]", 0, 0xFFFF)
+        priority = _as_int(item[1], f"{path}[{i}][1]", 0, 7)
+        # A device keeps one priority per channel: a second one would win silently.
+        if priorities.setdefault(earfcn, priority) != priority:
+            _fail(f"{path}[{i}]", f"earfcn {earfcn} already has priority {priorities[earfcn]}")
+        pairs.append((earfcn, priority))
     return tuple(pairs)
 
 

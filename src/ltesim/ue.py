@@ -327,7 +327,10 @@ class Ue:
     def already_has(self, msg: Message) -> bool:
         """True when receiving this broadcast would change nothing: a Sib1
         equal to the one held for its cell, whose channel priorities all
-        still stand, reaching a device that is not selecting a cell."""
+        still stand, reaching a device that is not selecting a cell. The
+        engine's per-Sib1 subscriber sets hold the powered devices for
+        which this is False; it is their membership rule and, asked of
+        every device, their test oracle."""
         return (
             type(msg) is Sib1
             and self.phase not in (UePhase.SEARCHING, UePhase.BLOCKED)

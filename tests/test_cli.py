@@ -99,6 +99,10 @@ def test_run_reports_a_device_invariant_violation(monkeypatch, capsys):
     [
         (lambda doc: doc["cells"][0].update(encrypt_handover_triger=True), "cells[0].encrypt_handover_triger"),
         (lambda doc: doc["cells"][0].update(priority_earfcns=[[1850, 7]] * 300), "cells[0].priority_earfcns"),
+        (
+            lambda doc: doc["cells"][0].update(priority_earfcns=[[1850, 5], [1850, 6]]),
+            "cells[0].priority_earfcns[1]: earfcn 1850 already has priority 5",
+        ),
     ],
 )
 def test_run_refuses_a_scenario_it_would_misread(tmp_path, capsys, edit, path):

@@ -648,6 +648,47 @@ def test_broadcasts_step_only_the_devices_they_change(monkeypatch):
     assert calls["rx_power"] <= len(engine.sc.cells) * len(engine.ues), calls
 
 
+def test_sib1s_ask_a_third_of_the_membership_questions(monkeypatch):
+    calls, already_has = [0], Ue.already_has
+
+    def counted(ue, msg):
+        calls[0] += 1
+        return already_has(ue, msg)
+
+    monkeypatch.setattr(Ue, "already_has", counted)
+    run(parse_scenario(crowd_scenario(100)))
+    # Asking every powered device about every Sib1 makes 59,702 calls here.
+    assert calls[0] <= 59_702 // 3, calls
+
+
+@pytest.mark.parametrize(
+    "make",
+    [make for _, make in QUIET_CASES] + [abandoned_handover_scenario],
+    ids=[name for name, _ in QUIET_CASES] + ["abandoned-handover"],
+)
+def test_sib1_subscribers_match_full_scans(monkeypatch, make):
+    """Before each Sib1 goes on the air, every Sib1's subscriber set holds
+    exactly the powered devices that `Ue.already_has` says it would change."""
+    engine = Engine(make())
+    air_downlink, checked = Engine._air_downlink, []
+
+    def checked_downlink(self, dl, t, causal, ul_batch):
+        if type(dl.message) is codec.Sib1 and dl.rnti == 0:
+            for msg, subs in self._sib1_subs.items():
+                scan = {
+                    i
+                    for i, ue in enumerate(self._devices)
+                    if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
+                }
+                assert subs == scan, (t, msg.cell_id)
+            checked.append(t)
+        return air_downlink(self, dl, t, causal, ul_batch)
+
+    monkeypatch.setattr(Engine, "_air_downlink", checked_downlink)
+    engine.run()
+    assert checked
+
+
 # sha256 over the captures of walk_scenario(1) under each
 # (encrypt_handover_trigger, rnti_refresh_on_idle) setting, then of
 # crowd_scenario(50). No shipped scenario turns either defence on, so the

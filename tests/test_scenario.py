@@ -390,6 +390,15 @@ def test_priority_pairs_fit_one_sib1(path, pick):
     fails_at(obj, f"{path}.priority_earfcns: 256 pairs")
 
 
+@pytest.mark.parametrize("path, pick", [("cells[0]", lambda obj: obj["cells"][0]), ("rogue", lambda obj: obj["rogue"])])
+def test_a_channel_takes_one_priority(path, pick):
+    obj = every_object_kind()
+    pick(obj)["priority_earfcns"] = [[3350, 7], [1850, 5], [1850, 5]]
+    parse_scenario(obj)  # a repeat of the same pair says nothing new
+    pick(obj)["priority_earfcns"].append([1850, 6])
+    fails_at(obj, f"{path}.priority_earfcns[3]: earfcn 1850 already has priority 5")
+
+
 def test_toggles_and_erasures_parse_alike():
     sc = parse_scenario(
         minimal(airplane_toggles=[{"t_ms": 300, "ue": "a"}], tmsi_erasures=[{"t_ms": 100, "ue": "a"}])
