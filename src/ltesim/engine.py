@@ -72,7 +72,13 @@ and must land on the identical tracking report. As in the run, each
 frame reaches the sniffer with the header it was packed from, validated
 once, and each distinct broadcast body is remembered: a line that
 repeats one already seen valid skips its parse and encode, though its
-header, `t`, `rx` and `len` are checked as on any other line.
+header, `t`, `rx` and `len` are checked as on any other line. A repeating
+frame's whole line is remembered too, by its text less its `rx` and `t`:
+a later line that differs from one seen valid only there, each a plain
+decimal (`-63.2`, `40`), is the same frame at its own `t` and reaches the
+sniffer without a parse. Other lines (added whitespace, reordered or
+repeated keys, escapes, exponents, protected frames, page triggers) take
+the full path.
 """
 
 from __future__ import annotations
@@ -81,6 +87,7 @@ import heapq
 import json
 import marshal
 import math
+import re
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -537,12 +544,30 @@ def parse_capture_line(number: int, line: str | bytes) -> Optional[dict]:
     return obj
 
 
+# A line as `_dump` writes it ends, after its last `,"rx":`, in its rx and
+# t numbers and `"type":"NAME"}`: the top-level object's last three members,
+# so lines that differ only in those numbers' texts differ only in rx and t.
+# Digits are ASCII and few, so every such t is below 2**64 and every rx is
+# finite; a longer number takes the full path.
+_TAIL = r'-?(?:0|[1-9]\d{0,15})\.\d,"t":(0|[1-9]\d{0,18}),("type":"\w+"}\s*)'
+_CUTS = {str: (',"rx":', re.compile(_TAIL, re.ASCII)), bytes: (b',"rx":', re.compile(_TAIL.encode()))}
+
+
 def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
     """Feed a capture file back through a fresh observer. A line that does
     not describe a frame or a page trigger raises CaptureInvalid."""
     sniffer = Sniffer()
     bodies: dict[tuple[str, bytes], bytes] = {}  # see reconstruct_frame; dropped on return
+    seen: dict[tuple, tuple[tuple, bytes]] = {}  # line less rx, t -> (cell, rnti, dir), bytes after t
     for number, line in enumerate(lines, 1):
+        cuts = _CUTS.get(type(line))
+        tail = cuts and cuts[1].fullmatch(line.rpartition(cuts[0])[2])
+        if tail:
+            known = seen.get(key := (line[: -len(tail[0])], tail[2]))
+            if known is not None:
+                t = int(tail[1])
+                sniffer.observe(struct.pack(">Q", t) + known[1], FrameHeader(t, *known[0]))
+                continue
         obj = parse_capture_line(number, line)
         if obj is None:
             continue
@@ -558,6 +583,8 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
             raise CaptureInvalid(f"line {number}: missing key {exc}") from None
         except (ValueError, codec.CodecError) as exc:
             raise CaptureInvalid(f"line {number}: {exc}") from None
+        if tail and header.repeats:
+            seen[key] = (header.cell_id, header.rnti, header.direction), frame[8:]
         sniffer.observe(frame, header)
     return sniffer.report()
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -326,13 +327,10 @@ def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
     key_hex = obj.get("key")
     if key_hex is None:
         key = default_ue_key(imsi)
+    elif type(key_hex) is str and re.fullmatch("[0-9a-fA-F]{32}", key_hex):  # 16 bytes, as default_ue_key
+        key = bytes.fromhex(key_hex)
     else:
-        try:
-            key = bytes.fromhex(key_hex)
-        except (TypeError, ValueError):
-            _fail(f"{path}.key", f"expected hex string, got {key_hex!r}")
-        if not key:
-            _fail(f"{path}.key", "empty")
+        _fail(f"{path}.key", f"expected 32 hex digits, got {key_hex!r:.40}")
 
     traffic = []
     for i, item in enumerate(_as_list(obj.get("app_traffic", []), f"{path}.app_traffic")):

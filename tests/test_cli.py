@@ -5,6 +5,8 @@ import json
 import pytest
 
 from ltesim.cli import main
+from ltesim.engine import replay_capture, run
+from ltesim.scenario import load_scenario
 
 from tests.conftest import SCENARIO_DIR
 
@@ -114,6 +116,27 @@ def test_run_refuses_a_scenario_it_would_misread(tmp_path, capsys, edit, path):
     assert f"scenario error: {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", [" 00 11\n22 ", "00", "0" * 10_000], ids=["spaced", "one-byte", "10000-digits"])
+def test_run_refuses_a_key_that_is_not_32_hex_digits(tmp_path, capsys, key):
+    doc = json.loads(open(ATTACH).read())
+    doc["ues"][0]["key"] = key
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ues[0].key: expected 32 hex digits, got ")
+    assert len(err) < 120  # a long key is cut short, not echoed whole
+
+
+def test_run_summary_counts_the_rogue(capsys):
+    result = run(load_scenario(CATCHER))
+    caught, rejects = len(result.rogue.catcher_log), sum(result.rogue.rejects_sent.values())
+    assert caught > 0 and rejects > 0
+    assert main(["run", CATCHER]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"  rogue: {caught} identities caught, {rejects} rejects sent"
+
+
 def test_scan_pipeline(tmp_path, capsys):
     capture = tmp_path / "air.jsonl"
     main(["run", ATTACH, "--capture", str(capture), "--quiet"])
@@ -156,6 +179,16 @@ def test_replay_then_diff(tmp_path, capsys):
     assert main(["diff", str(truth), str(replayed)]) == 0
     scored = json.loads(capsys.readouterr().out)
     assert set(scored) == {"mean_continuity", "per_ue"}
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda path: path.stem)
+def test_replay_prints_the_report_replay_capture_gives(tmp_path, capsys, path, ending):
+    lines = run(load_scenario(path)).capture_lines
+    capture = tmp_path / "air.jsonl"
+    capture.write_bytes("".join(line + ending for line in lines).encode())
+    assert main(["replay", str(capture)]) == 0
+    assert capsys.readouterr().out == json.dumps(replay_capture(lines).as_json(), indent=2, sort_keys=True) + "\n"
 
 
 def _catcher_capture(tmp_path):

@@ -17,7 +17,7 @@ from ltesim import codec
 from ltesim import engine as engine_module
 from ltesim.codec import CaptureInvalid
 from ltesim.core import NetworkCore
-from ltesim.engine import Engine, diff_tracking, reconstruct_frame, replay_capture, run
+from ltesim.engine import Engine, diff_tracking, parse_capture_line, reconstruct_frame, replay_capture, run
 from ltesim.scenario import load_scenario, parse_scenario
 from ltesim.sniffer import Sniffer
 from ltesim.ue import Tick, Ue, UePhase
@@ -354,6 +354,183 @@ def test_the_deepest_body_json_reads_is_refused():
             replay_capture([json.dumps(MIB_LINE), line])
         refused.add("mib:" in str(info.value))
     assert refused == {True, False}  # some bodies were read, then refused by the codec
+
+
+# -- the replay line memo ------------------------------------------------------
+
+
+def reference_replay(lines):
+    """replay_capture with nothing remembered: every line parsed and rebuilt."""
+    sniffer = Sniffer()
+    for number, line in enumerate(lines, 1):
+        obj = parse_capture_line(number, line)
+        if obj is None:
+            continue
+        try:
+            if obj.get("meta") == "page_trigger":
+                t, msisdn = obj["t"], obj["msisdn"]
+                if type(t) is not int or type(msisdn) is not str:
+                    raise CaptureInvalid(f"t, msisdn: expected integer, string, got {t!r}, {msisdn!r}")
+                sniffer.note_triggered_page(t, msisdn)
+                continue
+            header, frame = reconstruct_frame(obj)
+        except KeyError as exc:
+            raise CaptureInvalid(f"line {number}: missing key {exc}") from None
+        except (ValueError, codec.CodecError) as exc:
+            raise CaptureInvalid(f"line {number}: {exc}") from None
+        sniffer.observe(frame, header)
+    return sniffer.report()
+
+
+def outcome(replay, lines):
+    try:
+        return replay(lines).as_json()
+    except CaptureInvalid as exc:
+        return f"CaptureInvalid: {exc}"
+
+
+def as_bytes(lines, ending=b"\n"):
+    """The lines as `ltesim replay` reads them from a file."""
+    return [line.encode() + ending for line in lines]
+
+
+def timeless(obj):
+    """A capture line's object but for its rx and t, as JSON text."""
+    return json.dumps(dict(obj, rx=None, t=None))
+
+
+@pytest.fixture
+def rebuilt(monkeypatch):
+    """The object of each line replay_capture hands to reconstruct_frame."""
+    objs, rebuild = [], engine_module.reconstruct_frame
+
+    def spy(obj, bodies=None):
+        objs.append(obj)
+        return rebuild(obj, bodies)
+
+    monkeypatch.setattr(engine_module, "reconstruct_frame", spy)
+    return objs
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_replay_remembers_repeating_lines_and_reports_as_the_reference(rebuilt, name):
+    lines = run(scenario_named(name)).capture_lines
+    want = reference_replay(lines).as_json()
+    # Rebuilt: every frame but the repeats of a broadcast line seen before
+    # with another rx or t.
+    frames = [obj for obj in map(json.loads, lines) if "meta" not in obj]
+    seen = {timeless(obj) for obj in frames if repeating(obj)}
+    rebuilds = len(seen) + sum(repeating(obj) is None for obj in frames)
+    assert rebuilds < len(frames)
+    for form in (lines, as_bytes(lines), as_bytes(lines, b"\r\n")):
+        rebuilt.clear()
+        assert replay_capture(form).as_json() == want
+        assert len(rebuilt) == rebuilds
+
+
+COMPACT_MIB = json.dumps(MIB_LINE, sort_keys=True, separators=(",", ":"))
+
+
+def retext(old, new):
+    assert old in COMPACT_MIB
+    return COMPACT_MIB.replace(old, new)
+
+
+# Text edits of a remembered line: those the memo may serve (a new t or a
+# plain rx) and those it must leave to the full path, which accepts some
+# and refuses others.
+TEXT_TWINS = {
+    "same": COMPACT_MIB,
+    "later": retext('"t":40', '"t":80'),
+    "t-zero": retext('"t":40', '"t":0'),
+    "t-19-digits": retext('"t":40', '"t":9999999999999999999'),
+    "t-2**64-1": retext('"t":40', f'"t":{2**64 - 1}'),
+    "t-2**64": retext('"t":40', f'"t":{2**64}'),
+    "t-5000-digits": retext('"t":40', '"t":' + "9" * 5000),
+    "t-negative": retext('"t":40', '"t":-40'),
+    "t-float": retext('"t":40', '"t":40.0'),
+    "t-leading-zero": retext('"t":40', '"t":040'),
+    "rx-minus-zero": retext('"rx":23.0', '"rx":-0.0'),
+    "rx-negative": retext('"rx":23.0', '"rx":-63.2'),
+    "rx-two-decimals": retext('"rx":23.0', '"rx":23.05'),
+    "rx-integer": retext('"rx":23.0', '"rx":23'),
+    "rx-exponent": retext('"rx":23.0', '"rx":1e1'),
+    "rx-huge-exponent": retext('"rx":23.0', '"rx":1e400'),
+    "rx-400-digits": retext('"rx":23.0', '"rx":' + "9" * 400 + ".0"),
+    "rx-17-digits": retext('"rx":23.0', '"rx":' + "9" * 17 + ".0"),
+    "rx-nan": retext('"rx":23.0', '"rx":NaN'),
+    "rx-infinity": retext('"rx":23.0', '"rx":-Infinity'),
+    "rx-string": retext('"rx":23.0', '"rx":"23.0"'),
+    "rx-unicode-digit": retext('"rx":23.0', '"rx":2\u0663.0'),
+    "spaces": retext('"rx":23.0,"t":40', '"rx": 23.0, "t": 80'),
+    "space-in-body": retext('"sfn":4', '"sfn": 4'),
+    "leading-blank": " " + retext('"t":40', '"t":80'),
+    "trailing-blanks": retext('"t":40', '"t":80') + " \t",
+    "trailing-nbsp": retext('"t":40', '"t":80') + "\u00a0",
+    "reordered": retext(',"rx":23.0,"t":40,"type":"mib"}', ',"type":"mib","rx":23.0,"t":80}'),
+    "duplicate-t": retext('"t":40', '"t":40,"t":80'),
+    "duplicate-rx": retext('"rx":23.0', '"rx":NaN,"rx":23.0'),
+    "duplicate-type": retext('"type":"mib"', '"type":"sib1","type":"mib"'),
+    "duplicate-len": retext('"len":4', '"len":4,"len":5'),
+    "escaped-t": retext('"t":40', '"\\u0074":80'),
+    "escaped-type": retext('"type":"mib"', '"type":"\\u006dib"'),
+    "escaped-rx": retext('"rx":23.0', '"r\\u0078":23.0'),
+    "nested-tail": COMPACT_MIB[:-1] + ',"z":{"rx":1.0,"t":5,"type":"mib"}}',
+    "other-body": retext('"sfn":4', '"sfn":5'),
+    "other-type": retext('"type":"mib"', '"type":"sib1"'),
+    "other-cell": retext('"cell":10', '"cell":11'),
+    "other-len": retext('"len":4', '"len":5'),
+    "protected": retext('"prot":"clear"', '"prot":"protected"'),
+    "device-rnti": retext('"rnti":0', '"rnti":700'),
+    "page-trigger": retext('{"body"', '{"meta":"page_trigger","msisdn":"1","body"'),
+    "truncated": COMPACT_MIB[:-1],
+}
+
+
+@pytest.mark.parametrize("form", ["str", "lf", "crlf"])
+@pytest.mark.parametrize("twin", list(TEXT_TWINS))
+def test_a_text_twin_of_a_remembered_line_replays_as_the_reference(twin, form):
+    """The twin follows the remembered line, then follows itself."""
+    twin = TEXT_TWINS[twin]
+    for lines in ([COMPACT_MIB, twin], [twin, twin], [twin, COMPACT_MIB, twin]):
+        if form != "str":
+            lines = as_bytes(lines, b"\n" if form == "lf" else b"\r\n")
+        assert outcome(replay_capture, lines) == outcome(reference_replay, lines)
+
+
+NUMBER_TEXTS = (
+    st.from_regex(r"-?[0-9]{1,21}(\.[0-9]{0,2})?([eE][-+]?[0-9]{1,3})?", fullmatch=True)
+    | st.sampled_from(["NaN", "-Infinity", "1e400", "-0.0", "00.0", "1.", ".5", "\u0663.0", " 1.0", "1.0 "])
+    | st.text(max_size=3)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHIPPED), st.data())
+def test_retexted_rx_and_t_replay_as_the_reference(stem, data):
+    """A broadcast line seen before, its rx and t texts rewritten."""
+    lines = list(shipped_capture(stem))
+    seen, repeats = set(), []
+    for k, obj in enumerate(map(json.loads, lines)):
+        if repeating(obj):
+            if timeless(obj) in seen:
+                repeats.append(k)
+            seen.add(timeless(obj))
+    k = data.draw(st.sampled_from(repeats), label="line")
+    head, _, rest = lines[k].rpartition(',"rx":')
+    end = rest.partition(',"t":')[2].partition(",")[2]
+    rx, t = data.draw(NUMBER_TEXTS, label="rx"), data.draw(NUMBER_TEXTS, label="t")
+    lines[k] = f'{head},"rx":{rx},"t":{t},{end}'
+    lines = lines[: k + 20]
+    for form in (lines, as_bytes(lines)):
+        assert outcome(replay_capture, form) == outcome(reference_replay, form)
+
+
+def test_a_retimed_twin_skips_the_rebuild(rebuilt):
+    lines = [COMPACT_MIB, TEXT_TWINS["later"], TEXT_TWINS["rx-negative"], TEXT_TWINS["t-2**64"]]
+    with pytest.raises(CaptureInvalid, match=r"^line 4: timestamp out of range: 18446744073709551616$"):
+        replay_capture(lines)
+    assert [obj["t"] for obj in rebuilt] == [40, 2**64]
 
 
 # -- truth scoring ------------------------------------------------------------------

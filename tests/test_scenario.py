@@ -87,6 +87,40 @@ def test_error_paths_name_the_field():
     fails_at(obj, "ues[0].app_traffic[0].bytes")
 
 
+def with_key(key):
+    obj = minimal()
+    obj["ues"][0]["key"] = key
+    return obj
+
+
+def test_a_key_is_32_hex_digits():
+    key = "00112233445566778899aabbccddEEFF"
+    assert parse_scenario(with_key(key)).ues[0].key == bytes.fromhex(key)
+
+
+BAD_KEYS = {
+    "spaced": " 00 11\n22 ",
+    "one-byte": "00",
+    "empty": "",
+    "10000-digits": "0" * 10_000,
+    "30-digits": "0" * 30,
+    "34-digits": "0" * 34,
+    "not-hex": "0" * 31 + "g",
+    "leading-space": " " + "0" * 32,
+    "trailing-newline": "0" * 32 + "\n",
+    "inner-space": "0" * 16 + " " + "0" * 16,
+    "arabic-indic-digits": "\u0660" * 32,
+    "0x-prefix": "0x" + "0" * 30,
+    "integer": 7,
+    "list": ["00"] * 16,
+}
+
+
+@pytest.mark.parametrize("key", list(BAD_KEYS))
+def test_a_key_of_another_shape_is_refused(key):
+    fails_at(with_key(BAD_KEYS[key]), "ues[0].key: expected 32 hex digits")
+
+
 def test_plmn_must_be_digit_strings():
     obj = minimal()
     obj["cells"][0]["plmn"] = {"mcc": 310, "mnc": 260}

@@ -302,6 +302,64 @@ def test_a_second_arrival_unbinds_a_woken_device(refresh):
     assert all(sess.bound_identity is None and sess.bound_msisdn is None for sess in sessions)
 
 
+def test_a_handover_that_names_its_own_source_links_nothing():
+    """Two handovers are watched for one device. The first links it to
+    cell 11; an in-place re-key there then names the second watch's id,
+    whose source is the device itself, so the watch closes unmerged."""
+    s = Sniffer()
+    feed(
+        s,
+        frame(100, 10, 500, UserData(1)),
+        dl(200, 10, 500, RrcConnectionReconfiguration(MobilityControlInfo(11, 900))),
+        dl(210, 10, 500, RrcConnectionReconfiguration(MobilityControlInfo(11, 901))),
+        frame(300, 11, 900, UserData(1)),
+        dl(320, 11, 900, RrcConnectionReconfiguration(MobilityControlInfo(11, 901))),
+        dl(400, 11, 702, MacRar(702)),  # no watch left for it to close
+    )
+    sessions = s.report().sessions
+    assert [(sess.trajectory, sess.frames) for sess in sessions] == [([(10, 500), (11, 901)], 5), ([(11, 702)], 1)]
+
+
+def test_a_bind_merged_into_a_bound_keeper_leaves_it_its_own_number():
+    """A device bound by one page idles; a second page's arrival is bound,
+    then re-keys in place to the device's parked id. The keeper keeps its
+    own identity and number, and a second arrival in the second page's
+    window changes neither."""
+    s = Sniffer()
+    s.note_triggered_page(990, "15550000001")
+    s.note_triggered_page(2990, "15550000002")
+    feed(
+        s,
+        dl(1000, 10, 0, Paging(tmsi=0xAABB0011)),
+        dl(1040, 10, 500, MacRar(500)),
+        dl(3000, 10, 0, Paging(tmsi=0xAABB0022)),
+        dl(3040, 10, 700, MacRar(700)),
+        dl(3042, 10, 700, RrcConnectionReconfiguration(MobilityControlInfo(10, 500))),
+        dl(3100, 10, 701, MacRar(701)),
+    )
+    assert [(sess.trajectory, sess.bound_identity, sess.bound_msisdn) for sess in s.report().sessions] == [
+        ([(10, 500)], "tmsi:aabb0011", "15550000001"),
+        ([(10, 701)], None, None),
+    ]
+
+
+def test_an_arrival_after_a_second_in_the_window_binds_nothing():
+    """Two pages on one cell make the first arrival guesswork; once the
+    first page's window closes, the second page is the only candidate,
+    but it has seen two arrivals, so the later one is not bound either."""
+    s = Sniffer()
+    feed(
+        s,
+        dl(1000, 10, 0, Paging(tmsi=0xAABB0011)),
+        dl(1300, 10, 0, Paging(tmsi=0xAABB0022)),
+        dl(1350, 10, 700, MacRar(700)),
+        dl(1000 + PAGE_CORRELATE_MS + 100, 10, 701, MacRar(701)),
+    )
+    sessions = s.report().sessions
+    assert len(sessions) == 2
+    assert all(sess.bound_identity is None for sess in sessions)
+
+
 def test_late_arrival_is_not_correlated():
     s = Sniffer()
     feed(
