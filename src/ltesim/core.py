@@ -38,6 +38,7 @@ TMSI is never one already bound.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import random
@@ -74,7 +75,7 @@ from .codec import (
     FrameHeader,
 )
 from .crypto_stub import derive_autn, derive_keystream_seed, stub_mac
-from .identity import CellFull, RntiAllocator, TmsiAllocator
+from .identity import CellFull, RntiAllocator
 from .radio import RadioCell
 from .ue import IDLE_AFTER_MS, Emission, UeProfile
 
@@ -164,13 +165,16 @@ def cell_sib1(cfg: Transmitter) -> Sib1:
     return Sib1(ident.plmn, ident.tac, cfg.cell_id, cfg.min_rx_level_dbm, cfg.priority_earfcns)
 
 
+@functools.cache
+def _mib(sfn: int) -> Mib:
+    """The one Mib of each of the 1,024 frame numbers, built when first sent."""
+    return Mib(DEFAULT_MIB_BANDWIDTH_RB, sfn)
+
+
 def broadcast_frames(sib1: Sib1, now_ms: int) -> list[Emission]:
     """The Mib and Sib1 a cell transmits at now_ms. Every cell advertises
     DEFAULT_MIB_BANDWIDTH_RB; only the Mib's frame number changes."""
-    return [
-        Emission(sib1.cell_id, 0, Mib(DEFAULT_MIB_BANDWIDTH_RB, (now_ms // 10) % 1024)),
-        Emission(sib1.cell_id, 0, sib1),
-    ]
+    return [Emission(sib1.cell_id, 0, _mib((now_ms // 10) % 1024)), Emission(sib1.cell_id, 0, sib1)]
 
 
 class NetworkCore:
@@ -197,7 +201,7 @@ class NetworkCore:
         self.hss = {str(p.imsi): Subscriber(p, p.initial_tmsi) for p in subscribers}
         self.by_msisdn = {sub.profile.msisdn: sub for sub in self.hss.values()}
         self.by_tmsi = {sub.tmsi: sub for sub in self.hss.values() if sub.tmsi is not None}
-        self.tmsi_allocator = TmsiAllocator(rng_for("core/tmsi"))
+        self._tmsi_rng = rng_for("core/tmsi")
         self._auth_rng = rng_for("core/auth")
         self.keys: dict[int, bytes] = {}
         self._next_key_id = 1
@@ -365,7 +369,7 @@ class NetworkCore:
             return []
         sub = rec.subscriber
         while sub.tmsi is None or self.by_tmsi.get(sub.tmsi, sub) is not sub:
-            sub.tmsi = self.tmsi_allocator.allocate()  # none yet, or another's initial TMSI
+            sub.tmsi = self._tmsi_rng.getrandbits(32)  # none yet, or one another subscriber holds
         self.by_tmsi[sub.tmsi] = sub
         rec.state = SessionState.REGISTERED
         rec.last_activity_ms = now_ms

@@ -58,9 +58,13 @@ header is built and validated once, the frame's bytes and that header
 feed the sniffer, which does not read the header again, and its line
 goes to the capture log; the receiving party gets the message itself.
 A frame whose header `repeats` (cleartext to rnti 0: a Mib, Sib1 or
-Paging broadcast, or an access preamble) has bodies that recur, so each
-distinct body is encoded and serialised to capture JSON once per run
-and then remembered; every other frame is encoded whole.
+Paging broadcast, or an access preamble) differs from the last one with
+the same message, cell, direction and rx only in `t`, so it is written
+from a template of the rest (`_template`): header bytes 8-15 and the
+body, and the capture line's text before and after `t`. Packing the
+first one validates its header; every later one checks only its `t`.
+Each distinct body is still encoded and serialised to capture JSON once
+per run, whatever cell sends it; every other frame is encoded whole.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -94,7 +98,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import codec
 from .attacker import RogueCell
-from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, Mib, Sib1
+from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, InvariantViolation, Mib, Sib1
 from .core import NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
@@ -134,6 +138,25 @@ class RunResult:
 
 def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _line(header: FrameHeader, msg, n: int, rx: float, body: Optional[str] = None) -> tuple[str, str]:
+    """A frame's capture line with n body bytes, the keys in sorted order as
+    `_dump` writes them, split around the text of its `t`. `body` is the
+    cleartext body's JSON text when the caller already has it."""
+    way = "ul" if header.direction == Direction.UPLINK else "dl"
+    rx_text = repr(round(rx, 1))  # what json writes for the float
+    if header.protected:
+        return (
+            f'{{"cell":{header.cell_id},"dir":"{way}","key_id":{header.key_id},"len":{n},"prot":"protected",'
+            f'"rnti":{header.rnti},"rx":{rx_text},"t":'
+        ), ',"type":"opaque"}'
+    if body is None:
+        body = _dump(codec.message_to_json(msg))
+    return (
+        f'{{"body":{body},"cell":{header.cell_id},"dir":"{way}","len":{n},"prot":"clear",'
+        f'"rnti":{header.rnti},"rx":{rx_text},"t":'
+    ), f',"type":"{msg.NAME}"}}'
 
 
 class Engine:
@@ -193,8 +216,10 @@ class Engine:
         self._quiet: set[int] = set()
         # The sniffer's rx per cell transmitter, which stands still.
         self._sniffer_rx: dict[tuple[tuple[float, float], float], float] = {}
-        # Repeating body bytes and capture JSON text per message value (see _air).
+        # Repeating body bytes and capture JSON text per message value, and
+        # frame templates per (message, cell, direction, rx) (see _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
+        self._templates: dict[tuple, tuple[bytes, str, str]] = {}
         # Per Sib1 value broadcast so far, the devices it can change (see _step).
         self._sib1_subs: dict[Sib1, set[int]] = {}
 
@@ -215,7 +240,7 @@ class Engine:
         # An engine runs once, but its caller may hold it on (perfbench holds
         # a unit's engines until all have run): let the memos and the
         # sniffer, which the result does not need, go now.
-        self._repeating_bodies = {}
+        self._repeating_bodies, self._templates = {}, {}
         self._sib1_subs = {}
         self.sniffer = None
         return result
@@ -291,22 +316,39 @@ class Engine:
     # -- the air -----------------------------------------------------------------
 
     def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> FrameHeader:
-        """Put one frame on the air: build and validate its header, encode
-        it, and tap it at the sniffer's receive level rx. A repeating body
-        is encoded and serialised once per run, then remembered."""
-        header = FrameHeader(t, frame.cell_id, frame.rnti, direction, key_id=frame.key_id)
-        msg = frame.message
-        if header.repeats:
-            known = self._repeating_bodies.get(msg)
-            if known is None:
-                data = codec.encode(header, msg)
-                known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
-            else:
-                data = codec.pack_header(header) + known[0]
-            self._tap(data, header, msg, rx, known[1])
-        else:
-            self._tap(codec.encode(header, msg, self.core.keys), header, msg, rx)
+        """Put one frame on the air, tapped at the sniffer's receive level
+        rx, and return its header. A repeating frame is written from its
+        template (see _template); any other is encoded whole."""
+        header = FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
+        if not header.repeats:
+            self._tap(codec.encode(header, frame.message, self.core.keys), header, frame.message, rx)
+            return header
+        # rx by value: one cell's rx is never both -0.0 and 0.0, the only
+        # equal floats with different texts.
+        key = (frame.message, frame.cell_id, direction, rx)
+        tail, prefix, suffix = self._templates.get(key) or self._template(key, header)
+        if not 0 <= t < 1 << 64:  # the one field a template leaves open
+            raise InvariantViolation(f"timestamp out of range: {t}")
+        if self.sniffer is not None:
+            self.sniffer.observe(struct.pack(">Q", t) + tail, header)
+        self.capture.append(f"{prefix}{t}{suffix}")
         return header
+
+    def _template(self, key: tuple, header: FrameHeader) -> tuple[bytes, str, str]:
+        """Remember what a repeating frame with this (message, cell,
+        direction, rx) shares with the next one, all but its `t`: header
+        bytes 8-15 and the body, and its capture line before and after
+        `t`. Packing the first header validates the cell id and rnti. Each
+        distinct body is encoded and serialised to JSON once per run."""
+        msg, rx = key[0], key[3]
+        known = self._repeating_bodies.get(msg)
+        if known is None:
+            data = codec.encode(header, msg)
+            known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
+        else:
+            data = codec.pack_header(header) + known[0]
+        template = self._templates[key] = (data[8:], *_line(header, msg, len(known[0]), rx, known[1]))
+        return template
 
     def _air_downlink(self, dl: Emission, t: int, causal: Optional[int], ul_batch: list) -> None:
         radio = self._radios[dl.cell_id]
@@ -364,28 +406,12 @@ class Engine:
         dy = tx_pos[1] - self.sc.sniffer_position[1]
         return tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5)
 
-    def _tap(self, data: bytes, header: FrameHeader, msg, rx: float, body: Optional[str] = None) -> None:
-        """Show the frame to the sniffer and log its capture line: the keys
-        in sorted order, as `_dump` writes them. `body` is the cleartext
-        body's JSON text when the caller already has it."""
+    def _tap(self, data: bytes, header: FrameHeader, msg, rx: float) -> None:
+        """Show the frame to the sniffer and log its capture line."""
         if self.sniffer is not None:
             self.sniffer.observe(data, header)
-        way = "ul" if header.direction == Direction.UPLINK else "dl"
-        n = len(data) - HEADER_LEN
-        rx_text = repr(round(rx, 1))  # what json writes for the float
-        if header.protected:
-            line = (
-                f'{{"cell":{header.cell_id},"dir":"{way}","key_id":{header.key_id},"len":{n},"prot":"protected",'
-                f'"rnti":{header.rnti},"rx":{rx_text},"t":{header.timestamp_ms},"type":"opaque"}}'
-            )
-        else:
-            if body is None:
-                body = _dump(codec.message_to_json(msg))
-            line = (
-                f'{{"body":{body},"cell":{header.cell_id},"dir":"{way}","len":{n},"prot":"clear",'
-                f'"rnti":{header.rnti},"rx":{rx_text},"t":{header.timestamp_ms},"type":"{msg.NAME}"}}'
-            )
-        self.capture.append(line)
+        prefix, suffix = _line(header, msg, len(data) - HEADER_LEN, rx)
+        self.capture.append(f"{prefix}{header.timestamp_ms}{suffix}")
 
     # -- results ------------------------------------------------------------------
 

@@ -19,7 +19,6 @@ from typing import Iterable, Optional
 IMSI_LEN = 15
 RNTI_MIN = 0x0001
 RNTI_MAX = 0xFFF3
-TMSI_SPACE = 1 << 32
 
 
 class WrongLength(ValueError):
@@ -189,20 +188,3 @@ class RntiAllocator:
 
     def release(self, value: int) -> None:
         self._in_use.discard(value)
-
-
-class TmsiAllocator:
-    """Network-wide pool of 32-bit temporary identities."""
-
-    def __init__(self, rng: random.Random):
-        self._rng = rng
-        self._in_use: set[int] = set()
-
-    def allocate(self) -> int:
-        if len(self._in_use) >= TMSI_SPACE:
-            raise CellFull("tmsi space exhausted")
-        while True:
-            v = self._rng.getrandbits(32)
-            if v not in self._in_use:
-                self._in_use.add(v)
-                return v

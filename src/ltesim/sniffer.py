@@ -269,13 +269,11 @@ class Sniffer:
 
     def _absorb(self, keeper: TrackedSession, fragment: TrackedSession) -> None:
         # A provisional page bind follows the identity to the keeper, or
-        # ends here if the keeper keeps its own; a revoke then leaves the
-        # keeper its own number.
+        # ends here if the keeper keeps its own. A keeper it follows has no
+        # number to keep either: a number only ever comes with an identity.
         for page in self._pages:
             if page.bound is fragment:
                 page.bound = keeper if keeper.bound_identity is None else None
-                if keeper.bound_msisdn is not None:
-                    page.prior_msisdn = keeper.bound_msisdn
         keeper.ul_bytes += fragment.ul_bytes
         keeper.dl_bytes += fragment.dl_bytes
         keeper.frames += fragment.frames

@@ -1,9 +1,10 @@
-"""Capture lines written from the template, and broadcast bodies done once.
+"""Capture lines written from templates, and broadcast bodies done once.
 
-The engine writes each frame line from one f-string per protection kind
-and takes a broadcast's body bytes and JSON text from a per-run memo.
-`reference_line` is the dict the engine used to build and dump for every
-frame; each line the template writes must equal it exactly.
+The engine writes each frame line from one f-string per protection kind,
+and a repeating frame's line and bytes from a per-run template of all
+but its `t`, built over a per-run memo of each broadcast body's bytes
+and JSON text. `reference_line` is the dict the engine used to build and
+dump for every frame; each line the engine writes must equal it exactly.
 """
 
 import json
@@ -15,6 +16,7 @@ from ltesim import codec
 from ltesim.codec import Direction, FrameHeader, Mib, RachPreamble, Sib1, UserData
 from ltesim.engine import Engine, _dump, run
 from ltesim.scenario import load_scenario, parse_scenario
+from ltesim.sniffer import Sniffer
 
 from tests.conftest import SCENARIO_DIR
 from tests.scenario_builders import benign_day_scenario, crowd_scenario, walk_scenario
@@ -68,20 +70,30 @@ def scenario_named(name):
 
 @pytest.mark.parametrize("name", list(oracle_runs()))
 def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
-    tap = Engine._tap
-    checked, wrong = [0], []
+    """Every frame passes through Engine._air, templated or not: the
+    sniffer must be fed, once, the bytes a fresh encode gives, and the
+    line must be the dict oracle's over those bytes."""
+    air, observe = Engine._air, Sniffer.observe
+    checked, wrong, fed = [0], [], []
 
-    def tap_and_check(engine, data, header, msg, rx, body=None):
-        tap(engine, data, header, msg, rx, body)
-        # A remembered broadcast body must be the bytes a fresh encode gives.
-        if data != codec.encode(header, msg, engine.core.keys):
-            wrong.append(f"frame bytes: {data.hex()}")
-        want = reference_line(data, header, msg, rx)
+    def observe_and_keep(sniffer, data, header=None):
+        fed.append(data)
+        observe(sniffer, data, header)
+
+    def air_and_check(engine, frame, direction, t, rx):
+        header = air(engine, frame, direction, t, rx)
+        data = codec.encode(header, frame.message, engine.core.keys)
+        if engine.sniffer is not None and fed != [data]:
+            wrong.append(f"frame bytes: {[d.hex() for d in fed]} != {data.hex()}")
+        fed.clear()
+        want = reference_line(data, header, frame.message, rx)
         if engine.capture[-1] != want:
             wrong.append(f"{engine.capture[-1]} != {want}")
         checked[0] += 1
+        return header
 
-    monkeypatch.setattr(Engine, "_tap", tap_and_check)
+    monkeypatch.setattr(Sniffer, "observe", observe_and_keep)
+    monkeypatch.setattr(Engine, "_air", air_and_check)
     result = run(scenario_named(name))
     assert not wrong, "\n".join(wrong[:5])
     assert 0 < checked[0] == sum(not line.startswith('{"meta"') for line in result.capture_lines)

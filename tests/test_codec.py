@@ -80,6 +80,48 @@ def test_protected_frame_layout():
     assert len(frame) - codec.HEADER_LEN == 5
 
 
+# -- the header record -----------------------------------------------------------
+
+
+def test_header_fields_cannot_be_assigned():
+    header = FrameHeader(5, 10, 777, Direction.UPLINK, key_id=1)
+    for name in ("timestamp_ms", "cell_id", "rnti", "direction", "key_id"):
+        with pytest.raises(AttributeError):
+            setattr(header, name, 0)
+    with pytest.raises(AttributeError):
+        header.extra = 0
+
+
+def test_headers_are_equal_and_hash_alike_by_field_values():
+    a = FrameHeader(5, 10, 777, Direction.UPLINK, key_id=1)
+    b = FrameHeader(5, 10, 777, Direction.UPLINK, 1)
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for other in [FrameHeader(6, 10, 777, Direction.UPLINK, 1), FrameHeader(5, 10, 777, Direction.UPLINK)]:
+        assert a != other and not a == other
+
+
+def test_a_header_is_not_a_plain_tuple():
+    header = FrameHeader(5, 10, 0, Direction.DOWNLINK)
+    plain = (5, 10, 0, Direction.DOWNLINK, None)
+    assert tuple(header) == plain
+    assert header != plain and plain != header
+    assert not header == plain and not plain == header
+
+
+def test_header_repr_names_the_fields():
+    header = FrameHeader(5, 10, 777, Direction.UPLINK, key_id=1)
+    assert repr(header) == (
+        "FrameHeader(timestamp_ms=5, cell_id=10, rnti=777, direction=<Direction.UPLINK: 1>, key_id=1)"
+    )
+
+
+def test_header_key_id_defaults_to_cleartext():
+    header = FrameHeader(5, 10, 0, Direction.DOWNLINK)
+    assert header.key_id is None and not header.protected and header.repeats
+    assert (header.timestamp_ms, header.cell_id, header.rnti, header.direction) == (5, 10, 0, Direction.DOWNLINK)
+
+
 def test_direction_and_protection_bits():
     up = codec.pack_header(FrameHeader(0, 1, 2, Direction.UPLINK))
     down = codec.pack_header(FrameHeader(0, 1, 2, Direction.DOWNLINK))

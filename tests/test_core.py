@@ -71,14 +71,14 @@ def ul(core, cell_id, rnti, msg, t=0):
     return core.handle_uplink(FrameHeader(t, cell_id, rnti, Direction.UPLINK), msg, t)
 
 
-def run_ladder(core, cell_id=10, t=0, identity=None):
+def run_ladder(core, cell_id=10, t=0, identity=None, imsi=IMSI):
     """Attach from scratch; returns (rnti, key_id, tmsi)."""
     out = ul(core, cell_id, 0, RachPreamble(7), t)
     rnti = out[0].message.temp_rnti
     ul(core, cell_id, rnti, RrcConnectionRequest(random_id=12345), t)
-    out = ul(core, cell_id, rnti, identity or AttachRequest(imsi=IMSI), t)
+    out = ul(core, cell_id, rnti, identity or AttachRequest(imsi=imsi), t)
     while isinstance(out[0].message, IdentityRequest):
-        out = ul(core, cell_id, rnti, IdentityResponse(imsi=IMSI), t)
+        out = ul(core, cell_id, rnti, IdentityResponse(imsi=imsi), t)
     assert isinstance(out[0].message, AuthenticationRequest)
     res = stub_mac(KEY, out[0].message.rand)
     out = ul(core, cell_id, rnti, AuthenticationResponse(res), t)
@@ -534,6 +534,22 @@ def test_a_drawn_tmsi_is_never_one_already_bound():
     assert tmsi != first_draw
     assert core.by_tmsi[first_draw] is core.hss[str(other.imsi)]
     assert core.by_tmsi[tmsi] is core.hss[str(IMSI)]
+
+
+def test_tmsis_over_many_attaches_are_unique_and_drawn_from_the_seed():
+    imsis = [parse_imsi(f"3102600000{i:05d}") for i in range(1, 81)]
+
+    def draws(seed):
+        subs = [UeProfile(imsi, KEY, f"1555{i:07d}", IMEI) for i, imsi in enumerate(imsis)]
+        core = build([cell(10)], subs, seed=seed)
+        return [run_ladder(core, imsi=imsi)[2] for imsi in imsis]
+
+    tmsis = draws(9)
+    assert len(set(tmsis)) == len(imsis) and all(0 <= v < 1 << 32 for v in tmsis)
+    assert draws(9) == tmsis != draws(10)
+    # Nothing bound collides, so each TMSI is the core/tmsi stream's next draw.
+    stream = child_rng(9, "core/tmsi")
+    assert tmsis == [stream.getrandbits(32) for _ in imsis]
 
 
 def test_invariants_hold_through_a_ladder():

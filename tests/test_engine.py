@@ -1,6 +1,5 @@
 """Whole-system runs: determinism, capture replay, truth scoring."""
 
-import dataclasses
 import functools
 import gc
 import hashlib
@@ -8,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 import weakref
 
 import pytest
@@ -15,16 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 from ltesim import codec
 from ltesim import engine as engine_module
-from ltesim.codec import CaptureInvalid
+from ltesim.codec import CaptureInvalid, Direction, InvariantViolation, Mib, RachPreamble, Sib1
 from ltesim.core import NetworkCore
 from ltesim.engine import Engine, diff_tracking, parse_capture_line, reconstruct_frame, replay_capture, run
+from ltesim.identity import Plmn
 from ltesim.scenario import load_scenario, parse_scenario
 from ltesim.sniffer import Sniffer
-from ltesim.ue import Tick, Ue, UePhase
+from ltesim.ue import Emission, Tick, Ue, UePhase
 
 from tests.conftest import REPO_ROOT, SCENARIO_DIR
 from tests.scenario_builders import benign_day_scenario, crowd_scenario, lte_cell, subscriber, walk_scenario
-from tests.test_capture_lines import oracle_runs, scenario_named
+from tests.test_capture_lines import oracle_runs, reference_line, scenario_named
 from tests.test_codec import JSON_VALUES, _positions
 from tests.test_core import full_scan_deadline
 from tests.test_scenario import HOSTILE
@@ -172,6 +173,45 @@ def test_edited_capture_replays_or_is_refused(stem, data):
     assert report.total_frames <= len(lines)
 
 
+# -- the frame template ------------------------------------------------------------
+
+
+def test_a_remembered_frame_still_refuses_a_timestamp_past_64_bits():
+    engine = Engine(small_scenario())
+    mib = Emission(10, 0, Mib(50, 3))
+    engine._air(mib, Direction.DOWNLINK, 30, -60.0)
+    engine._air(mib, Direction.DOWNLINK, (1 << 64) - 1, -60.0)
+    assert json.loads(engine.capture[-1])["t"] == (1 << 64) - 1
+    with pytest.raises(InvariantViolation):
+        engine._air(mib, Direction.DOWNLINK, 1 << 64, -60.0)
+    assert len(engine.capture) == 2
+
+
+def test_a_template_serves_only_its_own_cell_direction_and_rx():
+    """One Sib1 body from two cells and one preamble from two positions:
+    each (cell, direction, rx) gets its own header bytes and line text,
+    whichever of them was remembered first."""
+    engine = Engine(small_scenario())
+    sib1 = Sib1(Plmn("310", "260"), 100, 10, -110)
+    fed = []
+    engine.sniffer = types.SimpleNamespace(observe=lambda data, header: fed.append((data, header)))
+    frames = [(cell, 0, sib1, Direction.DOWNLINK, rx) for cell in (10, 11) for rx in (-60.0, -71.3)]
+    frames += [(10, 0, RachPreamble(7), way, rx) for way in Direction for rx in (-80.04, -95.5)]
+    for t, (cell, rnti, msg, way, rx) in enumerate(frames * 2):
+        header = engine._air(Emission(cell, rnti, msg), way, t, rx)
+        data = codec.encode(header, msg)
+        assert fed[-1] == (data, header)
+        assert engine.capture[-1] == reference_line(data, header, msg, rx)
+    assert len(engine._templates) == len(frames)
+
+
+def test_run_leaves_no_template_behind():
+    engine = Engine(small_scenario())
+    result = engine.run()
+    assert any(obj.get("rnti") == 0 and obj["type"] == "sib1" for obj in capture_objs(result))
+    assert engine._templates == {} and engine._repeating_bodies == {}
+
+
 # -- the replay body memo --------------------------------------------------------
 
 
@@ -223,7 +263,8 @@ def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
 
 def typed(header):
     """A header's fields with their types: True and 1 must not pass for equal."""
-    return [(type(v), v) for v in dataclasses.astuple(header)]
+    fields = ("timestamp_ms", "cell_id", "rnti", "direction", "key_id")
+    return [(type(v), v) for v in (getattr(header, name) for name in fields)]
 
 
 @pytest.mark.parametrize("name", list(oracle_runs()))

@@ -12,7 +12,6 @@ from ltesim.identity import (
     RNTI_MAX,
     RNTI_MIN,
     RntiAllocator,
-    TmsiAllocator,
     WrongLength,
     format_tmsi,
     is_device_rnti,
@@ -167,16 +166,6 @@ class TestRntiAllocator:
         a = RntiAllocator(random.Random(9))
         b = RntiAllocator(random.Random(9))
         assert [a.allocate() for _ in range(20)] == [b.allocate() for _ in range(20)]
-
-
-def test_tmsi_allocator_unique_and_deterministic():
-    a = TmsiAllocator(random.Random(10))
-    b = TmsiAllocator(random.Random(10))
-    va = [a.allocate() for _ in range(100)]
-    vb = [b.allocate() for _ in range(100)]
-    assert va == vb
-    assert len(set(va)) == 100
-    assert all(0 <= v < (1 << 32) for v in va)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
