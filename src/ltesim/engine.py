@@ -53,10 +53,11 @@ A skipped delivery changes no device, so it cannot move a wake, and a
 device already due is on the wake heap: the poll set stays exact. No
 device is stepped after stage 3, so the same pass that fires due timers
 also schedules each device's next one.
-Every frame, either way, goes on the air through one path (`_air`): its
-header is built and validated once, the frame's bytes and that header
-feed the sniffer, which does not read the header again, and its line
-goes to the capture log; the receiving party gets the message itself.
+Every frame, either way, goes on the air through one path (`_air`),
+which builds and validates its header once and writes the frame once:
+its bytes and that header to the sniffer, which does not read the header
+again, and its line to the capture log. The receiving party gets the
+message itself.
 A frame whose header `repeats` (cleartext to rnti 0: a Mib, Sib1 or
 Paging broadcast, or an access preamble) differs from the last one with
 the same message, cell, direction and rx only in `t`, so it is written
@@ -74,22 +75,18 @@ position (rounded to 0.1 dB). Paging directives leave a
 knew. `replay_capture` reconstructs the frame stream from such a file
 and must land on the identical tracking report. As in the run, each
 frame reaches the sniffer with the header it was packed from, validated
-once, and each distinct broadcast body is remembered: a line that
-repeats one already seen valid skips its parse and encode, though its
-header, `t`, `rx` and `len` are checked as on any other line. A repeating
-frame's whole line is remembered too, by its text less its `rx` and `t`:
-a later line that differs from one seen valid only there, each a plain
-decimal (`-63.2`, `40`), is the same frame at its own `t` and reaches the
-sniffer without a parse. Other lines (added whitespace, reordered or
-repeated keys, escapes, exponents, protected frames, page triggers) take
-the full path.
+once. A repeating frame's line is remembered by its text less its `rx`
+and `t`: a later line that differs from one seen valid only there, each
+a plain decimal (`-63.2`, `40`), is the same frame at its own `t` and
+reaches the sniffer without a parse. Other lines (added whitespace,
+reordered or repeated keys, escapes, exponents, protected frames, page
+triggers) take the full path.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import marshal
 import math
 import re
 import struct
@@ -317,20 +314,23 @@ class Engine:
 
     def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> FrameHeader:
         """Put one frame on the air, tapped at the sniffer's receive level
-        rx, and return its header. A repeating frame is written from its
-        template (see _template); any other is encoded whole."""
+        rx: show it to the sniffer, log its capture line, and return its
+        header. A repeating frame is written from its template (see
+        _template); any other is encoded whole."""
         header = FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
-        if not header.repeats:
-            self._tap(codec.encode(header, frame.message, self.core.keys), header, frame.message, rx)
-            return header
-        # rx by value: one cell's rx is never both -0.0 and 0.0, the only
-        # equal floats with different texts.
-        key = (frame.message, frame.cell_id, direction, rx)
-        tail, prefix, suffix = self._templates.get(key) or self._template(key, header)
-        if not 0 <= t < 1 << 64:  # the one field a template leaves open
-            raise InvariantViolation(f"timestamp out of range: {t}")
+        if header.repeats:
+            # rx by value: one cell's rx is never both -0.0 and 0.0, the only
+            # equal floats with different texts.
+            key = (frame.message, frame.cell_id, direction, rx)
+            tail, prefix, suffix = self._templates.get(key) or self._template(key, header)
+            if not 0 <= t < 1 << 64:  # the one field a template leaves open
+                raise InvariantViolation(f"timestamp out of range: {t}")
+            data = struct.pack(">Q", t) + tail
+        else:
+            data = codec.encode(header, frame.message, self.core.keys)
+            prefix, suffix = _line(header, frame.message, len(data) - HEADER_LEN, rx)
         if self.sniffer is not None:
-            self.sniffer.observe(struct.pack(">Q", t) + tail, header)
+            self.sniffer.observe(data, header)
         self.capture.append(f"{prefix}{t}{suffix}")
         return header
 
@@ -405,13 +405,6 @@ class Engine:
         dx = tx_pos[0] - self.sc.sniffer_position[0]
         dy = tx_pos[1] - self.sc.sniffer_position[1]
         return tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5)
-
-    def _tap(self, data: bytes, header: FrameHeader, msg, rx: float) -> None:
-        """Show the frame to the sniffer and log its capture line."""
-        if self.sniffer is not None:
-            self.sniffer.observe(data, header)
-        prefix, suffix = _line(header, msg, len(data) - HEADER_LEN, rx)
-        self.capture.append(f"{prefix}{header.timestamp_ms}{suffix}")
 
     # -- results ------------------------------------------------------------------
 
@@ -515,17 +508,10 @@ def run(scenario: Scenario, seed: Optional[int] = None) -> RunResult:
 MAX_OPAQUE_LEN = 1 << 17
 
 
-def reconstruct_frame(obj: dict, bodies: Optional[dict[tuple[str, bytes], bytes]] = None) -> tuple[FrameHeader, bytes]:
+def reconstruct_frame(obj: dict) -> tuple[FrameHeader, bytes]:
     """The validated header and on-air bytes a capture line describes.
     Cleartext bodies re-encode exactly; protected bodies get zero filler
-    of the right length, which is indistinguishable to a keyless observer.
-
-    `bodies`, when given, remembers the body bytes of each repeating
-    (type, body) that has passed every check, the len check included, so
-    a later line with the same one skips its parse and encode. The key
-    holds the body marshalled at version 2, which writes every value
-    with its type and no back-references: equal bodies give equal keys,
-    and values of different JSON types (1, 1.0, true, "1") never do."""
+    of the right length, which is indistinguishable to a keyless observer."""
     t, cell, rnti, way, prot, rx = obj["t"], obj["cell"], obj["rnti"], obj["dir"], obj["prot"], obj["rx"]
     if type(t) is not int or type(cell) is not int or type(rnti) is not int:
         raise CaptureInvalid(f"t, cell, rnti: expected integers, got {t!r}, {cell!r}, {rnti!r}")
@@ -542,17 +528,9 @@ def reconstruct_frame(obj: dict, bodies: Optional[dict[tuple[str, bytes], bytes]
         header = FrameHeader(t, cell, rnti, direction, key_id=key_id)
         return header, codec.pack_header(header) + struct.pack(">I", key_id) + bytes(length - 4)
     header = FrameHeader(t, cell, rnti, direction)
-    name, body = obj["type"], obj["body"]
-    key = (name, marshal.dumps(body, 2)) if bodies is not None and header.repeats and type(name) is str else None
-    known = bodies.get(key) if key is not None else None
-    if known is None:
-        data = codec.encode(header, codec.message_from_json(name, body))
-    else:
-        data = codec.pack_header(header) + known
+    data = codec.encode(header, codec.message_from_json(obj["type"], obj["body"]))
     if type(length) is not int or length != len(data) - HEADER_LEN:
         raise CaptureInvalid(f"len: got {length!r}, but the body encodes to {len(data) - HEADER_LEN} bytes")
-    if key is not None and known is None:
-        bodies[key] = data[HEADER_LEN:]
     return header, data
 
 
@@ -583,7 +561,6 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
     """Feed a capture file back through a fresh observer. A line that does
     not describe a frame or a page trigger raises CaptureInvalid."""
     sniffer = Sniffer()
-    bodies: dict[tuple[str, bytes], bytes] = {}  # see reconstruct_frame; dropped on return
     seen: dict[tuple, tuple[tuple, bytes]] = {}  # line less rx, t -> (cell, rnti, dir), bytes after t
     for number, line in enumerate(lines, 1):
         cuts = _CUTS.get(type(line))
@@ -604,7 +581,7 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
                     raise CaptureInvalid(f"t, msisdn: expected integer, string, got {t!r}, {msisdn!r}")
                 sniffer.note_triggered_page(t, msisdn)
                 continue
-            header, frame = reconstruct_frame(obj, bodies)
+            header, frame = reconstruct_frame(obj)
         except KeyError as exc:
             raise CaptureInvalid(f"line {number}: missing key {exc}") from None
         except (ValueError, codec.CodecError) as exc:

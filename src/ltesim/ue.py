@@ -723,10 +723,10 @@ class Ue:
         self.serving_cell = None
 
     def _expire_forbidden(self, now_ms: int) -> None:
-        before = len(self.forbidden_plmns)
+        # Only a congestion reject sets a backoff, and the device stays
+        # Searching until a Tick at or after it: a Blocked device's Tick
+        # always selects afresh, which sets the phase.
         self.forbidden_plmns = [(p, d) for p, d in self.forbidden_plmns if d > now_ms]
-        if len(self.forbidden_plmns) < before and self.phase is UePhase.BLOCKED:
-            self.phase = UePhase.SEARCHING
 
     def _serving_plmn(self) -> Optional[Plmn]:
         sib = self.sib1s.get(self.serving_cell)

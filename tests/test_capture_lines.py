@@ -8,13 +8,12 @@ dump for every frame; each line the engine writes must equal it exactly.
 """
 
 import json
-import types
 
 import pytest
 
 from ltesim import codec
 from ltesim.codec import Direction, FrameHeader, Mib, RachPreamble, Sib1, UserData
-from ltesim.engine import Engine, _dump, run
+from ltesim.engine import Engine, _dump, _line, run
 from ltesim.scenario import load_scenario, parse_scenario
 from ltesim.sniffer import Sniffer
 
@@ -44,11 +43,10 @@ def reference_line(data: bytes, header: FrameHeader, msg, rx: float) -> str:
 
 
 def templated_line(data: bytes, header: FrameHeader, msg, rx: float) -> str:
-    """The line Engine._tap writes for one frame, with no sniffer attached."""
-    tap = types.SimpleNamespace(sniffer=None, capture=[])
-    Engine._tap(tap, data, header, msg, rx)
-    (line,) = tap.capture
-    return line
+    """The line the engine writes for one frame encoded whole: `_line`'s
+    text on either side of its `t`."""
+    prefix, suffix = _line(header, msg, len(data) - codec.HEADER_LEN, rx)
+    return f"{prefix}{header.timestamp_ms}{suffix}"
 
 
 def oracle_runs():

@@ -1,5 +1,6 @@
 """Network core driven directly, with the test playing the device side."""
 
+import copy
 import random
 
 import pytest
@@ -40,7 +41,7 @@ from ltesim.core import (
     UnknownSubscriber,
 )
 from ltesim.crypto_stub import stub_mac
-from ltesim.identity import CellIdentity, Plmn, parse_imsi
+from ltesim.identity import RNTI_MAX, RNTI_MIN, CellIdentity, Plmn, parse_imsi
 from ltesim.prng import child_rng
 from ltesim.radio import RadioCell
 from ltesim.ue import IDLE_AFTER_MS, UeProfile
@@ -224,16 +225,66 @@ def test_bad_auth_response_rejects():
     assert (10, rnti) not in core.active
 
 
-def test_out_of_order_steps_are_dropped():
+def test_unknown_imsi_in_identity_response_rejected_and_torn_down():
     core = build()
-    assert ul(core, 10, 999, SecurityModeComplete()) == []
-    assert core.drops["no_session"] == 1
-    out = ul(core, 10, 0, RachPreamble(1))
-    rnti = out[0].message.temp_rnti
-    assert ul(core, 10, rnti, SecurityModeComplete()) == []
-    assert core.drops["smc_out_of_order"] == 1
-    assert ul(core, 99, 0, RachPreamble(1)) == []
-    assert core.drops["foreign_cell"] == 1
+    rnti = _tau_session(core, 0xDEAD0001)
+    out = ul(core, 10, rnti, AttachRequest(tmsi=0xDEAD0001))
+    assert [d.message for d in out] == [IdentityRequest(IdentityKind.IMSI)]
+    out = ul(core, 10, rnti, IdentityResponse(imsi=parse_imsi("310260999999999")))
+    assert [d.message for d in out] == [AttachReject(EmmCause.PLMN_NOT_ALLOWED)]
+    assert (10, rnti) not in core.active
+    assert rnti not in core.allocators[10].in_use
+    assert core.drops == {}
+
+
+def _after_rar(core):
+    """A session that has just had its MAC RAR: its rnti."""
+    return ul(core, 10, 0, RachPreamble(1))[0].message.temp_rnti
+
+
+def _fill(core, cell_id):
+    core.allocators[cell_id]._in_use = set(range(RNTI_MIN, RNTI_MAX + 1))
+
+
+def _dropped_uplinks():
+    """(reason, core, cell, rnti, uplink) for each step handle_uplink drops."""
+    core = build()
+    yield "no_session", core, 10, 999, SecurityModeComplete()
+    core = build()
+    yield "foreign_cell", core, 99, 0, RachPreamble(1)
+    core = build()
+    yield "smc_out_of_order", core, 10, _after_rar(core), SecurityModeComplete()
+    core = build()
+    yield "auth_out_of_order", core, 10, _after_rar(core), AuthenticationResponse(b"\x00" * 8)
+    core = build()
+    yield "identity_out_of_order", core, 10, _after_rar(core), IdentityResponse(imsi=IMSI)  # never asked
+    core = build()
+    rnti = _tau_session(core, 0xDEAD0001)
+    ul(core, 10, rnti, AttachRequest(tmsi=0xDEAD0001))  # asks for the IMSI
+    yield "identity_out_of_order", core, 10, rnti, IdentityResponse(imei=IMEI)
+    core = build()
+    yield "connection_request_out_of_order", core, 10, run_ladder(core)[0], RrcConnectionRequest(random_id=1)
+    core = build()
+    yield "attach_out_of_order", core, 10, run_ladder(core)[0], AttachRequest(imsi=IMSI)
+    core = build()
+    _fill(core, 10)
+    yield "cell_full", core, 10, 0, RachPreamble(1)
+    core = two_cell_core()
+    rnti = run_ladder(core)[0]
+    _fill(core, 11)
+    yield "handover_target_full", core, 10, rnti, MeasurementReport(((10, -70), (11, -60)))
+
+
+def test_out_of_order_steps_are_dropped():
+    """Each is answered with nothing, counted once under its reason, and
+    leaves every session and every cell's radio ids as they were."""
+    for reason, core, cell_id, rnti, msg in _dropped_uplinks():
+        sessions, ids = copy.deepcopy(core.active), {c: a.in_use for c, a in core.allocators.items()}
+        drops = dict(core.drops)
+        assert ul(core, cell_id, rnti, msg) == [], reason
+        assert core.drops == {**drops, reason: drops.get(reason, 0) + 1}, reason
+        assert core.active == sessions, reason
+        assert {c: a.in_use for c, a in core.allocators.items()} == ids, reason
 
 
 def test_uplink_of_no_ladder_step_is_dropped_by_type():

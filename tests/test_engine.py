@@ -212,7 +212,7 @@ def test_run_leaves_no_template_behind():
     assert engine._templates == {} and engine._repeating_bodies == {}
 
 
-# -- the replay body memo --------------------------------------------------------
+# -- replay against the memo-free reference ---------------------------------------
 
 
 def repeating(obj):
@@ -220,19 +220,6 @@ def repeating(obj):
     if obj.get("rnti") == 0 and obj.get("prot") == "clear":
         return obj["type"], json.dumps(obj["body"], sort_keys=True)
     return None
-
-
-def replay_outcome(lines, memo=True):
-    """The replayed report as JSON, or the text of the CaptureInvalid.
-    Without `memo`, every line is rebuilt from scratch: the oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        if not memo:
-            rebuild = engine_module.reconstruct_frame
-            mp.setattr(engine_module, "reconstruct_frame", lambda obj, bodies=None: rebuild(obj))
-        try:
-            return replay_capture(lines).as_json()
-        except CaptureInvalid as exc:
-            return f"CaptureInvalid: {exc}"
 
 
 @pytest.mark.parametrize("name", list(oracle_runs()))
@@ -255,10 +242,12 @@ def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
     monkeypatch.undo()
     frames = [obj for obj in map(json.loads, lines) if "meta" not in obj]
     assert fed == [reconstruct_frame(obj)[1] for obj in frames]
-    bodies = {repeating(obj) for obj in frames} - {None}
+    # Encoded: the first sight of each repeating line less its rx and t,
+    # and every other cleartext frame.
+    lines_less_rx_t = {timeless(obj) for obj in frames if repeating(obj)}
     clear = sum(obj["prot"] == "clear" and repeating(obj) is None for obj in frames)
-    assert len(frames) > 2 * (len(bodies) + clear)  # broadcasts dominate every run
-    assert encodes[0] <= len(bodies) + clear
+    assert len(frames) > 2 * (len(lines_less_rx_t) + clear)  # broadcasts dominate every run
+    assert encodes[0] == len(lines_less_rx_t) + clear
 
 
 def typed(header):
@@ -325,7 +314,7 @@ def test_edited_repeat_replays_as_without_the_memo(stem, data):
         values = HOSTILE + _twins(holder[key])
         holder[key] = data.draw(st.sampled_from(values) | JSON_VALUES, label="value")
         lines[k] = json.dumps(obj)
-    assert replay_outcome(lines) == replay_outcome(lines, memo=False)
+    assert outcome(replay_capture, lines) == outcome(reference_replay, lines)
 
 
 MIB_LINE = {
@@ -364,17 +353,12 @@ def test_a_bad_twin_of_a_remembered_mib_is_refused_at_its_line(twin):
     assert replay_capture(lines[:2]).total_frames == 2
     with pytest.raises(CaptureInvalid, match="^line 3: "):
         replay_capture(lines)
-    assert replay_outcome(lines) == replay_outcome(lines, memo=False)
+    assert outcome(replay_capture, lines) == outcome(reference_replay, lines)
 
 
 @pytest.mark.parametrize("changes", [{"len": 5}, {"t": 2**64}, {"cell": 1 << 28}])
 def test_a_refused_first_sight_is_not_remembered(changes):
     bad = json.loads(mib_twin(**{"t": 40, **changes}))
-    bodies = {}
-    for _ in range(2):
-        with pytest.raises((CaptureInvalid, codec.CodecError)):
-            reconstruct_frame(bad, bodies)
-    assert bodies == {}
     with pytest.raises(CaptureInvalid, match="^line 2: "):
         replay_capture([json.dumps(MIB_LINE), json.dumps(bad)])
 
@@ -445,9 +429,9 @@ def rebuilt(monkeypatch):
     """The object of each line replay_capture hands to reconstruct_frame."""
     objs, rebuild = [], engine_module.reconstruct_frame
 
-    def spy(obj, bodies=None):
+    def spy(obj):
         objs.append(obj)
-        return rebuild(obj, bodies)
+        return rebuild(obj)
 
     monkeypatch.setattr(engine_module, "reconstruct_frame", spy)
     return objs

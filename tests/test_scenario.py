@@ -12,6 +12,10 @@ from ltesim.engine import Engine
 from ltesim.identity import Plmn
 from ltesim.radio import Rat
 from ltesim.scenario import (
+    _CELL_KEYS,
+    _ROGUE_KEYS,
+    _SCENARIO_KEYS,
+    _UE_KEYS,
     ScenarioInvalid,
     default_imei,
     default_ue_key,
@@ -461,12 +465,14 @@ def test_parsed_scenario_holds_the_run_configs():
     assert isinstance(sc.ues[0], UeProfile)
 
 
-# Each shipped scenario, with one value at a time (any leaf or container
-# below the top level) replaced by a hostile value, must either be refused
+# Each shipped scenario, with one edit at a time, must either be refused
 # with ScenarioInvalid or run cleanly; a clean run's capture must be strict
-# JSON (no NaN, no Infinity).
+# JSON (no NaN, no Infinity). An edit replaces any value below the top
+# level with a hostile one, adds an optional key the file leaves out with
+# a hostile value, or deletes a key.
 HOSTILE = [float("nan"), float("inf"), 0, -1, 5, "x", [], {}, None, True, 2**70, "¹", 1e200, -1e200]
 MUTATION_RUN_MS = 3000
+DELETED = object()
 
 
 def _value_paths(node, path=()):
@@ -486,26 +492,56 @@ def _hostile_for(original):
     return HOSTILE
 
 
+def _objects_with_keys(doc):
+    """(path, the keys the parser allows there) for each object of the
+    scenario whose keys are checked against one of its key tables."""
+    yield (), _SCENARIO_KEYS
+    for kind, keys in (("cells", _CELL_KEYS), ("ues", _UE_KEYS)):
+        yield from (((kind, i), keys) for i in range(len(doc.get(kind, []))))
+    if "rogue" in doc:
+        yield ("rogue",), _ROGUE_KEYS
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _hostile_edits(doc):
+    """(path, value) for each edit; DELETED as the value drops the key."""
+    for path, original in _value_paths(doc):
+        for value in _hostile_for(original):
+            yield path, value
+    for path, keys in _objects_with_keys(doc):
+        for key in sorted(keys - _at(doc, path).keys()):
+            yield from ((path + (key,), value) for value in HOSTILE)
+    for path, _ in _value_paths(doc):
+        if isinstance(_at(doc, path[:-1]), dict):
+            yield path, DELETED
+
+
 def test_hostile_values_in_shipped_scenarios_are_refused_or_run():
     from tests.conftest import SCENARIO_DIR
 
     escapes = []
     for scenario_path in sorted(SCENARIO_DIR.glob("*.json")):
         text = scenario_path.read_text()
-        for path, original in _value_paths(json.loads(text)):
-            for value in _hostile_for(original):
-                doc = json.loads(text)
-                parent = doc
-                for key in path[:-1]:
-                    parent = parent[key]
+        for path, value in _hostile_edits(json.loads(text)):
+            doc = json.loads(text)
+            parent = _at(doc, path[:-1])
+            if value is DELETED:
+                del parent[path[-1]]
+            else:
                 parent[path[-1]] = value
-                try:
-                    sc = parse_scenario(doc)
-                    result = Engine(dataclasses.replace(sc, duration_ms=min(sc.duration_ms, MUTATION_RUN_MS))).run()
-                    for line in result.capture_lines:
-                        json.loads(line, parse_constant=_refuse_constant)
-                except ScenarioInvalid:
-                    pass
-                except Exception as exc:  # noqa: BLE001 - any escape is the finding
-                    escapes.append(f"{scenario_path.name} {path} = {value!r}: {exc!r}")
+            try:
+                sc = parse_scenario(doc)
+                result = Engine(dataclasses.replace(sc, duration_ms=min(sc.duration_ms, MUTATION_RUN_MS))).run()
+                for line in result.capture_lines:
+                    json.loads(line, parse_constant=_refuse_constant)
+            except ScenarioInvalid:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any escape is the finding
+                edit = "deleted" if value is DELETED else f"= {value!r}"
+                escapes.append(f"{scenario_path.name} {path} {edit}: {exc!r}")
     assert not escapes, "\n".join(escapes[:20])

@@ -321,6 +321,36 @@ def test_paging_for_someone_else_is_ignored():
     assert out == [] and ue.phase is UePhase.CAMPED_IDLE
 
 
+def test_a_wake_where_the_cell_sib1_was_never_heard_selects_afresh():
+    ue, drv = registered_ue()
+    drv.dl(RrcConnectionReconfiguration(MobilityControlInfo(11, 4321)))  # cell 11 never broadcast
+    drv.cell_id = 11
+    drv.dl(MacRar(777), rnti=777)
+    assert ue.phase is UePhase.REGISTERED and 11 not in ue.sib1s
+    drv.now = IDLE_AFTER_MS
+    ue.step(Tick(drv.now), drv.now)
+    assert ue.phase is UePhase.CAMPED_IDLE and ue.serving_cell == 11
+    drv.now += 100
+    out = ue.step(AppTraffic(200), drv.now)
+    # Selection sees only cell 10, whose Sib1 the device holds.
+    assert [(e.cell_id, type(e.message)) for e in out] == [(10, RachPreamble)]
+    assert ue.phase is UePhase.RACH_IN_PROGRESS and ue.serving_cell == 10
+
+
+def test_a_wake_where_the_cell_sib1_names_another_area_sends_a_tau():
+    ue, drv = registered_ue()
+    drv.now = IDLE_AFTER_MS
+    ue.step(Tick(drv.now), drv.now)
+    drv.now += 50
+    assert drv.broadcast(tac=200) == []  # camped: a new Sib1 is only stored
+    out = drv.dl(Paging(tmsi=ue.tmsi), rnti=0)
+    assert [(e.cell_id, type(e.message)) for e in out] == [(10, RachPreamble)]
+    drv.dl(MacRar(700), rnti=700)
+    out = drv.dl(RrcConnectionSetup())
+    assert [e.message for e in out] == [TauRequest(ue.tmsi, 200)]
+    assert ue.stats.attach_attempts[-1] == (drv.now, str(PLMN), "tau")
+
+
 def test_measurement_reports_flow_while_registered():
     ue, drv = registered_ue()
     drv.now = MEAS_PERIOD_MS
@@ -376,6 +406,23 @@ def test_plmn_not_allowed_starts_long_block():
     drv.broadcast()
     ue.step(Tick(drv.now), drv.now)
     assert ue.stats.attach_attempts == before
+
+
+def test_a_block_ends_on_the_tick_its_forbidden_entry_expires():
+    visible = [(radio(10), -40.0)]
+    ue, drv = fresh(visible=visible)
+    attach_to_reject_point(ue, drv)
+    drv.dl(AttachReject(EmmCause.PLMN_NOT_ALLOWED))
+    ((_, deadline),) = ue.forbidden_plmns
+    ue.step(Tick(deadline - 1), deadline - 1)
+    assert ue.phase is UePhase.BLOCKED
+    visible.clear()  # the cell is out of sight when the entry expires
+    assert ue.step(Tick(deadline), deadline) == []
+    assert ue.phase is UePhase.SEARCHING and ue.forbidden_plmns == []
+    visible.append((radio(10), -40.0))
+    drv.now = deadline + 1
+    out = drv.broadcast()
+    assert [type(e.message) for e in out] == [RachPreamble]
 
 
 def test_airplane_toggle_clears_the_block():
