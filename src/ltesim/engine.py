@@ -211,8 +211,8 @@ class Engine:
         self._wake_heap: list[tuple[int, int]] = []
         # Devices that went quiet in a Tick and may still be (Ue.quiet).
         self._quiet: set[int] = set()
-        # The sniffer's rx per cell transmitter, which stands still.
-        self._sniffer_rx: dict[tuple[tuple[float, float], float], float] = {}
+        # The sniffer's rx per cell id: a cell stands still.
+        self._sniffer_rx = {cid: self._rx_at_sniffer(r.position, r.tx_power_dbm) for cid, r in self._radios.items()}
         # Repeating body bytes and capture JSON text per message value, and
         # frame templates per (message, cell, direction, rx) (see _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
@@ -352,10 +352,7 @@ class Engine:
 
     def _air_downlink(self, dl: Emission, t: int, causal: Optional[int], ul_batch: list) -> None:
         radio = self._radios[dl.cell_id]
-        key = (radio.position, radio.tx_power_dbm)
-        if key not in self._sniffer_rx:  # a cell stands still: one computation each
-            self._sniffer_rx[key] = self._rx_at_sniffer(*key)
-        header = self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[key])
+        header = self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[dl.cell_id])
         msg, devices = dl.message, self._devices
         if dl.rnti == 0 and type(msg) is not Mib:  # a Mib changes no device
             if type(msg) is Sib1:

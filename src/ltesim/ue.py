@@ -64,6 +64,14 @@ The RNTI appears in every frame header this device sends or is addressed
 by; phases RachInProgress..Registered are the span where one may be
 held. A security context exists only in Secured/Registered, or in
 transit during a handover RACH.
+
+`Ue._enter` alone writes the phase, and sets or drops what it owns: a
+fresh procedure guard in each of RachInProgress..Secured, a measurement
+timer (and no camped recheck) in Registered, and outside
+RachInProgress..Registered no radio id, security context, purpose or
+activity clock. Two timers outlive theirs: a congestion backoff, cleared
+only by a Tick in Searching or Blocked, and a camped recheck, which
+stays set into Searching.
 """
 
 from __future__ import annotations
@@ -136,14 +144,10 @@ class RatAllowed(enum.Enum):
     GSM_ONLY = "gsm_only"
 
 
-# Radio-id-holding span; see module docstring.
-RNTI_PHASES = {
-    UePhase.RACH_IN_PROGRESS,
-    UePhase.CONNECTING,
-    UePhase.AUTHENTICATING,
-    UePhase.SECURED,
-    UePhase.REGISTERED,
-}
+# The phases that own a procedure guard, and the radio-id-holding span;
+# see module docstring.
+_PRE_ACCEPT = {UePhase.RACH_IN_PROGRESS, UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED}
+RNTI_PHASES = _PRE_ACCEPT | {UePhase.REGISTERED}
 
 
 @dataclass(frozen=True)
@@ -285,13 +289,10 @@ class Ue:
         self._visible = visibility
         self._steady_until = steady_until
 
-        self.phase = UePhase.POWERED_OFF
         self.rat_allowed = RatAllowed.LTE_AND_GSM
         self.tmsi: Optional[int] = profile.initial_tmsi
         self.registered_tac: Optional[int] = None
         self.serving_cell: Optional[int] = None
-        self.rnti: Optional[int] = None
-        self.key_id: Optional[int] = None  # the security context, while one is live
         self.forbidden_plmns: list[tuple[Plmn, int]] = []
         self.barred_cells: dict[int, int] = {}
         self.gsm_attached = False
@@ -300,16 +301,16 @@ class Ue:
         self.earfcn_priority: dict[int, int] = {}
         self.stats = UeStats()
 
-        self._purpose: Optional[str] = None
         self._pending_app: list[int] = []
         self._paged = False
-        self._next_meas_ms: Optional[int] = None
         self._camped_recheck_ms: Optional[int] = None
         # The last no-op camped recheck while quiet (see module docstring).
         self._quiet_since_ms: Optional[int] = None
-        self._proc_deadline_ms: Optional[int] = None
         self._backoff_until_ms: Optional[int] = None
-        self._last_activity_ms: Optional[int] = None
+        # The phase and what it owns: rnti, key_id (the security context,
+        # while one is live), _purpose, _proc_deadline_ms, _next_meas_ms
+        # and _last_activity_ms.
+        self._enter(UePhase.POWERED_OFF, 0)
 
     # -- event entry point ------------------------------------------------
 
@@ -357,7 +358,7 @@ class Ue:
     def next_wake_ms(self) -> Optional[int]:
         """Earliest future instant this device wants a Tick."""
         candidates = []
-        if self._next_meas_ms is not None and self.phase is UePhase.REGISTERED:
+        if self._next_meas_ms is not None:
             candidates.append(self._next_meas_ms)
         if self._camped_recheck_ms is not None and self.phase in (
             UePhase.CAMPED_IDLE,
@@ -377,25 +378,12 @@ class Ue:
     # -- events: each takes (event, now_ms, out); see _ON_EVENT --------------
 
     def _power_on(self, event: PowerOn, now_ms: int, out: list[Emission]) -> None:
-        if self.phase is not UePhase.POWERED_OFF:
-            return
-        self.phase = UePhase.SEARCHING
-        self.forbidden_plmns.clear()
-        self.barred_cells.clear()
-        self.rat_allowed = RatAllowed.LTE_AND_GSM
-        self.sib1s.clear()
-        self.earfcn_priority.clear()
+        if self.phase is UePhase.POWERED_OFF:
+            self._restart(now_ms)
 
     def _airplane_toggle(self, event: AirplaneToggle, now_ms: int, out: list[Emission]) -> None:
-        if self.phase is UePhase.POWERED_OFF:
-            return
-        self.forbidden_plmns.clear()
-        self.rat_allowed = RatAllowed.LTE_AND_GSM
-        self._drop_session()
-        self.gsm_attached = False
-        self.sib1s.clear()
-        self.earfcn_priority.clear()
-        self.phase = UePhase.SEARCHING
+        if self.phase is not UePhase.POWERED_OFF:
+            self._restart(now_ms)
 
     def _tick(self, event: Tick, now_ms: int, out: list[Emission]) -> None:
         self._expire_forbidden(now_ms)
@@ -415,14 +403,13 @@ class Ue:
         elif self.phase is UePhase.REGISTERED:
             if self._last_activity_ms is not None and now_ms - self._last_activity_ms >= IDLE_AFTER_MS:
                 self._go_idle(now_ms)
-            elif self._next_meas_ms is not None and now_ms >= self._next_meas_ms:
+            elif now_ms >= self._next_meas_ms:
                 self._next_meas_ms = now_ms + MEAS_PERIOD_MS
                 self._emit_measurement_report(now_ms, out)
-        elif self.phase in (UePhase.RACH_IN_PROGRESS, UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED):
-            if self._proc_deadline_ms is not None and now_ms >= self._proc_deadline_ms:
+        elif self.phase in _PRE_ACCEPT:
+            if now_ms >= self._proc_deadline_ms:
                 # Procedure stalled; drop it and look again.
-                self._drop_session()
-                self.phase = UePhase.SEARCHING
+                self._drop_session(now_ms)
                 self._attempt_selection(now_ms, out)
 
     def _rx(self, event: Rx, now_ms: int, out: list[Emission]) -> None:
@@ -479,7 +466,7 @@ class Ue:
         if choice is not None:
             self._start_rach(choice, "attach", now_ms, out)
             return
-        self.phase = UePhase.BLOCKED if self._all_visible_forbidden(visible, now_ms) else UePhase.SEARCHING
+        self._enter(UePhase.BLOCKED if self._all_visible_forbidden(visible, now_ms) else UePhase.SEARCHING, now_ms)
 
     def _all_visible_forbidden(self, visible: list[tuple[RadioCell, float]], now_ms: int) -> bool:
         live = {str(p) for p, deadline in self.forbidden_plmns if deadline > now_ms}
@@ -494,9 +481,7 @@ class Ue:
             self._go_quiet(now_ms)
             return
         self.serving_cell = choice
-        sib = self.sib1s.get(choice)
-        if sib is None:
-            return
+        sib = self.sib1s[choice]
         if self.tmsi is None or self.registered_tac is None:
             # No registration context to carry over: start from scratch.
             self._start_rach(choice, "attach", now_ms, out)
@@ -536,20 +521,19 @@ class Ue:
             if cell.rat is Rat.GSM:
                 self.serving_cell = cell.cell_id
                 self.gsm_attached = True
-                self.phase = UePhase.GSM_ONLY
+                self._enter(UePhase.GSM_ONLY, now_ms)
                 return
 
     def _start_rach(self, cell_id: int, purpose: str, now_ms: int, out: list[Emission]) -> None:
         self.serving_cell = cell_id
-        self.phase = UePhase.RACH_IN_PROGRESS
+        self._enter(UePhase.RACH_IN_PROGRESS, now_ms)
         self._purpose = purpose
         self.rnti = None
-        self._proc_deadline_ms = now_ms + PROC_GUARD_MS
         out.append(self._emission(RachPreamble(self.rng.randrange(64)), force_clear=True))
 
     def _start_wake(self, now_ms: int, out: list[Emission]) -> None:
         if self.serving_cell is None or self.serving_cell not in self.sib1s:
-            self.phase = UePhase.SEARCHING
+            self._enter(UePhase.SEARCHING, now_ms)
             self._attempt_selection(now_ms, out)
             return
         sib = self.sib1s[self.serving_cell]
@@ -564,14 +548,11 @@ class Ue:
     def _on_mac_rar(self, header: FrameHeader, msg: MacRar, now_ms: int, out: list[Emission]) -> None:
         self.rnti = msg.temp_rnti
         self.stats.rnti_history.append((now_ms, self.serving_cell, msg.temp_rnti))
-        self._proc_deadline_ms = now_ms + PROC_GUARD_MS
         if self._purpose == "handover":
-            self.phase = UePhase.REGISTERED
-            self._proc_deadline_ms = None
-            self._next_meas_ms = now_ms + MEAS_PERIOD_MS
+            self._enter(UePhase.REGISTERED, now_ms)
             out.append(self._emission(RrcConnectionReconfigurationComplete()))
             return
-        self.phase = UePhase.CONNECTING
+        self._enter(UePhase.CONNECTING, now_ms)
         if self.tmsi is not None:
             ident = RrcConnectionRequest(tmsi=self.tmsi)
         else:
@@ -606,8 +587,7 @@ class Ue:
         if derive_autn(self.profile.key, msg.rand) != msg.autn:
             # Challenger does not hold our key; a real network always does.
             return
-        self.phase = UePhase.AUTHENTICATING
-        self._proc_deadline_ms = now_ms + PROC_GUARD_MS
+        self._enter(UePhase.AUTHENTICATING, now_ms)
         out.append(self._emission(AuthenticationResponse(stub_mac(self.profile.key, msg.rand))))
 
     def _on_security_mode_command(
@@ -616,18 +596,14 @@ class Ue:
         self.key_id = msg.key_id
         # The completion itself crosses before protection switches on.
         out.append(self._emission(codec.SecurityModeComplete(), force_clear=True))
-        self.phase = UePhase.SECURED
-        self._proc_deadline_ms = now_ms + PROC_GUARD_MS
+        self._enter(UePhase.SECURED, now_ms)
 
     def _on_attach_accept(self, header: FrameHeader, msg: AttachAccept, now_ms: int, out: list[Emission]) -> None:
         self.tmsi = msg.tmsi
         self.registered_tac = msg.tac
-        self.phase = UePhase.REGISTERED
+        self._enter(UePhase.REGISTERED, now_ms)
         self._purpose = None
         self._paged = False
-        self._proc_deadline_ms = None
-        self._next_meas_ms = now_ms + MEAS_PERIOD_MS
-        self._camped_recheck_ms = None
         self._last_activity_ms = now_ms
         for byte_count in self._pending_app:
             out.append(self._emission(UserData(byte_count)))
@@ -641,24 +617,19 @@ class Ue:
             self.stats.rejects_ignored += 1
             cause = EmmCause.CONGESTION_BENIGN
         plmn = self._serving_plmn()
-        self._drop_session()
+        self._drop_session(now_ms)
         if cause is EmmCause.CONGESTION_BENIGN:
             self.barred_cells[header.cell_id] = now_ms + CELL_BAR_MS
             self._backoff_until_ms = now_ms + ATTACH_BACKOFF_MS
-            self.phase = UePhase.SEARCHING
         elif cause is EmmCause.PLMN_NOT_ALLOWED:
             if plmn is not None:
                 deadline = now_ms + self.rng.randint(T3245_MIN_MS, T3245_MAX_MS)
                 self.forbidden_plmns.append((plmn, deadline))
-            self.phase = UePhase.SEARCHING
             self._attempt_selection(now_ms, out)
         elif cause is EmmCause.EPS_SERVICES_NOT_ALLOWED:
             self.rat_allowed = RatAllowed.GSM_ONLY
-            self.serving_cell = None
             self._camped_recheck_ms = now_ms + CAMPED_RECHECK_MS
             self._try_gsm_attach(now_ms)
-            if not self.gsm_attached:
-                self.phase = UePhase.SEARCHING
 
     def _on_reconfiguration(
         self, header: FrameHeader, msg: RrcConnectionReconfiguration, now_ms: int, out: list[Emission]
@@ -695,13 +666,8 @@ class Ue:
 
     def _go_idle(self, now_ms: int) -> None:
         self.stats.idle_transitions += 1
-        self.rnti = None
-        self.key_id = None
-        self._purpose = None
-        self._next_meas_ms = None
-        self._last_activity_ms = None
         self._camped_recheck_ms = now_ms + CAMPED_RECHECK_MS
-        self.phase = UePhase.CAMPED_IDLE
+        self._enter(UePhase.CAMPED_IDLE, now_ms)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -713,14 +679,32 @@ class Ue:
             key_id=None if force_clear else self.key_id,
         )
 
-    def _drop_session(self) -> None:
-        self.rnti = None
-        self.key_id = None
-        self._purpose = None
+    def _enter(self, phase: UePhase, now_ms: int) -> None:
+        """Move to `phase`, setting or dropping what it owns (see module
+        docstring). It leaves `_backoff_until_ms` and `_camped_recheck_ms`
+        be, though both outlive the phase that set them."""
+        self.phase = phase
+        self._proc_deadline_ms = now_ms + PROC_GUARD_MS if phase in _PRE_ACCEPT else None
         self._next_meas_ms = None
-        self._proc_deadline_ms = None
-        self._last_activity_ms = None
+        if phase is UePhase.REGISTERED:
+            self._next_meas_ms = now_ms + MEAS_PERIOD_MS
+            self._camped_recheck_ms = None
+        elif phase not in RNTI_PHASES:
+            self.rnti = self.key_id = self._purpose = self._last_activity_ms = None
+
+    def _restart(self, now_ms: int) -> None:
+        """Search afresh, as after power-on or airplane mode: every operator
+        and LTE allowed again, no session, no Sib1 held."""
+        self.forbidden_plmns.clear()
+        self.rat_allowed = RatAllowed.LTE_AND_GSM
+        self.gsm_attached = False
+        self.sib1s.clear()
+        self.earfcn_priority.clear()
+        self._drop_session(now_ms)
+
+    def _drop_session(self, now_ms: int) -> None:
         self.serving_cell = None
+        self._enter(UePhase.SEARCHING, now_ms)
 
     def _expire_forbidden(self, now_ms: int) -> None:
         # Only a congestion reject sets a backoff, and the device stays
@@ -757,7 +741,6 @@ _ON_EVENT = {
 }
 
 # Serving-cell downlink type -> (handler, the phases that act on it).
-_PRE_ACCEPT = {UePhase.RACH_IN_PROGRESS, UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED}
 _ON_SERVING_RX = {
     MacRar: (Ue._on_mac_rar, {UePhase.RACH_IN_PROGRESS}),
     RrcConnectionSetup: (Ue._on_setup, {UePhase.CONNECTING}),

@@ -1,10 +1,13 @@
 """Device state machine driven directly, with the test playing network."""
 
+import ast
 import copy
+import pathlib
 import random
 
 import pytest
 
+from ltesim import ue as ue_module
 from ltesim.codec import (
     AttachAccept,
     AttachReject,
@@ -36,10 +39,10 @@ from ltesim.codec import (
 )
 from ltesim.attacker import RogueCell, RogueCellConfig
 from ltesim.crypto_stub import derive_autn, stub_mac
-from ltesim.engine import Sight
+from ltesim.engine import Sight, run
 from ltesim.identity import CellIdentity, Plmn, parse_imsi
 from ltesim.radio import DEFAULT_RX_FLOOR_DBM, PathLossModel, RadioCell, Rat
-from ltesim.scenario import UeSpec, WaypointSpec
+from ltesim.scenario import UeSpec, WaypointSpec, load_scenario, parse_scenario
 from ltesim.ue import (
     ATTACH_BACKOFF_MS,
     CELL_BAR_MS,
@@ -61,6 +64,9 @@ from ltesim.ue import (
     UeProfile,
     select_cell,
 )
+
+from tests.conftest import SCENARIO_DIR
+from tests.scenario_builders import benign_day_scenario, crowd_scenario, walk_scenario
 
 PLMN = Plmn("310", "260")
 KEY = b"\x10" * 16
@@ -874,3 +880,57 @@ def test_quiet_ends_with_any_step():
     news = Rx(FrameHeader(7_777, 11, 0, Direction.DOWNLINK), sib(11, priority=((3350, 7),)))
     expect = (7_830, UePhase.CAMPED_IDLE, 11)
     assert_same_reselection(hearing(cells), register_on_10(sib(11)), 9_000, expect, script=[(7_777, news)])
+
+
+# -- one writer for the phase ---------------------------------------------------------
+
+
+def test_only_enter_writes_the_phase():
+    source = pathlib.Path(ue_module.__file__).read_text()
+    assert source.count("self.phase =") == 1
+    writers = [
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Attribute) and leaf.attr == "phase"
+    ]
+    assert writers == ["_enter"]
+
+
+OWNERSHIP_CASES = [
+    *[(path.stem, lambda path=path: load_scenario(path)) for path in sorted(SCENARIO_DIR.glob("*.json"))],
+    ("benign-day", lambda: parse_scenario(benign_day_scenario())),
+    *[
+        (f"walk-encrypt={e}-refresh={r}", lambda e=e, r=r: parse_scenario(walk_scenario(1, encrypt=e, refresh=r)))
+        for e in (False, True)
+        for r in (False, True)
+    ],
+    ("crowd-50", lambda: parse_scenario(crowd_scenario(50))),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in OWNERSHIP_CASES], ids=[name for name, _ in OWNERSHIP_CASES])
+def test_each_phase_holds_exactly_what_it_owns(monkeypatch, make):
+    """After every step of a whole run: the procedure guard is set exactly in
+    the pre-accept phases, the measurement timer exactly in Registered, and
+    outside RNTI_PHASES no radio id, security context, purpose or activity
+    clock is held."""
+    step, seen = Ue.step, set()
+
+    def checked_step(ue, event, now_ms):
+        out = step(ue, event, now_ms)
+        where = (ue.profile.name, now_ms, ue.phase)
+        assert (ue._proc_deadline_ms is not None) == (ue.phase in PRE_ACCEPT), where
+        assert (ue._next_meas_ms is not None) == (ue.phase is P.REGISTERED), where
+        if ue.phase not in RNTI_PHASES:
+            assert (ue.rnti, ue.key_id, ue._purpose, ue._last_activity_ms) == (None,) * 4, where
+        seen.add(ue.phase)
+        return out
+
+    monkeypatch.setattr(Ue, "step", checked_step)
+    run(make())
+    assert PRE_ACCEPT | {P.SEARCHING, P.REGISTERED} <= seen  # every run climbs the whole ladder
