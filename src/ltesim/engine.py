@@ -58,14 +58,18 @@ which builds and validates its header once and writes the frame once:
 its bytes and that header to the sniffer, which does not read the header
 again, and its line to the capture log. The receiving party gets the
 message itself.
-A frame whose header `repeats` (cleartext to rnti 0: a Mib, Sib1 or
-Paging broadcast, or an access preamble) differs from the last one with
-the same message, cell, direction and rx only in `t`, so it is written
-from a template of the rest (`_template`): header bytes 8-15 and the
-body, and the capture line's text before and after `t`. Packing the
-first one validates its header; every later one checks only its `t`.
-Each distinct body is still encoded and serialised to capture JSON once
-per run, whatever cell sends it; every other frame is encoded whole.
+A frame differs from the last one with the same message, cell, rnti,
+direction, key_id and rx only in `t`, so each is written from a template
+of the rest (`_template`): header bytes 8-15 and the body, and the
+capture line's text before and after `t`. Packing the first one
+validates its header; every later one checks only its `t`. Frames recur
+as broadcasts and access preambles (cleartext to rnti 0), and as the
+measurement reports of a device that stands still: the stub keystream
+has no per-frame counter, so one body under one key_id masks to the same
+bytes every time. A device's uplink rx is computed again only when it
+has moved since its last uplink. Each distinct body cleartext to rnti 0
+is encoded and serialised to capture JSON once per run, whatever cell
+sends it; every other frame once per template.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -75,12 +79,11 @@ position (rounded to 0.1 dB). Paging directives leave a
 knew. `replay_capture` reconstructs the frame stream from such a file
 and must land on the identical tracking report. As in the run, each
 frame reaches the sniffer with the header it was packed from, validated
-once. A repeating frame's line is remembered by its text less its `rx`
-and `t`: a later line that differs from one seen valid only there, each
-a plain decimal (`-63.2`, `40`), is the same frame at its own `t` and
-reaches the sniffer without a parse. Other lines (added whitespace,
-reordered or repeated keys, escapes, exponents, protected frames, page
-triggers) take the full path.
+once. A frame line is remembered by its text less its `rx` and `t`: a
+later line that differs from one seen valid only there, each a plain
+decimal (`-63.2`, `40`), is the same frame at its own `t` and reaches
+the sniffer without a parse. Other lines (added whitespace, reordered or
+repeated keys, escapes, exponents, page triggers) take the full path.
 """
 
 from __future__ import annotations
@@ -213,8 +216,12 @@ class Engine:
         self._quiet: set[int] = set()
         # The sniffer's rx per cell id: a cell stands still.
         self._sniffer_rx = {cid: self._rx_at_sniffer(r.position, r.tx_power_dbm) for cid, r in self._radios.items()}
+        # Each device's last uplink (position, rx at the sniffer): one entry
+        # per device, however far it moves.
+        self._uplink_rx: list[Optional[tuple]] = [None] * len(self._devices)
         # Repeating body bytes and capture JSON text per message value, and
-        # frame templates per (message, cell, direction, rx) (see _template).
+        # frame templates per (message, cell, rnti, direction, key_id, rx)
+        # (see _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
         self._templates: dict[tuple, tuple[bytes, str, str]] = {}
         # Per Sib1 value broadcast so far, the devices it can change (see _step).
@@ -238,7 +245,7 @@ class Engine:
         # a unit's engines until all have run): let the memos and the
         # sniffer, which the result does not need, go now.
         self._repeating_bodies, self._templates = {}, {}
-        self._sib1_subs = {}
+        self._sib1_subs, self._uplink_rx = {}, []
         self.sniffer = None
         return result
 
@@ -315,39 +322,38 @@ class Engine:
     def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> FrameHeader:
         """Put one frame on the air, tapped at the sniffer's receive level
         rx: show it to the sniffer, log its capture line, and return its
-        header. A repeating frame is written from its template (see
-        _template); any other is encoded whole."""
+        header. Each frame is written from its template (see _template)."""
         header = FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
-        if header.repeats:
-            # rx by value: one cell's rx is never both -0.0 and 0.0, the only
-            # equal floats with different texts.
-            key = (frame.message, frame.cell_id, direction, rx)
-            tail, prefix, suffix = self._templates.get(key) or self._template(key, header)
-            if not 0 <= t < 1 << 64:  # the one field a template leaves open
-                raise InvariantViolation(f"timestamp out of range: {t}")
-            data = struct.pack(">Q", t) + tail
-        else:
-            data = codec.encode(header, frame.message, self.core.keys)
-            prefix, suffix = _line(header, frame.message, len(data) - HEADER_LEN, rx)
+        # rx by value: one sender's rx is never both -0.0 and 0.0, the only
+        # equal floats with different texts.
+        key = (frame.message, frame.cell_id, frame.rnti, direction, frame.key_id, rx)
+        tail, prefix, suffix = self._templates.get(key) or self._template(key, header)
+        if not 0 <= t < 1 << 64:  # the one field a template leaves open
+            raise InvariantViolation(f"timestamp out of range: {t}")
+        data = struct.pack(">Q", t) + tail
         if self.sniffer is not None:
             self.sniffer.observe(data, header)
         self.capture.append(f"{prefix}{t}{suffix}")
         return header
 
     def _template(self, key: tuple, header: FrameHeader) -> tuple[bytes, str, str]:
-        """Remember what a repeating frame with this (message, cell,
-        direction, rx) shares with the next one, all but its `t`: header
-        bytes 8-15 and the body, and its capture line before and after
-        `t`. Packing the first header validates the cell id and rnti. Each
-        distinct body is encoded and serialised to JSON once per run."""
-        msg, rx = key[0], key[3]
-        known = self._repeating_bodies.get(msg)
-        if known is None:
-            data = codec.encode(header, msg)
-            known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
-        else:
+        """Remember what a frame with this (message, cell, rnti, direction,
+        key_id, rx) shares with the next one, all but its `t`: header bytes
+        8-15 and the body, and its capture line before and after `t`.
+        Packing the first header validates the cell id, rnti and key_id. A
+        repeating body is encoded and serialised to JSON once per run,
+        whatever cell sends it; any other frame is encoded whole, a
+        protected one masked under its key_id."""
+        msg, rx = key[0], key[5]
+        known = self._repeating_bodies.get(msg) if header.repeats else None
+        if known is not None:
             data = codec.pack_header(header) + known[0]
-        template = self._templates[key] = (data[8:], *_line(header, msg, len(known[0]), rx, known[1]))
+        else:
+            data = codec.encode(header, msg, self.core.keys)
+            if header.repeats:
+                known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
+        line = _line(header, msg, len(data) - HEADER_LEN, rx, known[1] if known else None)
+        template = self._templates[key] = (data[8:], *line)
         return template
 
     def _air_downlink(self, dl: Emission, t: int, causal: Optional[int], ul_batch: list) -> None:
@@ -392,8 +398,10 @@ class Engine:
                     subs.discard(i)
 
     def _air_uplink(self, i: int, emission: Emission, t: int) -> None:
-        rx = self._rx_at_sniffer(self._devices[i].profile.position_at(t), UE_TX_POWER_DBM)
-        header = self._air(emission, Direction.UPLINK, t, rx)
+        position, last = self._devices[i].profile.position_at(t), self._uplink_rx[i]
+        if last is None or last[0] != position:
+            last = self._uplink_rx[i] = position, self._rx_at_sniffer(position, UE_TX_POWER_DBM)
+        header = self._air(emission, Direction.UPLINK, t, last[1])
         owner = self._owners.get(emission.cell_id)
         if owner is not None:
             self._downlinks += [(dl, i) for dl in owner.handle_uplink(header, emission.message, t)]
@@ -558,7 +566,7 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
     """Feed a capture file back through a fresh observer. A line that does
     not describe a frame or a page trigger raises CaptureInvalid."""
     sniffer = Sniffer()
-    seen: dict[tuple, tuple[tuple, bytes]] = {}  # line less rx, t -> (cell, rnti, dir), bytes after t
+    seen: dict[tuple, tuple[tuple, bytes]] = {}  # line less rx, t -> (cell, rnti, dir, key_id), bytes after t
     for number, line in enumerate(lines, 1):
         cuts = _CUTS.get(type(line))
         tail = cuts and cuts[1].fullmatch(line.rpartition(cuts[0])[2])
@@ -583,8 +591,8 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
             raise CaptureInvalid(f"line {number}: missing key {exc}") from None
         except (ValueError, codec.CodecError) as exc:
             raise CaptureInvalid(f"line {number}: {exc}") from None
-        if tail and header.repeats:
-            seen[key] = (header.cell_id, header.rnti, header.direction), frame[8:]
+        if tail:
+            seen[key] = header[1:], frame[8:]
         sniffer.observe(frame, header)
     return sniffer.report()
 

@@ -60,6 +60,11 @@ connection still drops, but it bars the cell, backs off, and retries
 instead of blocking itself or downgrading. In this model every reject is
 unprotected, which is precisely the weakness the toggle addresses.
 
+A Registered device re-sends its last MeasurementReport object while its
+visibility hands back the same list of cells heard, as `Sight` does while
+neither the device nor the rogue moves; the engine then writes it from a
+template.
+
 The RNTI appears in every frame header this device sends or is addressed
 by; phases RachInProgress..Registered are the span where one may be
 held. A security context exists only in Secured/Registered, or in
@@ -148,6 +153,7 @@ class RatAllowed(enum.Enum):
 # see module docstring.
 _PRE_ACCEPT = {UePhase.RACH_IN_PROGRESS, UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED}
 RNTI_PHASES = _PRE_ACCEPT | {UePhase.REGISTERED}
+_RNTI_HELD = RNTI_PHASES - {UePhase.RACH_IN_PROGRESS}  # an rnti always held
 
 
 @dataclass(frozen=True)
@@ -272,10 +278,12 @@ def _on_grid(anchor_ms: int, at_ms: int) -> int:
 class Ue:
     """One device. Feed it events via step(); collect its uplinks.
 
-    `visibility(now_ms)` lists the cells heard then with their rx.
-    `steady_until(now_ms)` is the first instant after which that list may
-    differ from the one at now_ms, None for never; by default it may
-    change at any time, so no camped recheck is skipped."""
+    `visibility(now_ms)` lists the cells heard then with their rx; a list
+    it hands back again must be unchanged, since the device re-sends the
+    report it built from it. `steady_until(now_ms)` is the first instant
+    after which that list may differ from the one at now_ms, None for
+    never; by default it may change at any time, so no camped recheck is
+    skipped."""
 
     def __init__(
         self,
@@ -307,6 +315,8 @@ class Ue:
         # The last no-op camped recheck while quiet (see module docstring).
         self._quiet_since_ms: Optional[int] = None
         self._backoff_until_ms: Optional[int] = None
+        # The cells heard at the last measurement report, and that report.
+        self._last_report: tuple[Optional[list], Optional[MeasurementReport]] = None, None
         # The phase and what it owns: rnti, key_id (the security context,
         # while one is live), _purpose, _proc_deadline_ms, _next_meas_ms
         # and _last_activity_ms.
@@ -656,13 +666,11 @@ class Ue:
     # -- periodic work -------------------------------------------------------
 
     def _emit_measurement_report(self, now_ms: int, out: list[Emission]) -> None:
-        entries = []
-        for cell, rx in self._visible(now_ms):
-            if cell.rat is not Rat.LTE:
-                continue
-            rsrp = max(-128, min(127, round(rx)))
-            entries.append((cell.cell_id, rsrp))
-        out.append(self._emission(MeasurementReport(tuple(entries))))
+        visible = self._visible(now_ms)
+        if self._last_report[0] is not visible:  # held, so its id is not reused
+            entries = tuple((c.cell_id, max(-128, min(127, round(rx)))) for c, rx in visible if c.rat is Rat.LTE)
+            self._last_report = visible, MeasurementReport(entries)
+        out.append(self._emission(self._last_report[1]))
 
     def _go_idle(self, now_ms: int) -> None:
         self.stats.idle_transitions += 1
@@ -719,7 +727,7 @@ class Ue:
     def _check_local_invariants(self) -> None:
         if self.rnti is not None and self.phase not in RNTI_PHASES:
             raise IllegalTransition(f"rnti held in phase {self.phase}")
-        if self.phase in RNTI_PHASES - {UePhase.RACH_IN_PROGRESS} and self.rnti is None:
+        if self.phase in _RNTI_HELD and self.rnti is None:
             raise IllegalTransition(f"no rnti in phase {self.phase}")
         if self.key_id is not None and self.phase not in (
             UePhase.SECURED,
@@ -750,6 +758,6 @@ _ON_SERVING_RX = {
     AttachAccept: (Ue._on_attach_accept, {UePhase.SECURED}),
     AttachReject: (Ue._on_reject, _PRE_ACCEPT),
     TauReject: (Ue._on_reject, _PRE_ACCEPT),
-    RrcConnectionReconfiguration: (Ue._on_reconfiguration, RNTI_PHASES - {UePhase.RACH_IN_PROGRESS}),
+    RrcConnectionReconfiguration: (Ue._on_reconfiguration, _RNTI_HELD),
     UserData: (Ue._on_user_data, {UePhase.REGISTERED}),
 }

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ltesim import codec
 from ltesim import engine as engine_module
-from ltesim.codec import CaptureInvalid, Direction, InvariantViolation, Mib, RachPreamble, Sib1
+from ltesim.codec import CaptureInvalid, Direction, InvariantViolation, MeasurementReport, Mib, RachPreamble, Sib1
 from ltesim.core import NetworkCore
 from ltesim.engine import Engine, diff_tracking, parse_capture_line, reconstruct_frame, replay_capture, run
 from ltesim.identity import Plmn
@@ -205,11 +205,39 @@ def test_a_template_serves_only_its_own_cell_direction_and_rx():
     assert len(engine._templates) == len(frames)
 
 
+def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx():
+    """One report body under two key_ids and in the clear, from two rntis
+    and two cells, both ways, at two rx: each gets its own header bytes,
+    mask and line text, whichever of them was remembered first."""
+    engine = Engine(small_scenario())
+    engine.core.keys.update({1: b"\x01" * 16, 2: b"\x02" * 16})
+    report = MeasurementReport(((10, -60), (11, -75)))
+    fed = []
+    engine.sniffer = types.SimpleNamespace(observe=lambda data, header: fed.append((data, header)))
+    frames = [
+        (cell, rnti, way, key_id, rx)
+        for cell in (10, 11)
+        for rnti in (700, 701)
+        for way in Direction
+        for key_id in (1, 2, None)
+        for rx in (-60.0, -71.3)
+    ]
+    for t, (cell, rnti, way, key_id, rx) in enumerate(frames * 2):
+        header = engine._air(Emission(cell, rnti, report, key_id), way, t, rx)
+        data = codec.encode(header, report, engine.core.keys)
+        assert fed[-1] == (data, header)
+        assert engine.capture[-1] == reference_line(data, header, report, rx)
+    assert len(engine._templates) == len(frames)
+
+
 def test_run_leaves_no_template_behind():
     engine = Engine(small_scenario())
     result = engine.run()
-    assert any(obj.get("rnti") == 0 and obj["type"] == "sib1" for obj in capture_objs(result))
+    objs = capture_objs(result)
+    assert any(obj.get("rnti") == 0 and obj["type"] == "sib1" for obj in objs)
+    assert any(obj.get("dir") == "ul" and obj["prot"] == "protected" for obj in objs)
     assert engine._templates == {} and engine._repeating_bodies == {}
+    assert engine._uplink_rx == []
 
 
 # -- replay against the memo-free reference ---------------------------------------
@@ -242,12 +270,10 @@ def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
     monkeypatch.undo()
     frames = [obj for obj in map(json.loads, lines) if "meta" not in obj]
     assert fed == [reconstruct_frame(obj)[1] for obj in frames]
-    # Encoded: the first sight of each repeating line less its rx and t,
-    # and every other cleartext frame.
-    lines_less_rx_t = {timeless(obj) for obj in frames if repeating(obj)}
-    clear = sum(obj["prot"] == "clear" and repeating(obj) is None for obj in frames)
-    assert len(frames) > 2 * (len(lines_less_rx_t) + clear)  # broadcasts dominate every run
-    assert encodes[0] == len(lines_less_rx_t) + clear
+    # Encoded: the first sight of each cleartext line less its rx and t.
+    clear_less_rx_t = {timeless(obj) for obj in frames if obj["prot"] == "clear"}
+    assert len(frames) > 2 * len(clear_less_rx_t)  # broadcasts dominate every run
+    assert encodes[0] == len(clear_less_rx_t)
 
 
 def typed(header):
@@ -441,11 +467,10 @@ def rebuilt(monkeypatch):
 def test_replay_remembers_repeating_lines_and_reports_as_the_reference(rebuilt, name):
     lines = run(scenario_named(name)).capture_lines
     want = reference_replay(lines).as_json()
-    # Rebuilt: every frame but the repeats of a broadcast line seen before
-    # with another rx or t.
+    # Rebuilt: the first sight of each frame line less its rx and t, the
+    # protected ones too.
     frames = [obj for obj in map(json.loads, lines) if "meta" not in obj]
-    seen = {timeless(obj) for obj in frames if repeating(obj)}
-    rebuilds = len(seen) + sum(repeating(obj) is None for obj in frames)
+    rebuilds = len({timeless(obj) for obj in frames})
     assert rebuilds < len(frames)
     for form in (lines, as_bytes(lines), as_bytes(lines, b"\r\n")):
         rebuilt.clear()
@@ -512,12 +537,54 @@ TEXT_TWINS = {
 }
 
 
+# A protected uplink as the engine writes it, and text edits of it: the
+# memo serves a protected line by its text as it serves a cleartext one.
+COMPACT_OPAQUE = (
+    '{"cell":10,"dir":"ul","key_id":3,"len":12,"prot":"protected","rnti":700,"rx":-63.2,"t":40,"type":"opaque"}'
+)
+
+
+def opaque_retext(old, new):
+    assert old in COMPACT_OPAQUE
+    return COMPACT_OPAQUE.replace(old, new)
+
+
+PROTECTED_TWINS = {
+    "opaque-same": COMPACT_OPAQUE,
+    "opaque-later": opaque_retext('"t":40', '"t":80'),
+    "opaque-rx-positive": opaque_retext('"rx":-63.2', '"rx":3.0'),
+    "opaque-t-2**64-1": opaque_retext('"t":40', f'"t":{2**64 - 1}'),
+    "opaque-t-2**64": opaque_retext('"t":40', f'"t":{2**64}'),
+    "opaque-t-20-digits": opaque_retext('"t":40', '"t":99999999999999999999'),
+    "opaque-other-key-id": opaque_retext('"key_id":3', '"key_id":4'),
+    "opaque-key-id-zero": opaque_retext('"key_id":3', '"key_id":0'),
+    "opaque-key-id-float": opaque_retext('"key_id":3', '"key_id":3.0'),
+    "opaque-key-id-negative": opaque_retext('"key_id":3', '"key_id":-3'),
+    "opaque-key-id-2**32": opaque_retext('"key_id":3', f'"key_id":{2**32}'),
+    "opaque-key-id-null": opaque_retext('"key_id":3', '"key_id":null'),
+    "opaque-other-len": opaque_retext('"len":12', '"len":13'),
+    "opaque-len-under": opaque_retext('"len":12', '"len":3'),
+    "opaque-len-float": opaque_retext('"len":12', '"len":12.0'),
+    "opaque-len-over": opaque_retext('"len":12', f'"len":{(1 << 17) + 1}'),
+    "opaque-other-rnti": opaque_retext('"rnti":700', '"rnti":701'),
+    "opaque-rnti-zero": opaque_retext('"rnti":700', '"rnti":0'),
+    "opaque-rnti-reserved": opaque_retext('"rnti":700', '"rnti":65535'),
+    "opaque-other-dir": opaque_retext('"dir":"ul"', '"dir":"dl"'),
+    "opaque-other-cell": opaque_retext('"cell":10', '"cell":11'),
+    "opaque-clear": opaque_retext('"prot":"protected"', '"prot":"clear"'),
+    "opaque-other-type": opaque_retext('"type":"opaque"', '"type":"mib"'),
+    "opaque-rx-nan": opaque_retext('"rx":-63.2', '"rx":NaN'),
+    "opaque-duplicate-key-id": opaque_retext('"key_id":3', '"key_id":3,"key_id":4'),
+}
+TWIN_BASES = dict.fromkeys(TEXT_TWINS, COMPACT_MIB) | dict.fromkeys(PROTECTED_TWINS, COMPACT_OPAQUE)
+
+
 @pytest.mark.parametrize("form", ["str", "lf", "crlf"])
-@pytest.mark.parametrize("twin", list(TEXT_TWINS))
+@pytest.mark.parametrize("twin", list(TEXT_TWINS) + list(PROTECTED_TWINS))
 def test_a_text_twin_of_a_remembered_line_replays_as_the_reference(twin, form):
     """The twin follows the remembered line, then follows itself."""
-    twin = TEXT_TWINS[twin]
-    for lines in ([COMPACT_MIB, twin], [twin, twin], [twin, COMPACT_MIB, twin]):
+    base, twin = TWIN_BASES[twin], (TEXT_TWINS | PROTECTED_TWINS)[twin]
+    for lines in ([base, twin], [twin, twin], [twin, base, twin]):
         if form != "str":
             lines = as_bytes(lines, b"\n" if form == "lf" else b"\r\n")
         assert outcome(replay_capture, lines) == outcome(reference_replay, lines)
@@ -556,6 +623,14 @@ def test_a_retimed_twin_skips_the_rebuild(rebuilt):
     with pytest.raises(CaptureInvalid, match=r"^line 4: timestamp out of range: 18446744073709551616$"):
         replay_capture(lines)
     assert [obj["t"] for obj in rebuilt] == [40, 2**64]
+
+
+def test_a_retimed_protected_twin_skips_the_rebuild(rebuilt):
+    lines = [COMPACT_OPAQUE, PROTECTED_TWINS["opaque-later"], PROTECTED_TWINS["opaque-rx-positive"]]
+    lines += [PROTECTED_TWINS["opaque-other-key-id"], PROTECTED_TWINS["opaque-t-2**64"]]
+    with pytest.raises(CaptureInvalid, match=r"^line 5: timestamp out of range: 18446744073709551616$"):
+        replay_capture(lines)
+    assert [(obj["t"], obj["key_id"]) for obj in rebuilt] == [(40, 3), (40, 4), (2**64, 3)]
 
 
 # -- truth scoring ------------------------------------------------------------------

@@ -934,3 +934,46 @@ def test_each_phase_holds_exactly_what_it_owns(monkeypatch, make):
     monkeypatch.setattr(Ue, "step", checked_step)
     run(make())
     assert PRE_ACCEPT | {P.SEARCHING, P.REGISTERED} <= seen  # every run climbs the whole ladder
+
+
+# -- a measurement report re-sent while the cells heard stand still --------------------
+
+
+def reports_over(spec, rogue, until_ms):
+    """A device registered on cell 10 at 0 ms, ticked on its measurement
+    timer up to until_ms: each report it sends, the list of cells it heard
+    then, and the report a twin sends that is handed a new copy of that
+    list at every call, so it builds every report afresh."""
+    sight = two_cell_sight(spec, rogue)
+    devices = [Ue(spec, random.Random(5), sight, sight.steady_until)]
+    devices.append(Ue(spec, random.Random(5), lambda now_ms: list(sight(now_ms)), sight.steady_until))
+    for ue in devices:
+        register_on_10()(ue, Driver(ue))
+    sent = []
+    for now in range(MEAS_PERIOD_MS, until_ms + 1, MEAS_PERIOD_MS):
+        (report,), (fresh,) = ([e.message for e in ue.step(Tick(now), now)] for ue in devices)
+        sent.append((report, sight(now), fresh))
+    assert all(ue.phase is UePhase.REGISTERED for ue in devices)
+    return sent
+
+
+def test_a_device_that_stands_still_resends_the_same_report():
+    sent = reports_over(walker_spec(100.0), None, 4_000)
+    assert all(report is sent[0][0] and report == fresh for report, _, fresh in sent)
+    assert sent[0][0].neighbors[0][0] == 10
+
+
+@pytest.mark.parametrize(
+    "spec, rogue",
+    [
+        (walker_spec(100.0, [(1_000, 100.0), (3_000, 700.0)]), None),  # walks toward cell 11
+        (walker_spec(100.0), rogue_cell(100, (1_900, 3_100))),  # the rogue comes on air, then leaves
+    ],
+    ids=["moves", "rogue-on-air"],
+)
+def test_a_device_whose_heard_cells_change_builds_its_report_afresh(spec, rogue):
+    sent = reports_over(spec, rogue, 4_800)
+    assert len({report for report, _, _ in sent}) >= 2
+    for (before, heard_before, _), (report, heard, fresh) in zip(sent, sent[1:]):
+        assert report == fresh
+        assert (report is before) == (heard is heard_before)
