@@ -29,6 +29,10 @@ with `rnti_refresh_on_idle`, retires it so the device returns under a
 fresh one. The parked value is excluded from draws by staying reserved, so a
 refreshed id never equals the prior one.
 
+Only two writes can break "each active session sits under its own key,
+with its id reserved": `_activate` puts a session under a key and
+`_release` frees an id. Each raises `InvariantViolation` before breaking it.
+
 Each HSS entry is one `Subscriber` record, which a session points at
 once it names one. An IMSI, an MSISDN and a TMSI each name exactly one
 subscriber: the scenario parser refuses shared identities, and a drawn
@@ -268,8 +272,7 @@ class NetworkCore:
             # The travelling session arrives: re-home it under the RAR id.
             self._rekey(pending.popleft(), cfg.cell_id, temp)
         else:
-            rec = SessionRecord(cfg.cell_id, temp, SessionState.RACH_DONE)
-            self.active[(cfg.cell_id, temp)] = rec
+            self._activate(SessionRecord(cfg.cell_id, temp, SessionState.RACH_DONE))
         return [Emission(cfg.cell_id, temp, MacRar(temp_rnti=temp))]
 
     def _on_connection_request(
@@ -289,7 +292,7 @@ class NetworkCore:
                 out.append(Emission(cfg.cell_id, rec.rnti, reissue))
                 self._rekey(rec, cfg.cell_id, prior)
             else:
-                self.allocators[cell_id].release(prior)
+                self._release(cell_id, prior)
         out.append(Emission(cfg.cell_id, rec.rnti, RrcConnectionSetup()))
         return out
 
@@ -452,7 +455,7 @@ class NetworkCore:
                 pending = self._ho_pending[ho.target_cell_id]
                 if pending and pending[0] is rec:  # lapses come in trigger order
                     pending.popleft()
-                self.allocators[ho.target_cell_id].release(ho.final_rnti)
+                self._release(ho.target_cell_id, ho.final_rnti)
                 self._owe(rec.last_activity_ms + IDLE_AFTER_MS + 1, rec)
                 continue
             del self.active[(rec.cell_id, rec.rnti)]
@@ -496,37 +499,60 @@ class NetworkCore:
 
     def _reject(self, cfg: CellConfig, rec: SessionRecord, cause: EmmCause) -> list[Emission]:
         self.active.pop((rec.cell_id, rec.rnti), None)
-        self.allocators[rec.cell_id].release(rec.rnti)
+        self._release(rec.cell_id, rec.rnti)
         return [Emission(cfg.cell_id, rec.rnti, AttachReject(cause))]
 
     def _park(self, sub: Subscriber, parked: Optional[tuple[int, int]]) -> None:
         """Replace the subscriber's parked id, releasing the one it held."""
         if sub.parked is not None:
-            self.allocators[sub.parked[0]].release(sub.parked[1])
+            self._release(*sub.parked)
         sub.parked = parked
 
     def _rekey(self, rec: SessionRecord, cell_id: int, rnti: int) -> None:
         """Move a session to a new (cell, rnti) key, releasing its old id."""
         self.active.pop((rec.cell_id, rec.rnti), None)
-        self.allocators[rec.cell_id].release(rec.rnti)
+        self._release(rec.cell_id, rec.rnti)
         rec.cell_id, rec.rnti = cell_id, rnti
-        self.active[(cell_id, rnti)] = rec
+        self._activate(rec)
+
+    def _activate(self, rec: SessionRecord) -> None:
+        """Put a session under its own (cell, rnti) key: its id must be
+        reserved at its cell, and no other session may hold that key."""
+        key = (rec.cell_id, rec.rnti)
+        if rec.rnti not in self.allocators[rec.cell_id].in_use or key in self.active:
+            raise InvariantViolation(f"rnti {rec.rnti} at cell {rec.cell_id} is not reserved or already active")
+        self.active[key] = rec
+
+    def _release(self, cell_id: int, rnti: int) -> None:
+        """Free a cell's radio id, which no active session may still hold."""
+        if (cell_id, rnti) in self.active:
+            raise InvariantViolation(f"released rnti {rnti} is still active at cell {cell_id}")
+        self.allocators[cell_id].release(rnti)
 
     def _drop(self, reason: str) -> None:
         self.drops[reason] = self.drops.get(reason, 0) + 1
 
     def check_invariants(self) -> None:
-        """Radio-id uniqueness per cell over non-idle sessions (each sits
-        under its own (cell, rnti) key), and allocator consistency, with
-        a cell's reserved ids read once per check, not per session."""
-        reserved: dict[int, frozenset[int]] = {}
+        """The full sweep: each active session sits under its own (cell,
+        rnti) key with its id reserved there, and each cell reserves exactly
+        the ids its active sessions, parked subscribers and open handovers
+        own. The engine runs it once, after the last tick."""
+        reserved = {cell_id: allocator.in_use for cell_id, allocator in self.allocators.items()}
+        owned: dict[int, set[int]] = {cell_id: set() for cell_id in reserved}
         for (cell_id, rnti), rec in self.active.items():
             if rec.cell_id != cell_id or rec.rnti != rnti:
                 raise InvariantViolation(f"session index mismatch at {(cell_id, rnti)}")
-            if cell_id not in reserved:
-                reserved[cell_id] = self.allocators[cell_id].in_use
             if rnti not in reserved[cell_id]:
                 raise InvariantViolation(f"active rnti {rnti} not reserved at cell {cell_id}")
+            owned[cell_id].add(rnti)
+            if rec.handover is not None:
+                owned[rec.handover.target_cell_id].add(rec.handover.final_rnti)
+        for sub in self.hss.values():
+            if sub.parked is not None:
+                owned[sub.parked[0]].add(sub.parked[1])
+        for cell_id, ids in owned.items():
+            if ids != reserved[cell_id]:
+                raise InvariantViolation(f"reserved and owned rntis differ at cell {cell_id}: {sorted(ids ^ reserved[cell_id])}")
 
 
 # Uplink type -> ladder step, for frames on a session's (cell, rnti); a

@@ -34,7 +34,10 @@ determinism contract:
     4. paging directives enter the network
     5. this tick's uplinks reach the cells; responses queue for t+1
     6. network timers (idle transitions, stale handover preparations)
-    7. invariant checks
+
+The core checks its radio-id invariants as it writes them (see `core.py`),
+so a break raises in the stage that made it; its full sweep,
+`check_invariants`, runs once, after the last tick.
 
 Uplinks arrive the tick they are sent and go to the cell's owner, the
 operator core or the rogue. Every downlink answer lands one tick later,
@@ -240,6 +243,7 @@ class Engine:
     def run(self) -> RunResult:
         while self._heap:
             self._process(heapq.heappop(self._heap))
+        self.core.check_invariants()
         result = self._result()
         # An engine runs once, but its caller may hold it on (perfbench holds
         # a unit's engines until all have run): let the memos and the
@@ -295,7 +299,6 @@ class Engine:
                 self._air_uplink(i, emission, t)
 
         self.core.tick(t)
-        self.core.check_invariants()
 
         if self._downlinks:
             self._at(t + 1, t)

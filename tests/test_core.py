@@ -1,6 +1,8 @@
 """Network core driven directly, with the test playing the device side."""
 
+import ast
 import copy
+import pathlib
 import random
 
 import pytest
@@ -37,9 +39,11 @@ from ltesim.core import (
     CellConfig,
     InvariantViolation,
     NetworkCore,
+    SessionRecord,
     SessionState,
     UnknownSubscriber,
 )
+from ltesim import core as core_module
 from ltesim.crypto_stub import stub_mac
 from ltesim.identity import RNTI_MAX, RNTI_MIN, CellIdentity, Plmn, parse_imsi
 from ltesim.prng import child_rng
@@ -623,3 +627,115 @@ def test_invariants_catch_unreserved_rnti():
     core.allocators[10].release(rnti)
     with pytest.raises(InvariantViolation):
         core.check_invariants()
+
+
+# -- write-time checks and the full sweep ---------------------------------------
+
+
+def test_releasing_a_live_id_raises_and_frees_nothing():
+    core = build()
+    rnti, _, _ = run_ladder(core)
+    before = core.allocators[10].in_use
+    with pytest.raises(InvariantViolation):
+        core._release(10, rnti)
+    assert core.allocators[10].in_use == before == {rnti}
+    core.check_invariants()
+
+
+def test_activating_an_unreserved_id_raises_and_adds_nothing():
+    core = build()
+    rnti, _, _ = run_ladder(core)
+    before = dict(core.active)
+    with pytest.raises(InvariantViolation):
+        core._activate(SessionRecord(10, 600, SessionState.RACH_DONE))
+    assert core.active == before
+    core.check_invariants()
+
+
+def test_activating_over_a_live_session_raises_and_keeps_it():
+    core = build()
+    rnti, _, _ = run_ladder(core)
+    holder = core.active[(10, rnti)]
+    with pytest.raises(InvariantViolation):
+        core._activate(SessionRecord(10, rnti, SessionState.RACH_DONE))
+    assert core.active == {(10, rnti): holder}
+
+
+def test_the_sweep_passes_with_parked_and_prepared_ids():
+    core = two_cell_core()
+    rnti, _, tmsi = run_ladder(core)
+    ul(core, 10, rnti, MeasurementReport(((10, -70), (11, -60))), t=1000)
+    core.check_invariants()  # 900 is prepared at cell 11 for the open handover
+    core.tick(1000 + HO_PENDING_MS + 1)
+    core.tick(IDLE_AFTER_MS + 1)
+    assert core.by_tmsi[tmsi].parked == (10, rnti) and not core.active
+    core.check_invariants()  # the parked id stays reserved
+
+
+def test_the_sweep_catches_a_reserved_id_without_an_owner():
+    core = build()
+    run_ladder(core)
+    core.allocators[10].allocate()
+    with pytest.raises(InvariantViolation):
+        core.check_invariants()
+
+
+def test_the_sweep_catches_a_parked_id_that_is_not_reserved():
+    core = build()
+    rnti, _, _ = run_ladder(core)
+    core.tick(IDLE_AFTER_MS + 1)
+    core.allocators[10].release(rnti)
+    with pytest.raises(InvariantViolation):
+        core.check_invariants()
+
+
+def _writers(tree, is_write):
+    """Names of the functions in tree holding a node for which is_write holds."""
+    return sorted(
+        {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn) if is_write(node)}
+    )
+
+
+def _targets(node):
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        targets = [node.target]
+    else:
+        return []
+    flat = []
+    while targets:
+        target, *targets = targets
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets += target.elts
+        else:
+            flat.append(target)
+    return flat
+
+
+def _is_active(node):
+    return isinstance(node, ast.Attribute) and node.attr == "active"
+
+
+def test_only_the_funnels_write_the_session_index_and_release_ids():
+    """The write-time checks are exhaustive only if every write they guard
+    goes through them: a session is put under a key only in _activate, an
+    id is released only in _release, and a session's key fields change
+    only in _rekey, which then activates it."""
+    tree = ast.parse(pathlib.Path(core_module.__file__).read_text())
+    assert _writers(
+        tree, lambda n: any(isinstance(t, ast.Subscript) and _is_active(t.value) for t in _targets(n))
+    ) == ["_activate"]
+    assert _writers(
+        tree, lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "release"
+    ) == ["_release"]
+    assert _writers(
+        tree, lambda n: any(isinstance(t, ast.Attribute) and t.attr in ("cell_id", "rnti") for t in _targets(n))
+    ) == ["_rekey"]
+    # No other way in: the index is read, popped or deleted from, never filled.
+    methods = {
+        n.func.attr
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and _is_active(n.func.value)
+    }
+    assert methods <= {"get", "pop", "items", "values"}

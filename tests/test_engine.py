@@ -1040,3 +1040,49 @@ def test_captures_do_not_depend_on_the_hash_seed():
     digests = [proc.communicate(timeout=60)[0].strip() for proc in procs]
     assert all(proc.returncode == 0 for proc in procs)
     assert len(set(digests)) == 1 and len(digests[0]) == 64, digests
+
+
+SWEEP_CASES = [
+    *SCHEDULE_CASES,
+    ("abandoned-handover", abandoned_handover_scenario),
+    ("benign-day", lambda: parse_scenario(benign_day_scenario())),
+    ("crowd-100", lambda: parse_scenario(crowd_scenario(100))),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in SWEEP_CASES], ids=[name for name, _ in SWEEP_CASES])
+def test_the_full_sweep_holds_after_every_tick(monkeypatch, make):
+    """The core checks its radio ids as it writes them and the engine sweeps
+    once per run; the sweep itself still holds after every processed tick."""
+    tick, process, swept, processed = NetworkCore.tick, Engine._process, [], []
+
+    def swept_tick(core, now_ms):
+        tick(core, now_ms)
+        core.check_invariants()
+        swept.append(now_ms)
+
+    def counted_process(engine, t):
+        processed.append(t)
+        process(engine, t)
+
+    monkeypatch.setattr(NetworkCore, "tick", swept_tick)
+    monkeypatch.setattr(Engine, "_process", counted_process)
+    Engine(make()).run()
+    assert swept == processed and len(swept) > 1
+
+
+def test_the_engine_sweeps_once_after_the_last_tick(monkeypatch):
+    sweep, tick, log = NetworkCore.check_invariants, NetworkCore.tick, []
+
+    def logged_sweep(core):
+        log.append("sweep")
+        sweep(core)
+
+    def logged_tick(core, now_ms):
+        log.append("tick")
+        tick(core, now_ms)
+
+    monkeypatch.setattr(NetworkCore, "check_invariants", logged_sweep)
+    monkeypatch.setattr(NetworkCore, "tick", logged_tick)
+    run(load_scenario(SCENARIO_DIR / "handover_tracking.json"))
+    assert log.count("sweep") == 1 and log[-1] == "sweep" and log.count("tick") > 1
