@@ -48,6 +48,7 @@ from .codec import (
 )
 from .core import Transmitter, broadcast_frames, cell_sib1
 from .identity import CellFull, Imsi, Plmn, RntiAllocator
+from .record import Record
 from .ue import Emission
 
 CATCHER_MODE = "imsi_catcher"
@@ -82,8 +83,7 @@ class RogueCellConfig(Transmitter):
     active_ms: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
-class CatchEntry:
+class CatchEntry(Record):
     t_ms: int
     imsi: str
     tmsi: Optional[int]
@@ -192,8 +192,7 @@ class RogueCell:
 # -- reconnaissance ---------------------------------------------------------
 
 
-@dataclass
-class OverheardCell:
+class OverheardCell(Record, frozen=False):
     cell_id: int
     plmn: Plmn
     tac: int
@@ -202,8 +201,7 @@ class OverheardCell:
     sightings: int = 1
 
 
-@dataclass
-class SpoofDraft:
+class SpoofDraft(Record, frozen=False):
     """Suggested rogue configuration derived from a capture."""
 
     plmn: Plmn

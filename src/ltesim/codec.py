@@ -21,11 +21,12 @@ the session key decode it fully; everyone else gets the header and the
 body length (an Opaque result), nothing more.
 
 Body grammar: one type byte, then the message fields in declaration
-order. The message classes below are the frozen type table: each names
-its type byte and declares each field once, as `wire(kind)` or
-`arm(kind)`. A field kind owns its bytes, its domain check and its
-capture-JSON form, and `_Codec` derives encode, decode and JSON in both
-directions from the declaration. The encoding rules:
+order. The message classes below are the frozen type table: each is a
+frozen `record.Record` that names its type byte in its class statement
+and declares each field once, as `wire(kind)` or `arm(kind)`. A field
+kind owns its bytes, its domain check and its capture-JSON form, and
+`_Codec` derives encode, decode and JSON in both directions from the
+record's field table. The encoding rules:
 
   - integers are big-endian and fixed width: u8, u16, u32, i8, and u40
     for the random connection id;
@@ -48,15 +49,14 @@ body, raises a CodecError.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import operator
 import struct
-from dataclasses import dataclass
-from typing import ClassVar, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .crypto_stub import keystream_mask
 from .identity import RNTI_MAX, RNTI_MIN, Imsi, Plmn, format_tmsi, is_device_rnti, parse_imsi
+from .record import MISSING, Field, Record
 
 HEADER_LEN = 16
 RAND_LEN = 16
@@ -470,16 +470,16 @@ RNTI = Int("H", range(RNTI_MIN, RNTI_MAX + 1))
 TMSI, IMSI, IMEI, PLMN = Tmsi(), ImsiKind(), Digits(), PlmnKind()
 
 
-def wire(kind: Kind, default=dataclasses.MISSING):
-    """A dataclass field written as `kind`."""
-    return dataclasses.field(default=default, metadata={"kind": kind})
+def wire(kind: Kind, default=MISSING):
+    """A record field written as `kind`."""
+    return Field(default, kind=kind)
 
 
 def arm(kind: Kind, name: Optional[str] = None):
     """One arm of the message's identity union, written as `kind`; `name`
     is its JSON kind, by default the attribute name. Unset arms are None
     and exactly one must be set."""
-    return dataclasses.field(default=None, metadata={"kind": kind, "arm": name})
+    return Field(None, kind=kind, arm=name)
 
 
 # -- generic layer ----------------------------------------------------------------
@@ -493,18 +493,16 @@ class _Codec(Kind):
 
     def __init__(self, cls: type):
         self.name = getattr(cls, "NAME", cls.__name__)
-        fields = dataclasses.fields(cls)
-        arms = [(f.metadata["arm"] or f.name, f.name, f.metadata["kind"]) for f in fields if "arm" in f.metadata]
+        fields = cls._fields
+        arms = [(f.meta["arm"] or name, name, f.meta["kind"]) for name, f in fields.items() if "arm" in f.meta]
         self.union = union = IdentityUnion(arms) if arms else None
         if union:
             self.fields = [("identity", union)]
             self.get = lambda rec: (union.get(rec),)
             self.build = lambda chosen: cls(**{union.attrs[chosen[0]]: chosen[1]})
         else:
-            self.fields = [(f.name, f.metadata["kind"]) for f in fields]
-            get = operator.attrgetter(*[f.name for f in fields]) if fields else lambda rec: ()
-            self.get = (lambda rec: (get(rec),)) if len(fields) == 1 else get
-            self.build = cls
+            self.fields = [(name, f.meta["kind"]) for name, f in fields.items()]
+            self.get, self.build = cls._values, cls
         self.keys = [key for key, _ in self.fields]
         self.to_jsons = [(key, kind.to_json) for key, kind in self.fields if kind.to_json is not _as_is]
         self.from_jsons = [(key, kind.from_json) for key, kind in self.fields]
@@ -567,42 +565,33 @@ def _one_arm(msg) -> None:
         raise InvariantViolation(f"exactly one of {'/'.join(attrs)} must be set")
 
 
-def _record(cls):
-    """Freeze a record dataclass and compile its codec."""
-    if any("arm" in getattr(v, "metadata", ()) for v in vars(cls).values()):
-        cls.__post_init__ = _one_arm
-    cls = dataclass(frozen=True)(cls)
-    cls._codec = _Codec(cls)
-    return cls
-
-
 _BY_TYPE: dict = {}
 
 
-def _message(type_byte: int, name: str):
-    """Register a message class under its wire type byte and capture name."""
+class _Wire(Record):
+    """A record the codec writes. A subclass declared with `type_byte` and
+    `name` is a message, registered under its wire type byte and capture
+    name; one with an identity union checks that exactly one arm is set."""
 
-    def register(cls):
-        cls.TYPE, cls.NAME = type_byte, name
-        _BY_TYPE[type_byte] = cls = _record(cls)
-        return cls
-
-    return register
+    def __init_subclass__(cls, type_byte: Optional[int] = None, name: str = ""):
+        if type_byte is not None:
+            cls.TYPE, cls.NAME, _BY_TYPE[type_byte] = type_byte, name, cls
+        cls._codec = _Codec(cls)
+        if cls._codec.union:
+            cls.__post_init__ = _one_arm
 
 
 # -- messages ---------------------------------------------------------------------
 
 
-@_message(0x01, "mib")
-class Mib:
+class Mib(_Wire, type_byte=0x01, name="mib"):
     """Master broadcast: bandwidth and frame number, nothing secret."""
 
     bandwidth_rb: int = wire(Int("B", MIB_BANDWIDTHS))
     sfn: int = wire(Int("H", range(1024)))
 
 
-@_message(0x02, "sib1")
-class Sib1:
+class Sib1(_Wire, type_byte=0x02, name="sib1"):
     """System information: who the cell claims to be and which channels
     it wants devices to prefer. Entirely unauthenticated."""
 
@@ -613,15 +602,13 @@ class Sib1:
     priority_earfcns: tuple[tuple[int, int], ...] = wire(Pairs(U32, Int("B", range(8))), ())
 
 
-@_message(0x03, "rach_preamble")
-class RachPreamble:
+class RachPreamble(_Wire, type_byte=0x03, name="rach_preamble"):
     """First uplink of any connection; sent before any identity exists."""
 
     preamble_id: int = wire(Int("B", range(64)))
 
 
-@_message(0x04, "mac_rar")
-class MacRar:
+class MacRar(_Wire, type_byte=0x04, name="mac_rar"):
     """Random-access response assigning the temporary radio id."""
 
     temp_rnti: int = wire(RNTI)
@@ -629,8 +616,7 @@ class MacRar:
     uplink_grant: int = wire(Int("I", range(1 << 20)), 0)
 
 
-@_message(0x05, "rrc_connection_request")
-class RrcConnectionRequest:
+class RrcConnectionRequest(_Wire, type_byte=0x05, name="rrc_connection_request"):
     """Connection attempt; carries a TMSI when the device holds one,
     otherwise a random 40-bit value."""
 
@@ -638,13 +624,11 @@ class RrcConnectionRequest:
     random_id: Optional[int] = arm(U40(), "random")
 
 
-@_message(0x06, "rrc_connection_setup")
-class RrcConnectionSetup:
+class RrcConnectionSetup(_Wire, type_byte=0x06, name="rrc_connection_setup"):
     pass
 
 
-@_message(0x07, "attach_request")
-class AttachRequest:
+class AttachRequest(_Wire, type_byte=0x07, name="attach_request"):
     """Registration request. Identity is the permanent IMSI only when no
     temporary identity exists; every IMSI here is a privacy event."""
 
@@ -652,22 +636,19 @@ class AttachRequest:
     tmsi: Optional[int] = arm(TMSI)
 
 
-@_message(0x08, "identity_request")
-class IdentityRequest:
+class IdentityRequest(_Wire, type_byte=0x08, name="identity_request"):
     """Network asks for a permanent identity. Pre-authentication, so
     anyone running a cell can ask."""
 
     requested: IdentityKind = wire(Enum(IdentityKind))
 
 
-@_message(0x09, "identity_response")
-class IdentityResponse:
+class IdentityResponse(_Wire, type_byte=0x09, name="identity_response"):
     imsi: Optional[Imsi] = arm(IMSI)
     imei: Optional[str] = arm(IMEI)
 
 
-@_message(0x0A, "authentication_request")
-class AuthenticationRequest:
+class AuthenticationRequest(_Wire, type_byte=0x0A, name="authentication_request"):
     """Challenge from a network that holds the subscriber key. A rogue
     cell cannot produce a valid one, which is why its conversations end
     before this point."""
@@ -676,103 +657,88 @@ class AuthenticationRequest:
     autn: bytes = wire(Bytes(AUTN_LEN))
 
 
-@_message(0x0B, "authentication_response")
-class AuthenticationResponse:
+class AuthenticationResponse(_Wire, type_byte=0x0B, name="authentication_response"):
     res: bytes = wire(Bytes(RES_LEN))
 
 
-@_message(0x0C, "security_mode_command")
-class SecurityModeCommand:
+class SecurityModeCommand(_Wire, type_byte=0x0C, name="security_mode_command"):
     """Activates the session security context named by key_id."""
 
     key_id: int = wire(U32)
 
 
-@_message(0x0D, "security_mode_complete")
-class SecurityModeComplete:
+class SecurityModeComplete(_Wire, type_byte=0x0D, name="security_mode_complete"):
     pass
 
 
-@_message(0x0E, "attach_accept")
-class AttachAccept:
+class AttachAccept(_Wire, type_byte=0x0E, name="attach_accept"):
     """Registration granted; assigns the temporary identity."""
 
     tmsi: int = wire(TMSI)
     tac: int = wire(U16)
 
 
-@_message(0x0F, "attach_reject")
-class AttachReject:
+class AttachReject(_Wire, type_byte=0x0F, name="attach_reject"):
     """Registration refused. Unauthenticated, and the cause byte decides
     how long and how widely the device gives up."""
 
     emm_cause: EmmCause = wire(Enum(EmmCause))
 
 
-@_message(0x10, "tau_request")
-class TauRequest:
+class TauRequest(_Wire, type_byte=0x10, name="tau_request"):
     """Tracking-area update after moving into a new area."""
 
     tmsi: int = wire(TMSI)
     tac: int = wire(U16)
 
 
-@_message(0x11, "tau_reject")
-class TauReject:
+class TauReject(_Wire, type_byte=0x11, name="tau_reject"):
     emm_cause: EmmCause = wire(Enum(EmmCause))
 
 
-@_message(0x12, "paging")
-class Paging:
+class Paging(_Wire, type_byte=0x12, name="paging"):
     """Broadcast wake-up call; names the device for everyone to hear."""
 
     imsi: Optional[Imsi] = arm(IMSI)
     tmsi: Optional[int] = arm(TMSI)
 
 
-@_message(0x13, "measurement_report")
-class MeasurementReport:
+class MeasurementReport(_Wire, type_byte=0x13, name="measurement_report"):
     """Receive levels the device reports back; feeds handover decisions."""
 
     neighbors: tuple[tuple[int, int], ...] = wire(Pairs(CELL_ID, I8), ())
 
 
-@_record
-class MobilityControlInfo:
+class MobilityControlInfo(_Wire):
     """Where to go and which radio id to use when arriving."""
 
     target_cell_id: int = wire(CELL_ID)
     new_rnti: int = wire(RNTI)
 
 
-@_message(0x14, "rrc_connection_reconfiguration")
-class RrcConnectionReconfiguration:
+class RrcConnectionReconfiguration(_Wire, type_byte=0x14, name="rrc_connection_reconfiguration"):
     """Connection update. With mobility info it is the handover order,
     and it names the device's next radio identity."""
 
     mobility: Optional[MobilityControlInfo] = wire(Presence(MobilityControlInfo._codec), None)
 
 
-@_message(0x15, "rrc_connection_reconfiguration_complete")
-class RrcConnectionReconfigurationComplete:
+class RrcConnectionReconfigurationComplete(_Wire, type_byte=0x15, name="rrc_connection_reconfiguration_complete"):
     pass
 
 
-@_message(0x16, "user_data")
-class UserData:
+class UserData(_Wire, type_byte=0x16, name="user_data"):
     """Traffic volume abstraction: the body really is byte_count bytes of
     padding, so observed frame sizes equal declared volume."""
 
     byte_count: int = wire(Zeros())
 
 
-@dataclass(frozen=True)
-class Opaque:
+class Opaque(Record):
     """A protected body observed without the session key."""
 
     body_len: int
-
-    NAME: ClassVar[str] = "opaque"
+    NAME = "opaque"
 
 
 MESSAGE_CLASSES = tuple(_BY_TYPE.values())

@@ -48,7 +48,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import KW_ONLY, dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .codec import (
     AttachAccept,
@@ -81,6 +81,7 @@ from .codec import (
 from .crypto_stub import derive_autn, derive_keystream_seed, stub_mac
 from .identity import CellFull, RntiAllocator
 from .radio import RadioCell
+from .record import Record
 from .ue import IDLE_AFTER_MS, Emission, UeProfile
 
 HO_PENDING_MS = 1_000
@@ -125,7 +126,7 @@ class CellConfig(Transmitter):
     rnti_preset: tuple[int, ...] = ()
 
 
-class OpenHandover(NamedTuple):
+class OpenHandover(Record):
     """A handover from its trigger until completion or lapse."""
 
     target_cell_id: int
@@ -140,8 +141,7 @@ class SessionState(enum.Enum):
     REGISTERED = "registered"
 
 
-@dataclass
-class Subscriber:
+class Subscriber(Record, frozen=False):
     """One HSS entry and what the network keeps of it between sessions."""
 
     profile: UeProfile
@@ -150,8 +150,7 @@ class Subscriber:
     parked: Optional[tuple[int, int]] = None  # (cell id, rnti) held across idle
 
 
-@dataclass
-class SessionRecord:
+class SessionRecord(Record, frozen=False):
     cell_id: int
     rnti: int
     state: SessionState

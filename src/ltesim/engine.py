@@ -96,7 +96,6 @@ import json
 import math
 import re
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import codec
@@ -106,6 +105,7 @@ from .core import NetworkCore
 from .identity import format_tmsi
 from .prng import child_rng
 from .radio import PathLossModel, RadioCell, Rat, rx_power, visible_cells
+from .record import Record
 from .scenario import Scenario, UeSpec
 from .sniffer import Sniffer, TrackingReport
 from .ue import (
@@ -123,8 +123,7 @@ from .ue import (
 UE_TX_POWER_DBM = 23.0
 
 
-@dataclass
-class RunResult:
+class RunResult(Record, frozen=False):
     scenario: Scenario
     seed: int
     duration_ms: int

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .record import Record
 
 IMSI_LEN = 15
 RNTI_MIN = 0x0001
@@ -39,8 +40,7 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-@dataclass(frozen=True)
-class Imsi:
+class Imsi(Record):
     """Permanent subscriber identity: mcc (3 digits), mnc (2 or 3), msin."""
 
     mcc: str
@@ -79,8 +79,7 @@ def parse_imsi(text: str, mnc_len: int = 3) -> Imsi:
     return Imsi(text[:3], text[3 : 3 + mnc_len], text[3 + mnc_len :])
 
 
-@dataclass(frozen=True)
-class Plmn:
+class Plmn(Record):
     """Operator identity broadcast by every cell."""
 
     mcc: str
@@ -96,8 +95,7 @@ class Plmn:
         return f"{self.mcc}/{self.mnc}"
 
 
-@dataclass(frozen=True)
-class CellIdentity:
+class CellIdentity(Record):
     """What a cell claims to be: 28-bit cell id, tracking area, operator,
     and the frequency channel it transmits on."""
 

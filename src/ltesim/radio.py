@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .identity import CellIdentity
+from .record import Record
 
 Position = tuple[float, float]
 
@@ -26,8 +26,7 @@ class Rat(enum.Enum):
     GSM = "gsm"
 
 
-@dataclass(frozen=True)
-class PathLossModel:
+class PathLossModel(Record):
     exponent: float = 3.5
     offset_db: float = 20.0
     min_distance_m: float = 1.0
@@ -37,8 +36,7 @@ class PathLossModel:
         return 10.0 * self.exponent * math.log10(d) + self.offset_db
 
 
-@dataclass
-class RadioCell:
+class RadioCell(Record, frozen=False):
     """A transmitter with an identity claim. `is_rogue` is ground-truth
     bookkeeping only; nothing over the air reveals it."""
 

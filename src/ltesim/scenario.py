@@ -39,6 +39,7 @@ from .identity import (
     validate_msisdn,
 )
 from .radio import DEFAULT_RX_FLOOR_DBM, PathLossModel, Rat, RadioCell
+from .record import Record
 from .ue import UeProfile
 
 MAX_CELL_ID = (1 << 28) - 1
@@ -164,14 +165,12 @@ def _as_priority_pairs(value: Any, path: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True)
-class AppTrafficSpec:
+class AppTrafficSpec(Record):
     t_ms: int
     byte_count: int
 
 
-@dataclass(frozen=True)
-class WaypointSpec:
+class WaypointSpec(Record):
     t_ms: int
     position: tuple[float, float]
 
@@ -221,14 +220,12 @@ class UeSpec(UeProfile):
         return None
 
 
-@dataclass(frozen=True)
-class PageCallSpec:
+class PageCallSpec(Record):
     t_ms: int
     msisdn: str
 
 
-@dataclass(frozen=True)
-class UeDirective:
+class UeDirective(Record):
     """An airplane toggle or a TMSI erasure for one named device."""
 
     t_ms: int

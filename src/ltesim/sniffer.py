@@ -40,19 +40,18 @@ undecodable every time it is seen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import codec
 from .codec import Direction, FrameHeader, MacRar, Paging, RrcConnectionReconfiguration
+from .record import Record
 
 HANDOVER_WATCH_MS = 1_000
 PAGE_CORRELATE_MS = 500
 PAGE_TRIGGER_SLOP_MS = 50
 
 
-@dataclass
-class TrackedSession:
+class TrackedSession(Record, frozen=False):
     """One device as far as radio ids can prove it."""
 
     session_id: int
@@ -87,16 +86,14 @@ class TrackedSession:
         }
 
 
-@dataclass
-class _PendingHandover:
+class _PendingHandover(Record, frozen=False):
     source: TrackedSession
     target_cell: int
     expected_rnti: int
     seen_ms: int
 
 
-@dataclass
-class _PageSighting:
+class _PageSighting(Record, frozen=False):
     t_ms: int
     cell_id: int
     identity: str
@@ -110,8 +107,7 @@ class _PageSighting:
     prior_msisdn: Optional[str] = None
 
 
-@dataclass
-class TrackingReport:
+class TrackingReport(Record, frozen=False):
     sessions: list[TrackedSession]
     total_frames: int
     undecodable: int

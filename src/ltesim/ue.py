@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import codec
@@ -116,6 +116,7 @@ from .codec import (
 from .crypto_stub import derive_autn, stub_mac
 from .identity import Imsi, Plmn
 from .radio import RadioCell, Rat
+from .record import Field, Record
 
 T3245_MIN_MS = 86_400_000
 T3245_MAX_MS = 172_800_000
@@ -156,34 +157,28 @@ RNTI_PHASES = _PRE_ACCEPT | {UePhase.REGISTERED}
 _RNTI_HELD = RNTI_PHASES - {UePhase.RACH_IN_PROGRESS}  # an rnti always held
 
 
-@dataclass(frozen=True)
-class PowerOn:
+class PowerOn(Record):
     pass
 
 
-@dataclass(frozen=True)
-class AirplaneToggle:
+class AirplaneToggle(Record):
     pass
 
 
-@dataclass(frozen=True)
-class EraseTmsi:
+class EraseTmsi(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Tick:
+class Tick(Record):
     now_ms: int
 
 
-@dataclass(frozen=True)
-class Rx:
+class Rx(Record):
     header: FrameHeader
     message: Message
 
 
-@dataclass(frozen=True)
-class AppTraffic:
+class AppTraffic(Record):
     byte_count: int
 
 
@@ -200,8 +195,7 @@ class UeProfile:
     hardened: bool = False
 
 
-@dataclass
-class Emission:
+class Emission(Record, frozen=False):
     """One frame a party wants on the air, with the addressing it chose
     at the moment of creation: a device's uplink, or a core or rogue
     downlink, where rnti 0 marks a broadcast."""
@@ -212,16 +206,15 @@ class Emission:
     key_id: Optional[int] = None
 
 
-@dataclass
-class UeStats:
+class UeStats(Record, frozen=False):
     """Ground-truth counters the harness reads off the device."""
 
-    attach_attempts: list[tuple[int, str, str]] = field(default_factory=list)
+    attach_attempts: list[tuple[int, str, str]] = Field(factory=list)
     imsi_cleartext_uplinks: int = 0
     handovers_completed: int = 0
     idle_transitions: int = 0
     rejects_ignored: int = 0
-    rnti_history: list[tuple[int, int, int]] = field(default_factory=list)
+    rnti_history: list[tuple[int, int, int]] = Field(factory=list)
 
 
 def select_cell(

@@ -15,7 +15,7 @@ ACCEPTANCE_LABELS = {
     "test_c07_tracking_continuity_and_mitigations": "tracking continuity drops under each defense",
     "test_c08_benign_run_identity_hygiene": "benign run keeps the permanent identity off the air",
     "test_c09_replay_and_determinism": "capture replay and reseeding are deterministic",
-    "test_c10_rnti_unique_per_tick": "radio ids stay unique per cell per tick",
+    "test_c10_rnti_unique_per_tick": "radio ids stay unique per cell, checked at every write",
 }
 
 

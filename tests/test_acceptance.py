@@ -336,7 +336,7 @@ def test_c09_replay_and_determinism():
     assert replayed.as_json() == first.report.as_json()
 
 
-# -- 10: per-tick radio id uniqueness ---------------------------------------------
+# -- 10: radio id uniqueness ------------------------------------------------------
 
 def test_c10_rnti_unique_per_tick():
     # The detector is live, not vacuous: a planted duplicate trips it.
@@ -346,9 +346,12 @@ def test_c10_rnti_unique_per_tick():
     with pytest.raises(InvariantViolation):
         core.check_invariants()
 
-    # Every shipped scenario completes under the per-tick check; the engine
-    # raises out of run() on the first violation, so finishing is the proof.
-    # The sweeps in the other tests here extend the same coverage.
+    # Every shipped scenario completes under the core's write-time checks
+    # (NetworkCore._activate and _release, which guard every write that could
+    # break uniqueness) and the engine's one full sweep after the last tick.
+    # Either raises out of run() on the first violation, so finishing is the
+    # proof. tests/test_engine.py::test_the_full_sweep_holds_after_every_tick
+    # still sweeps after every tick.
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         run(load_scenario(str(path)))
     run(parse_scenario(benign_day_scenario()))

@@ -5,7 +5,10 @@ re-arrange fields: recorded captures are only replayable while these
 exact encodings hold.
 """
 
+import copy
+import inspect
 import json
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +51,7 @@ from ltesim.codec import (
 )
 from ltesim.crypto_stub import derive_keystream_seed
 from ltesim.identity import NonDigit, Plmn, parse_imsi
+from ltesim.ue import AirplaneToggle, AppTraffic, EraseTmsi, PowerOn, Rx, Tick
 
 # -- frozen encodings --------------------------------------------------------
 
@@ -127,6 +131,148 @@ def test_direction_and_protection_bits():
     down = codec.pack_header(FrameHeader(0, 1, 2, Direction.DOWNLINK))
     assert up[-2:] == b"\x01\x00"
     assert down[-2:] == b"\x00\x00"
+
+
+# -- the message records ---------------------------------------------------------
+
+IMSI = parse_imsi("310260123456789")
+IMEI = "356938035643809"
+# One value of every message class, of the identity records and of every
+# device event.
+RECORDS = [
+    Mib(50, 7),
+    Sib1(Plmn("310", "26"), 100, 10, -110, ((1850, 7),)),
+    RachPreamble(3),
+    MacRar(600, 1, 2),
+    RrcConnectionRequest(random_id=5),
+    RrcConnectionSetup(),
+    AttachRequest(imsi=IMSI),
+    IdentityRequest(IdentityKind.IMEI),
+    IdentityResponse(imei=IMEI),
+    AuthenticationRequest(b"r" * 16, b"a" * 16),
+    AuthenticationResponse(b"s" * 8),
+    SecurityModeCommand(1),
+    SecurityModeComplete(),
+    AttachAccept(7, 100),
+    AttachReject(EmmCause.PLMN_NOT_ALLOWED),
+    TauRequest(7, 100),
+    TauReject(EmmCause.CONGESTION_BENIGN),
+    Paging(tmsi=9),
+    MeasurementReport(((11, -80),)),
+    RrcConnectionReconfiguration(MobilityControlInfo(11, 601)),
+    RrcConnectionReconfigurationComplete(),
+    UserData(300),
+    MobilityControlInfo(11, 601),
+    Opaque(5),
+    IMSI,
+    Plmn("310", "26"),
+    PowerOn(),
+    AirplaneToggle(),
+    EraseTmsi(),
+    Tick(5),
+    Rx(FrameHeader(5, 10, 0, Direction.DOWNLINK), Mib(50, 7)),
+    AppTraffic(300),
+]
+
+
+def _fields(rec) -> list[str]:
+    return list(inspect.signature(type(rec)).parameters)
+
+
+def _twin(rec):
+    """An equal record built afresh, by keyword."""
+    return type(rec)(**{name: getattr(rec, name) for name in _fields(rec)})
+
+
+def test_every_message_class_has_a_sample():
+    assert set(codec.MESSAGE_CLASSES) <= {type(rec) for rec in RECORDS}
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_record_fields_cannot_be_assigned(rec):
+    before = repr(rec)
+    for name in _fields(rec):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 0
+    assert repr(rec) == before
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_equal_records_hash_alike(rec):
+    twin = _twin(rec)
+    assert twin is not rec
+    assert twin == rec and not twin != rec and hash(twin) == hash(rec) == hash(rec)
+    assert len({rec, twin}) == 1
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_a_record_is_not_a_plain_tuple(rec):
+    plain = tuple(getattr(rec, name) for name in _fields(rec))
+    assert rec != plain and plain != rec
+    assert not rec == plain and not plain == rec
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_record_repr_names_the_fields(rec):
+    pairs = ", ".join(f"{name}={getattr(rec, name)!r}" for name in _fields(rec))
+    assert repr(rec) == f"{type(rec).__name__}({pairs})"
+
+
+@pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+def test_records_survive_deepcopy_and_pickle(rec):
+    for again in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+        assert type(again) is type(rec) and again == rec and hash(again) == hash(rec)
+
+
+def test_records_with_the_same_fields_but_another_class_differ():
+    pairs = [
+        (AttachAccept(7, 100), TauRequest(7, 100)),
+        (AttachReject(EmmCause.PLMN_NOT_ALLOWED), TauReject(EmmCause.PLMN_NOT_ALLOWED)),
+        (AttachRequest(tmsi=9), Paging(tmsi=9)),
+        (UserData(300), AppTraffic(300)),
+    ]
+    for a, b in pairs:
+        assert a != b and b != a
+        assert not a == b and not b == a
+
+
+def test_field_reprs_are_exact():
+    assert repr(AttachAccept(7, 100)) == "AttachAccept(tmsi=7, tac=100)"
+    assert repr(Plmn("310", "26")) == "Plmn(mcc='310', mnc='26')"
+    assert repr(RrcConnectionRequest(random_id=5)) == "RrcConnectionRequest(tmsi=None, random_id=5)"
+
+
+def test_a_record_hashes_its_fields_once():
+    class Counted(int):
+        calls = 0
+
+        def __hash__(self):
+            Counted.calls += 1
+            return int.__hash__(self)
+
+    tick, report = Tick(Counted(5)), MeasurementReport(((Counted(11), -80),))
+    assert hash(tick) == hash(tick) == hash(Tick(5))
+    assert hash(report) == hash(report) == hash(MeasurementReport(((11, -80),)))
+    assert Counted.calls == 2
+
+
+ARM_VALUES = {"imsi": IMSI, "imei": IMEI, "tmsi": 9, "random_id": 5}
+
+
+@pytest.mark.parametrize("cls", [RrcConnectionRequest, AttachRequest, IdentityResponse, Paging])
+def test_an_identity_union_takes_exactly_one_arm(cls):
+    arms = {name: ARM_VALUES[name] for name in inspect.signature(cls).parameters}
+    assert len(arms) == 2
+    for name, value in arms.items():
+        assert getattr(cls(**{name: value}), name) == value
+    with pytest.raises(InvariantViolation):
+        cls(**arms)
+    with pytest.raises(InvariantViolation):
+        cls()
 
 
 # -- round trips ---------------------------------------------------------------
