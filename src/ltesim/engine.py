@@ -57,15 +57,15 @@ device already due is on the wake heap: the poll set stays exact. No
 device is stepped after stage 3, so the same pass that fires due timers
 also schedules each device's next one.
 Every frame, either way, goes on the air through one path (`_air`),
-which builds and validates its header once and writes the frame once:
-its bytes and that header to the sniffer, which does not read the header
-again, and its line to the capture log. The receiving party gets the
-message itself.
+which shows it to the sniffer and writes its capture line. A receiving
+party gets the message and, built for it alone, the frame's header.
 A frame differs from the last one with the same message, cell, rnti,
 direction, key_id and rx only in `t`, so each is written from a template
-of the rest (`_template`): header bytes 8-15 and the body, and the
-capture line's text before and after `t`. Packing the first one
-validates its header; every later one checks only its `t`. Frames recur
+of the rest (`_template`): header bytes 8-15 and the body, the capture
+line's text before and after `t`, and what the sniffer read. The first
+one is packed from a header, which validates it, and the sniffer reads
+its bytes with that header; every later one checks only its `t`, and the
+sniffer hears it from what it read, with no bytes or header. Frames recur
 as broadcasts and access preambles (cleartext to rnti 0), and as the
 measurement reports of a device that stands still: the stub keystream
 has no per-frame counter, so one body under one key_id masks to the same
@@ -80,12 +80,13 @@ protected ones, the body length, and the receive level at the sniffer's
 position (rounded to 0.1 dB). Paging directives leave a
 `{"meta": "page_trigger"}` line so a replay knows what the attacker
 knew. `replay_capture` reconstructs the frame stream from such a file
-and must land on the identical tracking report. As in the run, each
-frame reaches the sniffer with the header it was packed from, validated
-once. A frame line is remembered by its text less its `rx` and `t`: a
-later line that differs from one seen valid only there, each a plain
-decimal (`-63.2`, `40`), is the same frame at its own `t` and reaches
-the sniffer without a parse. Other lines (added whitespace, reordered or
+and must land on the identical tracking report. As in the run, the
+sniffer reads each distinct frame once, with the header it was packed
+from, validated once. A frame line is remembered by its text less its
+`rx` and `t`, with what the sniffer read from it: a later line that
+differs from one seen valid only there, each a plain decimal (`-63.2`,
+`40`), is the same frame at its own `t`, and the sniffer hears it with
+no parse, bytes or decode. Other lines (added whitespace, reordered or
 repeated keys, escapes, exponents, page triggers) take the full path.
 """
 
@@ -107,7 +108,7 @@ from .prng import child_rng
 from .radio import PathLossModel, RadioCell, Rat, rx_power, visible_cells
 from .record import Record
 from .scenario import Scenario, UeSpec
-from .sniffer import Sniffer, TrackingReport
+from .sniffer import Heard, Sniffer, TrackingReport
 from .ue import (
     AirplaneToggle,
     AppTraffic,
@@ -159,6 +160,10 @@ def _line(header: FrameHeader, msg, n: int, rx: float, body: Optional[str] = Non
         f'{{"body":{body},"cell":{header.cell_id},"dir":"{way}","len":{n},"prot":"clear",'
         f'"rnti":{header.rnti},"rx":{rx_text},"t":'
     ), f',"type":"{msg.NAME}"}}'
+
+
+def _header(t: int, frame: Emission, direction: Direction) -> FrameHeader:
+    return FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
 
 
 class Engine:
@@ -222,10 +227,10 @@ class Engine:
         # per device, however far it moves.
         self._uplink_rx: list[Optional[tuple]] = [None] * len(self._devices)
         # Repeating body bytes and capture JSON text per message value, and
-        # frame templates per (message, cell, rnti, direction, key_id, rx)
-        # (see _template).
+        # frame templates per (message, cell, rnti, int(direction), key_id,
+        # rx) (see _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
-        self._templates: dict[tuple, tuple[bytes, str, str]] = {}
+        self._templates: dict[tuple, tuple[bytes, str, str, Optional[Heard]]] = {}
         # Per Sib1 value broadcast so far, the devices it can change (see _step).
         self._sib1_subs: dict[Sib1, set[int]] = {}
 
@@ -321,28 +326,31 @@ class Engine:
 
     # -- the air -----------------------------------------------------------------
 
-    def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> FrameHeader:
+    def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> None:
         """Put one frame on the air, tapped at the sniffer's receive level
-        rx: show it to the sniffer, log its capture line, and return its
-        header. Each frame is written from its template (see _template)."""
-        header = FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
+        rx: show it to the sniffer and log its capture line. Each frame is
+        written from its template (see _template)."""
         # rx by value: one sender's rx is never both -0.0 and 0.0, the only
-        # equal floats with different texts.
-        key = (frame.message, frame.cell_id, frame.rnti, direction, frame.key_id, rx)
-        tail, prefix, suffix = self._templates.get(key) or self._template(key, header)
-        if not 0 <= t < 1 << 64:  # the one field a template leaves open
+        # equal floats with different texts. The direction as an int: an
+        # IntEnum member hashes in Python.
+        key = (frame.message, frame.cell_id, frame.rnti, int(direction), frame.key_id, rx)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._template(key, _header(t, frame, direction))
+        elif not 0 <= t < 1 << 64:  # the one field a template leaves open
             raise InvariantViolation(f"timestamp out of range: {t}")
-        data = struct.pack(">Q", t) + tail
-        if self.sniffer is not None:
-            self.sniffer.observe(data, header)
-        self.capture.append(f"{prefix}{t}{suffix}")
-        return header
+        elif template[3] is not None:
+            self.sniffer.hear(t, template[3])
+        elif self.sniffer is not None:  # it read nothing: show it the bytes again
+            self.sniffer.observe(struct.pack(">Q", t) + template[0], _header(t, frame, direction))
+        self.capture.append(f"{template[1]}{t}{template[2]}")
 
-    def _template(self, key: tuple, header: FrameHeader) -> tuple[bytes, str, str]:
-        """Remember what a frame with this (message, cell, rnti, direction,
-        key_id, rx) shares with the next one, all but its `t`: header bytes
-        8-15 and the body, and its capture line before and after `t`.
-        Packing the first header validates the cell id, rnti and key_id. A
+    def _template(self, key: tuple, header: FrameHeader) -> tuple[bytes, str, str, Optional[Heard]]:
+        """Write the first frame with this (message, cell, rnti, direction,
+        key_id, rx) to the sniffer, and remember what it shares with the
+        next one, all but its `t`: header bytes 8-15 and the body, its
+        capture line before and after `t`, and what the sniffer read.
+        Packing the header validates the cell id, rnti and key_id. A
         repeating body is encoded and serialised to JSON once per run,
         whatever cell sends it; any other frame is encoded whole, a
         protected one masked under its key_id."""
@@ -354,13 +362,13 @@ class Engine:
             data = codec.encode(header, msg, self.core.keys)
             if header.repeats:
                 known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
+        heard = self.sniffer.observe(data, header) if self.sniffer is not None else None
         line = _line(header, msg, len(data) - HEADER_LEN, rx, known[1] if known else None)
-        template = self._templates[key] = (data[8:], *line)
+        template = self._templates[key] = (heard.rest if heard else data[8:], *line, heard)
         return template
 
     def _air_downlink(self, dl: Emission, t: int, causal: Optional[int], ul_batch: list) -> None:
-        radio = self._radios[dl.cell_id]
-        header = self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[dl.cell_id])
+        self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[dl.cell_id])
         msg, devices = dl.message, self._devices
         if dl.rnti == 0 and type(msg) is not Mib:  # a Mib changes no device
             if type(msg) is Sib1:
@@ -374,11 +382,13 @@ class Engine:
                 targets = sorted(subs)  # a snapshot: a step changes its own device's membership
             else:
                 targets = [i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF]
+            radio = self._radios[dl.cell_id]
+            header = _header(t, dl, Direction.DOWNLINK) if targets else None
             for i in targets:
                 if rx_power(radio, devices[i].profile.position_at(t), self.sc.path_loss) >= self.sc.rx_floor_dbm:
                     self._step(i, Rx(header, msg), t, ul_batch)
         elif causal is not None:
-            self._step(causal, Rx(header, msg), t, ul_batch)
+            self._step(causal, Rx(_header(t, dl, Direction.DOWNLINK), msg), t, ul_batch)
 
     def _step(self, i: int, event: object, t: int, ul_batch: list) -> None:
         """Step device i, the only way the engine does, and keep its place
@@ -403,9 +413,10 @@ class Engine:
         position, last = self._devices[i].profile.position_at(t), self._uplink_rx[i]
         if last is None or last[0] != position:
             last = self._uplink_rx[i] = position, self._rx_at_sniffer(position, UE_TX_POWER_DBM)
-        header = self._air(emission, Direction.UPLINK, t, last[1])
+        self._air(emission, Direction.UPLINK, t, last[1])
         owner = self._owners.get(emission.cell_id)
         if owner is not None:
+            header = _header(t, emission, Direction.UPLINK)
             self._downlinks += [(dl, i) for dl in owner.handle_uplink(header, emission.message, t)]
 
     def _rx_at_sniffer(self, tx_pos: tuple[float, float], tx_power: float) -> float:
@@ -568,15 +579,15 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
     """Feed a capture file back through a fresh observer. A line that does
     not describe a frame or a page trigger raises CaptureInvalid."""
     sniffer = Sniffer()
-    seen: dict[tuple, tuple[tuple, bytes]] = {}  # line less rx, t -> (cell, rnti, dir, key_id), bytes after t
+    seen: dict[tuple, Heard] = {}  # line less rx and t -> what the sniffer read from it
     for number, line in enumerate(lines, 1):
         cuts = _CUTS.get(type(line))
-        tail = cuts and cuts[1].fullmatch(line.rpartition(cuts[0])[2])
+        # After the last `,"rx":`, or at 5 if none: no remembered line cuts there.
+        tail = cuts and cuts[1].fullmatch(line, line.rfind(cuts[0]) + 6)
         if tail:
-            known = seen.get(key := (line[: -len(tail[0])], tail[2]))
-            if known is not None:
-                t = int(tail[1])
-                sniffer.observe(struct.pack(">Q", t) + known[1], FrameHeader(t, *known[0]))
+            heard = seen.get(key := (line[: tail.start()], tail[2]))
+            if heard is not None:
+                sniffer.hear(int(tail[1]), heard)
                 continue
         obj = parse_capture_line(number, line)
         if obj is None:
@@ -593,9 +604,9 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
             raise CaptureInvalid(f"line {number}: missing key {exc}") from None
         except (ValueError, codec.CodecError) as exc:
             raise CaptureInvalid(f"line {number}: {exc}") from None
-        if tail:
-            seen[key] = header[1:], frame[8:]
-        sniffer.observe(frame, header)
+        heard = sniffer.observe(frame, header)
+        if tail and heard is not None:
+            seen[key] = heard
     return sniffer.report()
 
 

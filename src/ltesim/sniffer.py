@@ -30,17 +30,19 @@ Byte accounting is body bytes (frame length minus the fixed header) per
 direction, excluding broadcast frames. Undecodable input is counted and
 otherwise ignored.
 
-Each frame's header is validated once, by whoever built the frame (the
-engine, a replay), and handed over with its bytes; bytes alone have it
-read here. A cleartext rnti-0 body (a Mib, Sib1, Paging or access
-preamble) repeats, so each distinct one is decoded once per sniffer and
-remembered; a body the codec refuses is never remembered, and counts as
-undecodable every time it is seen.
+Each distinct frame is read once: `observe` reads it, with the header
+its producer (the engine, a replay) validated or else one read here,
+hears it and returns what it read (`Heard`), which its producer hands to
+`hear` with each later copy's `t`: no bytes, header or decode. A
+protected body is never decoded. A cleartext rnti-0 body (a Mib, Sib1,
+Paging or access preamble) recurs across cells, so each distinct one is
+decoded once and remembered; a frame the codec refuses is never
+remembered, and counts as undecodable every time it is seen.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import codec
 from .codec import Direction, FrameHeader, MacRar, Paging, RrcConnectionReconfiguration
@@ -107,6 +109,19 @@ class _PageSighting(Record, frozen=False):
     prior_msisdn: Optional[str] = None
 
 
+class Heard(NamedTuple):
+    """What the sniffer read off a frame, all it needs to hear a copy: the bytes after
+    `t`, the other header fields, the body length and the message, None if protected."""
+
+    rest: bytes
+    cell_id: int
+    rnti: int
+    direction: Direction
+    key_id: Optional[int]
+    body_len: int
+    message: Optional[codec.Message]
+
+
 class TrackingReport(Record, frozen=False):
     sessions: list[TrackedSession]
     total_frames: int
@@ -142,47 +157,54 @@ class Sniffer:
         """Attacker-side knowledge: a call to msisdn was placed at t."""
         self._triggered.append((t_ms, msisdn))
 
-    def observe(self, data: bytes, header: Optional[FrameHeader] = None) -> None:
-        """One frame off the air, with the header its producer validated if given."""
+    def observe(self, data: bytes, header: Optional[FrameHeader] = None) -> Optional[Heard]:
+        """Read one frame off the air, with the header its producer validated
+        if given, and hear it. Returns what was read, None for a frame the
+        codec refuses, which is counted as undecodable."""
         try:
             header, msg = self._decode(data, header)
         except codec.CodecError:
             self.undecodable += 1
-            return
+            return None
+        heard = Heard(data[8:], *header[1:], len(data) - codec.HEADER_LEN, msg)
+        self.hear(header[0], heard)
+        return heard
+
+    def hear(self, now: int, heard: Heard) -> None:
+        """A frame at `now` whose bytes after `t` are those `heard` was read from."""
+        _, cell_id, rnti, direction, _, body_len, msg = heard
         self.total_frames += 1
-        now = header.timestamp_ms
-        self._expire(now)
+        if self._pending or self._pages or self._triggered:
+            self._expire(now)
 
-        if header.rnti == 0:
-            if isinstance(msg, Paging):
-                self._on_paging(header, msg, now)
+        if rnti == 0:
+            if type(msg) is Paging:
+                self._on_paging(cell_id, msg, now)
             return
 
-        if isinstance(msg, MacRar) and header.direction == Direction.DOWNLINK:
-            session = self._on_rar(header, now)
+        if type(msg) is MacRar and direction == Direction.DOWNLINK:
+            session = self._on_rar(cell_id, rnti, now)
         else:
-            session = self._session_at(header.cell_id, header.rnti, now)
+            session = self._session_at(cell_id, rnti, now)
 
         session.last_seen_ms = now
         session.frames += 1
-        body_len = len(data) - codec.HEADER_LEN
-        if header.direction == Direction.UPLINK:
+        if direction == Direction.UPLINK:
             session.ul_bytes += body_len
         else:
             session.dl_bytes += body_len
 
-        if (
-            isinstance(msg, RrcConnectionReconfiguration)
-            and not header.protected
-            and msg.mobility is not None
-        ):
-            self._on_mobility(session, header, msg.mobility.target_cell_id, msg.mobility.new_rnti, now)
+        if type(msg) is RrcConnectionReconfiguration and msg.mobility is not None:
+            self._on_mobility(session, cell_id, msg.mobility.target_cell_id, msg.mobility.new_rnti, now)
 
     def _decode(self, data: bytes, header: Optional[FrameHeader]):
-        """codec.decode, with each distinct repeating body decoded once and
-        a given header, which equals codec.decode_header(data), not read."""
+        """The header and the cleartext message, None for a protected body,
+        with each distinct repeating body decoded once and a given header,
+        which equals codec.decode_header(data), not read."""
         if header is None:
             header = codec.decode_header(data)
+        if header.protected:
+            return header, None
         if not header.repeats:
             return codec.decode(data, header=header)
         body = data[codec.HEADER_LEN :]
@@ -209,8 +231,7 @@ class Sniffer:
                 session = linked
         return session
 
-    def _on_rar(self, header: FrameHeader, now: int) -> TrackedSession:
-        cell_id, temp = header.cell_id, header.rnti
+    def _on_rar(self, cell_id: int, temp: int, now: int) -> TrackedSession:
         self._count_arrival(cell_id, now)
         waiting = [p for p in self._pending if p.target_cell == cell_id]
         if len(waiting) == 1:
@@ -227,10 +248,8 @@ class Sniffer:
         self._correlate_page(session, cell_id, now)
         return session
 
-    def _on_mobility(
-        self, session: TrackedSession, header: FrameHeader, target: int, new_rnti: int, now: int
-    ) -> None:
-        if target != header.cell_id:
+    def _on_mobility(self, session: TrackedSession, cell_id: int, target: int, new_rnti: int, now: int) -> None:
+        if target != cell_id:
             self._pending.append(_PendingHandover(session, target, new_rnti, now))
             return
         # In-place id change on the same cell.
@@ -290,7 +309,7 @@ class Sniffer:
 
     # -- paging ---------------------------------------------------------------------
 
-    def _on_paging(self, header: FrameHeader, msg: Paging, now: int) -> None:
+    def _on_paging(self, cell_id: int, msg: Paging, now: int) -> None:
         self.pages_seen += 1
         if msg.tmsi is not None:
             identity = f"tmsi:{msg.tmsi:08x}"
@@ -301,7 +320,7 @@ class Sniffer:
             if 0 <= now - t <= PAGE_TRIGGER_SLOP_MS:
                 msisdn = number
                 break
-        self._pages.append(_PageSighting(now, header.cell_id, identity, msisdn))
+        self._pages.append(_PageSighting(now, cell_id, identity, msisdn))
 
     def _correlate_page(self, session: TrackedSession, cell_id: int, now: int) -> None:
         candidates = [
@@ -339,8 +358,6 @@ class Sniffer:
     # -- housekeeping ------------------------------------------------------------------
 
     def _expire(self, now: int) -> None:
-        if not (self._pending or self._pages or self._triggered):
-            return
         self._pending = [p for p in self._pending if now - p.seen_ms <= HANDOVER_WATCH_MS]
         self._pages = [p for p in self._pages if now - p.t_ms <= PAGE_CORRELATE_MS]
         self._triggered = [t for t in self._triggered if now - t[0] <= PAGE_TRIGGER_SLOP_MS]

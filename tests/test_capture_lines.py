@@ -8,6 +8,7 @@ dump for every frame; each line the engine writes must equal it exactly.
 """
 
 import json
+import struct
 
 import pytest
 
@@ -49,6 +50,44 @@ def templated_line(data: bytes, header: FrameHeader, msg, rx: float) -> str:
     return f"{prefix}{header.timestamp_ms}{suffix}"
 
 
+class Unspied(Sniffer):
+    """A sniffer the spies below do not see: it keeps the original methods."""
+
+    observe, hear, note_triggered_page = Sniffer.observe, Sniffer.hear, Sniffer.note_triggered_page
+
+
+class SnifferSpy:
+    """Show `seen(sniffer, data, header)` each frame a Sniffer gets, either
+    way it comes: handed to `observe`, which still returns what it read,
+    or heard, rebuilt as its `t` packed before the bytes it was read from
+    (`heard.rest`), with the header the heard fields give. The hear that
+    an observe makes is part of that observe. Counts both ways."""
+
+    def __init__(self, monkeypatch, seen):
+        observe, hear = Sniffer.observe, Sniffer.hear
+        self.observed = self.heard = 0
+        reading = []
+
+        def spy_observe(sniffer, data, header=None):
+            self.observed += 1
+            seen(sniffer, data, header)
+            reading.append(sniffer)
+            try:
+                return observe(sniffer, data, header)
+            finally:
+                reading.pop()
+
+        def spy_hear(sniffer, t, heard):
+            if not reading:
+                self.heard += 1
+                header = FrameHeader(t, heard.cell_id, heard.rnti, heard.direction, heard.key_id)
+                seen(sniffer, struct.pack(">Q", t) + heard.rest, header)
+            hear(sniffer, t, heard)
+
+        monkeypatch.setattr(Sniffer, "observe", spy_observe)
+        monkeypatch.setattr(Sniffer, "hear", spy_hear)
+
+
 def oracle_runs():
     yield from (path.stem for path in sorted(SCENARIO_DIR.glob("*.json")))
     yield from (f"walk/encrypt={e}/refresh={r}" for e in (False, True) for r in (False, True))
@@ -69,32 +108,34 @@ def scenario_named(name):
 @pytest.mark.parametrize("name", list(oracle_runs()))
 def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
     """Every frame passes through Engine._air, templated or not: the
-    sniffer must be fed, once, the bytes a fresh encode gives, and the
-    line must be the dict oracle's over those bytes."""
-    air, observe = Engine._air, Sniffer.observe
-    checked, wrong, fed = [0], [], []
-
-    def observe_and_keep(sniffer, data, header=None):
-        fed.append(data)
-        observe(sniffer, data, header)
+    sniffer must be shown it once, the bytes a fresh encode gives and their
+    header, read or heard, and the line must be the dict oracle's over
+    those bytes. Each distinct frame is read once, every repeat heard."""
+    air = Engine._air
+    checked, wrong, fed, distinct = [0], [], [], set()
 
     def air_and_check(engine, frame, direction, t, rx):
-        header = air(engine, frame, direction, t, rx)
+        air(engine, frame, direction, t, rx)
+        distinct.add((frame.message, frame.cell_id, frame.rnti, direction, frame.key_id, rx))
+        header = FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
         data = codec.encode(header, frame.message, engine.core.keys)
-        if engine.sniffer is not None and fed != [data]:
-            wrong.append(f"frame bytes: {[d.hex() for d in fed]} != {data.hex()}")
+        if engine.sniffer is not None and fed != [(data, header)]:
+            wrong.append(f"frame: {[(d.hex(), h) for d, h in fed]} != {data.hex(), header}")
         fed.clear()
         want = reference_line(data, header, frame.message, rx)
         if engine.capture[-1] != want:
             wrong.append(f"{engine.capture[-1]} != {want}")
         checked[0] += 1
-        return header
 
-    monkeypatch.setattr(Sniffer, "observe", observe_and_keep)
+    spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
     monkeypatch.setattr(Engine, "_air", air_and_check)
     result = run(scenario_named(name))
     assert not wrong, "\n".join(wrong[:5])
     assert 0 < checked[0] == sum(not line.startswith('{"meta"') for line in result.capture_lines)
+    if result.report is None:  # no sniffer in this run
+        assert spy.observed == spy.heard == 0
+    else:
+        assert spy.observed == len(distinct) and spy.heard == checked[0] - len(distinct) > 0
 
 
 @pytest.mark.parametrize("entry", _golden(), ids=lambda e: e["label"])

@@ -15,7 +15,16 @@ from hypothesis import given, settings, strategies as st
 
 from ltesim import codec
 from ltesim import engine as engine_module
-from ltesim.codec import CaptureInvalid, Direction, InvariantViolation, MeasurementReport, Mib, RachPreamble, Sib1
+from ltesim.codec import (
+    CaptureInvalid,
+    Direction,
+    FrameHeader,
+    InvariantViolation,
+    MeasurementReport,
+    Mib,
+    RachPreamble,
+    Sib1,
+)
 from ltesim.core import NetworkCore
 from ltesim.engine import Engine, diff_tracking, parse_capture_line, reconstruct_frame, replay_capture, run
 from ltesim.identity import Plmn
@@ -25,7 +34,7 @@ from ltesim.ue import Emission, Tick, Ue, UePhase
 
 from tests.conftest import REPO_ROOT, SCENARIO_DIR
 from tests.scenario_builders import benign_day_scenario, crowd_scenario, lte_cell, subscriber, walk_scenario
-from tests.test_capture_lines import oracle_runs, reference_line, scenario_named
+from tests.test_capture_lines import SnifferSpy, Unspied, oracle_runs, reference_line, scenario_named
 from tests.test_codec import JSON_VALUES, _positions
 from tests.test_core import full_scan_deadline
 from tests.test_scenario import HOSTILE
@@ -187,33 +196,36 @@ def test_a_remembered_frame_still_refuses_a_timestamp_past_64_bits():
     assert len(engine.capture) == 2
 
 
-def test_a_template_serves_only_its_own_cell_direction_and_rx():
+def test_a_template_serves_only_its_own_cell_direction_and_rx(monkeypatch):
     """One Sib1 body from two cells and one preamble from two positions:
     each (cell, direction, rx) gets its own header bytes and line text,
-    whichever of them was remembered first."""
+    and the sniffer reads it once and then hears it, whichever of them was
+    remembered first."""
     engine = Engine(small_scenario())
     sib1 = Sib1(Plmn("310", "260"), 100, 10, -110)
     fed = []
-    engine.sniffer = types.SimpleNamespace(observe=lambda data, header: fed.append((data, header)))
+    spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
     frames = [(cell, 0, sib1, Direction.DOWNLINK, rx) for cell in (10, 11) for rx in (-60.0, -71.3)]
     frames += [(10, 0, RachPreamble(7), way, rx) for way in Direction for rx in (-80.04, -95.5)]
     for t, (cell, rnti, msg, way, rx) in enumerate(frames * 2):
-        header = engine._air(Emission(cell, rnti, msg), way, t, rx)
+        engine._air(Emission(cell, rnti, msg), way, t, rx)
+        header = FrameHeader(t, cell, rnti, way)
         data = codec.encode(header, msg)
         assert fed[-1] == (data, header)
         assert engine.capture[-1] == reference_line(data, header, msg, rx)
-    assert len(engine._templates) == len(frames)
+    assert len(engine._templates) == len(frames) == spy.observed == spy.heard
 
 
-def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx():
+def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx(monkeypatch):
     """One report body under two key_ids and in the clear, from two rntis
     and two cells, both ways, at two rx: each gets its own header bytes,
-    mask and line text, whichever of them was remembered first."""
+    mask and line text, and the sniffer reads it once and then hears it,
+    whichever of them was remembered first."""
     engine = Engine(small_scenario())
     engine.core.keys.update({1: b"\x01" * 16, 2: b"\x02" * 16})
     report = MeasurementReport(((10, -60), (11, -75)))
     fed = []
-    engine.sniffer = types.SimpleNamespace(observe=lambda data, header: fed.append((data, header)))
+    spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
     frames = [
         (cell, rnti, way, key_id, rx)
         for cell in (10, 11)
@@ -223,11 +235,25 @@ def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx
         for rx in (-60.0, -71.3)
     ]
     for t, (cell, rnti, way, key_id, rx) in enumerate(frames * 2):
-        header = engine._air(Emission(cell, rnti, report, key_id), way, t, rx)
+        engine._air(Emission(cell, rnti, report, key_id), way, t, rx)
+        header = FrameHeader(t, cell, rnti, way, key_id)
         data = codec.encode(header, report, engine.core.keys)
         assert fed[-1] == (data, header)
         assert engine.capture[-1] == reference_line(data, header, report, rx)
-    assert len(engine._templates) == len(frames)
+    assert len(engine._templates) == len(frames) == spy.observed == spy.heard
+
+
+def test_a_sniffer_that_read_nothing_is_shown_every_copy():
+    """A template whose first frame the sniffer could not read keeps no
+    read, so every later copy reaches observe again, bytes and header."""
+    engine = Engine(small_scenario())
+    fed = []
+    engine.sniffer = types.SimpleNamespace(observe=lambda data, header: fed.append((data, header)))
+    for t in (5, 6, 9):
+        engine._air(Emission(10, 0, Mib(50, 3)), Direction.DOWNLINK, t, -60.0)
+        header = FrameHeader(t, 10, 0, Direction.DOWNLINK)
+        assert fed[-1] == (codec.encode(header, Mib(50, 3)), header)
+    assert len(fed) == 3 and len(engine._templates) == 1
 
 
 def test_run_leaves_no_template_behind():
@@ -252,28 +278,29 @@ def repeating(obj):
 
 @pytest.mark.parametrize("name", list(oracle_runs()))
 def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
+    """Read or heard, the sniffer is shown each frame's memo-free bytes and
+    their header; it reads each line less its rx and t once and hears
+    every later one."""
     lines = run(scenario_named(name)).capture_lines
     fed, encodes = [], [0]
-    observe, encode = Sniffer.observe, codec.encode
-
-    def spy(sniffer, data, header=None):
-        fed.append(data)
-        observe(sniffer, data, header)
+    encode = codec.encode
 
     def counted(*args):
         encodes[0] += 1
         return encode(*args)
 
-    monkeypatch.setattr(Sniffer, "observe", spy)
+    spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
     monkeypatch.setattr(codec, "encode", counted)
     replay_capture(lines)
     monkeypatch.undo()
     frames = [obj for obj in map(json.loads, lines) if "meta" not in obj]
-    assert fed == [reconstruct_frame(obj)[1] for obj in frames]
+    assert fed == [reconstruct_frame(obj)[::-1] for obj in frames]
     # Encoded: the first sight of each cleartext line less its rx and t.
     clear_less_rx_t = {timeless(obj) for obj in frames if obj["prot"] == "clear"}
     assert len(frames) > 2 * len(clear_less_rx_t)  # broadcasts dominate every run
     assert encodes[0] == len(clear_less_rx_t)
+    # Read: the first sight of each line less its rx and t; heard: the rest.
+    assert spy.observed == len({timeless(obj) for obj in frames}) and spy.heard > 0
 
 
 def typed(header):
@@ -288,25 +315,25 @@ def test_the_sniffer_is_handed_the_header_its_bytes_carry(monkeypatch, name):
     producer's header, which must be the one codec.decode_header reads
     from the frame's bytes; a sniffer fed the bytes alone, and the same
     page triggers, must give the identical report."""
-    observe, note = Sniffer.observe, Sniffer.note_triggered_page
+    note = Sniffer.note_triggered_page
     shadows, wrong = {}, []  # each spied sniffer -> its bytes-only twin
 
-    def spy(sniffer, data, header=None):
+    def seen(sniffer, data, header):
         if header is None or typed(header) != typed(codec.decode_header(data)):
             wrong.append((data.hex(), header))
-        observe(shadows.setdefault(sniffer, Sniffer()), data)
-        observe(sniffer, data, header)
+        shadows.setdefault(sniffer, Unspied()).observe(data)
 
     def spy_note(sniffer, t_ms, msisdn):
-        note(shadows.setdefault(sniffer, Sniffer()), t_ms, msisdn)
+        note(shadows.setdefault(sniffer, Unspied()), t_ms, msisdn)
         note(sniffer, t_ms, msisdn)
 
-    monkeypatch.setattr(Sniffer, "observe", spy)
+    spy = SnifferSpy(monkeypatch, seen)
     monkeypatch.setattr(Sniffer, "note_triggered_page", spy_note)
     result = run(scenario_named(name))
     replayed = replay_capture(result.capture_lines)
     monkeypatch.undo()
     assert wrong == []
+    assert spy.observed > 0 and spy.heard > 0  # both ways in were checked
     reports = [r for r in (result.report, replayed) if r is not None]
     assert [twin.report().as_json() for twin in shadows.values()] == [r.as_json() for r in reports]
     assert replayed.total_frames > 0 and replayed.undecodable == 0

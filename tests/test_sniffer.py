@@ -463,8 +463,10 @@ def edited(data, edit):
 def test_remembered_broadcasts_report_as_full_decoding_does(stream):
     """`handed` gets each copy with the header its bytes carry, as a
     frame's producer hands it over, or the bytes alone when they carry
-    no valid header."""
-    memo, full, handed = Sniffer(), FullDecodeSniffer(), Sniffer()
+    no valid header. `reheard` hears each copy whose bytes after `t` it
+    has read before, from what it read then, and reads the others."""
+    memo, full, handed, reheard = Sniffer(), FullDecodeSniffer(), Sniffer(), Sniffer()
+    read = {}  # bytes after t -> what `reheard` read from them
     t = 1000
     for dt, (rnti, direction, msg, key_id), cell, edit in stream:
         t += dt
@@ -473,8 +475,13 @@ def test_remembered_broadcasts_report_as_full_decoding_does(stream):
             memo.observe(copy)
             full.observe(copy)
             handed.observe(copy, header_or_none(copy))
+            if copy[8:] in read:
+                reheard.hear(t, read[copy[8:]])
+            elif (heard := reheard.observe(copy, header_or_none(copy))) is not None:
+                assert heard.rest == copy[8:]
+                read[copy[8:]] = heard
     want = full.report()
-    for got in (memo.report(), handed.report()):
+    for got in (memo.report(), handed.report(), reheard.report()):
         assert (got.undecodable, got.total_frames, got.pages_seen) == (
             want.undecodable,
             want.total_frames,
@@ -488,6 +495,27 @@ def header_or_none(data):
         return codec.decode_header(data)
     except codec.CodecError:
         return None
+
+
+def test_a_protected_body_is_never_decoded(monkeypatch):
+    """A keyless observer reads a protected frame's header and length
+    only; one cut inside its header or key_id still counts as undecodable."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a protected body reached the decoder")
+
+    report, page = frame(100, 10, 500, UserData(8), key_id=1), dl(120, 10, 0, Paging(tmsi=7), key_id=1)
+    monkeypatch.setattr(codec, "decode", refuse)
+    monkeypatch.setattr(codec, "decode_body", refuse)
+    s = Sniffer()
+    heard = s.observe(report)
+    assert heard == (report[8:], 10, 500, Direction.UPLINK, 1, len(report) - codec.HEADER_LEN, None)
+    assert s.observe(page, codec.decode_header(page)).message is None
+    assert s.observe(report[: codec.HEADER_LEN + 3]) is None  # cut inside its key_id
+    assert s.observe(report[: codec.HEADER_LEN - 1]) is None
+    s.hear(130, heard)
+    assert (s.total_frames, s.undecodable, s.pages_seen) == (3, 2, 0)
+    assert sole_session(s).ul_bytes == 2 * (len(report) - codec.HEADER_LEN)
 
 
 def test_a_refused_broadcast_body_counts_every_time_it_is_seen():
