@@ -61,16 +61,16 @@ which shows it to the sniffer and writes its capture line. A receiving
 party gets the message and, built for it alone, the frame's header.
 A frame differs from the last one with the same message, cell, rnti,
 direction, key_id and rx only in `t`, so each is written from a template
-of the rest (`_template`): header bytes 8-15 and the body, the capture
-line's text before and after `t`, and what the sniffer read. The first
-one is packed from a header, which validates it, and the sniffer reads
-its bytes with that header; every later one checks only its `t`, and the
-sniffer hears it from what it read, with no bytes or header. Frames recur
-as broadcasts and access preambles (cleartext to rnti 0), and as the
-measurement reports of a device that stands still: the stub keystream
-has no per-frame counter, so one body under one key_id masks to the same
-bytes every time. A device's uplink rx is computed again only when it
-has moved since its last uplink. Each distinct body cleartext to rnti 0
+of the rest (`_template`): the capture line's text before and after
+`t`, and what the sniffer read. The first one is packed from a header,
+which validates it, and the sniffer reads its bytes with that header (a
+frame it cannot read is an InvariantViolation); every later one checks
+only its `t`, and the sniffer hears it from what it read, with no bytes,
+header or decode. Frames recur as broadcasts and access preambles
+(cleartext to rnti 0), and as the measurement reports of a device that
+stands still: the stub keystream has no per-frame counter, so one body
+under one key_id masks to the same bytes every time. A device's uplink
+rx is computed again only when it has moved since its last uplink. Each distinct body cleartext to rnti 0
 is encoded and serialised to capture JSON once per run, whatever cell
 sends it; every other frame once per template.
 
@@ -108,7 +108,7 @@ from .prng import child_rng
 from .radio import PathLossModel, RadioCell, Rat, rx_power, visible_cells
 from .record import Record
 from .scenario import Scenario, UeSpec
-from .sniffer import Heard, Sniffer, TrackingReport
+from .sniffer import Sniffer, TrackingReport
 from .ue import (
     AirplaneToggle,
     AppTraffic,
@@ -230,7 +230,7 @@ class Engine:
         # frame templates per (message, cell, rnti, int(direction), key_id,
         # rx) (see _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
-        self._templates: dict[tuple, tuple[bytes, str, str, Optional[Heard]]] = {}
+        self._templates: dict[tuple, tuple[str, str, Optional[tuple]]] = {}
         # Per Sib1 value broadcast so far, the devices it can change (see _step).
         self._sib1_subs: dict[Sib1, set[int]] = {}
 
@@ -339,17 +339,15 @@ class Engine:
             template = self._template(key, _header(t, frame, direction))
         elif not 0 <= t < 1 << 64:  # the one field a template leaves open
             raise InvariantViolation(f"timestamp out of range: {t}")
-        elif template[3] is not None:
-            self.sniffer.hear(t, template[3])
-        elif self.sniffer is not None:  # it read nothing: show it the bytes again
-            self.sniffer.observe(struct.pack(">Q", t) + template[0], _header(t, frame, direction))
-        self.capture.append(f"{template[1]}{t}{template[2]}")
+        elif self.sniffer is not None:
+            self.sniffer.hear(t, template[2])
+        self.capture.append(f"{template[0]}{t}{template[1]}")
 
-    def _template(self, key: tuple, header: FrameHeader) -> tuple[bytes, str, str, Optional[Heard]]:
+    def _template(self, key: tuple, header: FrameHeader) -> tuple[str, str, Optional[tuple]]:
         """Write the first frame with this (message, cell, rnti, direction,
         key_id, rx) to the sniffer, and remember what it shares with the
-        next one, all but its `t`: header bytes 8-15 and the body, its
-        capture line before and after `t`, and what the sniffer read.
+        next one, all but its `t`: its capture line before and after `t`,
+        and what the sniffer read.
         Packing the header validates the cell id, rnti and key_id. A
         repeating body is encoded and serialised to JSON once per run,
         whatever cell sends it; any other frame is encoded whole, a
@@ -363,8 +361,10 @@ class Engine:
             if header.repeats:
                 known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
         heard = self.sniffer.observe(data, header) if self.sniffer is not None else None
+        if heard is None and self.sniffer is not None:
+            raise InvariantViolation(f"the sniffer could not read the engine's own frame: {header}")
         line = _line(header, msg, len(data) - HEADER_LEN, rx, known[1] if known else None)
-        template = self._templates[key] = (heard.rest if heard else data[8:], *line, heard)
+        template = self._templates[key] = (*line, heard)
         return template
 
     def _air_downlink(self, dl: Emission, t: int, causal: Optional[int], ul_batch: list) -> None:
@@ -579,7 +579,7 @@ def replay_capture(lines: Iterable[str | bytes]) -> TrackingReport:
     """Feed a capture file back through a fresh observer. A line that does
     not describe a frame or a page trigger raises CaptureInvalid."""
     sniffer = Sniffer()
-    seen: dict[tuple, Heard] = {}  # line less rx and t -> what the sniffer read from it
+    seen: dict[tuple, tuple] = {}  # line less rx and t -> what the sniffer read from it
     for number, line in enumerate(lines, 1):
         cuts = _CUTS.get(type(line))
         # After the last `,"rx":`, or at 5 if none: no remembered line cuts there.

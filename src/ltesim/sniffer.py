@@ -32,9 +32,9 @@ otherwise ignored.
 
 Each distinct frame is read once: `observe` reads it, with the header
 its producer (the engine, a replay) validated or else one read here,
-hears it and returns what it read (`Heard`), which its producer hands to
-`hear` with each later copy's `t`: no bytes, header or decode. A
-protected body is never decoded. A cleartext rnti-0 body (a Mib, Sib1,
+hears it and returns what it read, which its producer hands to `hear`
+with each later copy's `t`: no bytes, header or decode. A protected
+body is never decoded. A cleartext rnti-0 body (a Mib, Sib1,
 Paging or access preamble) recurs across cells, so each distinct one is
 decoded once and remembered; a frame the codec refuses is never
 remembered, and counts as undecodable every time it is seen.
@@ -42,7 +42,7 @@ remembered, and counts as undecodable every time it is seen.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import codec
 from .codec import Direction, FrameHeader, MacRar, Paging, RrcConnectionReconfiguration
@@ -109,19 +109,6 @@ class _PageSighting(Record, frozen=False):
     prior_msisdn: Optional[str] = None
 
 
-class Heard(NamedTuple):
-    """What the sniffer read off a frame, all it needs to hear a copy: the bytes after
-    `t`, the other header fields, the body length and the message, None if protected."""
-
-    rest: bytes
-    cell_id: int
-    rnti: int
-    direction: Direction
-    key_id: Optional[int]
-    body_len: int
-    message: Optional[codec.Message]
-
-
 class TrackingReport(Record, frozen=False):
     sessions: list[TrackedSession]
     total_frames: int
@@ -157,22 +144,23 @@ class Sniffer:
         """Attacker-side knowledge: a call to msisdn was placed at t."""
         self._triggered.append((t_ms, msisdn))
 
-    def observe(self, data: bytes, header: Optional[FrameHeader] = None) -> Optional[Heard]:
+    def observe(self, data: bytes, header: Optional[FrameHeader] = None) -> Optional[tuple]:
         """Read one frame off the air, with the header its producer validated
-        if given, and hear it. Returns what was read, None for a frame the
-        codec refuses, which is counted as undecodable."""
+        if given, and hear it. Returns what was read, all `hear` needs:
+        (cell_id, rnti, direction, body length, message, None if protected),
+        or None for a frame the codec refuses, counted as undecodable."""
         try:
             header, msg = self._decode(data, header)
         except codec.CodecError:
             self.undecodable += 1
             return None
-        heard = Heard(data[8:], *header[1:], len(data) - codec.HEADER_LEN, msg)
+        heard = (*header[1:4], len(data) - codec.HEADER_LEN, msg)
         self.hear(header[0], heard)
         return heard
 
-    def hear(self, now: int, heard: Heard) -> None:
-        """A frame at `now` whose bytes after `t` are those `heard` was read from."""
-        _, cell_id, rnti, direction, _, body_len, msg = heard
+    def hear(self, now: int, heard: tuple) -> None:
+        """A frame at `now` whose bytes after `t` are those `observe` read `heard` from."""
+        cell_id, rnti, direction, body_len, msg = heard
         self.total_frames += 1
         if self._pending or self._pages or self._triggered:
             self._expire(now)

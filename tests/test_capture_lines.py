@@ -59,13 +59,15 @@ class Unspied(Sniffer):
 class SnifferSpy:
     """Show `seen(sniffer, data, header)` each frame a Sniffer gets, either
     way it comes: handed to `observe`, which still returns what it read,
-    or heard, rebuilt as its `t` packed before the bytes it was read from
-    (`heard.rest`), with the header the heard fields give. The hear that
-    an observe makes is part of that observe. Counts both ways."""
+    or heard, rebuilt as its `t` packed before the bytes after `t` that
+    the observe which returned that read was shown, with that observe's
+    header at the new `t`. The hear that an observe makes is part of that
+    observe. Counts both ways."""
 
     def __init__(self, monkeypatch, seen):
         observe, hear = Sniffer.observe, Sniffer.hear
         self.observed = self.heard = 0
+        reads = {}  # id(what an observe returned) -> (it, the bytes after t, the header's other fields)
         reading = []
 
         def spy_observe(sniffer, data, header=None):
@@ -73,15 +75,18 @@ class SnifferSpy:
             seen(sniffer, data, header)
             reading.append(sniffer)
             try:
-                return observe(sniffer, data, header)
+                heard = observe(sniffer, data, header)
             finally:
                 reading.pop()
+            if heard is not None:
+                reads[id(heard)] = heard, data[8:], tuple(header or codec.decode_header(data))[1:]
+            return heard
 
         def spy_hear(sniffer, t, heard):
             if not reading:
                 self.heard += 1
-                header = FrameHeader(t, heard.cell_id, heard.rnti, heard.direction, heard.key_id)
-                seen(sniffer, struct.pack(">Q", t) + heard.rest, header)
+                _, rest, fields = reads[id(heard)]
+                seen(sniffer, struct.pack(">Q", t) + rest, FrameHeader(t, *fields))
             hear(sniffer, t, heard)
 
         monkeypatch.setattr(Sniffer, "observe", spy_observe)

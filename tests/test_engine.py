@@ -243,17 +243,14 @@ def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx
     assert len(engine._templates) == len(frames) == spy.observed == spy.heard
 
 
-def test_a_sniffer_that_read_nothing_is_shown_every_copy():
-    """A template whose first frame the sniffer could not read keeps no
-    read, so every later copy reaches observe again, bytes and header."""
+def test_a_frame_of_its_own_the_sniffer_cannot_read_raises():
+    """The engine only airs frames it encoded, which the codec reads back,
+    so a sniffer that read nothing from one is a broken invariant."""
     engine = Engine(small_scenario())
-    fed = []
-    engine.sniffer = types.SimpleNamespace(observe=lambda data, header: fed.append((data, header)))
-    for t in (5, 6, 9):
-        engine._air(Emission(10, 0, Mib(50, 3)), Direction.DOWNLINK, t, -60.0)
-        header = FrameHeader(t, 10, 0, Direction.DOWNLINK)
-        assert fed[-1] == (codec.encode(header, Mib(50, 3)), header)
-    assert len(fed) == 3 and len(engine._templates) == 1
+    engine.sniffer = types.SimpleNamespace(observe=lambda data, header: None)
+    with pytest.raises(InvariantViolation):
+        engine._air(Emission(10, 0, Mib(50, 3)), Direction.DOWNLINK, 5, -60.0)
+    assert engine.capture == []
 
 
 def test_run_leaves_no_template_behind():
