@@ -33,7 +33,6 @@ from .codec import (
     CaptureInvalid,
     CodecError,
     EmmCause,
-    FrameHeader,
     IdentityKind,
     IdentityRequest,
     IdentityResponse,
@@ -135,9 +134,10 @@ class RogueCell:
             return None
         return max(due, ((window[0] + period - 1) // period) * period)
 
-    def handle_uplink(self, header: FrameHeader, msg: Message, now_ms: int) -> list[Emission]:
+    def handle_uplink(self, frame: Emission, now_ms: int) -> list[Emission]:
         if not self.active(now_ms):
             return []
+        msg, rnti = frame.message, frame.rnti
         kind = type(msg)
         if kind is RachPreamble:
             try:
@@ -146,18 +146,18 @@ class RogueCell:
                 return []
             self.sessions[temp] = None
             return [Emission(self.cell_id, temp, MacRar(temp_rnti=temp))]
-        if header.rnti not in self.sessions:
+        if rnti not in self.sessions:
             return []
         if kind is RrcConnectionRequest:
-            self.sessions[header.rnti] = msg.tmsi
-            return [Emission(self.cell_id, header.rnti, RrcConnectionSetup())]
+            self.sessions[rnti] = msg.tmsi
+            return [Emission(self.cell_id, rnti, RrcConnectionSetup())]
         if self.config.mode == CATCHER_MODE:
-            return self._catcher(header.rnti, msg, now_ms)
+            return self._catcher(rnti, msg, now_ms)
         reject = _REJECTS[self.config.mode].get(kind)
         if reject is None:
             return []
         reject_type, cause = reject
-        return self._finish(header.rnti, reject_type(self.config.reject_cause if cause is None else cause))
+        return self._finish(rnti, reject_type(self.config.reject_cause if cause is None else cause))
 
     def _catcher(self, rnti: int, msg: Message, now_ms: int) -> list[Emission]:
         if isinstance(msg, AttachRequest):

@@ -50,7 +50,6 @@ body, raises a CodecError.
 from __future__ import annotations
 
 import enum
-import operator
 import struct
 from typing import Mapping, Optional, Union
 
@@ -109,59 +108,39 @@ class IdentityKind(enum.IntEnum):
 MIB_BANDWIDTHS = (6, 15, 25, 50, 75, 100)
 
 
-class FrameHeader(tuple):
-    """Cleartext scheduling metadata carried by every frame: an immutable
-    record, equal to another header with the same field values and to
-    nothing else. It is built for every frame, so it is a bare tuple,
-    and only `pack_header` and `decode_header` validate it."""
+class FrameHeader(Record):
+    """The cleartext scheduling metadata of one frame on the wire: its 16
+    header bytes, and the key_id that opens a protected body. Parties
+    address each other with `ue.Emission`; only the codec, the engine's
+    frame writer and capture replay, and the sniffer use a header, and
+    only `pack_header` and `decode_header` validate it."""
 
-    __slots__ = ()
-
-    def __new__(cls, timestamp_ms: int, cell_id: int, rnti: int, direction: Direction, key_id: Optional[int] = None):
-        return tuple.__new__(cls, (timestamp_ms, cell_id, rnti, direction, key_id))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    timestamp_ms = property(operator.itemgetter(0))
-    cell_id = property(operator.itemgetter(1))
-    rnti = property(operator.itemgetter(2))
-    direction = property(operator.itemgetter(3))
-    key_id = property(operator.itemgetter(4))
-
-    # Not NotImplemented for another type: a plain tuple would then answer.
-    def __eq__(self, other) -> bool:
-        return type(other) is FrameHeader and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def __repr__(self) -> str:
-        return "FrameHeader(timestamp_ms={!r}, cell_id={!r}, rnti={!r}, direction={!r}, key_id={!r})".format(*self)
+    timestamp_ms: int
+    cell_id: int
+    rnti: int
+    direction: Direction
+    key_id: Optional[int] = None
 
     @property
     def protected(self) -> bool:
-        return self[4] is not None
+        return self.key_id is not None
 
     @property
     def repeats(self) -> bool:
         """A cleartext frame to rnti 0 (a Mib, Sib1 or Paging broadcast,
         or an access preamble), whose bodies recur, so each distinct one
         may be remembered."""
-        return self[2] == 0 and self[4] is None
+        return self.rnti == 0 and self.key_id is None
 
     def validate(self) -> None:
-        timestamp_ms, cell_id, rnti, _, key_id = self
-        if not 0 <= timestamp_ms < (1 << 64):
-            raise InvariantViolation(f"timestamp out of range: {timestamp_ms}")
-        if not 0 <= cell_id < (1 << 28):
-            raise InvariantViolation(f"cell_id out of range: {cell_id}")
-        if rnti != 0 and not is_device_rnti(rnti):
-            raise InvariantViolation(f"rnti outside device range: {rnti}")
-        if key_id is not None and not 0 <= key_id < (1 << 32):
-            raise InvariantViolation(f"key_id out of range: {key_id}")
+        if not 0 <= self.timestamp_ms < (1 << 64):
+            raise InvariantViolation(f"timestamp out of range: {self.timestamp_ms}")
+        if not 0 <= self.cell_id < (1 << 28):
+            raise InvariantViolation(f"cell_id out of range: {self.cell_id}")
+        if self.rnti != 0 and not is_device_rnti(self.rnti):
+            raise InvariantViolation(f"rnti outside device range: {self.rnti}")
+        if self.key_id is not None and not 0 <= self.key_id < (1 << 32):
+            raise InvariantViolation(f"key_id out of range: {self.key_id}")
 
 
 # -- field kinds ------------------------------------------------------------------
@@ -769,8 +748,8 @@ def pack_header(header: FrameHeader) -> bytes:
     """The 16 header bytes alone; callers reconstructing opaque frames
     append the cleartext key_id themselves."""
     header.validate()
-    timestamp_ms, cell_id, rnti, direction, key_id = header
-    return struct.pack(">QIHBB", timestamp_ms, cell_id, rnti, int(direction), key_id is not None)
+    fields = header.timestamp_ms, header.cell_id, header.rnti, int(header.direction), header.protected
+    return struct.pack(">QIHBB", *fields)
 
 
 def encode(header: FrameHeader, msg: Message, keys: Optional[Mapping[int, bytes]] = None) -> bytes:

@@ -62,7 +62,6 @@ from .codec import (
     IdentityResponse,
     MacRar,
     MeasurementReport,
-    Message,
     Mib,
     MobilityControlInfo,
     Paging,
@@ -76,7 +75,6 @@ from .codec import (
     Sib1,
     TauRequest,
     UserData,
-    FrameHeader,
 )
 from .crypto_stub import derive_autn, derive_keystream_seed, stub_mac
 from .identity import CellFull, RntiAllocator
@@ -240,15 +238,16 @@ class NetworkCore:
 
     # -- uplink dispatch --------------------------------------------------------
 
-    def handle_uplink(self, header: FrameHeader, msg: Message, now_ms: int) -> list[Emission]:
-        cfg = self.cells.get(header.cell_id)
+    def handle_uplink(self, frame: Emission, now_ms: int) -> list[Emission]:
+        cfg = self.cells.get(frame.cell_id)
         if cfg is None:
             self._drop("foreign_cell")
             return []
+        msg = frame.message
         kind = type(msg)
         if kind is RachPreamble:
             return self._on_rach(cfg, now_ms)
-        rec = self.active.get((header.cell_id, header.rnti))
+        rec = self.active.get((frame.cell_id, frame.rnti))
         if rec is None:
             self._drop("no_session")
             return []

@@ -58,21 +58,23 @@ device is stepped after stage 3, so the same pass that fires due timers
 also schedules each device's next one.
 Every frame, either way, goes on the air through one path (`_air`),
 which shows it to the sniffer and writes its capture line. A receiving
-party gets the message and, built for it alone, the frame's header.
-A frame differs from the last one with the same message, cell, rnti,
-direction, key_id and rx only in `t`, so each is written from a template
-of the rest (`_template`): the capture line's text before and after
-`t`, and what the sniffer read. The first one is packed from a header,
-which validates it, and the sniffer reads its bytes with that header (a
-frame it cannot read is an InvariantViolation); every later one checks
-only its `t`, and the sniffer hears it from what it read, with no bytes,
-header or decode. Frames recur as broadcasts and access preambles
-(cleartext to rnti 0), and as the measurement reports of a device that
-stands still: the stub keystream has no per-frame counter, so one body
-under one key_id masks to the same bytes every time. A device's uplink
-rx is computed again only when it has moved since its last uplink. Each distinct body cleartext to rnti 0
-is encoded and serialised to capture JSON once per run, whatever cell
-sends it; every other frame once per template.
+party gets the `Emission` its sender made; the wire header
+(`FrameHeader`) is built only where a frame is packed, for the codec
+and the sniffer. A frame differs from the last one with the same
+message, cell, rnti, direction, key_id and rx only in `t`, so each is
+written from a template of the rest (`_template`): the capture line's
+text before and after `t`, and what the sniffer read. The first one is
+packed from a header, which validates it, and the sniffer reads its
+bytes with that header (a frame it cannot read is an
+InvariantViolation); every later one checks only its `t`, and the
+sniffer hears it from what it read, with no bytes, header or decode.
+Frames recur as broadcasts and access preambles (cleartext to rnti 0),
+and as the measurement reports of a device that stands still: the stub
+keystream has no per-frame counter, so one body under one key_id masks
+to the same bytes every time. A device's uplink rx is computed again
+only when it has moved since its last uplink. Each distinct body
+cleartext to rnti 0 is encoded and serialised to capture JSON once per
+run, whatever cell sends it; every other frame once per template.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -115,7 +117,6 @@ from .ue import (
     Emission,
     EraseTmsi,
     PowerOn,
-    Rx,
     Tick,
     Ue,
     UePhase,
@@ -160,10 +161,6 @@ def _line(header: FrameHeader, msg, n: int, rx: float, body: Optional[str] = Non
         f'{{"body":{body},"cell":{header.cell_id},"dir":"{way}","len":{n},"prot":"clear",'
         f'"rnti":{header.rnti},"rx":{rx_text},"t":'
     ), f',"type":"{msg.NAME}"}}'
-
-
-def _header(t: int, frame: Emission, direction: Direction) -> FrameHeader:
-    return FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
 
 
 class Engine:
@@ -336,7 +333,7 @@ class Engine:
         key = (frame.message, frame.cell_id, frame.rnti, int(direction), frame.key_id, rx)
         template = self._templates.get(key)
         if template is None:
-            template = self._template(key, _header(t, frame, direction))
+            template = self._template(key, FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id))
         elif not 0 <= t < 1 << 64:  # the one field a template leaves open
             raise InvariantViolation(f"timestamp out of range: {t}")
         elif self.sniffer is not None:
@@ -383,12 +380,11 @@ class Engine:
             else:
                 targets = [i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF]
             radio = self._radios[dl.cell_id]
-            header = _header(t, dl, Direction.DOWNLINK) if targets else None
             for i in targets:
                 if rx_power(radio, devices[i].profile.position_at(t), self.sc.path_loss) >= self.sc.rx_floor_dbm:
-                    self._step(i, Rx(header, msg), t, ul_batch)
+                    self._step(i, dl, t, ul_batch)
         elif causal is not None:
-            self._step(causal, Rx(_header(t, dl, Direction.DOWNLINK), msg), t, ul_batch)
+            self._step(causal, dl, t, ul_batch)
 
     def _step(self, i: int, event: object, t: int, ul_batch: list) -> None:
         """Step device i, the only way the engine does, and keep its place
@@ -397,11 +393,11 @@ class Engine:
         phase = ue.phase
         ul_batch.append((i, ue.step(event, t)))
         # Membership (powered, and not `Ue.already_has`) reads the phase,
-        # `sib1s` and `earfcn_priority`. Only a Sib1 Rx, PowerOn and
+        # `sib1s` and `earfcn_priority`. Only a Sib1 delivery, PowerOn and
         # AirplaneToggle write the last two, and those two end in
         # SEARCHING, where a device is always a member: so only a step
         # that moved the phase or delivered a Sib1 can change the answer.
-        if ue.phase is not phase or type(event) is Rx and type(event.message) is Sib1:
+        if ue.phase is not phase or type(event) is Emission and type(event.message) is Sib1:
             powered = ue.phase is not UePhase.POWERED_OFF
             for sib1, subs in self._sib1_subs.items():
                 if powered and not ue.already_has(sib1):
@@ -416,8 +412,7 @@ class Engine:
         self._air(emission, Direction.UPLINK, t, last[1])
         owner = self._owners.get(emission.cell_id)
         if owner is not None:
-            header = _header(t, emission, Direction.UPLINK)
-            self._downlinks += [(dl, i) for dl in owner.handle_uplink(header, emission.message, t)]
+            self._downlinks += [(dl, i) for dl in owner.handle_uplink(emission, t)]
 
     def _rx_at_sniffer(self, tx_pos: tuple[float, float], tx_power: float) -> float:
         dx = tx_pos[0] - self.sc.sniffer_position[0]

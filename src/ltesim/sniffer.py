@@ -154,8 +154,8 @@ class Sniffer:
         except codec.CodecError:
             self.undecodable += 1
             return None
-        heard = (*header[1:4], len(data) - codec.HEADER_LEN, msg)
-        self.hear(header[0], heard)
+        heard = (header.cell_id, header.rnti, header.direction, len(data) - codec.HEADER_LEN, msg)
+        self.hear(header.timestamp_ms, heard)
         return heard
 
     def hear(self, now: int, heard: tuple) -> None:

@@ -94,7 +94,6 @@ from .codec import (
     AuthenticationRequest,
     AuthenticationResponse,
     EmmCause,
-    FrameHeader,
     IdentityKind,
     IdentityRequest,
     IdentityResponse,
@@ -173,11 +172,6 @@ class Tick(Record):
     now_ms: int
 
 
-class Rx(Record):
-    header: FrameHeader
-    message: Message
-
-
 class AppTraffic(Record):
     byte_count: int
 
@@ -198,7 +192,10 @@ class UeProfile:
 class Emission(Record, frozen=False):
     """One frame a party wants on the air, with the addressing it chose
     at the moment of creation: a device's uplink, or a core or rogue
-    downlink, where rnti 0 marks a broadcast."""
+    downlink, where rnti 0 marks a broadcast. The receiving party gets
+    this same object, a device by `Ue.step` and a cell's owner by
+    `handle_uplink`; the wire header (`codec.FrameHeader`) is built
+    only for the codec and the observer."""
 
     cell_id: int
     rnti: int
@@ -269,7 +266,9 @@ def _on_grid(anchor_ms: int, at_ms: int) -> int:
 
 
 class Ue:
-    """One device. Feed it events via step(); collect its uplinks.
+    """One device. Feed it events via step(): PowerOn, AirplaneToggle,
+    EraseTmsi, AppTraffic, a Tick when its wake is due, or a downlink
+    `Emission` as its sender made it. Collect its uplinks.
 
     `visibility(now_ms)` lists the cells heard then with their rx; a list
     it hands back again must be unchanged, since the device re-sends the
@@ -415,8 +414,8 @@ class Ue:
                 self._drop_session(now_ms)
                 self._attempt_selection(now_ms, out)
 
-    def _rx(self, event: Rx, now_ms: int, out: list[Emission]) -> None:
-        header, msg = event.header, event.message
+    def _rx(self, frame: Emission, now_ms: int, out: list[Emission]) -> None:
+        msg = frame.message
         kind = type(msg)
         if kind is Sib1:
             self.sib1s[msg.cell_id] = msg
@@ -432,10 +431,10 @@ class Ue:
             if mine and self.phase is UePhase.CAMPED_IDLE:
                 self._paged = True
                 self._start_wake(now_ms, out)
-        elif header.cell_id == self.serving_cell:
+        elif frame.cell_id == self.serving_cell:
             entry = _ON_SERVING_RX.get(kind)
             if entry is not None and self.phase in entry[1]:
-                entry[0](self, header, msg, now_ms, out)
+                entry[0](self, frame, msg, now_ms, out)
 
     def _app_traffic(self, event: AppTraffic, now_ms: int, out: list[Emission]) -> None:
         if self.phase is UePhase.REGISTERED:
@@ -545,10 +544,10 @@ class Ue:
             purpose = "tau"
         self._start_rach(self.serving_cell, purpose, now_ms, out)
 
-    # -- serving-cell downlinks: each takes (header, msg, now_ms, out) and
+    # -- serving-cell downlinks: each takes (frame, msg, now_ms, out) and
     # runs only in the phases _ON_SERVING_RX names for its message type ----
 
-    def _on_mac_rar(self, header: FrameHeader, msg: MacRar, now_ms: int, out: list[Emission]) -> None:
+    def _on_mac_rar(self, frame: Emission, msg: MacRar, now_ms: int, out: list[Emission]) -> None:
         self.rnti = msg.temp_rnti
         self.stats.rnti_history.append((now_ms, self.serving_cell, msg.temp_rnti))
         if self._purpose == "handover":
@@ -562,7 +561,7 @@ class Ue:
             ident = RrcConnectionRequest(random_id=self.rng.getrandbits(40))
         out.append(self._emission(ident))
 
-    def _on_setup(self, header: FrameHeader, msg: RrcConnectionSetup, now_ms: int, out: list[Emission]) -> None:
+    def _on_setup(self, frame: Emission, msg: RrcConnectionSetup, now_ms: int, out: list[Emission]) -> None:
         self._proc_deadline_ms = now_ms + PROC_GUARD_MS
         plmn = str(self._serving_plmn() or "?")
         if self._purpose == "tau" and self.tmsi is not None:
@@ -577,7 +576,7 @@ class Ue:
             self.stats.imsi_cleartext_uplinks += 1
             out.append(self._emission(AttachRequest(imsi=self.profile.imsi)))
 
-    def _on_identity_request(self, header: FrameHeader, msg: IdentityRequest, now_ms: int, out: list[Emission]) -> None:
+    def _on_identity_request(self, frame: Emission, msg: IdentityRequest, now_ms: int, out: list[Emission]) -> None:
         if msg.requested is IdentityKind.IMSI:
             self.stats.imsi_cleartext_uplinks += 1
             out.append(self._emission(IdentityResponse(imsi=self.profile.imsi)))
@@ -585,7 +584,7 @@ class Ue:
             out.append(self._emission(IdentityResponse(imei=self.profile.imei)))
 
     def _on_auth_request(
-        self, header: FrameHeader, msg: AuthenticationRequest, now_ms: int, out: list[Emission]
+        self, frame: Emission, msg: AuthenticationRequest, now_ms: int, out: list[Emission]
     ) -> None:
         if derive_autn(self.profile.key, msg.rand) != msg.autn:
             # Challenger does not hold our key; a real network always does.
@@ -594,14 +593,14 @@ class Ue:
         out.append(self._emission(AuthenticationResponse(stub_mac(self.profile.key, msg.rand))))
 
     def _on_security_mode_command(
-        self, header: FrameHeader, msg: SecurityModeCommand, now_ms: int, out: list[Emission]
+        self, frame: Emission, msg: SecurityModeCommand, now_ms: int, out: list[Emission]
     ) -> None:
         self.key_id = msg.key_id
         # The completion itself crosses before protection switches on.
         out.append(self._emission(codec.SecurityModeComplete(), force_clear=True))
         self._enter(UePhase.SECURED, now_ms)
 
-    def _on_attach_accept(self, header: FrameHeader, msg: AttachAccept, now_ms: int, out: list[Emission]) -> None:
+    def _on_attach_accept(self, frame: Emission, msg: AttachAccept, now_ms: int, out: list[Emission]) -> None:
         self.tmsi = msg.tmsi
         self.registered_tac = msg.tac
         self._enter(UePhase.REGISTERED, now_ms)
@@ -612,9 +611,9 @@ class Ue:
             out.append(self._emission(UserData(byte_count)))
         self._pending_app.clear()
 
-    def _on_reject(self, header: FrameHeader, msg: AttachReject | TauReject, now_ms: int, out: list[Emission]) -> None:
+    def _on_reject(self, frame: Emission, msg: AttachReject | TauReject, now_ms: int, out: list[Emission]) -> None:
         cause = msg.emm_cause
-        if self.profile.hardened and not header.protected:
+        if self.profile.hardened and frame.key_id is None:
             # Unauthenticated cause byte: refuse to honor it, back off as
             # from congestion.
             self.stats.rejects_ignored += 1
@@ -622,7 +621,7 @@ class Ue:
         plmn = self._serving_plmn()
         self._drop_session(now_ms)
         if cause is EmmCause.CONGESTION_BENIGN:
-            self.barred_cells[header.cell_id] = now_ms + CELL_BAR_MS
+            self.barred_cells[frame.cell_id] = now_ms + CELL_BAR_MS
             self._backoff_until_ms = now_ms + ATTACH_BACKOFF_MS
         elif cause is EmmCause.PLMN_NOT_ALLOWED:
             if plmn is not None:
@@ -635,7 +634,7 @@ class Ue:
             self._try_gsm_attach(now_ms)
 
     def _on_reconfiguration(
-        self, header: FrameHeader, msg: RrcConnectionReconfiguration, now_ms: int, out: list[Emission]
+        self, frame: Emission, msg: RrcConnectionReconfiguration, now_ms: int, out: list[Emission]
     ) -> None:
         mob = msg.mobility
         if mob is None:
@@ -653,7 +652,7 @@ class Ue:
             # Handover order: leave now, arrive via RACH.
             self._start_rach(mob.target_cell_id, "handover", now_ms, out)
 
-    def _on_user_data(self, header: FrameHeader, msg: UserData, now_ms: int, out: list[Emission]) -> None:
+    def _on_user_data(self, frame: Emission, msg: UserData, now_ms: int, out: list[Emission]) -> None:
         self._last_activity_ms = now_ms
 
     # -- periodic work -------------------------------------------------------
@@ -736,7 +735,7 @@ _ON_EVENT = {
     PowerOn: Ue._power_on,
     AirplaneToggle: Ue._airplane_toggle,
     Tick: Ue._tick,
-    Rx: Ue._rx,
+    Emission: Ue._rx,
     AppTraffic: Ue._app_traffic,
     EraseTmsi: lambda ue, event, now_ms, out: ue.erase_tmsi(),
 }

@@ -18,9 +18,7 @@ from ltesim.codec import (
     AttachReject,
     AttachRequest,
     AuthenticationResponse,
-    Direction,
     EmmCause,
-    FrameHeader,
     IdentityRequest,
     IdentityResponse,
     MacRar,
@@ -35,6 +33,7 @@ from ltesim.codec import (
 )
 from ltesim.identity import CellIdentity, Plmn, parse_imsi
 from ltesim.radio import RadioCell
+from ltesim.ue import Emission
 
 PLMN = Plmn("310", "260")
 IMSI = parse_imsi("310260000000001")
@@ -47,7 +46,7 @@ def rogue(mode=CATCHER_MODE, **overrides):
 
 
 def ul(cell, rnti, msg, t=100):
-    return cell.handle_uplink(FrameHeader(t, cell.cell_id, rnti, Direction.UPLINK), msg, t)
+    return cell.handle_uplink(Emission(cell.cell_id, rnti, msg), t)
 
 
 def open_session(cell, tmsi=None, t=100):

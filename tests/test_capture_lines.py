@@ -79,7 +79,9 @@ class SnifferSpy:
             finally:
                 reading.pop()
             if heard is not None:
-                reads[id(heard)] = heard, data[8:], tuple(header or codec.decode_header(data))[1:]
+                read = header or codec.decode_header(data)
+                fields = read.cell_id, read.rnti, read.direction, read.key_id
+                reads[id(heard)] = heard, data[8:], fields
             return heard
 
         def spy_hear(sniffer, t, heard):

@@ -5,9 +5,11 @@ re-arrange fields: recorded captures are only replayable while these
 exact encodings hold.
 """
 
+import ast
 import copy
 import inspect
 import json
+import pathlib
 import pickle
 
 import pytest
@@ -51,7 +53,7 @@ from ltesim.codec import (
 )
 from ltesim.crypto_stub import derive_keystream_seed
 from ltesim.identity import NonDigit, Plmn, parse_imsi
-from ltesim.ue import AirplaneToggle, AppTraffic, EraseTmsi, PowerOn, Rx, Tick
+from ltesim.ue import AirplaneToggle, AppTraffic, EraseTmsi, PowerOn, Tick
 
 # -- frozen encodings --------------------------------------------------------
 
@@ -108,7 +110,7 @@ def test_headers_are_equal_and_hash_alike_by_field_values():
 def test_a_header_is_not_a_plain_tuple():
     header = FrameHeader(5, 10, 0, Direction.DOWNLINK)
     plain = (5, 10, 0, Direction.DOWNLINK, None)
-    assert tuple(header) == plain
+    assert (header.timestamp_ms, header.cell_id, header.rnti, header.direction, header.key_id) == plain
     assert header != plain and plain != header
     assert not header == plain and not plain == header
 
@@ -126,6 +128,37 @@ def test_header_key_id_defaults_to_cleartext():
     assert (header.timestamp_ms, header.cell_id, header.rnti, header.direction) == (5, 10, 0, Direction.DOWNLINK)
 
 
+def _header_builders(path):
+    """The scopes (module.Class.function) in one source file that call FrameHeader."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            func = child.func if isinstance(child, ast.Call) else None
+            if "FrameHeader" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def test_only_the_codec_the_frame_writer_and_replay_build_a_header():
+    """Parties address each other with the Emission their sender made: a
+    wire header is built only where a frame is read or packed, and the
+    device, the core and the rogue cell do not even name it."""
+    src = pathlib.Path(codec.__file__).parent
+    builders = [scope for path in src.glob("*.py") for scope in _header_builders(path)]
+    assert sorted(set(builders)) == ["codec.decode_header", "engine.Engine._air", "engine.reconstruct_frame"]
+    for stem in ("ue", "core", "attacker"):
+        tree = ast.parse((src / f"{stem}.py").read_text())
+        named = {getattr(node, attr, None) for node in ast.walk(tree) for attr in ("id", "attr", "name")}
+        assert "FrameHeader" not in named, stem
+
+
 def test_direction_and_protection_bits():
     up = codec.pack_header(FrameHeader(0, 1, 2, Direction.UPLINK))
     down = codec.pack_header(FrameHeader(0, 1, 2, Direction.DOWNLINK))
@@ -137,8 +170,8 @@ def test_direction_and_protection_bits():
 
 IMSI = parse_imsi("310260123456789")
 IMEI = "356938035643809"
-# One value of every message class, of the identity records and of every
-# device event.
+# One value of every message class, of the identity records, of the frame
+# header and of every device event but a downlink Emission, which is mutable.
 RECORDS = [
     Mib(50, 7),
     Sib1(Plmn("310", "26"), 100, 10, -110, ((1850, 7),)),
@@ -170,7 +203,7 @@ RECORDS = [
     AirplaneToggle(),
     EraseTmsi(),
     Tick(5),
-    Rx(FrameHeader(5, 10, 0, Direction.DOWNLINK), Mib(50, 7)),
+    FrameHeader(5, 10, 777, Direction.UPLINK, key_id=1),
     AppTraffic(300),
 ]
 

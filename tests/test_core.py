@@ -13,9 +13,7 @@ from ltesim.codec import (
     AttachRequest,
     AuthenticationRequest,
     AuthenticationResponse,
-    Direction,
     EmmCause,
-    FrameHeader,
     IdentityKind,
     IdentityRequest,
     IdentityResponse,
@@ -48,7 +46,7 @@ from ltesim.crypto_stub import stub_mac
 from ltesim.identity import RNTI_MAX, RNTI_MIN, CellIdentity, Plmn, parse_imsi
 from ltesim.prng import child_rng
 from ltesim.radio import RadioCell
-from ltesim.ue import IDLE_AFTER_MS, UeProfile
+from ltesim.ue import IDLE_AFTER_MS, Emission, UeProfile
 
 PLMN = Plmn("310", "260")
 IMSI = parse_imsi("310260000000001")
@@ -73,7 +71,7 @@ def build_bound(tmsi=0xCAFE0001):
 
 
 def ul(core, cell_id, rnti, msg, t=0):
-    return core.handle_uplink(FrameHeader(t, cell_id, rnti, Direction.UPLINK), msg, t)
+    return core.handle_uplink(Emission(cell_id, rnti, msg), t)
 
 
 def run_ladder(core, cell_id=10, t=0, identity=None, imsi=IMSI):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from ltesim import codec
 from ltesim import engine as engine_module
+from ltesim.attacker import RogueCell
 from ltesim.codec import (
     CaptureInvalid,
     Direction,
@@ -30,7 +31,7 @@ from ltesim.engine import Engine, diff_tracking, parse_capture_line, reconstruct
 from ltesim.identity import Plmn
 from ltesim.scenario import load_scenario, parse_scenario
 from ltesim.sniffer import Sniffer
-from ltesim.ue import Emission, Tick, Ue, UePhase
+from ltesim.ue import AirplaneToggle, AppTraffic, Emission, EraseTmsi, PowerOn, Tick, Ue, UePhase
 
 from tests.conftest import REPO_ROOT, SCENARIO_DIR
 from tests.scenario_builders import benign_day_scenario, crowd_scenario, lte_cell, subscriber, walk_scenario
@@ -988,6 +989,54 @@ def test_sib1_subscribers_match_full_scans(monkeypatch, make):
     monkeypatch.setattr(Engine, "_air_downlink", checked_downlink)
     engine.run()
     assert checked
+
+
+FRAME_CASES = [*SCHEDULE_CASES, ("benign-day", lambda: parse_scenario(benign_day_scenario()))]
+DIRECTIVES = (PowerOn, AirplaneToggle, EraseTmsi, AppTraffic, Tick)
+
+
+@pytest.mark.parametrize("make", [make for _, make in FRAME_CASES], ids=[name for name, _ in FRAME_CASES])
+def test_parties_hear_the_emission_they_were_sent(monkeypatch, make):
+    """A frame has one shape between parties: each frame a device is
+    stepped with is an object that a cell's owner returned from
+    broadcast_tick, page or handle_uplink, and each frame an owner
+    receives is an object that a device's step returned."""
+    downlinks, uplinks = {}, {}  # id -> the object, held so that no id is reused
+    wrong, heard = [], [0, 0]
+
+    def sent(method, into):
+        def spy(*args):
+            out = method(*args)
+            into.update((id(frame), frame) for frame in out)
+            return out
+
+        return spy
+
+    def check(frame, into, side):
+        heard[side] += 1
+        if into.get(id(frame)) is not frame:
+            wrong.append(frame)
+
+    step = Ue.step
+
+    def checked_step(ue, event, now_ms):
+        if type(event) not in DIRECTIVES:
+            check(event, downlinks, 0)
+        return step(ue, event, now_ms)
+
+    for owner in (NetworkCore, RogueCell):
+        handle_uplink = owner.handle_uplink
+
+        def checked_uplink(cell, frame, *rest, handle_uplink=handle_uplink):
+            check(frame, uplinks, 1)
+            return handle_uplink(cell, frame, *rest)
+
+        monkeypatch.setattr(owner, "handle_uplink", sent(checked_uplink, downlinks))
+        monkeypatch.setattr(owner, "broadcast_tick", sent(owner.broadcast_tick, downlinks))
+    monkeypatch.setattr(NetworkCore, "page", sent(NetworkCore.page, downlinks))
+    monkeypatch.setattr(Ue, "step", sent(checked_step, uplinks))
+    Engine(make()).run()
+    assert wrong == [] and min(heard) > 0, (wrong[:3], heard)
 
 
 # sha256 over the captures of walk_scenario(1) under each

@@ -14,9 +14,7 @@ from ltesim.codec import (
     AttachRequest,
     AuthenticationRequest,
     AuthenticationResponse,
-    Direction,
     EmmCause,
-    FrameHeader,
     IdentityKind,
     IdentityRequest,
     IdentityResponse,
@@ -53,11 +51,11 @@ from ltesim.ue import (
     T3245_MIN_MS,
     AirplaneToggle,
     AppTraffic,
+    Emission,
     EraseTmsi,
     IllegalTransition,
     PowerOn,
     RatAllowed,
-    Rx,
     Tick,
     Ue,
     UePhase,
@@ -101,14 +99,13 @@ class Driver:
         self.now = 0
 
     def dl(self, msg, rnti=None, protected=False, cell_id=None):
-        header = FrameHeader(
-            self.now,
+        frame = Emission(
             self.cell_id if cell_id is None else cell_id,
             self.ue.rnti if rnti is None else rnti,
-            Direction.DOWNLINK,
+            msg,
             key_id=self.ue.key_id if protected else None,
         )
-        return self.ue.step(Rx(header, msg), self.now)
+        return self.ue.step(frame, self.now)
 
     def broadcast(self, cell_id=None, tac=None, priority=()):
         cid = self.cell_id if cell_id is None else cell_id
@@ -389,7 +386,7 @@ def test_benign_congestion_bars_cell_and_backs_off():
     ue, drv = fresh()
     attach_to_reject_point(ue, drv)
     drv.now = 10
-    ue.step(Rx(FrameHeader(10, 10, 600, Direction.DOWNLINK), AttachReject(EmmCause.CONGESTION_BENIGN)), 10)
+    ue.step(Emission(10, 600, AttachReject(EmmCause.CONGESTION_BENIGN)), 10)
     assert ue.phase is UePhase.SEARCHING
     assert ue.barred_cells[10] == 10 + CELL_BAR_MS
     assert ue.forbidden_plmns == []
@@ -877,7 +874,7 @@ def test_quiet_ends_with_any_step():
     # A quiet device hears at 7,777 ms that cell 11's channel now has the top
     # priority: that step puts it back on its grid, so it rechecks at 7,830.
     cells = [(radio(10), -40.0), (radio(11, earfcn=3350), -60.0)]
-    news = Rx(FrameHeader(7_777, 11, 0, Direction.DOWNLINK), sib(11, priority=((3350, 7),)))
+    news = Emission(11, 0, sib(11, priority=((3350, 7),)))
     expect = (7_830, UePhase.CAMPED_IDLE, 11)
     assert_same_reselection(hearing(cells), register_on_10(sib(11)), 9_000, expect, script=[(7_777, news)])
 
