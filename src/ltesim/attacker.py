@@ -95,7 +95,7 @@ class RogueCell:
         if config.mode not in MODES:
             raise ValueError(f"unknown rogue mode: {config.mode!r}")
         self.config = config
-        self.sib1 = cell_sib1(config)
+        self.sib1 = Emission(config.cell_id, 0, cell_sib1(config))  # built once
         self.allocator = RntiAllocator(rng)
         self.sessions: dict[int, Optional[int]] = {}  # rnti -> TMSI heard, if any
         self.catcher_log: list[CatchEntry] = []

@@ -172,10 +172,10 @@ def _mib(sfn: int) -> Mib:
     return Mib(DEFAULT_MIB_BANDWIDTH_RB, sfn)
 
 
-def broadcast_frames(sib1: Sib1, now_ms: int) -> list[Emission]:
-    """The Mib and Sib1 a cell transmits at now_ms. Every cell advertises
-    DEFAULT_MIB_BANDWIDTH_RB; only the Mib's frame number changes."""
-    return [Emission(sib1.cell_id, 0, _mib((now_ms // 10) % 1024)), Emission(sib1.cell_id, 0, sib1)]
+def broadcast_frames(sib1: Emission, now_ms: int) -> list[Emission]:
+    """The Mib and Sib1 a cell transmits at now_ms, given its Sib1 Emission.
+    Every cell advertises DEFAULT_MIB_BANDWIDTH_RB; only the Mib changes."""
+    return [Emission(sib1.cell_id, 0, _mib((now_ms // 10) % 1024)), sib1]
 
 
 class NetworkCore:
@@ -196,8 +196,8 @@ class NetworkCore:
             cid: RntiAllocator(rng_for(f"cell/{cid}/rnti"), cfg.rnti_preset)
             for cid, cfg in self.cells.items()
         }
-        # (broadcast period, Sib1) per cell, the Sib1 built once.
-        self._sib1s = [(cfg.broadcast_period_ms, cell_sib1(cfg)) for cfg in self.cells.values()]
+        # (broadcast period, Sib1 Emission) per cell, the Emission built once.
+        self._sib1s = [(cfg.broadcast_period_ms, Emission(cid, 0, cell_sib1(cfg))) for cid, cfg in self.cells.items()]
         # One record per subscriber, by IMSI digits, MSISDN and bound TMSI.
         self.hss = {str(p.imsi): Subscriber(p, p.initial_tmsi) for p in subscribers}
         self.by_msisdn = {sub.profile.msisdn: sub for sub in self.hss.values()}

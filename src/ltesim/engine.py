@@ -6,7 +6,9 @@ deliveries, device timers, network deadlines, scenario directives) to
 the scenario directives due then, and a heap of its keys gives the next
 instant, so quiet stretches cost nothing. An instant, once scheduled,
 is processed even if the timer that asked for it has moved: a device
-whose timer is past due is stepped on every processed tick.
+whose timer is past due is stepped on every processed tick. A
+broadcaster is asked for its frames and its next broadcast instant only
+at the instant it last gave, from `next_broadcast_ms(0)` on.
 
 A device timer is a device's `next_wake_ms`. A camped device rechecks
 its cell on a 200 ms grid, but a quiet one (see `ue.py`) asks for no
@@ -17,12 +19,13 @@ past due is stepped on every processed instant: whenever a tick ends
 with one, every quiet device is put back on its grid after the tick
 (`_end_quiet`), and its grid instants are processed again.
 
-A tick polls only the devices stepped so far in it (stages 2 and 3) and
-those whose last-read wake is due, off a lazily invalidated heap of
-(wake, device index) entries. A wake changes only when its device steps
-or `_end_quiet` moves it, and both update the heap, so no other device
-can be due. A device still past due after its Tick goes back on the
-heap, to be stepped again on the next processed tick.
+A tick polls only the devices stepped so far in it (stages 1 to 3) and
+those whose stored wake is due, off a lazily invalidated heap of (wake,
+device index) entries. A wake changes only when its device steps or
+`_end_quiet` moves it, and both store it and update the heap: no other
+device can be due, and only a stepped device's wake is read again. A
+device still past due after its Tick goes back on the heap, to be
+stepped again on the next processed tick.
 
 Within one tick the stages are fixed, and that order is part of the
 determinism contract:
@@ -140,8 +143,7 @@ class RunResult(Record, frozen=False):
         return "".join(line + "\n" for line in self.capture_lines)
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _line(header: FrameHeader, msg, n: int, rx: float, body: Optional[str] = None) -> tuple[str, str]:
@@ -211,6 +213,9 @@ class Engine:
         for t_ms in [t_ms for t_ms in self._agenda if not 0 <= t_ms <= scenario.duration_ms]:
             del self._agenda[t_ms]  # outside the run: never due
         self._heap = sorted(self._agenda)
+        self._broadcast_at = [cell.next_broadcast_ms(0) for cell in self._broadcasters]  # see _process
+        for t_ms in self._broadcast_at:
+            self._at(t_ms, 0)
         self._downlinks: list[tuple[Emission, Optional[int]]] = []
         # Each device's wake as last read (a device starts off, with no
         # timer); a heap entry counts only while it equals the stored wake.
@@ -258,17 +263,22 @@ class Engine:
         ul_batch: list[tuple[int, list[Emission]]] = []
         downlinks, self._downlinks = self._downlinks, []
 
-        for cell in self._broadcasters:
-            for dl in cell.broadcast_tick(t):
-                self._air_downlink(dl, t, None, ul_batch)
+        for k, at in enumerate(self._broadcast_at):
+            if at == t:
+                cell = self._broadcasters[k]
+                for dl in cell.broadcast_tick(t):
+                    self._air_downlink(dl, t, None, ul_batch)
+                self._broadcast_at[k] = at = cell.next_broadcast_ms(t)
+                self._at(at, t)
         for dl, causal in downlinks:
             self._air_downlink(dl, t, causal, ul_batch)
 
         devices = self._devices
         for i, event in self._agenda.pop(t):
             self._step(i, event, t, ul_batch)
-        # Poll the devices stepped so far and those whose stored wake is due.
-        due = {i for i, _ in ul_batch}
+        # Poll the devices stepped so far (read afresh) and those whose stored wake is due.
+        stepped = {i for i, _ in ul_batch}
+        due, tick = set(stepped), Tick(t)
         heap, wakes = self._wake_heap, self._wakes
         while heap and heap[0][0] <= t:
             wake, i = heapq.heappop(heap)
@@ -276,9 +286,9 @@ class Engine:
                 due.add(i)
         for i in sorted(due) if len(due) > 1 else due:
             ue = devices[i]
-            wake = ue.next_wake_ms()
+            wake = ue.next_wake_ms() if i in stepped else wakes[i]
             if wake is not None and wake <= t:
-                self._step(i, Tick(t), t, ul_batch)
+                self._step(i, tick, t, ul_batch)
                 wake = ue.next_wake_ms()
                 if ue.quiet:
                     self._quiet.add(i)
@@ -304,8 +314,6 @@ class Engine:
         if self._downlinks:
             self._at(t + 1, t)
         self._at(self.core.next_deadline_ms(), t)
-        for cell in self._broadcasters:
-            self._at(cell.next_broadcast_ms(t), t)
 
     def _end_quiet(self, t: int) -> None:
         """A device is past due, so it is stepped at every instant processed
@@ -376,6 +384,8 @@ class Engine:
                         for i, ue in enumerate(devices)
                         if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
                     }
+                if not subs:
+                    return
                 targets = sorted(subs)  # a snapshot: a step changes its own device's membership
             else:
                 targets = [i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF]
@@ -616,7 +626,7 @@ def _is_contiguous_sublist(needle: list, haystack: list) -> bool:
 
 
 def _hops(value, what: str) -> list[tuple]:
-    if not isinstance(value, list) or not all(isinstance(hop, list) for hop in value):
+    if not isinstance(value, list) or not all(type(hop) is list and [*map(type, hop)] == [int, int] for hop in value):
         raise CaptureInvalid(f"{what}: expected a list of [cell, rnti] hops, got {value!r}")
     return [tuple(hop) for hop in value]
 
@@ -632,8 +642,8 @@ def diff_tracking(ground_truth: dict, report: dict) -> dict:
     if not isinstance(truth, dict):
         raise CaptureInvalid("ground truth: expected an object with a trajectories object")
     sessions = report.get("sessions", []) if isinstance(report, dict) else None
-    if not isinstance(sessions, list) or not all(isinstance(s, dict) and "session_id" in s for s in sessions):
-        raise CaptureInvalid("report: expected an object whose sessions each carry a session_id")
+    if type(sessions) is not list or not all(type(s) is dict and type(s.get("session_id")) is int for s in sessions):
+        raise CaptureInvalid("report: expected an object whose sessions each carry an integer session_id")
     followed = [
         (s["session_id"], _hops(s.get("trajectory"), f"report: sessions[{i}].trajectory"))
         for i, s in enumerate(sessions)

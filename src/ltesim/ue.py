@@ -154,6 +154,8 @@ class RatAllowed(enum.Enum):
 _PRE_ACCEPT = {UePhase.RACH_IN_PROGRESS, UePhase.CONNECTING, UePhase.AUTHENTICATING, UePhase.SECURED}
 RNTI_PHASES = _PRE_ACCEPT | {UePhase.REGISTERED}
 _RNTI_HELD = RNTI_PHASES - {UePhase.RACH_IN_PROGRESS}  # an rnti always held
+# Where next_wake_ms counts a recheck and an idle timeout; tuples, since a set hashes a member in Python.
+_RECHECK_PHASES, _IDLE_TIMER_PHASES = (UePhase.SEARCHING, UePhase.CAMPED_IDLE), (UePhase.REGISTERED,)
 
 
 class PowerOn(Record):
@@ -358,24 +360,26 @@ class Ue:
         self.registered_tac = None
 
     def next_wake_ms(self) -> Optional[int]:
-        """Earliest future instant this device wants a Tick."""
-        candidates = []
-        if self._next_meas_ms is not None:
-            candidates.append(self._next_meas_ms)
-        if self._camped_recheck_ms is not None and self.phase in (
-            UePhase.CAMPED_IDLE,
-            UePhase.SEARCHING,
-        ):
-            candidates.append(self._camped_recheck_ms)
-        if self._proc_deadline_ms is not None:
-            candidates.append(self._proc_deadline_ms)
-        if self._backoff_until_ms is not None:
-            candidates.append(self._backoff_until_ms)
-        if self.phase is UePhase.REGISTERED and self._last_activity_ms is not None:
-            candidates.append(self._last_activity_ms + IDLE_AFTER_MS)
-        for _, deadline in self.forbidden_plmns:
-            candidates.append(deadline)
-        return min(candidates) if candidates else None
+        """Earliest future instant this device wants a Tick, None for none: a
+        running minimum over the timers set, each counted in its phases."""
+        wake, phase = self._next_meas_ms, self.phase
+        at = self._camped_recheck_ms
+        if at is not None and phase in _RECHECK_PHASES and (wake is None or at < wake):
+            wake = at
+        at = self._proc_deadline_ms
+        if at is not None and (wake is None or at < wake):
+            wake = at
+        at = self._backoff_until_ms
+        if at is not None and (wake is None or at < wake):
+            wake = at
+        if self._last_activity_ms is not None and phase in _IDLE_TIMER_PHASES:
+            at = self._last_activity_ms + IDLE_AFTER_MS
+            if wake is None or at < wake:
+                wake = at
+        for _, at in self.forbidden_plmns:
+            if wake is None or at < wake:
+                wake = at
+        return wake
 
     # -- events: each takes (event, now_ms, out); see _ON_EVENT --------------
 
@@ -710,7 +714,8 @@ class Ue:
         # Only a congestion reject sets a backoff, and the device stays
         # Searching until a Tick at or after it: a Blocked device's Tick
         # always selects afresh, which sets the phase.
-        self.forbidden_plmns = [(p, d) for p, d in self.forbidden_plmns if d > now_ms]
+        if self.forbidden_plmns:
+            self.forbidden_plmns = [(p, d) for p, d in self.forbidden_plmns if d > now_ms]
 
     def _serving_plmn(self) -> Optional[Plmn]:
         sib = self.sib1s.get(self.serving_cell)

@@ -381,6 +381,12 @@ def test_scan_reports_an_unreadable_line(tmp_path, capsys):
         ('{"trajectories": {"a": [[10, 1]]}}', '{"sessions": [{"trajectory": [[10, 1]]}]}'),
         ('{"trajectories": {"a": [[10, 1]]}}', '{"sessions": [{"session_id": 1, "trajectory": 7}]}'),
         ("[]", '{"sessions": []}'),
+        ('{"trajectories": {"a": [[1]]}}', '{"sessions": []}'),  # a hop of one number
+        ('{"trajectories": {"a": [[{"x": 1}, 2]]}}', '{"sessions": []}'),  # a hop that is not two ints
+        ('{"trajectories": {"a": [[true, 1]]}}', '{"sessions": []}'),  # a bool is not a cell id
+        ('{"trajectories": {"a": [[10, 1]]}}', '{"sessions": [{"session_id": 1, "trajectory": [[10, 1, 2]]}]}'),
+        ('{"trajectories": {"a": [[10, 1]]}}', '{"sessions": [{"session_id": [1], "trajectory": [[10, 1]]}]}'),
+        ('{"trajectories": {"a": [[10, 1]]}}', '{"sessions": [{"session_id": true, "trajectory": [[10, 1]]}]}'),
     ],
 )
 def test_diff_reports_a_malformed_file(tmp_path, capsys, truth, report):

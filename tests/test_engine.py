@@ -774,6 +774,48 @@ def test_schedule_matches_full_scans(monkeypatch, make):
     assert oracle.ticks > 0
 
 
+@pytest.mark.parametrize("make", [make for _, make in SCHEDULE_CASES], ids=[name for name, _ in SCHEDULE_CASES])
+def test_nothing_is_asked_for_off_its_instant(monkeypatch, make):
+    """A broadcaster is asked for frames only at an instant it broadcasts,
+    and outside `_end_quiet` a device's wake is read no more often than
+    devices step: once after each stepped device's steps in a tick."""
+    counts = dict.fromkeys(("broadcast_tick", "empty", "next_wake_ms", "step"), 0)
+    ending_quiet = [False]
+
+    for owner in (NetworkCore, RogueCell):
+
+        def counted_broadcast(cell, now_ms, broadcast_tick=owner.broadcast_tick):
+            out = broadcast_tick(cell, now_ms)
+            counts["broadcast_tick"] += 1
+            counts["empty"] += not out
+            return out
+
+        monkeypatch.setattr(owner, "broadcast_tick", counted_broadcast)
+    wake, step, end_quiet = Ue.next_wake_ms, Ue.step, Engine._end_quiet
+
+    def counted_wake(ue):
+        counts["next_wake_ms"] += not ending_quiet[0]
+        return wake(ue)
+
+    def counted_step(ue, event, now_ms):
+        counts["step"] += 1
+        return step(ue, event, now_ms)
+
+    def flagged_end_quiet(engine, t):
+        ending_quiet[0] = True
+        try:
+            end_quiet(engine, t)
+        finally:
+            ending_quiet[0] = False
+
+    monkeypatch.setattr(Ue, "next_wake_ms", counted_wake)
+    monkeypatch.setattr(Ue, "step", counted_step)
+    monkeypatch.setattr(Engine, "_end_quiet", flagged_end_quiet)
+    run(make())
+    assert counts["broadcast_tick"] > 0 and counts["empty"] == 0, counts
+    assert 0 < counts["next_wake_ms"] <= counts["step"], counts
+
+
 def logged_run(monkeypatch, scenario, recheck_always):
     """Capture, ground truth and a per-device log of (t, phase, serving
     cell) after every step, with a repeat of the last entry's state left

@@ -6,6 +6,7 @@ import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ltesim import ue as ue_module
 from ltesim.codec import (
@@ -65,6 +66,7 @@ from ltesim.ue import (
 
 from tests.conftest import SCENARIO_DIR
 from tests.scenario_builders import benign_day_scenario, crowd_scenario, walk_scenario
+from tests.test_engine import QUIET_CASES
 
 PLMN = Plmn("310", "260")
 KEY = b"\x10" * 16
@@ -370,6 +372,67 @@ def test_next_wake_tracks_earliest_timer():
     drv.now = IDLE_AFTER_MS
     ue.step(Tick(drv.now), drv.now)
     assert ue.next_wake_ms() == drv.now + 200  # camped recheck
+
+
+def reference_wake(ue):
+    """next_wake_ms as a list of every timer that counts, and its min: the
+    formula the running minimum replaced."""
+    candidates = []
+    if ue._next_meas_ms is not None:
+        candidates.append(ue._next_meas_ms)
+    if ue._camped_recheck_ms is not None and ue.phase in (UePhase.CAMPED_IDLE, UePhase.SEARCHING):
+        candidates.append(ue._camped_recheck_ms)
+    if ue._proc_deadline_ms is not None:
+        candidates.append(ue._proc_deadline_ms)
+    if ue._backoff_until_ms is not None:
+        candidates.append(ue._backoff_until_ms)
+    if ue.phase is UePhase.REGISTERED and ue._last_activity_ms is not None:
+        candidates.append(ue._last_activity_ms + IDLE_AFTER_MS)
+    for _, deadline in ue.forbidden_plmns:
+        candidates.append(deadline)
+    return min(candidates) if candidates else None
+
+
+@pytest.mark.parametrize("make", [make for _, make in QUIET_CASES], ids=[name for name, _ in QUIET_CASES])
+def test_next_wake_matches_the_list_formula_after_every_step(monkeypatch, make):
+    step, end_quiet, checked = Ue.step, Ue.end_quiet, []
+
+    def check(ue, now_ms):
+        assert ue.next_wake_ms() == reference_wake(ue), (ue.profile.name, now_ms, ue.phase)
+        checked.append(ue.phase)
+
+    def checked_step(ue, event, now_ms):
+        out = step(ue, event, now_ms)
+        check(ue, now_ms)
+        return out
+
+    def checked_end_quiet(ue, now_ms):
+        end_quiet(ue, now_ms)
+        check(ue, now_ms)
+
+    monkeypatch.setattr(Ue, "step", checked_step)
+    monkeypatch.setattr(Ue, "end_quiet", checked_end_quiet)
+    run(make())
+    assert {UePhase.SEARCHING, UePhase.REGISTERED} <= set(checked)
+
+
+TIMER = st.none() | st.integers(0, 12_000)  # a narrow range, so timers often tie
+WAKE_TIMERS = ("_next_meas_ms", "_camped_recheck_ms", "_proc_deadline_ms", "_backoff_until_ms", "_last_activity_ms")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    phase=st.sampled_from(UePhase),
+    timers=st.fixed_dictionaries({name: TIMER for name in WAKE_TIMERS}),
+    forbidden=st.lists(st.integers(0, 12_000), max_size=3),
+)
+def test_next_wake_matches_the_list_formula(phase, timers, forbidden):
+    ue, _ = fresh()
+    ue.phase = phase
+    for name, value in timers.items():
+        setattr(ue, name, value)
+    ue.forbidden_plmns = [(PLMN, deadline) for deadline in forbidden]
+    assert ue.next_wake_ms() == reference_wake(ue)
 
 
 # -- rejects ------------------------------------------------------------------------
