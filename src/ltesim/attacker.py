@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .codec import (
@@ -72,7 +71,6 @@ class NoBroadcastFound(ValueError):
     """The capture held nothing worth impersonating."""
 
 
-@dataclass
 class RogueCellConfig(Transmitter):
     """The rogue: a transmitter plus its attack mode, and the window in
     which it is on the air (always, when None)."""
@@ -125,14 +123,10 @@ class RogueCell:
         return broadcast_frames(self.sib1, now_ms)
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:
-        period = self.config.broadcast_period_ms
-        due = ((now_ms // period) + 1) * period
-        window = self.config.active_ms
-        if window is None:
-            return due
-        if due >= window[1]:
-            return None
-        return max(due, ((window[0] + period - 1) // period) * period)
+        period, window = self.config.broadcast_period_ms, self.config.active_ms
+        start = now_ms + 1 if window is None else max(now_ms + 1, window[0])
+        due = -(-start // period) * period  # the first multiple at or after start
+        return due if window is None or due < window[1] else None
 
     def handle_uplink(self, frame: Emission, now_ms: int) -> list[Emission]:
         if not self.active(now_ms):

@@ -47,7 +47,6 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import KW_ONLY, dataclass
 from typing import Callable, Optional, Sequence
 
 from .codec import (
@@ -95,14 +94,12 @@ class InvariantViolation(RuntimeError):
     """Core state broke one of its own rules."""
 
 
-@dataclass
-class Transmitter:
+class Transmitter(Record):
     """A cell on the air, operator or rogue: its radio face and what its
     Mib and Sib1 carry. Broadcasts are unauthenticated, so both kinds of
     cell are this same transmitter."""
 
     radio: RadioCell
-    _: KW_ONLY
     broadcast_period_ms: int = DEFAULT_BROADCAST_PERIOD_MS
     min_rx_level_dbm: int = -110
     priority_earfcns: tuple[tuple[int, int], ...] = ()
@@ -112,7 +109,6 @@ class Transmitter:
         return self.radio.cell_id
 
 
-@dataclass
 class CellConfig(Transmitter):
     """One operator cell: a transmitter plus scheduling and mitigation
     knobs. `rnti_preset` pins upcoming radio-id draws for replaying

@@ -173,8 +173,6 @@ class RntiAllocator:
         if span - len(self._in_use) <= 64:
             # Near exhaustion random rejection may spin; scan the exact free set.
             free = [v for v in range(RNTI_MIN, RNTI_MAX + 1) if v not in self._in_use]
-            if not free:
-                raise CellFull("rnti space exhausted")
             v = self._rng.choice(free)
             self._in_use.add(v)
             return v

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .attacker import MODES, RogueCellConfig
@@ -175,7 +174,6 @@ class WaypointSpec(Record):
     position: tuple[float, float]
 
 
-@dataclass(frozen=True, kw_only=True)
 class UeSpec(UeProfile):
     """A device as declared: its SIM profile plus where it stands, when it
     powers on, and what it sends. The engine runs it as the profile."""
@@ -232,8 +230,7 @@ class UeDirective(Record):
     ue: str
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """`cells` holds LTE and GSM cells alike; `radio.rat` tells them apart."""
 
     name: str
@@ -245,7 +242,7 @@ class Scenario:
     page_calls: tuple[PageCallSpec, ...] = ()
     toggles: tuple[UeDirective, ...] = ()
     erasures: tuple[UeDirective, ...] = ()
-    path_loss: PathLossModel = field(default_factory=PathLossModel)
+    path_loss: PathLossModel = PathLossModel()
     rx_floor_dbm: float = DEFAULT_RX_FLOOR_DBM
     sniffer_enabled: bool = True
     sniffer_position: tuple[float, float] = (0.0, 0.0)

@@ -33,7 +33,6 @@ Phase transitions. A row on a serving-cell downlink is an entry of
         eps_services_not_allowed: GsmOnly (LTE abandoned until toggle)
     Registered   --reconfiguration w/ mobility-->RachInProgress at target
     Connecting..Registered --reconfiguration to self--> same (adopt new rnti)
-    Registered   --UserData-->                   Registered (note activity)
     Registered   --5000 ms without user data-->  CampedIdle (drop rnti and
                                                  security context, keep tmsi)
     CampedIdle   --recheck every 200 ms-->       CampedIdle on the best cell
@@ -83,7 +82,6 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import codec
@@ -178,8 +176,7 @@ class AppTraffic(Record):
     byte_count: int
 
 
-@dataclass(frozen=True)
-class UeProfile:
+class UeProfile(Record):
     """SIM and hardware identity of one device; the core's HSS keeps it
     as the subscriber's record."""
 
@@ -656,9 +653,6 @@ class Ue:
             # Handover order: leave now, arrive via RACH.
             self._start_rach(mob.target_cell_id, "handover", now_ms, out)
 
-    def _on_user_data(self, frame: Emission, msg: UserData, now_ms: int, out: list[Emission]) -> None:
-        self._last_activity_ms = now_ms
-
     # -- periodic work -------------------------------------------------------
 
     def _emit_measurement_report(self, now_ms: int, out: list[Emission]) -> None:
@@ -756,5 +750,4 @@ _ON_SERVING_RX = {
     AttachReject: (Ue._on_reject, _PRE_ACCEPT),
     TauReject: (Ue._on_reject, _PRE_ACCEPT),
     RrcConnectionReconfiguration: (Ue._on_reconfiguration, _RNTI_HELD),
-    UserData: (Ue._on_user_data, {UePhase.REGISTERED}),
 }

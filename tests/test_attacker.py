@@ -41,7 +41,7 @@ IMSI = parse_imsi("310260000000001")
 
 def rogue(mode=CATCHER_MODE, **overrides):
     radio = RadioCell(CellIdentity(999, 101, PLMN, 3350), (5.0, 0.0), 46.0, is_rogue=True)
-    cfg = RogueCellConfig(radio, mode, **overrides)
+    cfg = RogueCellConfig(radio, mode=mode, **overrides)
     return RogueCell(cfg, random.Random(3))
 
 
@@ -91,6 +91,7 @@ def test_active_window_gates_everything():
     assert cell.next_broadcast_ms(0) == 1000
     assert cell.next_broadcast_ms(1000) == 1040
     assert cell.next_broadcast_ms(1999) is None
+    assert rogue(broadcast_period_ms=100, active_ms=(105, 150)).next_broadcast_ms(0) is None  # no multiple inside
 
 
 def test_catcher_harvests_cleartext_imsi():

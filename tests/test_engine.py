@@ -757,8 +757,17 @@ class ScheduleOracle:
         return [ue for ue in self.devices if (w := self.wake(ue)) is not None and w <= now_ms]
 
 
+def catcher_short_window_scenario():
+    """The catcher with a window that holds no multiple of its broadcast
+    period: it never broadcasts, and must never be asked to."""
+    doc = json.loads((SCENARIO_DIR / "imsi_catcher.json").read_text())
+    doc["rogue"].update(broadcast_period_ms=100, active_ms=[105, 150])
+    return parse_scenario(doc)
+
+
 SCHEDULE_CASES = [
     *[(path.stem, lambda path=path: load_scenario(path)) for path in sorted(SCENARIO_DIR.glob("*.json"))],
+    ("catcher-short-window", catcher_short_window_scenario),
     ("walk", lambda: parse_scenario(walk_scenario(0))),
     ("walk-encrypt", lambda: parse_scenario(walk_scenario(0, encrypt=True))),
     ("walk-refresh", lambda: parse_scenario(walk_scenario(0, refresh=True))),

@@ -1,6 +1,6 @@
 """Scenario file parsing: field paths in errors, defaults, movement."""
 
-import dataclasses
+import inspect
 import json
 
 import pytest
@@ -16,6 +16,7 @@ from ltesim.scenario import (
     _ROGUE_KEYS,
     _SCENARIO_KEYS,
     _UE_KEYS,
+    Scenario,
     ScenarioInvalid,
     default_imei,
     default_ue_key,
@@ -536,7 +537,8 @@ def test_hostile_values_in_shipped_scenarios_are_refused_or_run():
                 parent[path[-1]] = value
             try:
                 sc = parse_scenario(doc)
-                result = Engine(dataclasses.replace(sc, duration_ms=min(sc.duration_ms, MUTATION_RUN_MS))).run()
+                kw = {name: getattr(sc, name) for name in inspect.signature(Scenario).parameters}
+                result = Engine(Scenario(**kw | {"duration_ms": min(sc.duration_ms, MUTATION_RUN_MS)})).run()
                 for line in result.capture_lines:
                     json.loads(line, parse_constant=_refuse_constant)
             except ScenarioInvalid:

@@ -614,7 +614,7 @@ SERVING_DOWNLINKS = {
         {P.CONNECTING, P.AUTHENTICATING, P.SECURED, P.REGISTERED},
     ),
     "handover_order": (RrcConnectionReconfiguration(MobilityControlInfo(11, 999)), {P.REGISTERED}),
-    "user_data": (UserData(10), {P.REGISTERED}),
+    "user_data": (UserData(10), set()),  # no phase acts on a downlink UserData
 }
 
 
@@ -882,7 +882,8 @@ def two_cell_sight(spec, rogue=None):
 
 def walker_spec(x, moves=()):
     moves = tuple(WaypointSpec(t, (to, 0.0)) for t, to in moves)
-    return UeSpec(**vars(profile()), name="w", position=(x, 0.0), moves=moves)
+    p = profile()
+    return UeSpec(p.imsi, p.key, p.msisdn, p.imei, name="w", position=(x, 0.0), moves=moves)
 
 
 def test_quiet_ends_when_the_device_starts_to_walk():
@@ -900,7 +901,7 @@ def test_quiet_ends_when_the_device_starts_to_walk():
 
 def rogue_cell(tac, window):
     radio = RadioCell(CellIdentity(999, tac, PLMN, 3350), (50.0, 0.0), 46.0, is_rogue=True)
-    config = RogueCellConfig(radio, "imsi_catcher", priority_earfcns=((3350, 7),), active_ms=window)
+    config = RogueCellConfig(radio, mode="imsi_catcher", priority_earfcns=((3350, 7),), active_ms=window)
     return RogueCell(config, random.Random(1))
 
 
