@@ -5,13 +5,13 @@ them. It answers random access, runs the attach and tracking-area
 ladders, triggers handovers off measurement reports, idles quiet
 sessions, and pages by temporary identity whenever one exists.
 
-Reject behavior for malformed or out-of-order traffic: anything that
-does not fit the expected step of a session's ladder is dropped and
-counted (`drops`), with two spoken exceptions: an attach naming an
-unknown subscriber is answered with AttachReject{plmn_not_allowed}, and
-a failed authentication response tears the session down with the same
-cause. All other causes in this model come from attackers, not from
-this core.
+Malformed or out-of-order traffic: anything that does not fit the
+expected step of a session's ladder is dropped and counted (`drops`).
+The HSS is built from the run's own devices, so this core never asks
+for an identity and never rejects: an attach or TAU naming an IMSI or
+TMSI it does not hold, or an authentication response that does not
+match, raises `InvariantViolation`. Every reject in a run comes from
+the rogue.
 
 Radio-id lifecycle: the MAC RAR assigns a temporary id which is simply
 promoted to the connected id. A handover pre-allocates the final id at
@@ -51,14 +51,9 @@ from typing import Callable, Optional, Sequence
 
 from .codec import (
     AttachAccept,
-    AttachReject,
     AttachRequest,
     AuthenticationRequest,
     AuthenticationResponse,
-    EmmCause,
-    IdentityKind,
-    IdentityRequest,
-    IdentityResponse,
     MacRar,
     MeasurementReport,
     Mib,
@@ -151,7 +146,6 @@ class SessionRecord(Record, frozen=False):
     subscriber: Optional[Subscriber] = None
     key_id: Optional[int] = None
     expected_res: Optional[bytes] = None
-    awaiting_identity: bool = False
     last_activity_ms: Optional[int] = None
     handover: Optional[OpenHandover] = None
 
@@ -298,11 +292,10 @@ class NetworkCore:
             return []
         rec.state = SessionState.ATTACHING
         if msg.imsi is None:
-            return self._resolve_tmsi(cfg, rec, msg.tmsi)
-        sub = rec.subscriber = self.hss.get(str(msg.imsi))
-        if sub is None:
-            return self._reject(cfg, rec, EmmCause.PLMN_NOT_ALLOWED)
-        self._park(sub, None)  # a fresh attach retires any parked id
+            rec.subscriber = self._held(self.by_tmsi, msg.tmsi, "TMSI")
+        else:
+            rec.subscriber = self._held(self.hss, str(msg.imsi), "IMSI")
+            self._park(rec.subscriber, None)  # a fresh attach retires any parked id
         return self._start_auth(cfg, rec)
 
     def _on_tau_request(
@@ -312,28 +305,7 @@ class NetworkCore:
             self._drop("tau_out_of_order")
             return []
         rec.state = SessionState.ATTACHING
-        return self._resolve_tmsi(cfg, rec, msg.tmsi)
-
-    def _resolve_tmsi(self, cfg: CellConfig, rec: SessionRecord, tmsi: int) -> list[Emission]:
-        """Authenticate a session that named itself by TMSI, or ask for
-        the IMSI when the TMSI maps to no subscriber."""
-        sub = self.by_tmsi.get(tmsi)
-        if sub is not None:
-            rec.subscriber = sub
-            return self._start_auth(cfg, rec)
-        rec.awaiting_identity = True
-        return [Emission(cfg.cell_id, rec.rnti, IdentityRequest(IdentityKind.IMSI))]
-
-    def _on_identity_response(
-        self, cfg: CellConfig, rec: SessionRecord, msg: IdentityResponse, now_ms: int
-    ) -> list[Emission]:
-        if not rec.awaiting_identity or msg.imsi is None:
-            self._drop("identity_out_of_order")
-            return []
-        rec.awaiting_identity = False
-        rec.subscriber = self.hss.get(str(msg.imsi))
-        if rec.subscriber is None:
-            return self._reject(cfg, rec, EmmCause.PLMN_NOT_ALLOWED)
+        rec.subscriber = self._held(self.by_tmsi, msg.tmsi, "TMSI")
         return self._start_auth(cfg, rec)
 
     def _start_auth(self, cfg: CellConfig, rec: SessionRecord) -> list[Emission]:
@@ -349,7 +321,7 @@ class NetworkCore:
             self._drop("auth_out_of_order")
             return []
         if msg.res != rec.expected_res:
-            return self._reject(cfg, rec, EmmCause.PLMN_NOT_ALLOWED)
+            raise InvariantViolation(f"authentication failed at cell {rec.cell_id}, rnti {rec.rnti}")
         rec.expected_res = None
         rec.state = SessionState.AUTHENTICATED
         key_id = self._next_key_id
@@ -491,10 +463,14 @@ class NetworkCore:
 
     # -- bookkeeping ----------------------------------------------------------------
 
-    def _reject(self, cfg: CellConfig, rec: SessionRecord, cause: EmmCause) -> list[Emission]:
-        self.active.pop((rec.cell_id, rec.rnti), None)
-        self._release(rec.cell_id, rec.rnti)
-        return [Emission(cfg.cell_id, rec.rnti, AttachReject(cause))]
+    @staticmethod
+    def _held(index: dict, key: int | str, kind: str) -> Subscriber:
+        """The subscriber an uplink names, which the HSS holds: it is built
+        from the run's own devices."""
+        sub = index.get(key)
+        if sub is None:
+            raise InvariantViolation(f"the HSS holds no subscriber with {kind} {key}")
+        return sub
 
     def _park(self, sub: Subscriber, parked: Optional[tuple[int, int]]) -> None:
         """Replace the subscriber's parked id, releasing the one it held."""
@@ -555,7 +531,6 @@ _ON_UPLINK = {
     RrcConnectionRequest: NetworkCore._on_connection_request,
     AttachRequest: NetworkCore._on_attach_request,
     TauRequest: NetworkCore._on_tau_request,
-    IdentityResponse: NetworkCore._on_identity_response,
     AuthenticationResponse: NetworkCore._on_auth_response,
     SecurityModeComplete: NetworkCore._on_security_complete,
     MeasurementReport: NetworkCore.maybe_trigger_handover,

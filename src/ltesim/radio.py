@@ -36,7 +36,7 @@ class PathLossModel(Record):
         return 10.0 * self.exponent * math.log10(d) + self.offset_db
 
 
-class RadioCell(Record, frozen=False):
+class RadioCell(Record):
     """A transmitter with an identity claim. `is_rogue` is ground-truth
     bookkeeping only; nothing over the air reveals it."""
 

@@ -9,13 +9,9 @@ import pytest
 
 from ltesim.codec import (
     AttachAccept,
-    AttachReject,
     AttachRequest,
     AuthenticationRequest,
     AuthenticationResponse,
-    EmmCause,
-    IdentityKind,
-    IdentityRequest,
     IdentityResponse,
     MacRar,
     MeasurementReport,
@@ -80,8 +76,6 @@ def run_ladder(core, cell_id=10, t=0, identity=None, imsi=IMSI):
     rnti = out[0].message.temp_rnti
     ul(core, cell_id, rnti, RrcConnectionRequest(random_id=12345), t)
     out = ul(core, cell_id, rnti, identity or AttachRequest(imsi=imsi), t)
-    while isinstance(out[0].message, IdentityRequest):
-        out = ul(core, cell_id, rnti, IdentityResponse(imsi=imsi), t)
     assert isinstance(out[0].message, AuthenticationRequest)
     res = stub_mac(KEY, out[0].message.rand)
     out = ul(core, cell_id, rnti, AuthenticationResponse(res), t)
@@ -152,16 +146,18 @@ def test_ladder_registers_and_binds_tmsi():
     assert core.keys[key_id]  # keystream seed on file for the tap-side codec
 
 
-def test_unknown_imsi_rejected_and_torn_down():
+# The HSS is built from the run's own devices: an uplink naming someone it
+# does not hold, or a response computed from another key, means it no
+# longer holds them.
+
+
+def test_an_attach_naming_an_imsi_the_hss_lacks_raises():
     core = build()
     out = ul(core, 10, 0, RachPreamble(1))
     rnti = out[0].message.temp_rnti
     ul(core, 10, rnti, RrcConnectionRequest(random_id=1))
-    out = ul(core, 10, rnti, AttachRequest(imsi=parse_imsi("310260999999999")))
-    assert isinstance(out[0].message, AttachReject)
-    assert out[0].message.emm_cause is EmmCause.PLMN_NOT_ALLOWED
-    assert (10, rnti) not in core.active
-    assert rnti not in core.allocators[10].in_use
+    with pytest.raises(InvariantViolation, match="IMSI 310260999999999"):
+        ul(core, 10, rnti, AttachRequest(imsi=parse_imsi("310260999999999")))
 
 
 def test_known_tmsi_skips_identity_request():
@@ -173,15 +169,13 @@ def test_known_tmsi_skips_identity_request():
     assert isinstance(out[0].message, AuthenticationRequest)
 
 
-def test_unknown_tmsi_provokes_identity_request():
+def test_an_attach_naming_an_unbound_tmsi_raises():
     core = build()
     out = ul(core, 10, 0, RachPreamble(1))
     rnti = out[0].message.temp_rnti
     ul(core, 10, rnti, RrcConnectionRequest(tmsi=0xDEAD0001))
-    out = ul(core, 10, rnti, AttachRequest(tmsi=0xDEAD0001))
-    assert isinstance(out[0].message, IdentityRequest)
-    out = ul(core, 10, rnti, IdentityResponse(imsi=IMSI))
-    assert isinstance(out[0].message, AuthenticationRequest)
+    with pytest.raises(InvariantViolation, match=f"TMSI {0xDEAD0001}"):
+        ul(core, 10, rnti, AttachRequest(tmsi=0xDEAD0001))
 
 
 def _tau_session(core, tmsi):
@@ -199,13 +193,11 @@ def test_tau_with_known_tmsi_authenticates():
     assert core.active[(10, rnti)].subscriber.profile.imsi == IMSI
 
 
-def test_tau_with_unknown_tmsi_asks_for_the_imsi():
+def test_a_tau_naming_an_unbound_tmsi_raises():
     core = build()
     rnti = _tau_session(core, 0xDEAD0001)
-    out = ul(core, 10, rnti, TauRequest(0xDEAD0001, 100))
-    assert [d.message for d in out] == [IdentityRequest(IdentityKind.IMSI)]
-    out = ul(core, 10, rnti, IdentityResponse(imsi=IMSI))
-    assert isinstance(out[0].message, AuthenticationRequest)
+    with pytest.raises(InvariantViolation, match=f"TMSI {0xDEAD0001}"):
+        ul(core, 10, rnti, TauRequest(0xDEAD0001, 100))
 
 
 def test_second_tau_is_dropped_out_of_order():
@@ -216,27 +208,14 @@ def test_second_tau_is_dropped_out_of_order():
     assert core.drops["tau_out_of_order"] == 1
 
 
-def test_bad_auth_response_rejects():
+def test_a_bad_auth_response_raises():
     core = build()
     out = ul(core, 10, 0, RachPreamble(1))
     rnti = out[0].message.temp_rnti
     ul(core, 10, rnti, RrcConnectionRequest(random_id=1))
     ul(core, 10, rnti, AttachRequest(imsi=IMSI))
-    out = ul(core, 10, rnti, AuthenticationResponse(b"\x00" * 8))
-    assert isinstance(out[0].message, AttachReject)
-    assert (10, rnti) not in core.active
-
-
-def test_unknown_imsi_in_identity_response_rejected_and_torn_down():
-    core = build()
-    rnti = _tau_session(core, 0xDEAD0001)
-    out = ul(core, 10, rnti, AttachRequest(tmsi=0xDEAD0001))
-    assert [d.message for d in out] == [IdentityRequest(IdentityKind.IMSI)]
-    out = ul(core, 10, rnti, IdentityResponse(imsi=parse_imsi("310260999999999")))
-    assert [d.message for d in out] == [AttachReject(EmmCause.PLMN_NOT_ALLOWED)]
-    assert (10, rnti) not in core.active
-    assert rnti not in core.allocators[10].in_use
-    assert core.drops == {}
+    with pytest.raises(InvariantViolation, match="authentication failed"):
+        ul(core, 10, rnti, AuthenticationResponse(b"\x00" * 8))
 
 
 def _after_rar(core):
@@ -259,11 +238,7 @@ def _dropped_uplinks():
     core = build()
     yield "auth_out_of_order", core, 10, _after_rar(core), AuthenticationResponse(b"\x00" * 8)
     core = build()
-    yield "identity_out_of_order", core, 10, _after_rar(core), IdentityResponse(imsi=IMSI)  # never asked
-    core = build()
-    rnti = _tau_session(core, 0xDEAD0001)
-    ul(core, 10, rnti, AttachRequest(tmsi=0xDEAD0001))  # asks for the IMSI
-    yield "identity_out_of_order", core, 10, rnti, IdentityResponse(imei=IMEI)
+    yield "unexpected_IdentityResponse", core, 10, _after_rar(core), IdentityResponse(imsi=IMSI)  # the core never asks
     core = build()
     yield "connection_request_out_of_order", core, 10, run_ladder(core)[0], RrcConnectionRequest(random_id=1)
     core = build()
@@ -737,3 +712,15 @@ def test_only_the_funnels_write_the_session_index_and_release_ids():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and _is_active(n.func.value)
     }
     assert methods <= {"get", "pop", "items", "values"}
+
+
+def test_the_core_sends_no_reject_and_asks_for_no_identity():
+    """Every reject and identity request in a run comes from the rogue: the
+    core's HSS holds every device, so it constructs neither."""
+    tree = ast.parse(pathlib.Path(core_module.__file__).read_text())
+    built = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not built & {"AttachReject", "TauReject", "IdentityRequest"}

@@ -26,7 +26,7 @@ from ltesim.codec import (
     RachPreamble,
     Sib1,
 )
-from ltesim.core import NetworkCore
+from ltesim.core import NetworkCore, SessionState
 from ltesim.engine import Engine, diff_tracking, parse_capture_line, reconstruct_frame, replay_capture, run
 from ltesim.identity import Plmn
 from ltesim.scenario import load_scenario, parse_scenario
@@ -942,6 +942,29 @@ def test_every_reserved_radio_id_has_an_owner():
                 owned[rec.handover.target_cell_id].add(rec.handover.final_rnti)
         for cell_id, allocator in core.allocators.items():
             assert allocator.in_use == owned[cell_id], (name, cell_id)
+
+
+HSS_CASES = [
+    *SCHEDULE_CASES,
+    ("abandoned-handover", abandoned_handover_scenario),
+    ("benign-day", lambda: parse_scenario(benign_day_scenario())),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in HSS_CASES], ids=[name for name, _ in HSS_CASES])
+def test_the_core_holds_every_device_it_hears(make):
+    """What the core relies on to ask no identity and send no reject: at the
+    end of a run it has dropped nothing, every session it keeps has
+    registered, and each device holding a TMSI finds it bound to its own
+    subscriber."""
+    engine = Engine(make())
+    engine.run()
+    core = engine.core
+    assert core.drops == {}
+    assert all(rec.state is SessionState.REGISTERED for rec in core.active.values())
+    for ue in engine.ues.values():
+        if ue.tmsi is not None:
+            assert core.by_tmsi.get(ue.tmsi) is core.hss[str(ue.profile.imsi)], ue.profile.name
 
 
 def test_idle_devices_are_not_polled(monkeypatch):

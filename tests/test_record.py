@@ -17,11 +17,11 @@ from ltesim.core import CellConfig, SessionRecord, SessionState, Subscriber, Tra
 from ltesim.identity import CellIdentity, Plmn, parse_imsi
 from ltesim.radio import RadioCell
 from ltesim.record import Field, Record
-from ltesim.scenario import Scenario, UeSpec
+from ltesim.scenario import Scenario, UeSpec, load_scenario
 from ltesim.sniffer import TrackedSession
 from ltesim.ue import Emission, UeProfile, UeStats
 
-from tests.conftest import REPO_ROOT
+from tests.conftest import REPO_ROOT, SCENARIO_DIR
 
 
 def test_importing_ltesim_leaves_dataclasses_unloaded():
@@ -38,7 +38,6 @@ HOLDERS = [
     UeStats(),
     Subscriber(PROFILE, 0x1234),
     SessionRecord(10, 600, SessionState.RACH_DONE),
-    RadioCell(CellIdentity(10, 100, Plmn("310", "26"), 1850), (0.0, 0.0), 43.0),
     TrackedSession(1, 0, 5, [(10, 600)]),
 ]
 
@@ -185,3 +184,12 @@ def test_config_record_signatures(cls):
 def test_config_records_survive_deepcopy_and_pickle(rec):
     for again in (copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
         assert again == rec and again is not rec
+
+
+def test_a_parsed_scenario_and_its_cell_configs_hash():
+    # Every record a config holds is frozen, the radio face included.
+    scenario = load_scenario(SCENARIO_DIR / "imsi_catcher.json")
+    for rec in (scenario.cells[0], scenario.rogue, scenario):
+        assert hash(rec) == hash(copy.deepcopy(rec))
+    with pytest.raises(AttributeError):
+        scenario.cells[0].radio.tx_power_dbm = 0.0
