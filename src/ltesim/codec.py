@@ -18,7 +18,12 @@ Header layout (16 bytes):
 A protected body region opens with a cleartext key_id u32 and continues
 with the encoded message XOR-masked by the session keystream. Holders of
 the session key decode it fully; everyone else gets the header and the
-body length (an Opaque result), nothing more.
+body length (an Opaque result), nothing more. The only party in a run
+that reads frame bytes is the keyless sniffer, so a run never masks: it
+airs each protected frame as `keyless_frame` builds it, the header, the
+key_id and zero filler as long as the body, and a capture replay
+rebuilds the same bytes. `encode` and `decode` with keys are the full
+wire format, for tools and tests that hold the keys.
 
 Body grammar: one type byte, then the message fields in declaration
 order. The message classes below are the frozen type table: each is a
@@ -745,11 +750,17 @@ def decode_body(data: bytes) -> Message:
 
 
 def pack_header(header: FrameHeader) -> bytes:
-    """The 16 header bytes alone; callers reconstructing opaque frames
-    append the cleartext key_id themselves."""
+    """The 16 header bytes alone, validated."""
     header.validate()
     fields = header.timestamp_ms, header.cell_id, header.rnti, int(header.direction), header.protected
     return struct.pack(">QIHBB", *fields)
+
+
+def keyless_frame(header: FrameHeader, body_len: int) -> bytes:
+    """A protected frame as a party without its key reads it: the header,
+    the cleartext key_id, and body_len zero bytes in place of the masked
+    body, which such a party never opens."""
+    return pack_header(header) + struct.pack(">I", header.key_id) + bytes(body_len)
 
 
 def encode(header: FrameHeader, msg: Message, keys: Optional[Mapping[int, bytes]] = None) -> bytes:

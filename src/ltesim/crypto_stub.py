@@ -6,7 +6,10 @@ response is a 64-bit truncation of a keyed hash, and frame protection is
 an XOR keystream derived from a per-session seed. The property that
 matters is reproduced faithfully: a party without the subscriber key (a
 rogue cell, a passive sniffer) can neither answer a challenge nor read a
-protected body.
+protected body. Since such a party never opens the body, a simulation
+run never calls `keystream_mask`: it airs protected frames with zero
+filler in its place (`codec.keyless_frame`). The mask serves
+`codec.encode` and `codec.decode` with keys.
 """
 
 from __future__ import annotations

@@ -8,7 +8,11 @@ instant, so quiet stretches cost nothing. An instant, once scheduled,
 is processed even if the timer that asked for it has moved: a device
 whose timer is past due is stepped on every processed tick. A
 broadcaster is asked for its frames and its next broadcast instant only
-at the instant it last gave, from `next_broadcast_ms(0)` on.
+at the instant it last gave, from `next_broadcast_ms(0)` on. The core's
+deadlines (idle timeouts, handover lapses) move only when it handles an
+uplink or acts on a due one in `tick`, so its next deadline is read
+again only after an instant that did either; `tick` itself runs at
+every processed instant.
 
 A device timer is a device's `next_wake_ms`. A camped device rechecks
 its cell on a 200 ms grid, but a quiet one (see `ue.py`) asks for no
@@ -72,12 +76,15 @@ bytes with that header (a frame it cannot read is an
 InvariantViolation); every later one checks only its `t`, and the
 sniffer hears it from what it read, with no bytes, header or decode.
 Frames recur as broadcasts and access preambles (cleartext to rnti 0),
-and as the measurement reports of a device that stands still: the stub
-keystream has no per-frame counter, so one body under one key_id masks
-to the same bytes every time. A device's uplink rx is computed again
-only when it has moved since its last uplink. Each distinct body
-cleartext to rnti 0 is encoded and serialised to capture JSON once per
-run, whatever cell sends it; every other frame once per template.
+and as the protected measurement reports of a device that stands still.
+A run never masks: the keyless sniffer is the only party that reads
+frame bytes, so a protected frame goes on the air as it reads it, the
+header, the key_id and zero filler as long as the body
+(`codec.keyless_frame`), the very bytes replay rebuilds from its line.
+A device's uplink rx is computed again only when it has moved since its
+last uplink. Each distinct body cleartext to rnti 0 is encoded and
+serialised to capture JSON once per run, whatever cell sends it; every
+other frame once per template.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -101,7 +108,6 @@ import heapq
 import json
 import math
 import re
-import struct
 from typing import Iterable, Optional, Sequence
 
 from . import codec
@@ -217,6 +223,10 @@ class Engine:
         for t_ms in self._broadcast_at:
             self._at(t_ms, 0)
         self._downlinks: list[tuple[Emission, Optional[int]]] = []
+        # The core's next deadline as last read, and whether it has handled
+        # an uplink since (see _process).
+        self._core_deadline: Optional[int] = None
+        self._core_heard = False
         # Each device's wake as last read (a device starts off, with no
         # timer); a heap entry counts only while it equals the stored wake.
         self._wakes: list[Optional[int]] = [None] * len(self._devices)
@@ -276,28 +286,30 @@ class Engine:
         devices = self._devices
         for i, event in self._agenda.pop(t):
             self._step(i, event, t, ul_batch)
-        # Poll the devices stepped so far (read afresh) and those whose stored wake is due.
-        stepped = {i for i, _ in ul_batch}
-        due, tick = set(stepped), Tick(t)
+        # Poll the devices stepped so far (read afresh) and those whose
+        # stored wake is due, if there are any.
         heap, wakes = self._wake_heap, self._wakes
-        while heap and heap[0][0] <= t:
-            wake, i = heapq.heappop(heap)
-            if wakes[i] == wake:
-                due.add(i)
-        for i in sorted(due) if len(due) > 1 else due:
-            ue = devices[i]
-            wake = ue.next_wake_ms() if i in stepped else wakes[i]
-            if wake is not None and wake <= t:
-                self._step(i, tick, t, ul_batch)
-                wake = ue.next_wake_ms()
-                if ue.quiet:
-                    self._quiet.add(i)
-            if wake is not None and (wake <= t or wake != wakes[i]):
-                heapq.heappush(heap, (wake, i))  # past due: popped again next tick
-                self._at(wake, t)  # an unchanged future wake is scheduled already
-            wakes[i] = wake
-        if self._quiet and heap and heap[0][0] <= t:
-            self._end_quiet(t)
+        if ul_batch or heap and heap[0][0] <= t:
+            stepped = {i for i, _ in ul_batch}
+            due, tick = set(stepped), Tick(t)
+            while heap and heap[0][0] <= t:
+                wake, i = heapq.heappop(heap)
+                if wakes[i] == wake:
+                    due.add(i)
+            for i in sorted(due) if len(due) > 1 else due:
+                ue = devices[i]
+                wake = ue.next_wake_ms() if i in stepped else wakes[i]
+                if wake is not None and wake <= t:
+                    self._step(i, tick, t, ul_batch)
+                    wake = ue.next_wake_ms()
+                    if ue.quiet:
+                        self._quiet.add(i)
+                if wake is not None and (wake <= t or wake != wakes[i]):
+                    heapq.heappush(heap, (wake, i))  # past due: popped again next tick
+                    self._at(wake, t)  # an unchanged future wake is scheduled already
+                wakes[i] = wake
+            if self._quiet and heap and heap[0][0] <= t:
+                self._end_quiet(t)
 
         for msisdn in self._page_calls.pop(t, ()):
             if self.sniffer is not None:
@@ -313,7 +325,11 @@ class Engine:
 
         if self._downlinks:
             self._at(t + 1, t)
-        self._at(self.core.next_deadline_ms(), t)
+        deadline = self._core_deadline  # moved only if heard from or due (see the module docstring)
+        if self._core_heard or deadline is not None and deadline <= t:
+            self._core_heard = False
+            self._core_deadline = deadline = self.core.next_deadline_ms()
+            self._at(deadline, t)
 
     def _end_quiet(self, t: int) -> None:
         """A device is past due, so it is stepped at every instant processed
@@ -355,14 +371,20 @@ class Engine:
         and what the sniffer read.
         Packing the header validates the cell id, rnti and key_id. A
         repeating body is encoded and serialised to JSON once per run,
-        whatever cell sends it; any other frame is encoded whole, a
-        protected one masked under its key_id."""
+        whatever cell sends it; any other cleartext frame is encoded whole.
+        A protected frame goes on the air as the keyless sniffer reads it
+        (`codec.keyless_frame`), as replay rebuilds it: its body is encoded
+        for its length only, and its key_id must name a live context."""
         msg, rx = key[0], key[5]
         known = self._repeating_bodies.get(msg) if header.repeats else None
         if known is not None:
             data = codec.pack_header(header) + known[0]
+        elif header.protected:
+            data = codec.keyless_frame(header, len(codec.encode_body(msg)))
+            if header.key_id not in self.core.keys:
+                raise InvariantViolation(f"no keystream seed for key_id {header.key_id}")
         else:
-            data = codec.encode(header, msg, self.core.keys)
+            data = codec.encode(header, msg)
             if header.repeats:
                 known = self._repeating_bodies[msg] = (data[HEADER_LEN:], _dump(codec.message_to_json(msg)))
         heard = self.sniffer.observe(data, header) if self.sniffer is not None else None
@@ -421,6 +443,8 @@ class Engine:
             last = self._uplink_rx[i] = position, self._rx_at_sniffer(position, UE_TX_POWER_DBM)
         self._air(emission, Direction.UPLINK, t, last[1])
         owner = self._owners.get(emission.cell_id)
+        if owner is self.core:
+            self._core_heard = True
         if owner is not None:
             self._downlinks += [(dl, i) for dl in owner.handle_uplink(emission, t)]
 
@@ -533,8 +557,9 @@ MAX_OPAQUE_LEN = 1 << 17
 
 def reconstruct_frame(obj: dict) -> tuple[FrameHeader, bytes]:
     """The validated header and on-air bytes a capture line describes.
-    Cleartext bodies re-encode exactly; protected bodies get zero filler
-    of the right length, which is indistinguishable to a keyless observer."""
+    Cleartext bodies re-encode exactly; a protected frame is rebuilt as
+    the live run aired it (`codec.keyless_frame`): its key_id, then zero
+    filler as long as its body."""
     t, cell, rnti, way, prot, rx = obj["t"], obj["cell"], obj["rnti"], obj["dir"], obj["prot"], obj["rx"]
     if type(t) is not int or type(cell) is not int or type(rnti) is not int:
         raise CaptureInvalid(f"t, cell, rnti: expected integers, got {t!r}, {cell!r}, {rnti!r}")
@@ -549,7 +574,7 @@ def reconstruct_frame(obj: dict) -> tuple[FrameHeader, bytes]:
         if type(key_id) is not int or type(length) is not int or not 4 <= length <= MAX_OPAQUE_LEN:
             raise CaptureInvalid(f"key_id, len: got {key_id!r}, {length!r}; want integers, len 4..{MAX_OPAQUE_LEN}")
         header = FrameHeader(t, cell, rnti, direction, key_id=key_id)
-        return header, codec.pack_header(header) + struct.pack(">I", key_id) + bytes(length - 4)
+        return header, codec.keyless_frame(header, length - 4)
     header = FrameHeader(t, cell, rnti, direction)
     data = codec.encode(header, codec.message_from_json(obj["type"], obj["body"]))
     if type(length) is not int or length != len(data) - HEADER_LEN:

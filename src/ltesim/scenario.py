@@ -442,6 +442,8 @@ def parse_scenario(obj: Any) -> Scenario:
         offset_db=_as_number(raw_pl.get("offset_db", 20.0), "path_loss.offset_db"),
         min_distance_m=_as_number(raw_pl.get("min_distance_m", 1.0), "path_loss.min_distance_m"),
     )
+    if path_loss.exponent < 0:  # received power would grow with distance
+        _fail("path_loss.exponent", f"must not be negative, got {path_loss.exponent}")
     if path_loss.min_distance_m <= 0:
         _fail("path_loss.min_distance_m", f"must be positive, got {path_loss.min_distance_m}")
 

@@ -43,6 +43,16 @@ def reference_line(data: bytes, header: FrameHeader, msg, rx: float) -> str:
     return _dump(line)
 
 
+def aired(header: FrameHeader, msg, keys) -> bytes:
+    """The bytes a frame goes on the air as: encoded whole in the clear, and
+    protected under a key_id that names a live context in `keys`, as the
+    keyless sniffer reads it, its masked body zero filler."""
+    if not header.protected:
+        return codec.encode(header, msg)
+    assert header.key_id in keys, header
+    return codec.keyless_frame(header, len(codec.encode_body(msg)))
+
+
 def templated_line(data: bytes, header: FrameHeader, msg, rx: float) -> str:
     """The line the engine writes for one frame encoded whole: `_line`'s
     text on either side of its `t`."""
@@ -115,9 +125,10 @@ def scenario_named(name):
 @pytest.mark.parametrize("name", list(oracle_runs()))
 def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
     """Every frame passes through Engine._air, templated or not: the
-    sniffer must be shown it once, the bytes a fresh encode gives and their
-    header, read or heard, and the line must be the dict oracle's over
-    those bytes. Each distinct frame is read once, every repeat heard."""
+    sniffer must be shown it once, the bytes it goes on the air as
+    (`aired`) and their header, read or heard, and the line must be the
+    dict oracle's over those bytes. Each distinct frame is read once,
+    every repeat heard."""
     air = Engine._air
     checked, wrong, fed, distinct = [0], [], [], set()
 
@@ -125,7 +136,7 @@ def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
         air(engine, frame, direction, t, rx)
         distinct.add((frame.message, frame.cell_id, frame.rnti, direction, frame.key_id, rx))
         header = FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
-        data = codec.encode(header, frame.message, engine.core.keys)
+        data = aired(header, frame.message, engine.core.keys)
         if engine.sniffer is not None and fed != [(data, header)]:
             wrong.append(f"frame: {[(d.hex(), h) for d, h in fed]} != {data.hex(), header}")
         fed.clear()

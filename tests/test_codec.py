@@ -400,6 +400,18 @@ def test_protected_frame_round_trip(msg, key_id):
     assert oh.key_id == key_id
 
 
+@given(MESSAGES, st.integers(0, 0xFFFFFFFF), st.sampled_from(Direction))
+def test_a_keyless_frame_is_the_frame_with_its_masked_body_zeroed(msg, key_id, way):
+    keys = {key_id: derive_keystream_seed(b"secret-key-bytes", key_id)}
+    header = FrameHeader(77, 42, 1000, way, key_id=key_id)
+    frame = codec.encode(header, msg, keys)
+    cut = codec.HEADER_LEN + 4
+    keyless = codec.keyless_frame(header, len(codec.encode_body(msg)))
+    assert keyless == frame[:cut] + bytes(len(frame) - cut)
+    # A party without the key reads both alike.
+    assert codec.decode(keyless) == codec.decode(frame)
+
+
 @given(MESSAGES)
 def test_json_round_trip(msg):
     body = codec.message_to_json(msg)

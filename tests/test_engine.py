@@ -13,7 +13,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltesim import codec
+from ltesim import codec, crypto_stub
 from ltesim import engine as engine_module
 from ltesim.attacker import RogueCell
 from ltesim.codec import (
@@ -35,7 +35,7 @@ from ltesim.ue import AirplaneToggle, AppTraffic, Emission, EraseTmsi, PowerOn, 
 
 from tests.conftest import REPO_ROOT, SCENARIO_DIR
 from tests.scenario_builders import benign_day_scenario, crowd_scenario, lte_cell, subscriber, walk_scenario
-from tests.test_capture_lines import SnifferSpy, Unspied, oracle_runs, reference_line, scenario_named
+from tests.test_capture_lines import SnifferSpy, Unspied, aired, oracle_runs, reference_line, scenario_named
 from tests.test_codec import JSON_VALUES, _positions
 from tests.test_core import full_scan_deadline
 from tests.test_scenario import HOSTILE
@@ -219,9 +219,10 @@ def test_a_template_serves_only_its_own_cell_direction_and_rx(monkeypatch):
 
 def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx(monkeypatch):
     """One report body under two key_ids and in the clear, from two rntis
-    and two cells, both ways, at two rx: each gets its own header bytes,
-    mask and line text, and the sniffer reads it once and then hears it,
-    whichever of them was remembered first."""
+    and two cells, both ways, at two rx: each gets its own header bytes
+    and line text, a protected one its cleartext key_id and zero filler,
+    and the sniffer reads it once and then hears it, whichever of them
+    was remembered first."""
     engine = Engine(small_scenario())
     engine.core.keys.update({1: b"\x01" * 16, 2: b"\x02" * 16})
     report = MeasurementReport(((10, -60), (11, -75)))
@@ -238,10 +239,22 @@ def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx
     for t, (cell, rnti, way, key_id, rx) in enumerate(frames * 2):
         engine._air(Emission(cell, rnti, report, key_id), way, t, rx)
         header = FrameHeader(t, cell, rnti, way, key_id)
-        data = codec.encode(header, report, engine.core.keys)
+        data = aired(header, report, engine.core.keys)
         assert fed[-1] == (data, header)
         assert engine.capture[-1] == reference_line(data, header, report, rx)
     assert len(engine._templates) == len(frames) == spy.observed == spy.heard
+
+
+def test_a_protected_frame_under_a_dead_key_raises(monkeypatch):
+    """A protected frame must name a live security context, as a keyed
+    encode requires, though a run never masks: one that does not is a
+    broken invariant, shown to nobody and written nowhere."""
+    engine = Engine(small_scenario())
+    engine.core.keys.update({1: b"\x01" * 16})
+    spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: None)
+    with pytest.raises(InvariantViolation, match="key_id 2"):
+        engine._air(Emission(10, 700, MeasurementReport(((10, -60),)), 2), Direction.UPLINK, 5, -60.0)
+    assert engine.capture == [] and spy.observed == 0
 
 
 def test_a_frame_of_its_own_the_sniffer_cannot_read_raises():
@@ -299,6 +312,35 @@ def test_replay_feeds_the_sniffer_the_memo_free_frames(monkeypatch, name):
     assert encodes[0] == len(clear_less_rx_t)
     # Read: the first sight of each line less its rx and t; heard: the rest.
     assert spy.observed == len({timeless(obj) for obj in frames}) and spy.heard > 0
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_live_and_replay_feed_the_sniffer_identical_frames(monkeypatch, name):
+    """Read or heard, the live sniffer is shown for each frame line the
+    bytes and header replay rebuilds from that line, a protected frame's
+    zero filler included."""
+    engine = Engine(scenario_named(name))
+    engine.sniffer = engine.sniffer or Sniffer()  # frames go on the air either way
+    fed = []
+    SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, typed(header))))
+    lines = engine.run().capture_lines
+    monkeypatch.undo()
+    rebuilt = [reconstruct_frame(obj) for obj in map(json.loads, lines) if "meta" not in obj]
+    assert fed == [(data, typed(header)) for header, data in rebuilt]
+    assert any(header.protected for header, _ in rebuilt)
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_no_run_masks(monkeypatch, name):
+    """The keyless sniffer never opens a protected body, so no run masks one."""
+
+    def refuse(seed, data):
+        raise AssertionError("a run masked a frame body")
+
+    monkeypatch.setattr(crypto_stub, "keystream_mask", refuse)
+    monkeypatch.setattr(codec, "keystream_mask", refuse)
+    lines = run(scenario_named(name)).capture_lines
+    assert any('"prot":"protected"' in line for line in lines)
 
 
 def typed(header):
@@ -720,12 +762,15 @@ class ScheduleOracle:
     the lazy wake and deadline heaps replaced: the devices stepped with
     Tick must be exactly those whose next_wake_ms() is due by a scan of
     every device just before the first of them steps, in device order,
-    and next_deadline_ms() must equal a scan of every session."""
+    next_deadline_ms() must equal a scan of every session, and after
+    each processed tick, which ticks the core exactly once, so must the
+    engine's stored deadline, though it reads the core's only when it
+    can have moved."""
 
     def __init__(self, monkeypatch, engine):
         self.devices = list(engine.ues.values())
         self.wake, step = Ue.next_wake_ms, Ue.step
-        tick, deadline = NetworkCore.tick, NetworkCore.next_deadline_ms
+        tick, deadline, process = NetworkCore.tick, NetworkCore.next_deadline_ms, Engine._process
         self.due, self.ticked, self.now = None, [], None
         self.ticks = self.past_due = 0
 
@@ -746,12 +791,20 @@ class ScheduleOracle:
         def checked_deadline(core):
             got = deadline(core)
             assert got == full_scan_deadline(core), self.now
-            self.past_due += got is not None and got <= self.now
             return got
+
+        def checked_process(engine, t):
+            ticks = self.ticks
+            process(engine, t)
+            assert self.ticks == ticks + 1, t
+            stored = engine._core_deadline
+            assert stored == full_scan_deadline(engine.core), t
+            self.past_due += stored is not None and stored <= t
 
         monkeypatch.setattr(Ue, "step", checked_step)
         monkeypatch.setattr(NetworkCore, "tick", checked_tick)
         monkeypatch.setattr(NetworkCore, "next_deadline_ms", checked_deadline)
+        monkeypatch.setattr(Engine, "_process", checked_process)
 
     def scan(self, now_ms):
         return [ue for ue in self.devices if (w := self.wake(ue)) is not None and w <= now_ms]

@@ -334,6 +334,13 @@ def test_min_distance_must_be_positive(distance):
     fails_at(minimal(path_loss={"min_distance_m": distance}), "path_loss.min_distance_m")
 
 
+def test_path_loss_exponent_must_not_be_negative():
+    """A negative exponent would make received power grow with distance."""
+    for exponent in (-3, -0.5, -1e-9):
+        fails_at(minimal(path_loss={"exponent": exponent}), "path_loss.exponent")
+    assert parse_scenario(minimal(path_loss={"exponent": 0})).path_loss.exponent == 0  # flat, but valid
+
+
 @pytest.mark.parametrize(
     "where, key",
     [
