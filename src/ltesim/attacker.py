@@ -44,7 +44,7 @@ from .codec import (
     TauRequest,
     message_from_json,
 )
-from .core import Transmitter, broadcast_frames, cell_sib1
+from .core import Transmitter, cell_sib1
 from .identity import CellFull, Imsi, Plmn, RntiAllocator
 from .record import Record
 from .ue import Emission
@@ -93,7 +93,7 @@ class RogueCell:
         if config.mode not in MODES:
             raise ValueError(f"unknown rogue mode: {config.mode!r}")
         self.config = config
-        self.sib1 = Emission(config.cell_id, 0, cell_sib1(config))  # built once
+        self._sib1s = (Emission(config.cell_id, 0, cell_sib1(config)),)  # built once
         self.allocator = RntiAllocator(rng)
         self.sessions: dict[int, Optional[int]] = {}  # rnti -> TMSI heard, if any
         self.catcher_log: list[CatchEntry] = []
@@ -116,11 +116,12 @@ class RogueCell:
         window = self.config.active_ms or ()
         return next((edge for edge in window if edge > now_ms), None)
 
-    def broadcast_tick(self, now_ms: int) -> list[Emission]:
+    def broadcast_tick(self, now_ms: int) -> tuple[Emission, ...]:
+        """Its Sib1 Emission when on air and due, as `NetworkCore.broadcast_tick` names a cell's."""
         cfg = self.config
         if not self.active(now_ms) or now_ms == 0 or now_ms % cfg.broadcast_period_ms != 0:
-            return []
-        return broadcast_frames(self.sib1, now_ms)
+            return ()
+        return self._sib1s
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:
         period, window = self.config.broadcast_period_ms, self.config.active_ms

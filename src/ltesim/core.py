@@ -157,15 +157,10 @@ def cell_sib1(cfg: Transmitter) -> Sib1:
 
 
 @functools.cache
-def _mib(sfn: int) -> Mib:
-    """The one Mib of each of the 1,024 frame numbers, built when first sent."""
+def mib(sfn: int) -> Mib:
+    """The Mib of frame number sfn, one of 1,024, built when first sent.
+    Every cell advertises DEFAULT_MIB_BANDWIDTH_RB; only sfn changes."""
     return Mib(DEFAULT_MIB_BANDWIDTH_RB, sfn)
-
-
-def broadcast_frames(sib1: Emission, now_ms: int) -> list[Emission]:
-    """The Mib and Sib1 a cell transmits at now_ms, given its Sib1 Emission.
-    Every cell advertises DEFAULT_MIB_BANDWIDTH_RB; only the Mib changes."""
-    return [Emission(sib1.cell_id, 0, _mib((now_ms // 10) % 1024)), sib1]
 
 
 class NetworkCore:
@@ -186,8 +181,11 @@ class NetworkCore:
             cid: RntiAllocator(rng_for(f"cell/{cid}/rnti"), cfg.rnti_preset)
             for cid, cfg in self.cells.items()
         }
-        # (broadcast period, Sib1 Emission) per cell, the Emission built once.
-        self._sib1s = [(cfg.broadcast_period_ms, Emission(cid, 0, cell_sib1(cfg))) for cid, cfg in self.cells.items()]
+        # Each cell's Sib1 Emission and period, and the one period all
+        # cells share, or 0 (see broadcast_tick): built once.
+        self._sib1s = tuple(Emission(cid, 0, cell_sib1(cfg)) for cid, cfg in self.cells.items())
+        self._periods = tuple(cfg.broadcast_period_ms for cfg in self.cells.values())
+        self._period = self._periods[0] if len(set(self._periods)) == 1 else 0
         # One record per subscriber, by IMSI digits, MSISDN and bound TMSI.
         self.hss = {str(p.imsi): Subscriber(p, p.initial_tmsi) for p in subscribers}
         self.by_msisdn = {sub.profile.msisdn: sub for sub in self.hss.values()}
@@ -211,20 +209,22 @@ class NetworkCore:
 
     # -- broadcast ------------------------------------------------------------
 
-    def broadcast_tick(self, now_ms: int) -> list[Emission]:
-        """Mib then Sib1 for every cell whose period divides now."""
-        out: list[Emission] = []
-        for period, sib1 in self._sib1s:
-            if now_ms != 0 and now_ms % period == 0:
-                out += broadcast_frames(sib1, now_ms)
-        return out
+    def broadcast_tick(self, now_ms: int) -> Sequence[Emission]:
+        """The Sib1 Emission of every cell whose period divides now, in cell
+        order, none at 0. Each such cell broadcasts the Mib of now's frame
+        number (`mib`), then that Sib1, and the engine writes both from the
+        cell's slots. When the cells share a period, every instant that
+        has any gets the one tuple of them all."""
+        if now_ms == 0:
+            return ()
+        if self._period:
+            return () if now_ms % self._period else self._sib1s
+        return [sib1 for sib1, period in zip(self._sib1s, self._periods) if now_ms % period == 0]
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:
-        times = [
-            ((now_ms // cfg.broadcast_period_ms) + 1) * cfg.broadcast_period_ms
-            for cfg in self.cells.values()
-        ]
-        return min(times) if times else None
+        if self._period:
+            return (now_ms // self._period + 1) * self._period
+        return min(((now_ms // period + 1) * period for period in self._periods), default=None)
 
     # -- uplink dispatch --------------------------------------------------------
 

@@ -34,7 +34,8 @@ stepped again on the next processed tick.
 Within one tick the stages are fixed, and that order is part of the
 determinism contract:
 
-    1. broadcasts born this tick (operator cells, then rogue)
+    1. broadcasts born this tick (operator cells, then rogue): each due
+       cell's Mib, then its Sib1, written from the cell's slots
     2. downlinks queued by the previous tick reach their devices
     3. scheduled device events (power, traffic, toggles) in device
        order, then due timers
@@ -52,20 +53,21 @@ which is always the next tick processed, and is stamped with its
 delivery time. An addressed downlink goes to the device whose uplink
 caused it. A broadcast goes to the powered devices in range that it can
 change: a page to all of them, a Mib to none, and a Sib1 to its
-subscribers. For each Sib1 value broadcast so far the engine keeps the
-set of devices that Sib1 would change (powered and not
-`Ue.already_has` it), filled by one scan of every device at its first
-broadcast; only subscribers get the range check. Every device step,
-whatever its event, goes through one funnel (`_step`), which moves the
-stepped device into or out of each set after a step that changed its
-phase or delivered a Sib1, the only steps that can change the answer.
+subscribers. For each Sib1 broadcast so far, one per cell, the engine
+keeps the set of devices that Sib1 would change (powered and not
+`Ue.already_has` it), filled by one scan of every device at the cell's
+first broadcast and held in the cell's slots; only subscribers get the
+range check. Every device step, whatever its event, goes through one
+funnel (`_step`), which moves the stepped device into or out of each
+set after a step that changed its phase or delivered a Sib1, the only
+steps that can change the answer.
 A skipped delivery changes no device, so it cannot move a wake, and a
 device already due is on the wake heap: the poll set stays exact. No
 device is stepped after stage 3, so the same pass that fires due timers
 also schedules each device's next one.
-Every frame, either way, goes on the air through one path (`_air`),
-which shows it to the sniffer and writes its capture line. A receiving
-party gets the `Emission` its sender made; the wire header
+Every frame, either way, goes on the air through one line writer
+(`_write`), which shows it to the sniffer and writes its capture line.
+A receiving party gets the `Emission` its sender made; the wire header
 (`FrameHeader`) is built only where a frame is packed, for the codec
 and the sniffer. A frame differs from the last one with the same
 message, cell, rnti, direction, key_id and rx only in `t`, so each is
@@ -75,6 +77,12 @@ packed from a header, which validates it, and the sniffer reads its
 bytes with that header (a frame it cannot read is an
 InvariantViolation); every later one checks only its `t`, and the
 sniffer hears it from what it read, with no bytes, header or decode.
+A frame finds its template by that key (`_air`), but a broadcaster
+names only each due cell's Sib1 Emission, and the engine writes the
+cell's Mib for the frame number, then that Sib1, from the cell's slots
+(`_broadcast`): 1,024 Mib templates and one Sib1 template, each filled
+through `_air` on first sight. So a repeat broadcast builds no Emission
+or key: one range check of `t`, one `Sniffer.hear` and one f-string.
 Frames recur as broadcasts and access preambles (cleartext to rnti 0),
 and as the protected measurement reports of a device that stands still.
 A run never masks: the keyless sniffer is the only party that reads
@@ -112,8 +120,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import codec
 from .attacker import RogueCell
-from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, InvariantViolation, Mib, Sib1
-from .core import NetworkCore
+from .codec import HEADER_LEN, CaptureInvalid, Direction, FrameHeader, InvariantViolation, Sib1
+from .core import NetworkCore, mib
 from .identity import format_tmsi
 from .prng import child_rng
 from .radio import PathLossModel, RadioCell, Rat, rx_power, visible_cells
@@ -239,12 +247,15 @@ class Engine:
         # per device, however far it moves.
         self._uplink_rx: list[Optional[tuple]] = [None] * len(self._devices)
         # Repeating body bytes and capture JSON text per message value, and
-        # frame templates per (message, cell, rnti, int(direction), key_id,
-        # rx) (see _template).
+        # frame templates per (message, cell, rnti, direction, key_id, rx)
+        # (see _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
         self._templates: dict[tuple, tuple[str, str, Optional[tuple]]] = {}
-        # Per Sib1 value broadcast so far, the devices it can change (see _step).
+        # Per Sib1 value broadcast so far, the devices it can change (see
+        # _step), and per cell id broadcast so far, its slots: its Mib's
+        # templates by frame number, then its Sib1's, and that set.
         self._sib1_subs: dict[Sib1, set[int]] = {}
+        self._slots: dict[int, tuple[list[Optional[tuple]], set[int]]] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -264,7 +275,7 @@ class Engine:
         # An engine runs once, but its caller may hold it on (perfbench holds
         # a unit's engines until all have run): let the memos and the
         # sniffer, which the result does not need, go now.
-        self._repeating_bodies, self._templates = {}, {}
+        self._repeating_bodies, self._templates, self._slots = {}, {}, {}
         self._sib1_subs, self._uplink_rx = {}, []
         self.sniffer = None
         return result
@@ -276,8 +287,8 @@ class Engine:
         for k, at in enumerate(self._broadcast_at):
             if at == t:
                 cell = self._broadcasters[k]
-                for dl in cell.broadcast_tick(t):
-                    self._air_downlink(dl, t, None, ul_batch)
+                for sib1 in cell.broadcast_tick(t):
+                    self._broadcast(sib1, t, ul_batch)
                 self._broadcast_at[k] = at = cell.next_broadcast_ms(t)
                 self._at(at, t)
         for dl, causal in downlinks:
@@ -347,35 +358,40 @@ class Engine:
 
     # -- the air -----------------------------------------------------------------
 
-    def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> None:
+    def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> tuple:
         """Put one frame on the air, tapped at the sniffer's receive level
-        rx: show it to the sniffer and log its capture line. Each frame is
-        written from its template (see _template)."""
+        rx, from its template (see _write); return the template."""
         # rx by value: one sender's rx is never both -0.0 and 0.0, the only
-        # equal floats with different texts. The direction as an int: an
-        # IntEnum member hashes in Python.
-        key = (frame.message, frame.cell_id, frame.rnti, int(direction), frame.key_id, rx)
-        template = self._templates.get(key)
+        # equal floats with different texts.
+        key = (frame.message, frame.cell_id, frame.rnti, direction, frame.key_id, rx)
+        return self._write(self._templates.get(key), t, key)
+
+    def _write(self, template: Optional[tuple], t: int, key: Optional[tuple] = None) -> tuple:
+        """The one line writer: show a frame at t to the sniffer and log its
+        capture line, from its template, or for None a new one made from
+        key (`_template`); return the template."""
         if template is None:
-            template = self._template(key, FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id))
+            template = self._template(key, t)
         elif not 0 <= t < 1 << 64:  # the one field a template leaves open
             raise InvariantViolation(f"timestamp out of range: {t}")
         elif self.sniffer is not None:
             self.sniffer.hear(t, template[2])
         self.capture.append(f"{template[0]}{t}{template[1]}")
+        return template
 
-    def _template(self, key: tuple, header: FrameHeader) -> tuple[str, str, Optional[tuple]]:
-        """Write the first frame with this (message, cell, rnti, direction,
-        key_id, rx) to the sniffer, and remember what it shares with the
-        next one, all but its `t`: its capture line before and after `t`,
-        and what the sniffer read.
-        Packing the header validates the cell id, rnti and key_id. A
+    def _template(self, key: tuple, t: int) -> tuple[str, str, Optional[tuple]]:
+        """Show the first frame with this (message, cell, rnti, direction,
+        key_id, rx), at t, to the sniffer, and remember what it shares with
+        the next one, all but its `t`: its capture line before and after
+        `t`, and what the sniffer read.
+        Packing the header validates t, the cell id, rnti and key_id. A
         repeating body is encoded and serialised to JSON once per run,
         whatever cell sends it; any other cleartext frame is encoded whole.
         A protected frame goes on the air as the keyless sniffer reads it
         (`codec.keyless_frame`), as replay rebuilds it: its body is encoded
         for its length only, and its key_id must name a live context."""
         msg, rx = key[0], key[5]
+        header = FrameHeader(t, *key[1:5])
         known = self._repeating_bodies.get(msg) if header.repeats else None
         if known is not None:
             data = codec.pack_header(header) + known[0]
@@ -394,29 +410,46 @@ class Engine:
         template = self._templates[key] = (*line, heard)
         return template
 
+    def _broadcast(self, sib1: Emission, t: int, ul_batch: list) -> None:
+        """One cell's broadcast at t, written from its slots, each filled
+        through `_air` on first sight: the Mib of t's frame number, then
+        the Sib1 `sib1`, which reaches the cell's subscribers in range."""
+        cid = sib1.cell_id
+        slots = self._slots.get(cid)
+        if slots is None:  # the cell's first broadcast: scan every device once
+            msg, devices = sib1.message, self._devices
+            subs = self._sib1_subs[msg] = {
+                i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
+            }
+            slots = self._slots[cid] = [None] * 1025, subs
+        templates, subs = slots
+        sfn = t // 10 % 1024  # 1,024 radio frames of 10 ms; the Sib1's slot follows them
+        if templates[sfn] is None:
+            templates[sfn] = self._air(Emission(cid, 0, mib(sfn)), Direction.DOWNLINK, t, self._sniffer_rx[cid])
+        else:
+            self._write(templates[sfn], t)
+        if templates[1024] is None:
+            templates[1024] = self._air(sib1, Direction.DOWNLINK, t, self._sniffer_rx[cid])
+        else:
+            self._write(templates[1024], t)
+        if subs:
+            self._reach(sib1, sorted(subs), t, ul_batch)  # a snapshot: a step moves its own device
+
     def _air_downlink(self, dl: Emission, t: int, causal: Optional[int], ul_batch: list) -> None:
+        """An addressed downlink to its causing device, a page to all powered ones."""
         self._air(dl, Direction.DOWNLINK, t, self._sniffer_rx[dl.cell_id])
-        msg, devices = dl.message, self._devices
-        if dl.rnti == 0 and type(msg) is not Mib:  # a Mib changes no device
-            if type(msg) is Sib1:
-                subs = self._sib1_subs.get(msg)
-                if subs is None:
-                    subs = self._sib1_subs[msg] = {
-                        i
-                        for i, ue in enumerate(devices)
-                        if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
-                    }
-                if not subs:
-                    return
-                targets = sorted(subs)  # a snapshot: a step changes its own device's membership
-            else:
-                targets = [i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF]
-            radio = self._radios[dl.cell_id]
-            for i in targets:
-                if rx_power(radio, devices[i].profile.position_at(t), self.sc.path_loss) >= self.sc.rx_floor_dbm:
-                    self._step(i, dl, t, ul_batch)
+        if dl.rnti == 0:
+            devices = self._devices
+            self._reach(dl, [i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF], t, ul_batch)
         elif causal is not None:
             self._step(causal, dl, t, ul_batch)
+
+    def _reach(self, dl: Emission, targets: list[int], t: int, ul_batch: list) -> None:
+        """Step each target device, in order, that hears dl's cell at t."""
+        radio, devices = self._radios[dl.cell_id], self._devices
+        for i in targets:
+            if rx_power(radio, devices[i].profile.position_at(t), self.sc.path_loss) >= self.sc.rx_floor_dbm:
+                self._step(i, dl, t, ul_batch)
 
     def _step(self, i: int, event: object, t: int, ul_batch: list) -> None:
         """Step device i, the only way the engine does, and keep its place

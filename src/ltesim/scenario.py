@@ -20,8 +20,10 @@ at that key's path, never ignored.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
+import operator
 import re
 from typing import Any, Optional
 
@@ -47,6 +49,10 @@ MAX_SEED = 2**63 - 1
 MAX_MAGNITUDE = 1e7
 # A Sib1 counts its channel priorities in one byte.
 MAX_PRIORITY_PAIRS = 255
+# An initial TMSI given as text: ASCII hex digits only (int(text, 16)
+# alone would take Unicode digits, spaces, "_" and a sign).
+_TMSI_HEX = re.compile(r"(?:0[xX])?[0-9a-fA-F]{1,8}")
+_WAYPOINT_T = operator.attrgetter("t_ms")  # the key moves are sorted by
 
 # The keys each kind of object may carry.
 _TRANSMITTER_KEYS = {
@@ -185,36 +191,30 @@ class UeSpec(UeProfile):
     moves: tuple[WaypointSpec, ...] = ()
 
     def position_at(self, t_ms: int) -> tuple[float, float]:
-        """Piecewise-linear walk through the declared waypoints."""
-        pos = self.position
-        prev_t = 0
-        for wp in self.moves:
-            if t_ms >= wp.t_ms:
-                pos = wp.position
-                prev_t = wp.t_ms
-                continue
-            span = wp.t_ms - prev_t
-            if span <= 0:
-                return wp.position
-            f = (t_ms - prev_t) / span
-            return (
-                pos[0] + (wp.position[0] - pos[0]) * f,
-                pos[1] + (wp.position[1] - pos[1]) * f,
-            )
-        return pos
+        """Piecewise-linear walk through the declared waypoints, for t_ms >= 0."""
+        moves = self.moves
+        k = bisect.bisect_right(moves, t_ms, key=_WAYPOINT_T)  # waypoints passed: moves are non-decreasing
+        if k == len(moves):
+            return moves[-1].position if moves else self.position
+        pos, prev_t = (moves[k - 1].position, moves[k - 1].t_ms) if k else (self.position, 0)
+        wp = moves[k]
+        f = (t_ms - prev_t) / (wp.t_ms - prev_t)  # prev_t <= t_ms < wp.t_ms
+        return (
+            pos[0] + (wp.position[0] - pos[0]) * f,
+            pos[1] + (wp.position[1] - pos[1]) * f,
+        )
 
     def still_until(self, t_ms: int) -> Optional[int]:
         """The first instant after which `position_at` may differ from its
         value at t_ms: t_ms itself while the device moves, the start of its
         next move while it stands, None once it never moves again."""
-        pos, since = self.position, t_ms
-        for wp in self.moves:
-            if t_ms >= wp.t_ms:
-                pos = wp.position
-            elif wp.position != pos:
+        moves = self.moves
+        k = bisect.bisect_right(moves, t_ms, key=_WAYPOINT_T)
+        pos, since = moves[k - 1].position if k else self.position, t_ms
+        for wp in moves[k:]:  # the waypoints still ahead
+            if wp.position != pos:
                 return since
-            else:
-                since = wp.t_ms
+            since = wp.t_ms
         return None
 
 
@@ -302,10 +302,9 @@ def _parse_tmsi(value: Any, path: str) -> Optional[int]:
     if value is None:
         return None
     if isinstance(value, str):
-        try:
-            value = int(value, 16)
-        except ValueError:
-            _fail(path, f"expected hex string or integer, got {value!r}")
+        if not _TMSI_HEX.fullmatch(value):
+            _fail(path, f"expected 1 to 8 ASCII hex digits, optionally after 0x, or an integer, got {value!r:.40}")
+        value = int(value, 16)
     return _as_int(value, path, 0, 0xFFFFFFFF)
 
 

@@ -1,5 +1,12 @@
 import pathlib
 
+from hypothesis import settings
+
+# The same examples on every run: each @given test draws from a seed fixed
+# by its own code, and keeps its own max_examples and deadline.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 

@@ -23,7 +23,6 @@ from ltesim.codec import (
     IdentityResponse,
     MacRar,
     MeasurementReport,
-    Mib,
     RachPreamble,
     RrcConnectionRequest,
     RrcConnectionSetup,
@@ -72,21 +71,24 @@ def test_unknown_mode_refused():
 
 
 def test_broadcast_mimics_an_operator_cell():
+    """Like an operator cell, the rogue names the Sib1 it broadcasts, the
+    same object each time; the engine sends the frame number's Mib first."""
     cell = rogue(priority_earfcns=((3350, 7),))
     out = cell.broadcast_tick(40)
-    assert [type(d.message) for d in out] == [Mib, Sib1]
-    sib = out[1].message
+    assert [(type(d.message), d.cell_id, d.rnti) for d in out] == [(Sib1, 999, 0)]
+    sib = out[0].message
     assert sib.cell_id == 999 and sib.tac == 101 and sib.plmn == PLMN
     assert sib.priority_earfcns == ((3350, 7),)
-    assert cell.broadcast_tick(0) == []
-    assert cell.broadcast_tick(41) == []
+    assert cell.broadcast_tick(80)[0] is out[0]
+    assert cell.broadcast_tick(0) == ()
+    assert cell.broadcast_tick(41) == ()
 
 
 def test_active_window_gates_everything():
     cell = rogue(active_ms=(1000, 2000))
-    assert cell.broadcast_tick(960) == []
-    assert cell.broadcast_tick(1000) != []
-    assert cell.broadcast_tick(2000) == []  # half-open on the right
+    assert cell.broadcast_tick(960) == ()
+    assert cell.broadcast_tick(1000) != ()
+    assert cell.broadcast_tick(2000) == ()  # half-open on the right
     assert ul(cell, 0, RachPreamble(1), t=500) == []
     assert cell.next_broadcast_ms(0) == 1000
     assert cell.next_broadcast_ms(1000) == 1040
@@ -178,7 +180,7 @@ def test_unsolicited_messages_ignored():
 
 def test_nothing_is_ever_protected():
     cell = rogue(mode=ATTACH_DOS_MODE)
-    frames = cell.broadcast_tick(40)
+    frames = list(cell.broadcast_tick(40))
     rnti = open_session(cell)
     frames += ul(cell, rnti, AttachRequest(imsi=IMSI))
     assert all(d.key_id is None for d in frames)

@@ -14,6 +14,7 @@ import pytest
 
 from ltesim import codec
 from ltesim.codec import Direction, FrameHeader, Mib, RachPreamble, Sib1, UserData
+from ltesim.core import DEFAULT_MIB_BANDWIDTH_RB, cell_sib1
 from ltesim.engine import Engine, _dump, _line, run
 from ltesim.scenario import load_scenario, parse_scenario
 from ltesim.sniffer import Sniffer
@@ -122,38 +123,91 @@ def scenario_named(name):
     return load_scenario(SCENARIO_DIR / f"{name}.json")
 
 
+def broadcast_due(engine, message, cell, t):
+    """What a broadcast from this cell at t must be, given the type it has:
+    the Mib of t's frame number, or the Sib1 of the cell's own config."""
+    if type(message) is Mib:
+        return Mib(DEFAULT_MIB_BANDWIDTH_RB, t // 10 % 1024)
+    return cell_sib1(engine.core.cells[cell] if cell in engine.core.cells else engine.rogue.config)
+
+
 @pytest.mark.parametrize("name", list(oracle_runs()))
 def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
-    """Every frame passes through Engine._air, templated or not: the
-    sniffer must be shown it once, the bytes it goes on the air as
+    """Every frame passes through Engine._write, the one line writer, each
+    with the template `_template` made for the frame it was shown first:
+    the sniffer must be shown it once, the bytes it goes on the air as
     (`aired`) and their header, read or heard, and the line must be the
-    dict oracle's over those bytes. Each distinct frame is read once,
-    every repeat heard."""
-    air = Engine._air
-    checked, wrong, fed, distinct = [0], [], [], set()
+    dict oracle's over those bytes. A broadcast, written from its cell's
+    slots, must be the one due at its `t` (`broadcast_due`). Each distinct
+    frame is read once, every repeat heard."""
+    write, template = Engine._write, Engine._template
+    checked, wrong, fed = [0], [], []
+    made = {}  # id(template) -> (it, the key it was made from), held so that no id is reused
 
-    def air_and_check(engine, frame, direction, t, rx):
-        air(engine, frame, direction, t, rx)
-        distinct.add((frame.message, frame.cell_id, frame.rnti, direction, frame.key_id, rx))
-        header = FrameHeader(t, frame.cell_id, frame.rnti, direction, frame.key_id)
-        data = aired(header, frame.message, engine.core.keys)
+    def made_and_kept(engine, key, t):
+        out = template(engine, key, t)
+        made[id(out)] = out, key
+        return out
+
+    def write_and_check(engine, template, t, key=None):
+        template = write(engine, template, t, key)
+        message, cell, rnti, direction, key_id, rx = made[id(template)][1]
+        if rnti == 0 and type(message) in (Mib, Sib1) and message != broadcast_due(engine, message, cell, t):
+            wrong.append(f"{message} at {t} from cell {cell}")
+        header = FrameHeader(t, cell, rnti, Direction(direction), key_id)
+        data = aired(header, message, engine.core.keys)
         if engine.sniffer is not None and fed != [(data, header)]:
             wrong.append(f"frame: {[(d.hex(), h) for d, h in fed]} != {data.hex(), header}")
         fed.clear()
-        want = reference_line(data, header, frame.message, rx)
+        want = reference_line(data, header, message, rx)
         if engine.capture[-1] != want:
             wrong.append(f"{engine.capture[-1]} != {want}")
         checked[0] += 1
+        return template
 
     spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
-    monkeypatch.setattr(Engine, "_air", air_and_check)
+    monkeypatch.setattr(Engine, "_template", made_and_kept)
+    monkeypatch.setattr(Engine, "_write", write_and_check)
     result = run(scenario_named(name))
     assert not wrong, "\n".join(wrong[:5])
     assert 0 < checked[0] == sum(not line.startswith('{"meta"') for line in result.capture_lines)
+    assert len({key for _, key in made.values()}) == len(made)  # each distinct frame templated once
     if result.report is None:  # no sniffer in this run
         assert spy.observed == spy.heard == 0
     else:
-        assert spy.observed == len(distinct) and spy.heard == checked[0] - len(distinct) > 0
+        assert spy.observed == len(made) and spy.heard == checked[0] - len(made) > 0
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_a_cell_templates_each_mib_once_and_its_sib1_once(monkeypatch, name):
+    """A broadcasting cell's Mib is templated once per frame number it
+    sends and its Sib1 once, however often each recurs, and only then
+    looked up by key (`_air`): a repeat is written from the cell's slots,
+    which are gone once the run ends."""
+    air, template, firsts = Engine._air, Engine._template, {"_air": [], "_template": []}
+
+    def broadcast_key(key):
+        return (type(key[0]), key[1], getattr(key[0], "sfn", None)) if key[2] == 0 and type(key[0]) in (Mib, Sib1) else None
+
+    def counted_air(engine, frame, direction, t, rx):
+        if (key := broadcast_key((frame.message, frame.cell_id, frame.rnti))) is not None:
+            firsts["_air"].append(key)
+        return air(engine, frame, direction, t, rx)
+
+    def counted_template(engine, key, t):
+        if broadcast_key(key) is not None:
+            firsts["_template"].append(broadcast_key(key))
+        return template(engine, key, t)
+
+    monkeypatch.setattr(Engine, "_air", counted_air)
+    monkeypatch.setattr(Engine, "_template", counted_template)
+    engine = Engine(scenario_named(name))
+    result = engine.run()
+    sent = [json.loads(line) for line in result.capture_lines if '"rnti":0,' in line]
+    sent = [(obj["type"], obj["cell"], obj["body"].get("sfn")) for obj in sent if obj["type"] in ("mib", "sib1")]
+    for calls in firsts.values():
+        assert len(calls) == len(set(calls)) == len(set(sent)) < len(sent)
+    assert engine._slots == {} and engine._templates == {}
 
 
 @pytest.mark.parametrize("entry", _golden(), ids=lambda e: e["label"])

@@ -116,6 +116,16 @@ def test_run_refuses_a_scenario_it_would_misread(tmp_path, capsys, edit, path):
     assert f"scenario error: {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tmsi", ["\u0661\u0662", " 12 ", "1_2", "+12", "-0"], ids=repr)
+def test_run_refuses_an_initial_tmsi_that_is_not_ascii_hex(tmp_path, capsys, tmsi):
+    doc = json.loads(open(ATTACH).read())
+    doc["ues"][0]["initial_tmsi"] = tmsi
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: ues[0].initial_tmsi: expected 1 to 8 ASCII hex digits")
+
+
 @pytest.mark.parametrize("key", [" 00 11\n22 ", "00", "0" * 10_000], ids=["spaced", "one-byte", "10000-digits"])
 def test_run_refuses_a_key_that_is_not_32_hex_digits(tmp_path, capsys, key):
     doc = json.loads(open(ATTACH).read())

@@ -152,7 +152,7 @@ def test_only_the_codec_the_frame_writer_and_replay_build_a_header():
     device, the core and the rogue cell do not even name it."""
     src = pathlib.Path(codec.__file__).parent
     builders = [scope for path in src.glob("*.py") for scope in _header_builders(path)]
-    assert sorted(set(builders)) == ["codec.decode_header", "engine.Engine._air", "engine.reconstruct_frame"]
+    assert sorted(set(builders)) == ["codec.decode_header", "engine.Engine._template", "engine.reconstruct_frame"]
     for stem in ("ue", "core", "attacker"):
         tree = ast.parse((src / f"{stem}.py").read_text())
         named = {getattr(node, attr, None) for node in ast.walk(tree) for attr in ("id", "attr", "name")}

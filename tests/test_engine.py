@@ -839,9 +839,11 @@ def test_schedule_matches_full_scans(monkeypatch, make):
 @pytest.mark.parametrize("make", [make for _, make in SCHEDULE_CASES], ids=[name for name, _ in SCHEDULE_CASES])
 def test_nothing_is_asked_for_off_its_instant(monkeypatch, make):
     """A broadcaster is asked for frames only at an instant it broadcasts,
-    and outside `_end_quiet` a device's wake is read no more often than
-    devices step: once after each stepped device's steps in a tick."""
-    counts = dict.fromkeys(("broadcast_tick", "empty", "next_wake_ms", "step"), 0)
+    and every broadcast frame is a Mib and a Sib1 for one of the Sib1s it
+    named there; outside `_end_quiet` a device's wake is read no more
+    often than devices step: once after each stepped device's steps in a
+    tick."""
+    counts = dict.fromkeys(("broadcast_tick", "empty", "named", "next_wake_ms", "step"), 0)
     ending_quiet = [False]
 
     for owner in (NetworkCore, RogueCell):
@@ -850,6 +852,7 @@ def test_nothing_is_asked_for_off_its_instant(monkeypatch, make):
             out = broadcast_tick(cell, now_ms)
             counts["broadcast_tick"] += 1
             counts["empty"] += not out
+            counts["named"] += len(out)
             return out
 
         monkeypatch.setattr(owner, "broadcast_tick", counted_broadcast)
@@ -873,8 +876,10 @@ def test_nothing_is_asked_for_off_its_instant(monkeypatch, make):
     monkeypatch.setattr(Ue, "next_wake_ms", counted_wake)
     monkeypatch.setattr(Ue, "step", counted_step)
     monkeypatch.setattr(Engine, "_end_quiet", flagged_end_quiet)
-    run(make())
+    lines = run(make()).capture_lines
     assert counts["broadcast_tick"] > 0 and counts["empty"] == 0, counts
+    broadcasts = sum('"rnti":0,' in line and ('"type":"mib"' in line or '"type":"sib1"' in line) for line in lines)
+    assert broadcasts == 2 * counts["named"], counts
     assert 0 < counts["next_wake_ms"] <= counts["step"], counts
 
 
@@ -1099,23 +1104,24 @@ def test_sib1_subscribers_match_full_scans(monkeypatch, make):
     """Before each Sib1 goes on the air, every Sib1's subscriber set holds
     exactly the powered devices that `Ue.already_has` says it would change."""
     engine = Engine(make())
-    air_downlink, checked = Engine._air_downlink, []
+    broadcast, checked = Engine._broadcast, []
 
-    def checked_downlink(self, dl, t, causal, ul_batch):
-        if type(dl.message) is codec.Sib1 and dl.rnti == 0:
-            for msg, subs in self._sib1_subs.items():
-                scan = {
-                    i
-                    for i, ue in enumerate(self._devices)
-                    if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
-                }
-                assert subs == scan, (t, msg.cell_id)
-            checked.append(t)
-        return air_downlink(self, dl, t, causal, ul_batch)
+    def checked_broadcast(self, sib1, t, ul_batch):
+        assert type(sib1.message) is codec.Sib1 and sib1.rnti == 0
+        for msg, subs in self._sib1_subs.items():
+            scan = {
+                i
+                for i, ue in enumerate(self._devices)
+                if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
+            }
+            assert subs == scan, (t, msg.cell_id)
+        checked.append(t)
+        return broadcast(self, sib1, t, ul_batch)
 
-    monkeypatch.setattr(Engine, "_air_downlink", checked_downlink)
-    engine.run()
-    assert checked
+    monkeypatch.setattr(Engine, "_broadcast", checked_broadcast)
+    result = engine.run()
+    # Every Sib1 frame went through the one broadcast routine.
+    assert len(checked) == sum('"type":"sib1"' in line for line in result.capture_lines) > 0
 
 
 FRAME_CASES = [*SCHEDULE_CASES, ("benign-day", lambda: parse_scenario(benign_day_scenario()))]

@@ -4,6 +4,7 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ltesim.attacker import RogueCellConfig
 from ltesim.codec import EmmCause
@@ -249,6 +250,40 @@ def test_initial_tmsi_accepts_hex_and_int():
     fails_at(obj, "initial_tmsi")
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("0x00B0B001", 0x00B0B001), ("0XabcDEF01", 0xABCDEF01), ("12", 0x12), ("0", 0), ("FFFFFFFF", 0xFFFFFFFF)],
+)
+def test_initial_tmsi_takes_ascii_hex(text, value):
+    obj = minimal()
+    obj["ues"][0]["initial_tmsi"] = text
+    assert parse_scenario(obj).ues[0].initial_tmsi == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "\u0661\u0662",  # Arabic-Indic digits
+        "\uff11\uff12",  # fullwidth digits
+        " 12 ",
+        "12\n",
+        "1_2",
+        "+12",
+        "-0",
+        "-1",
+        "",
+        "0x",
+        "0x123456789",  # nine digits
+        "000000012",
+    ],
+    ids=repr,
+)
+def test_initial_tmsi_refuses_anything_but_ascii_hex(text):
+    obj = minimal()
+    obj["ues"][0]["initial_tmsi"] = text
+    fails_at(obj, "ues[0].initial_tmsi: expected 1 to 8 ASCII hex digits")
+
+
 def test_walk_interpolates_between_waypoints():
     obj = minimal()
     obj["ues"][0]["moves"] = [
@@ -261,6 +296,64 @@ def test_walk_interpolates_between_waypoints():
     assert ue.position_at(1000) == (100.0, 0.0)
     assert ue.position_at(1500) == (100.0, 25.0)
     assert ue.position_at(5000) == (100.0, 50.0)
+
+
+def scanned_position_at(spec, t_ms):
+    """`UeSpec.position_at` as a scan of every waypoint from the first. Its
+    `span <= 0` branch is never taken for t_ms >= 0: a waypoint not yet
+    passed has t_ms < wp.t_ms, and prev_t, 0 or a passed waypoint's time,
+    is at most t_ms, so span > 0."""
+    pos = spec.position
+    prev_t = 0
+    for wp in spec.moves:
+        if t_ms >= wp.t_ms:
+            pos = wp.position
+            prev_t = wp.t_ms
+            continue
+        span = wp.t_ms - prev_t
+        if span <= 0:
+            return wp.position
+        f = (t_ms - prev_t) / span
+        return (
+            pos[0] + (wp.position[0] - pos[0]) * f,
+            pos[1] + (wp.position[1] - pos[1]) * f,
+        )
+    return pos
+
+
+def scanned_still_until(spec, t_ms):
+    """`UeSpec.still_until` as a scan of every waypoint from the first."""
+    pos, since = spec.position, t_ms
+    for wp in spec.moves:
+        if t_ms >= wp.t_ms:
+            pos = wp.position
+        elif wp.position != pos:
+            return since
+        else:
+            since = wp.t_ms
+    return None
+
+
+# Few distinct times and places, so that waypoints often share a time or
+# stand where the last one did.
+WAYPOINTS = st.lists(
+    st.tuples(
+        st.integers(0, 60),
+        st.sampled_from([(0.0, 0.0), (100.0, 0.0), (100.0, 50.0), (-3.5, 7.25)]),
+    ),
+    max_size=12,
+)
+
+
+@given(WAYPOINTS, st.lists(st.integers(0, 70), min_size=1, max_size=20))
+def test_the_current_leg_is_found_as_a_full_scan_finds_it(waypoints, times):
+    obj = minimal()
+    obj["ues"][0]["position"] = [1.5, -2.0]
+    obj["ues"][0]["moves"] = [{"t_ms": t, "position": list(pos)} for t, pos in sorted(waypoints, key=lambda w: w[0])]
+    spec = parse_scenario(obj).ues[0]
+    for t in times + [wp.t_ms for wp in spec.moves]:
+        assert spec.position_at(t) == scanned_position_at(spec, t), t  # exact, not approximate
+        assert spec.still_until(t) == scanned_still_until(spec, t), t
 
 
 def test_waypoints_must_be_ordered():
