@@ -154,7 +154,7 @@ def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
         message, cell, rnti, direction, key_id, rx = made[id(template)][1]
         if rnti == 0 and type(message) in (Mib, Sib1) and message != broadcast_due(engine, message, cell, t):
             wrong.append(f"{message} at {t} from cell {cell}")
-        header = FrameHeader(t, cell, rnti, Direction(direction), key_id)
+        header = FrameHeader(t, cell, rnti, direction, key_id)
         data = aired(header, message, engine.core.keys)
         if engine.sniffer is not None and fed != [(data, header)]:
             wrong.append(f"frame: {[(d.hex(), h) for d, h in fed]} != {data.hex(), header}")
@@ -186,8 +186,9 @@ def test_a_cell_templates_each_mib_once_and_its_sib1_once(monkeypatch, name):
     which are gone once the run ends."""
     air, template, firsts = Engine._air, Engine._template, {"_air": [], "_template": []}
 
-    def broadcast_key(key):
-        return (type(key[0]), key[1], getattr(key[0], "sfn", None)) if key[2] == 0 and type(key[0]) in (Mib, Sib1) else None
+    def broadcast_key(key):  # (type, cell, frame number) of a Mib or Sib1 to rnti 0
+        msg, cell, rnti = key[:3]
+        return (type(msg), cell, getattr(msg, "sfn", None)) if rnti == 0 and type(msg) in (Mib, Sib1) else None
 
     def counted_air(engine, frame, direction, t, rx):
         if (key := broadcast_key((frame.message, frame.cell_id, frame.rnti))) is not None:

@@ -267,6 +267,18 @@ def test_a_frame_of_its_own_the_sniffer_cannot_read_raises():
     assert engine.capture == []
 
 
+def test_the_frame_number_wraps_onto_its_slot():
+    """A cell's Mib at t carries frame number t // 10 % 1024, and a frame
+    number sent again 10.24 s later is written from the same slot."""
+    engine = Engine(small_scenario())
+    (sib1,) = engine.core.broadcast_tick(40)
+    for t in (40, 10280, 10240):
+        engine._broadcast(sib1, t, [])
+    mibs = [obj for obj in map(json.loads, engine.capture) if obj["type"] == "mib"]
+    assert [(obj["t"], obj["body"]["sfn"]) for obj in mibs] == [(40, 4), (10280, 4), (10240, 0)]
+    assert len(engine._templates) == 3  # the Mibs of frame numbers 4 and 0, and the Sib1
+
+
 def test_run_leaves_no_template_behind():
     engine = Engine(small_scenario())
     result = engine.run()
