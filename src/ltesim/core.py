@@ -181,11 +181,8 @@ class NetworkCore:
             cid: RntiAllocator(rng_for(f"cell/{cid}/rnti"), cfg.rnti_preset)
             for cid, cfg in self.cells.items()
         }
-        # Each cell's Sib1 Emission and period, and the one period all
-        # cells share, or 0 (see broadcast_tick): built once.
-        self._sib1s = tuple(Emission(cid, 0, cell_sib1(cfg)) for cid, cfg in self.cells.items())
-        self._periods = tuple(cfg.broadcast_period_ms for cfg in self.cells.values())
-        self._period = self._periods[0] if len(set(self._periods)) == 1 else 0
+        # (broadcast period, Sib1 Emission) per cell, the Emission built once.
+        self._sib1s = [(cfg.broadcast_period_ms, Emission(cid, 0, cell_sib1(cfg))) for cid, cfg in self.cells.items()]
         # One record per subscriber, by IMSI digits, MSISDN and bound TMSI.
         self.hss = {str(p.imsi): Subscriber(p, p.initial_tmsi) for p in subscribers}
         self.by_msisdn = {sub.profile.msisdn: sub for sub in self.hss.values()}
@@ -209,22 +206,17 @@ class NetworkCore:
 
     # -- broadcast ------------------------------------------------------------
 
-    def broadcast_tick(self, now_ms: int) -> Sequence[Emission]:
+    def broadcast_tick(self, now_ms: int) -> list[Emission]:
         """The Sib1 Emission of every cell whose period divides now, in cell
         order, none at 0. Each such cell broadcasts the Mib of now's frame
         number (`mib`), then that Sib1, and the engine writes both from the
-        cell's slots. When the cells share a period, every instant that
-        has any gets the one tuple of them all."""
+        cell's slots."""
         if now_ms == 0:
-            return ()
-        if self._period:
-            return () if now_ms % self._period else self._sib1s
-        return [sib1 for sib1, period in zip(self._sib1s, self._periods) if now_ms % period == 0]
+            return []
+        return [sib1 for period, sib1 in self._sib1s if now_ms % period == 0]
 
     def next_broadcast_ms(self, now_ms: int) -> Optional[int]:
-        if self._period:
-            return (now_ms // self._period + 1) * self._period
-        return min(((now_ms // period + 1) * period for period in self._periods), default=None)
+        return min(((now_ms // period + 1) * period for period, _ in self._sib1s), default=None)
 
     # -- uplink dispatch --------------------------------------------------------
 

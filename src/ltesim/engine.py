@@ -251,11 +251,10 @@ class Engine:
         # (see _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
         self._templates: dict[tuple, tuple[str, str, Optional[tuple]]] = {}
-        # Per Sib1 value broadcast so far, the devices it can change (see
-        # _step), and per cell id broadcast so far, its slots: its Mib's
-        # templates by frame number, then its Sib1's, and that set.
-        self._sib1_subs: dict[Sib1, set[int]] = {}
-        self._slots: dict[int, tuple[list[Optional[tuple]], set[int]]] = {}
+        # Per cell id broadcast so far, its slots: its Mib's templates by
+        # frame number, then its Sib1's; that Sib1; and the devices it can
+        # change (see _step).
+        self._slots: dict[int, tuple[list[Optional[tuple]], Sib1, set[int]]] = {}
 
     # -- wiring -----------------------------------------------------------------
 
@@ -275,8 +274,7 @@ class Engine:
         # An engine runs once, but its caller may hold it on (perfbench holds
         # a unit's engines until all have run): let the memos and the
         # sniffer, which the result does not need, go now.
-        self._repeating_bodies, self._templates, self._slots = {}, {}, {}
-        self._sib1_subs, self._uplink_rx = {}, []
+        self._repeating_bodies, self._templates, self._slots, self._uplink_rx = {}, {}, {}, []
         self.sniffer = None
         return result
 
@@ -417,21 +415,20 @@ class Engine:
         cid = sib1.cell_id
         slots = self._slots.get(cid)
         if slots is None:  # the cell's first broadcast: scan every device once
-            msg, devices = sib1.message, self._devices
-            subs = self._sib1_subs[msg] = {
-                i for i, ue in enumerate(devices) if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
+            msg = sib1.message
+            subs = {
+                i for i, ue in enumerate(self._devices) if ue.phase is not UePhase.POWERED_OFF and not ue.already_has(msg)
             }
-            slots = self._slots[cid] = [None] * 1025, subs
-        templates, subs = slots
-        sfn = t // 10 % 1024  # 1,024 radio frames of 10 ms; the Sib1's slot follows them
-        if templates[sfn] is None:
-            templates[sfn] = self._air(Emission(cid, 0, mib(sfn)), Direction.DOWNLINK, t, self._sniffer_rx[cid])
-        else:
-            self._write(templates[sfn], t)
-        if templates[1024] is None:
-            templates[1024] = self._air(sib1, Direction.DOWNLINK, t, self._sniffer_rx[cid])
-        else:
-            self._write(templates[1024], t)
+            slots = self._slots[cid] = [None] * 1025, msg, subs
+        templates, _, subs = slots
+        # 1,024 radio frames of 10 ms: the Mib of t's frame number, then the
+        # Sib1, whose slot follows the Mibs'.
+        for i in (t // 10 % 1024, 1024):
+            if templates[i] is None:
+                frame = sib1 if i == 1024 else Emission(cid, 0, mib(i))
+                templates[i] = self._air(frame, Direction.DOWNLINK, t, self._sniffer_rx[cid])
+            else:
+                self._write(templates[i], t)
         if subs:
             self._reach(sib1, sorted(subs), t, ul_batch)  # a snapshot: a step moves its own device
 
@@ -464,7 +461,7 @@ class Engine:
         # that moved the phase or delivered a Sib1 can change the answer.
         if ue.phase is not phase or type(event) is Emission and type(event.message) is Sib1:
             powered = ue.phase is not UePhase.POWERED_OFF
-            for sib1, subs in self._sib1_subs.items():
+            for _, sib1, subs in self._slots.values():
                 if powered and not ue.already_has(sib1):
                     subs.add(i)
                 else:

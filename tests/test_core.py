@@ -93,14 +93,14 @@ def run_ladder(core, cell_id=10, t=0, identity=None, imsi=IMSI):
 
 def test_broadcast_skips_time_zero():
     core = build()
-    assert core.broadcast_tick(0) == ()
+    assert core.broadcast_tick(0) == []
 
 
 def test_broadcast_period_and_contents():
     """A due cell names its Sib1, the same object each time; the engine
     sends the Mib of the frame number (`mib`) before it."""
     core = build([cell(10, priority_earfcns=((3350, 7),))])
-    assert core.broadcast_tick(39) == ()
+    assert core.broadcast_tick(39) == []
     out = core.broadcast_tick(40)
     assert [(type(d.message), d.rnti) for d in out] == [(Sib1, 0)]
     sib = out[0].message
@@ -114,7 +114,7 @@ def test_cells_with_their_own_periods_broadcast_in_cell_order():
     core = build([cell(10, broadcast_period_ms=80), cell(11, tac=101, broadcast_period_ms=40), cell(12)])
     assert [d.cell_id for d in core.broadcast_tick(40)] == [11, 12]
     assert [d.cell_id for d in core.broadcast_tick(80)] == [10, 11, 12]
-    assert core.broadcast_tick(0) == () and core.broadcast_tick(60) == []
+    assert core.broadcast_tick(0) == [] and core.broadcast_tick(60) == []
     assert [core.next_broadcast_ms(t) for t in (0, 40, 79)] == [40, 80, 80]
     assert build([]).next_broadcast_ms(0) is None
 

@@ -1120,7 +1120,7 @@ def test_sib1_subscribers_match_full_scans(monkeypatch, make):
 
     def checked_broadcast(self, sib1, t, ul_batch):
         assert type(sib1.message) is codec.Sib1 and sib1.rnti == 0
-        for msg, subs in self._sib1_subs.items():
+        for _, msg, subs in self._slots.values():
             scan = {
                 i
                 for i, ue in enumerate(self._devices)
