@@ -102,6 +102,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"observer: {len(rep.sessions)} sessions, "
                 f"{rep.total_frames} frames, {rep.undecodable} undecodable"
             )
+        core = result.core
+        drops = ", ".join(f"{reason}: {n}" for reason, n in sorted(core.drops.items()))
+        print(f"  core: drops {{{drops}}}, handovers {core.handovers_completed}, idles {core.idle_transitions}")
         for name, ue in result.ues.items():
             stats = ue.stats
             print(

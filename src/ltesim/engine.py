@@ -70,29 +70,32 @@ Every frame, either way, goes on the air through one line writer
 A receiving party gets the `Emission` its sender made; the wire header
 (`FrameHeader`) is built only where a frame is packed, for the codec
 and the sniffer. A frame differs from the last one with the same
-message, cell, rnti, direction, key_id and rx only in `t`, so each is
-written from a template of the rest (`_template`): the capture line's
-text before and after `t`, and what the sniffer read. The first one is
-packed from a header, which validates it, and the sniffer reads its
-bytes with that header (a frame it cannot read is an
-InvariantViolation); every later one checks only its `t`, and the
-sniffer hears it from what it read, with no bytes, header or decode.
-A frame finds its template by that key (`_air`), but a broadcaster
-names only each due cell's Sib1 Emission, and the engine writes the
-cell's Mib for the frame number, then that Sib1, from the cell's slots
-(`_broadcast`): 1,024 Mib templates and one Sib1 template, each filled
-through `_air` on first sight. So a repeat broadcast builds no Emission
-or key: one range check of `t`, one `Sniffer.hear` and one f-string.
-Frames recur as broadcasts and access preambles (cleartext to rnti 0),
-and as the protected measurement reports of a device that stands still.
+message, cell, rnti, direction and key_id only in its `rx` and `t`, so
+each is written from a template of the rest (`_template`): the capture
+line's text up to `rx` and after `t`, and what the sniffer read. A
+protected frame's bytes, line and reading depend only on its header and
+body length, so a protected message new under that key takes the
+template of those. The first frame of a template is packed from a
+header, which validates it, and the sniffer reads its bytes with that
+header (a frame it cannot read is an InvariantViolation); every later
+one checks only its `t`, and the sniffer hears it from what it read,
+with no bytes, header or decode. A frame finds its template by its key
+(`_air`), but a broadcaster names only each due cell's Sib1 Emission,
+and the engine writes the cell's Mib for the frame number, then that
+Sib1, from the cell's slots (`_broadcast`): 1,024 Mib templates and one
+Sib1 template, each filled through `_air` on first sight. So a repeat
+broadcast builds no Emission or key: one range check of `t`, one
+`Sniffer.hear` and one f-string. Frames recur as broadcasts and access
+preambles (cleartext to rnti 0), and as protected frames of one length
+on one connection, a moving device's measurement reports among them.
 A run never masks: the keyless sniffer is the only party that reads
 frame bytes, so a protected frame goes on the air as it reads it, the
 header, the key_id and zero filler as long as the body
 (`codec.keyless_frame`), the very bytes replay rebuilds from its line.
-A device's uplink rx is computed again only when it has moved since its
-last uplink. Each distinct body cleartext to rnti 0 is encoded and
-serialised to capture JSON once per run, whatever cell sends it; every
-other frame once per template.
+The rx text is computed once per cell, and for a device's uplink again
+only when it has moved since its last uplink. Each distinct body
+cleartext to rnti 0 is encoded and serialised to capture JSON once per
+run, whatever cell sends it; every other frame once per template.
 
 The capture is JSON lines. Frame lines carry the header fields, a
 decoded body for cleartext frames or `"type": "opaque"` plus key_id for
@@ -160,22 +163,21 @@ class RunResult(Record, frozen=False):
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _line(header: FrameHeader, msg, n: int, rx: float, body: Optional[str] = None) -> tuple[str, str]:
+def _line(header: FrameHeader, msg, n: int, body: Optional[str] = None) -> tuple[str, str]:
     """A frame's capture line with n body bytes, the keys in sorted order as
-    `_dump` writes them, split around the text of its `t`. `body` is the
-    cleartext body's JSON text when the caller already has it."""
+    `_dump` writes them, less the texts of its `rx` and `t`: the text up to
+    `"rx":`, and the text after `t`. `body` is the cleartext body's JSON
+    text when the caller already has it."""
     way = "ul" if header.direction == Direction.UPLINK else "dl"
-    rx_text = repr(round(rx, 1))  # what json writes for the float
     if header.protected:
         return (
             f'{{"cell":{header.cell_id},"dir":"{way}","key_id":{header.key_id},"len":{n},"prot":"protected",'
-            f'"rnti":{header.rnti},"rx":{rx_text},"t":'
+            f'"rnti":{header.rnti},"rx":'
         ), ',"type":"opaque"}'
     if body is None:
         body = _dump(codec.message_to_json(msg))
     return (
-        f'{{"body":{body},"cell":{header.cell_id},"dir":"{way}","len":{n},"prot":"clear",'
-        f'"rnti":{header.rnti},"rx":{rx_text},"t":'
+        f'{{"body":{body},"cell":{header.cell_id},"dir":"{way}","len":{n},"prot":"clear","rnti":{header.rnti},"rx":'
     ), f',"type":"{msg.NAME}"}}'
 
 
@@ -241,14 +243,15 @@ class Engine:
         self._wake_heap: list[tuple[int, int]] = []
         # Devices that went quiet in a Tick and may still be (Ue.quiet).
         self._quiet: set[int] = set()
-        # The sniffer's rx per cell id: a cell stands still.
+        # The sniffer's rx text per cell id: a cell stands still.
         self._sniffer_rx = {cid: self._rx_at_sniffer(r.position, r.tx_power_dbm) for cid, r in self._radios.items()}
-        # Each device's last uplink (position, rx at the sniffer): one entry
-        # per device, however far it moves.
+        # Each device's last uplink (position, rx text at the sniffer): one
+        # entry per device, however far it moves.
         self._uplink_rx: list[Optional[tuple]] = [None] * len(self._devices)
         # Repeating body bytes and capture JSON text per message value, and
-        # frame templates per (message, cell, rnti, direction, key_id, rx)
-        # (see _template).
+        # frame templates per (message, cell, rnti, direction, key_id) and
+        # per protected (cell, rnti, direction, key_id, body length) (see
+        # _air and _template).
         self._repeating_bodies: dict[object, tuple[bytes, str]] = {}
         self._templates: dict[tuple, tuple[str, str, Optional[tuple]]] = {}
         # Per cell id broadcast so far, its slots: its Mib's templates by
@@ -356,45 +359,51 @@ class Engine:
 
     # -- the air -----------------------------------------------------------------
 
-    def _air(self, frame: Emission, direction: Direction, t: int, rx: float) -> tuple:
+    def _air(self, frame: Emission, direction: Direction, t: int, rx: str) -> tuple:
         """Put one frame on the air, tapped at the sniffer's receive level
-        rx, from its template (see _write); return the template."""
-        # rx by value: one sender's rx is never both -0.0 and 0.0, the only
-        # equal floats with different texts.
-        key = (frame.message, frame.cell_id, frame.rnti, direction, frame.key_id, rx)
-        return self._write(self._templates.get(key), t, key)
+        (rx, its capture text), from its template (see _write), a protected
+        one new under its message from that of its header and body length;
+        return the template."""
+        key = (frame.message, frame.cell_id, frame.rnti, direction, frame.key_id)
+        template = self._templates.get(key)
+        if template is None and frame.key_id is not None:
+            size = (*key[1:], len(codec.encode_body(frame.message)))
+            template = self._templates[key] = self._write(self._templates.get(size), t, rx, size)
+            return template
+        return self._write(template, t, rx, key)
 
-    def _write(self, template: Optional[tuple], t: int, key: Optional[tuple] = None) -> tuple:
+    def _write(self, template: Optional[tuple], t: int, rx: str, key: Optional[tuple] = None) -> tuple:
         """The one line writer: show a frame at t to the sniffer and log its
-        capture line, from its template, or for None a new one made from
-        key (`_template`); return the template."""
+        capture line, with the rx text rx, from its template, or for None a
+        new one made from key (`_template`); return the template."""
         if template is None:
             template = self._template(key, t)
-        elif not 0 <= t < 1 << 64:  # the one field a template leaves open
+        elif not 0 <= t < 1 << 64:  # the one header field a template leaves open
             raise InvariantViolation(f"timestamp out of range: {t}")
         elif self.sniffer is not None:
             self.sniffer.hear(t, template[2])
-        self.capture.append(f"{template[0]}{t}{template[1]}")
+        self.capture.append(f'{template[0]}{rx},"t":{t}{template[1]}')
         return template
 
     def _template(self, key: tuple, t: int) -> tuple[str, str, Optional[tuple]]:
-        """Show the first frame with this (message, cell, rnti, direction,
-        key_id, rx), at t, to the sniffer, and remember what it shares with
-        the next one, all but its `t`: its capture line before and after
-        `t`, and what the sniffer read.
+        """Show the first frame with this key, at t, to the sniffer, and
+        remember what it shares with every later one, all but its `rx` and
+        `t`: its capture line up to `rx` and after `t`, and what the sniffer
+        read. The key is (message, cell, rnti, direction, None) for a
+        cleartext frame, (cell, rnti, direction, key_id, body length) for
+        a protected one.
         Packing the header validates t, the cell id, rnti and key_id. A
         repeating body is encoded and serialised to JSON once per run,
         whatever cell sends it; any other cleartext frame is encoded whole.
         A protected frame goes on the air as the keyless sniffer reads it
-        (`codec.keyless_frame`), as replay rebuilds it: its body is encoded
-        for its length only, and its key_id must name a live context."""
-        msg, rx = key[0], key[5]
-        header = FrameHeader(t, *key[1:5])
+        (`codec.keyless_frame`), as replay rebuilds it, and its key_id must
+        name a live context (`core.keys` only grows)."""
+        msg, header = (key[0], FrameHeader(t, *key[1:])) if key[-1] is None else (None, FrameHeader(t, *key[:4]))
         known = self._repeating_bodies.get(msg) if header.repeats else None
         if known is not None:
             data = codec.pack_header(header) + known[0]
         elif header.protected:
-            data = codec.keyless_frame(header, len(codec.encode_body(msg)))
+            data = codec.keyless_frame(header, key[4])
             if header.key_id not in self.core.keys:
                 raise InvariantViolation(f"no keystream seed for key_id {header.key_id}")
         else:
@@ -404,7 +413,7 @@ class Engine:
         heard = self.sniffer.observe(data, header) if self.sniffer is not None else None
         if heard is None and self.sniffer is not None:
             raise InvariantViolation(f"the sniffer could not read the engine's own frame: {header}")
-        line = _line(header, msg, len(data) - HEADER_LEN, rx, known[1] if known else None)
+        line = _line(header, msg, len(data) - HEADER_LEN, known[1] if known else None)
         template = self._templates[key] = (*line, heard)
         return template
 
@@ -428,7 +437,7 @@ class Engine:
                 frame = sib1 if i == 1024 else Emission(cid, 0, mib(i))
                 templates[i] = self._air(frame, Direction.DOWNLINK, t, self._sniffer_rx[cid])
             else:
-                self._write(templates[i], t)
+                self._write(templates[i], t, self._sniffer_rx[cid])
         if subs:
             self._reach(sib1, sorted(subs), t, ul_batch)  # a snapshot: a step moves its own device
 
@@ -478,10 +487,11 @@ class Engine:
         if owner is not None:
             self._downlinks += [(dl, i) for dl in owner.handle_uplink(emission, t)]
 
-    def _rx_at_sniffer(self, tx_pos: tuple[float, float], tx_power: float) -> float:
+    def _rx_at_sniffer(self, tx_pos: tuple[float, float], tx_power: float) -> str:
+        """The receive level at the sniffer, rounded to 0.1 dB, as json writes it."""
         dx = tx_pos[0] - self.sc.sniffer_position[0]
         dy = tx_pos[1] - self.sc.sniffer_position[1]
-        return tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5)
+        return repr(round(tx_power - self.sc.path_loss.loss_db((dx * dx + dy * dy) ** 0.5), 1))
 
     # -- results ------------------------------------------------------------------
 

@@ -2,13 +2,14 @@
 
 The engine writes each frame line from one f-string per protection kind,
 and a repeating frame's line and bytes from a per-run template of all
-but its `t`, built over a per-run memo of each broadcast body's bytes
-and JSON text. `reference_line` is the dict the engine used to build and
+but its `rx` and `t`, built over a per-run memo of each broadcast body's
+bytes and JSON text. `reference_line` is the dict the engine used to build and
 dump for every frame; each line the engine writes must equal it exactly.
 """
 
 import json
 import struct
+import types
 
 import pytest
 
@@ -56,9 +57,14 @@ def aired(header: FrameHeader, msg, keys) -> bytes:
 
 def templated_line(data: bytes, header: FrameHeader, msg, rx: float) -> str:
     """The line the engine writes for one frame encoded whole: `_line`'s
-    text on either side of its `t`."""
-    prefix, suffix = _line(header, msg, len(data) - codec.HEADER_LEN, rx)
-    return f"{prefix}{header.timestamp_ms}{suffix}"
+    text on either side of its `rx` and `t`, filled in by `Engine._write`
+    with the rx text `Engine._rx_at_sniffer` makes for a receive level rx,
+    here over a path that loses nothing."""
+    lossless = types.SimpleNamespace(sniffer_position=(0.0, 0.0), path_loss=types.SimpleNamespace(loss_db=lambda d: 0))
+    engine = types.SimpleNamespace(sc=lossless, sniffer=None, capture=[])
+    template = (*_line(header, msg, len(data) - codec.HEADER_LEN), None)
+    Engine._write(engine, template, header.timestamp_ms, Engine._rx_at_sniffer(engine, (0.0, 0.0), rx))
+    return engine.capture[-1]
 
 
 class Unspied(Sniffer):
@@ -137,11 +143,15 @@ def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
     with the template `_template` made for the frame it was shown first:
     the sniffer must be shown it once, the bytes it goes on the air as
     (`aired`) and their header, read or heard, and the line must be the
-    dict oracle's over those bytes. A broadcast, written from its cell's
-    slots, must be the one due at its `t` (`broadcast_due`). Each distinct
-    frame is read once, every repeat heard."""
-    write, template = Engine._write, Engine._template
-    checked, wrong, fed = [0], [], []
+    dict oracle's over those bytes, at the rx the writer was given. A
+    frame put on the air through `_air` is checked as its own message, a
+    protected one whose template was made from its header and body length
+    too; a broadcast written from its cell's slots as the message its
+    template was made from, which must be the one due at its `t`
+    (`broadcast_due`). Each distinct frame is read once, every repeat
+    heard."""
+    air, write, template = Engine._air, Engine._write, Engine._template
+    checked, wrong, fed, airing = [0], [], [], []
     made = {}  # id(template) -> (it, the key it was made from), held so that no id is reused
 
     def made_and_kept(engine, key, t):
@@ -149,9 +159,22 @@ def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
         made[id(out)] = out, key
         return out
 
-    def write_and_check(engine, template, t, key=None):
-        template = write(engine, template, t, key)
-        message, cell, rnti, direction, key_id, rx = made[id(template)][1]
+    def air_and_note(engine, frame, direction, t, rx):
+        airing.append(frame.message)
+        try:
+            return air(engine, frame, direction, t, rx)
+        finally:
+            airing.pop()
+
+    def write_and_check(engine, template, t, rx, key=None):
+        template = write(engine, template, t, rx, key)
+        key = made[id(template)][1]
+        if key[-1] is None:  # cleartext: (message, cell, rnti, direction, None)
+            message, cell, rnti, direction, key_id = key
+            if airing and airing[-1] != message:
+                wrong.append(f"{airing[-1]} written from the template of {message}")
+        else:  # protected: (cell, rnti, direction, key_id, body length)
+            (cell, rnti, direction, key_id, _), message = key, airing[-1]
         if rnti == 0 and type(message) in (Mib, Sib1) and message != broadcast_due(engine, message, cell, t):
             wrong.append(f"{message} at {t} from cell {cell}")
         header = FrameHeader(t, cell, rnti, direction, key_id)
@@ -159,7 +182,7 @@ def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
         if engine.sniffer is not None and fed != [(data, header)]:
             wrong.append(f"frame: {[(d.hex(), h) for d, h in fed]} != {data.hex(), header}")
         fed.clear()
-        want = reference_line(data, header, message, rx)
+        want = reference_line(data, header, message, json.loads(rx))
         if engine.capture[-1] != want:
             wrong.append(f"{engine.capture[-1]} != {want}")
         checked[0] += 1
@@ -167,6 +190,7 @@ def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
 
     spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
     monkeypatch.setattr(Engine, "_template", made_and_kept)
+    monkeypatch.setattr(Engine, "_air", air_and_note)
     monkeypatch.setattr(Engine, "_write", write_and_check)
     result = run(scenario_named(name))
     assert not wrong, "\n".join(wrong[:5])

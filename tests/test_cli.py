@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ltesim import cli
 from ltesim.cli import main
 from ltesim.engine import replay_capture, run
 from ltesim.scenario import load_scenario
@@ -145,6 +146,27 @@ def test_run_summary_counts_the_rogue(capsys):
     assert main(["run", CATCHER]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == f"  rogue: {caught} identities caught, {rejects} rejects sent"
+
+
+def test_run_summary_counts_the_core_before_the_devices(monkeypatch, capsys):
+    """The core's drops by reason, sorted, its handovers and its idles, on
+    the line before the first device's."""
+    result = run(load_scenario(CATCHER))
+    handovers, idles = result.core.handovers_completed, result.core.idle_transitions
+    assert result.core.drops == {} and idles > 0
+    first = f"  {next(iter(result.ues))}: "
+
+    def dropping(scenario, seed=None):
+        out = run(scenario, seed)
+        out.core.drops.update({"no_session": 2, "cell_full": 1})
+        return out
+
+    for drops in ("{}", "{cell_full: 1, no_session: 2}"):
+        assert main(["run", CATCHER]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(first))
+        assert lines[at - 1] == f"  core: drops {drops}, handovers {handovers}, idles {idles}"
+        monkeypatch.setattr(cli, "run", dropping)
 
 
 def test_scan_pipeline(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import functools
 import gc
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -197,52 +198,81 @@ def test_a_remembered_frame_still_refuses_a_timestamp_past_64_bits():
     assert len(engine.capture) == 2
 
 
-def test_a_template_serves_only_its_own_cell_direction_and_rx(monkeypatch):
-    """One Sib1 body from two cells and one preamble from two positions:
-    each (cell, direction, rx) gets its own header bytes and line text,
-    and the sniffer reads it once and then hears it, whichever of them was
-    remembered first."""
+def test_a_template_serves_only_its_own_cell_and_direction_at_every_rx(monkeypatch):
+    """One Sib1 body from two cells and one preamble both ways, each at
+    four rx: each (cell, direction) gets its own header bytes and line
+    text, one template serves every rx, and the sniffer reads it once and
+    then hears it, whichever rx it was remembered at."""
     engine = Engine(small_scenario())
     sib1 = Sib1(Plmn("310", "260"), 100, 10, -110)
     fed = []
     spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
-    frames = [(cell, 0, sib1, Direction.DOWNLINK, rx) for cell in (10, 11) for rx in (-60.0, -71.3)]
-    frames += [(10, 0, RachPreamble(7), way, rx) for way in Direction for rx in (-80.04, -95.5)]
-    for t, (cell, rnti, msg, way, rx) in enumerate(frames * 2):
+    frames = [(cell, 0, sib1, Direction.DOWNLINK) for cell in (10, 11)]
+    frames += [(10, 0, RachPreamble(7), way) for way in Direction]
+    rxs = ("-60.0", "-71.3", "-80.0", "0.0")
+    for t, (rx, (cell, rnti, msg, way)) in enumerate(itertools.product(rxs, frames)):
         engine._air(Emission(cell, rnti, msg), way, t, rx)
         header = FrameHeader(t, cell, rnti, way)
         data = codec.encode(header, msg)
         assert fed[-1] == (data, header)
-        assert engine.capture[-1] == reference_line(data, header, msg, rx)
-    assert len(engine._templates) == len(frames) == spy.observed == spy.heard
+        assert engine.capture[-1] == reference_line(data, header, msg, float(rx))
+    assert len(engine._templates) == len(frames) == spy.observed
+    assert spy.heard == len(frames) * (len(rxs) - 1)
 
 
-def test_a_protected_template_serves_only_its_own_key_rnti_cell_direction_and_rx(monkeypatch):
+def test_a_protected_template_serves_only_its_own_key_rnti_cell_and_direction_at_every_rx(monkeypatch):
     """One report body under two key_ids and in the clear, from two rntis
-    and two cells, both ways, at two rx: each gets its own header bytes
-    and line text, a protected one its cleartext key_id and zero filler,
-    and the sniffer reads it once and then hears it, whichever of them
-    was remembered first."""
+    and two cells, both ways, at two rx: each but the rx gets its own
+    header bytes and line text, a protected one its cleartext key_id and
+    zero filler, one template serves both rx, and the sniffer reads it
+    once and then hears it, whichever rx it was remembered at."""
     engine = Engine(small_scenario())
     engine.core.keys.update({1: b"\x01" * 16, 2: b"\x02" * 16})
     report = MeasurementReport(((10, -60), (11, -75)))
     fed = []
     spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
     frames = [
-        (cell, rnti, way, key_id, rx)
+        (cell, rnti, way, key_id)
         for cell in (10, 11)
         for rnti in (700, 701)
         for way in Direction
         for key_id in (1, 2, None)
-        for rx in (-60.0, -71.3)
     ]
-    for t, (cell, rnti, way, key_id, rx) in enumerate(frames * 2):
+    rxs = ("-60.0", "-71.3")
+    for t, (rx, (cell, rnti, way, key_id)) in enumerate(itertools.product(rxs, frames)):
         engine._air(Emission(cell, rnti, report, key_id), way, t, rx)
         header = FrameHeader(t, cell, rnti, way, key_id)
         data = aired(header, report, engine.core.keys)
         assert fed[-1] == (data, header)
-        assert engine.capture[-1] == reference_line(data, header, report, rx)
-    assert len(engine._templates) == len(frames) == spy.observed == spy.heard
+        assert engine.capture[-1] == reference_line(data, header, report, float(rx))
+    assert spy.observed == len(frames) and spy.heard == len(frames) * (len(rxs) - 1)
+
+
+def test_protected_frames_of_one_header_and_body_length_share_a_template(monkeypatch):
+    """A protected frame's bytes, line and reading depend only on its
+    header and body length: two reports of one length under one (cell,
+    rnti, direction, key_id) are read once and then heard, one of another
+    length is read afresh, and a message seen before is not encoded
+    again."""
+    engine = Engine(small_scenario())
+    engine.core.keys.update({1: b"\x01" * 16})
+    near, far = MeasurementReport(((10, -60),)), MeasurementReport(((11, -75),))
+    both = MeasurementReport(((10, -60), (11, -75)))
+    lengths = {msg: len(codec.encode_body(msg)) for msg in (near, far, both)}
+    assert lengths[near] == lengths[far] < lengths[both]
+    fed, encoded = [], []
+    spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: fed.append((data, header)))
+    encode_body = codec.encode_body
+    monkeypatch.setattr(codec, "encode_body", lambda msg: encoded.append(msg) or encode_body(msg))
+    sent = [(near, "-60.0"), (far, "-71.3"), (both, "-60.0"), (far, "-80.0"), (near, "-71.3"), (both, "-99.9")]
+    for t, (msg, rx) in enumerate(sent):
+        engine._air(Emission(10, 700, msg, 1), Direction.UPLINK, t, rx)
+        header = FrameHeader(t, 10, 700, Direction.UPLINK, 1)
+        data = codec.keyless_frame(header, lengths[msg])
+        assert fed[-1] == (data, header)
+        assert engine.capture[-1] == reference_line(data, header, msg, float(rx))
+    assert spy.observed == 2 and spy.heard == len(sent) - 2
+    assert encoded == [near, far, both]
 
 
 def test_a_protected_frame_under_a_dead_key_raises(monkeypatch):
@@ -277,6 +307,20 @@ def test_the_frame_number_wraps_onto_its_slot():
     mibs = [obj for obj in map(json.loads, engine.capture) if obj["type"] == "mib"]
     assert [(obj["t"], obj["body"]["sfn"]) for obj in mibs] == [(40, 4), (10280, 4), (10240, 0)]
     assert len(engine._templates) == 3  # the Mibs of frame numbers 4 and 0, and the Sib1
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_a_run_reads_each_frame_line_less_its_rx_and_t_once(monkeypatch, name):
+    """The live sniffer reads one frame per distinct line less its rx and
+    t, the key replay remembers a line by, and hears every other: whatever
+    rx a device moves through, and whatever protected message of one
+    length a connection sends."""
+    engine = Engine(scenario_named(name))
+    engine.sniffer = engine.sniffer or Sniffer()  # frames go on the air either way
+    spy = SnifferSpy(monkeypatch, lambda sniffer, data, header: None)
+    frames = [obj for obj in map(json.loads, engine.run().capture_lines) if "meta" not in obj]
+    assert spy.observed == len({timeless(obj) for obj in frames})
+    assert spy.observed + spy.heard == len(frames)
 
 
 def test_run_leaves_no_template_behind():
