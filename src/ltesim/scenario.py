@@ -11,11 +11,15 @@ every LTE and GSM cell, an `attacker.RogueCellConfig` for the rogue, and
 for each device a `UeSpec`, which is its `ue.UeProfile` plus placement
 and schedule.
 
+The format is declared once, as one table per kind of object that gives
+each key's kind, domain and record field (`SCHEMA`). A key the file
+leaves out is not passed on, so it takes the record's own default.
+
 Validation is strict and failure names the offending field by path
 (`cells[1].tac`), because a silently-defaulted typo in an experiment
 config costs an afternoon. For the same reason an object that carries a
 key its kind does not know (`cells[0].rnti_refresh_on_idl`) is refused
-at that key's path, never ignored.
+at that key's path, never ignored, and so is a key repeated in one object.
 """
 
 from __future__ import annotations
@@ -25,12 +29,15 @@ import hashlib
 import json
 import operator
 import re
-from typing import Any, Optional
+from itertools import pairwise
+from typing import Any, Callable, Optional
 
 from .attacker import MODES, RogueCellConfig
 from .codec import EmmCause
 from .core import CellConfig
 from .identity import (
+    RNTI_MAX,
+    RNTI_MIN,
     CellIdentity,
     Imsi,
     Plmn,
@@ -40,37 +47,17 @@ from .identity import (
     validate_msisdn,
 )
 from .radio import DEFAULT_RX_FLOOR_DBM, PathLossModel, Rat, RadioCell
-from .record import Record
+from .record import MISSING, Record
 from .ue import UeProfile
 
 MAX_CELL_ID = (1 << 28) - 1
 MAX_SEED = 2**63 - 1
+MAX_TIME_MS = 2**48
 # Every scenario number (metres, dBm, dB, loss exponent) lies within this.
 MAX_MAGNITUDE = 1e7
 # A Sib1 counts its channel priorities in one byte.
 MAX_PRIORITY_PAIRS = 255
-# An initial TMSI given as text: ASCII hex digits only (int(text, 16)
-# alone would take Unicode digits, spaces, "_" and a sign).
-_TMSI_HEX = re.compile(r"(?:0[xX])?[0-9a-fA-F]{1,8}")
 _WAYPOINT_T = operator.attrgetter("t_ms")  # the key moves are sorted by
-
-# The keys each kind of object may carry.
-_TRANSMITTER_KEYS = {
-    "cell_id", "tac", "plmn", "earfcn", "position", "tx_power_dbm",
-    "broadcast_period_ms", "min_rx_level_dbm", "priority_earfcns",
-}
-_CELL_KEYS = _TRANSMITTER_KEYS | {
-    "rat", "rnti_preset", "encrypt_handover_trigger", "rnti_refresh_on_idle", "handover_hysteresis_db",
-}
-_ROGUE_KEYS = _TRANSMITTER_KEYS | {"mode", "reject_cause", "active_ms"}
-_UE_KEYS = {
-    "name", "imsi", "mnc_len", "msisdn", "imei", "key", "position", "initial_tmsi", "hardened",
-    "power_on_ms", "app_traffic", "moves",
-}
-_SCENARIO_KEYS = {
-    "name", "seed", "duration_ms", "cells", "ues", "rogue", "page_calls", "airplane_toggles",
-    "tmsi_erasures", "path_loss", "rx_floor_dbm", "sniffer", "sniffer_position",
-}
 
 
 class ScenarioInvalid(ValueError):
@@ -81,93 +68,143 @@ def _fail(path: str, why: str) -> None:
     raise ScenarioInvalid(f"{path}: {why}")
 
 
-def _require(obj: dict, path: str, key: str) -> Any:
-    if key not in obj:
-        _fail(f"{path}.{key}", "missing")
-    return obj[key]
+# A kind reads one JSON value: called as kind(value, path, scope), it checks
+# the value and returns what the run uses of it, or fails at `path`.
+# `scope` holds the scenario's top-level fields read so far.
 
 
-def _as_int(value: Any, path: str, lo: int, hi: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        _fail(path, f"expected integer, got {value!r}")
-    if not lo <= value <= hi:
-        _fail(path, f"{value} outside [{lo}, {hi}]")
+def _any(value: Any, path: str, scope: dict) -> Any:
     return value
 
 
-def _as_number(value: Any, path: str) -> float:
+def _number(value: Any, path: str, scope: dict) -> float:
     # Not bool, not NaN; bounded, so distances, losses and rx levels stay finite.
     if type(value) not in (int, float) or not abs(value) <= MAX_MAGNITUDE:
         _fail(path, f"expected a number of magnitude at most {MAX_MAGNITUDE:g}, got {value!r}")
     return float(value)
 
 
-def _as_bool(value: Any, path: str) -> bool:
+def _bool(value: Any, path: str, scope: dict) -> bool:
     if not isinstance(value, bool):
         _fail(path, f"expected boolean, got {value!r}")
     return value
 
 
-def _as_text(value: Any, path: str, parse=str) -> Any:
-    """A string, passed through `parse`; its ValueError names the path."""
-    if not isinstance(value, str):
-        _fail(path, f"expected string, got {value!r}")
-    try:
-        return parse(value)
-    except ValueError as exc:
-        _fail(path, str(exc))
+class Int:
+    """An integer in [lo, hi]; `hi` may name the top-level field that bounds
+    it. `text`, when given, reads a string form first."""
+
+    def __init__(self, lo: int, hi: int | str, text: Optional[Callable] = None):
+        self.lo, self.hi, self.text = lo, hi, text
+
+    def __call__(self, value, path, scope):
+        if self.text is not None and isinstance(value, str):
+            value = self.text(value, path, scope)
+        if not isinstance(value, int) or isinstance(value, bool):
+            _fail(path, f"expected integer, got {value!r}")
+        hi = scope[self.hi] if isinstance(self.hi, str) else self.hi
+        if not self.lo <= value <= hi:
+            _fail(path, f"{value} outside [{self.lo}, {hi}]")
+        return value
 
 
-def _as_list(value: Any, path: str) -> list:
-    if not isinstance(value, list):
-        _fail(path, f"expected list, got {value!r}")
-    return value
+class Text:
+    """A string, fully matching `pattern` when one is given, or else `why`;
+    passed through `convert`, whose ValueError names the path."""
+
+    def __init__(self, convert: Callable = str, why: str = "expected string, got {!r}", pattern: str = ""):
+        self.convert, self.why, self.pattern = convert, why, pattern and re.compile(pattern, re.DOTALL)
+
+    def __call__(self, value, path, scope):
+        if not isinstance(value, str) or self.pattern and not self.pattern.fullmatch(value):
+            _fail(path, self.why.format(value))
+        try:
+            return self.convert(value)
+        except ValueError as exc:
+            _fail(path, str(exc))
 
 
-def _as_object(value: Any, path: str, keys: set[str]) -> dict:
-    """An object carrying none but the given keys."""
-    if not isinstance(value, dict):
-        _fail(path, f"expected object, got {value!r}")
-    for key in value:
-        if key not in keys:
-            _fail(f"{path}.{key}", "unknown key")
-    return value
+def _one_of(choices: dict, why: str) -> Text:
+    """Exactly one of the names in `choices`, read as the value it maps to."""
+    return Text(choices.__getitem__, why, "|".join(map(re.escape, choices)))
 
 
-def _as_position(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        _fail(path, f"expected [x, y], got {value!r}")
-    return (_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
+class Pair:
+    def __init__(self, first: Callable, second: Callable, shape: str):
+        self.first, self.second, self.shape = first, second, shape  # `shape` names the items in a failure
+
+    def __call__(self, value, path, scope):
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            _fail(path, f"expected {self.shape}, got {value!r}")
+        return (self.first(value[0], f"{path}[0]", scope), self.second(value[1], f"{path}[1]", scope))
 
 
-def _as_plmn(value: Any, path: str) -> Plmn:
-    # Digit strings, not ints: "01" and "1" are different mnc values.
-    value = _as_object(value, path, {"mcc", "mnc"})
-    mcc = _require(value, path, "mcc")
-    mnc = _require(value, path, "mnc")
-    if not isinstance(mcc, str) or not isinstance(mnc, str):
-        _fail(path, f"mcc/mnc must be digit strings, got {mcc!r}/{mnc!r}")
-    try:
-        return Plmn(mcc, mnc)
-    except ValueError as exc:
-        _fail(path, str(exc))
+class List:
+    def __init__(self, item: Callable):
+        self.item = item
+
+    def __call__(self, value, path, scope):
+        if not isinstance(value, list):
+            _fail(path, f"expected list, got {value!r}")
+        return tuple([self.item(v, f"{path}[{i}]", scope) for i, v in enumerate(value)])
 
 
-def _as_priority_pairs(value: Any, path: str) -> tuple[tuple[int, int], ...]:
-    items = _as_list(value, path)
-    if len(items) > MAX_PRIORITY_PAIRS:
-        _fail(path, f"{len(items)} pairs, but a Sib1 carries at most {MAX_PRIORITY_PAIRS}")
-    pairs, priorities = [], {}
-    for i, item in enumerate(items):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            _fail(f"{path}[{i}]", f"expected [earfcn, priority], got {item!r}")
-        earfcn = _as_int(item[0], f"{path}[{i}][0]", 0, 0xFFFF)
-        priority = _as_int(item[1], f"{path}[{i}][1]", 0, 7)
-        # A device keeps one priority per channel: a second one would win silently.
-        if priorities.setdefault(earfcn, priority) != priority:
-            _fail(f"{path}[{i}]", f"earfcn {earfcn} already has priority {priorities[earfcn]}")
-        pairs.append((earfcn, priority))
-    return tuple(pairs)
+class Key(Record):
+    """One key of an object: the kind of its value and the field it fills,
+    the key's own name unless given. A nullable key given null reads as
+    left out; `check` is called as a kind is, on what the key read."""
+
+    kind: Callable
+    field: str = ""
+    required: bool = False
+    nullable: bool = False
+    check: Optional[Callable] = None
+
+
+class Obj:
+    """An object with none but the keys in `table`, which `build` makes a
+    record of from {field: value} for the keys present. The top-level
+    object has the empty path and is the scope of all below it."""
+
+    def __init__(self, table: dict[str, Key], build: Callable[[dict, str], Any]):
+        self.table, self.build = table, build
+        self._entries = [(key, e.field or key, e.kind, e.required, e.nullable, e.check) for key, e in table.items()]
+
+    def __call__(self, value, path, scope):
+        where = path or "scenario"
+        if not isinstance(value, dict):
+            _fail(where, f"expected object, got {value!r}")
+        if not value.keys() <= self.table.keys():
+            _fail(f"{where}.{next(key for key in value if key not in self.table)}", "unknown key")
+        fields = {}
+        scope = fields if scope is None else scope
+        prefix = f"{path}." if path else ""
+        for key, field, kind, required, nullable, check in self._entries:
+            got = value.get(key, MISSING)
+            if got is MISSING:
+                if required:
+                    _fail(f"{where}.{key}", "missing")
+            elif got is not None or not nullable:
+                fields[field] = got = kind(got, prefix + key, scope)
+                if check is not None:
+                    check(got, prefix + key, scope)
+        return self.build(fields, where)
+
+
+def _record(cls: type) -> Callable[[dict, str], Any]:
+    return lambda fields, path: cls(**fields)
+
+
+def _transmitter(cls: type, is_rogue: bool = False) -> Callable[[dict, str], Any]:
+    """A build of an operator cell or the rogue. The fields of its radio
+    face, and of the identity that face claims, make records of their own."""
+
+    def build(fields: dict, path: str) -> Any:
+        identity = CellIdentity(**{name: fields.pop(name) for name in CellIdentity._fields})
+        radio = {name: fields.pop(name) for name in RadioCell._fields if name in fields}
+        return cls(radio=RadioCell(identity, **radio, is_rogue=is_rogue), **fields)
+
+    return build
 
 
 class AppTrafficSpec(Record):
@@ -233,11 +270,11 @@ class UeDirective(Record):
 class Scenario(Record):
     """`cells` holds LTE and GSM cells alike; `radio.rat` tells them apart."""
 
-    name: str
-    seed: int
     duration_ms: int
-    cells: tuple[CellConfig, ...]
-    ues: tuple[UeSpec, ...]
+    name: str = "scenario"
+    seed: int = 0
+    cells: tuple[CellConfig, ...] = ()
+    ues: tuple[UeSpec, ...] = ()
     rogue: Optional[RogueCellConfig] = None
     page_calls: tuple[PageCallSpec, ...] = ()
     toggles: tuple[UeDirective, ...] = ()
@@ -258,150 +295,62 @@ def default_imei(imsi: Imsi) -> str:
     return ("99" + str(imsi))[:15]
 
 
-def _parse_transmitter(obj: dict, path: str, rat: Rat = Rat.LTE, is_rogue: bool = False) -> dict:
-    """What an operator cell and the rogue declare alike: the radio face
-    and the broadcast knobs, as keyword arguments for either config."""
-    identity = CellIdentity(
-        _as_int(_require(obj, path, "cell_id"), f"{path}.cell_id", 0, MAX_CELL_ID),
-        _as_int(_require(obj, path, "tac"), f"{path}.tac", 0, 0xFFFF),
-        _as_plmn(_require(obj, path, "plmn"), f"{path}.plmn"),
-        _as_int(_require(obj, path, "earfcn"), f"{path}.earfcn", 0, 0xFFFF),
-    )
-    return dict(
-        radio=RadioCell(
-            identity,
-            _as_position(_require(obj, path, "position"), f"{path}.position"),
-            _as_number(_require(obj, path, "tx_power_dbm"), f"{path}.tx_power_dbm"),
-            rat,
-            is_rogue,
-        ),
-        broadcast_period_ms=_as_int(obj.get("broadcast_period_ms", 40), f"{path}.broadcast_period_ms", 1, 10_000),
-        min_rx_level_dbm=_as_int(obj.get("min_rx_level_dbm", -110), f"{path}.min_rx_level_dbm", -128, 127),
-        priority_earfcns=_as_priority_pairs(obj.get("priority_earfcns", []), f"{path}.priority_earfcns"),
-    )
+def _rule(holds: Callable[[Any], bool], why: str) -> Callable[[Any, str, dict], None]:
+    """A check that fails with `why`, formatted with the value, where `holds` does not."""
+
+    def check(value: Any, path: str, scope: dict) -> None:
+        if not holds(value):
+            _fail(path, why.format(value))
+
+    return check
 
 
-def _parse_cell(obj: Any, path: str) -> CellConfig:
-    obj = _as_object(obj, path, _CELL_KEYS)
-    rat_text = obj.get("rat", "lte")
-    if rat_text not in ("lte", "gsm"):
-        _fail(f"{path}.rat", f"expected 'lte' or 'gsm', got {rat_text!r}")
-    preset = _as_list(obj.get("rnti_preset", []), f"{path}.rnti_preset")
-    return CellConfig(
-        **_parse_transmitter(obj, path, Rat(rat_text)),
-        encrypt_handover_trigger=_as_bool(obj.get("encrypt_handover_trigger", False), f"{path}.encrypt_handover_trigger"),
-        rnti_refresh_on_idle=_as_bool(obj.get("rnti_refresh_on_idle", False), f"{path}.rnti_refresh_on_idle"),
-        handover_hysteresis_db=_as_number(obj.get("handover_hysteresis_db", 3.0), f"{path}.handover_hysteresis_db"),
-        rnti_preset=tuple(
-            _as_int(v, f"{path}.rnti_preset[{i}]", 1, 0xFFF3) for i, v in enumerate(preset)
-        ),
-    )
-
-
-def _parse_tmsi(value: Any, path: str) -> Optional[int]:
-    if value is None:
-        return None
-    if isinstance(value, str):
-        if not _TMSI_HEX.fullmatch(value):
-            _fail(path, f"expected 1 to 8 ASCII hex digits, optionally after 0x, or an integer, got {value!r:.40}")
-        value = int(value, 16)
-    return _as_int(value, path, 0, 0xFFFFFFFF)
-
-
-def _parse_ue(obj: Any, path: str, index: int) -> UeSpec:
-    obj = _as_object(obj, path, _UE_KEYS)
-    name = obj.get("name", f"ue{index}")
-    if not isinstance(name, str) or not name:
-        _fail(f"{path}.name", "expected non-empty string")
-    mnc_len = _as_int(obj.get("mnc_len", 3), f"{path}.mnc_len", 2, 3)
-    imsi = _as_text(_require(obj, path, "imsi"), f"{path}.imsi", lambda text: parse_imsi(text, mnc_len))
-    msisdn = _as_text(_require(obj, path, "msisdn"), f"{path}.msisdn", validate_msisdn)
-    imei = _as_text(obj.get("imei", default_imei(imsi)), f"{path}.imei", validate_imei)
-    key_hex = obj.get("key")
-    if key_hex is None:
-        key = default_ue_key(imsi)
-    elif type(key_hex) is str and re.fullmatch("[0-9a-fA-F]{32}", key_hex):  # 16 bytes, as default_ue_key
-        key = bytes.fromhex(key_hex)
-    else:
-        _fail(f"{path}.key", f"expected 32 hex digits, got {key_hex!r:.40}")
-
-    traffic = []
-    for i, item in enumerate(_as_list(obj.get("app_traffic", []), f"{path}.app_traffic")):
-        tpath = f"{path}.app_traffic[{i}]"
-        item = _as_object(item, tpath, {"t_ms", "bytes"})
-        traffic.append(
-            AppTrafficSpec(
-                _as_int(_require(item, tpath, "t_ms"), f"{tpath}.t_ms", 0, 2**48),
-                _as_int(_require(item, tpath, "bytes"), f"{tpath}.bytes", 0, 0xFFFF),
-            )
-        )
-    if traffic != sorted(traffic, key=lambda a: a.t_ms):
-        _fail(f"{path}.app_traffic", "times must be non-decreasing")
-
-    moves = []
-    for i, item in enumerate(_as_list(obj.get("moves", []), f"{path}.moves")):
-        mpath = f"{path}.moves[{i}]"
-        item = _as_object(item, mpath, {"t_ms", "position"})
-        moves.append(
-            WaypointSpec(
-                _as_int(_require(item, mpath, "t_ms"), f"{mpath}.t_ms", 0, 2**48),
-                _as_position(_require(item, mpath, "position"), f"{mpath}.position"),
-            )
-        )
-    if [m.t_ms for m in moves] != sorted(m.t_ms for m in moves):
-        _fail(f"{path}.moves", "times must be non-decreasing")
-
-    return UeSpec(
-        name=name,
-        imsi=imsi,
-        key=key,
-        msisdn=msisdn,
-        imei=imei,
-        position=_as_position(_require(obj, path, "position"), f"{path}.position"),
-        initial_tmsi=_parse_tmsi(obj.get("initial_tmsi"), f"{path}.initial_tmsi"),
-        hardened=_as_bool(obj.get("hardened", False), f"{path}.hardened"),
-        power_on_ms=_as_int(obj.get("power_on_ms", 0), f"{path}.power_on_ms", 0, 2**48),
-        app_traffic=tuple(traffic),
-        moves=tuple(moves),
-    )
-
-
-def _parse_rogue(obj: Any, path: str) -> RogueCellConfig:
-    obj = _as_object(obj, path, _ROGUE_KEYS)
-    mode = _require(obj, path, "mode")
-    if mode not in MODES:
-        _fail(f"{path}.mode", f"expected one of {MODES}, got {mode!r}")
-    cause_name = obj.get("reject_cause", "plmn_not_allowed")
+def _plmn(fields: dict, path: str) -> Plmn:
+    # Digit strings, not ints: "01" and "1" are different mnc values.
+    if not all(isinstance(digits, str) for digits in fields.values()):
+        _fail(path, "mcc/mnc must be digit strings, got {mcc!r}/{mnc!r}".format(**fields))
     try:
-        cause = EmmCause[cause_name.upper()]
-    except (KeyError, AttributeError):
-        _fail(f"{path}.reject_cause", f"unknown cause {cause_name!r}")
-    window = obj.get("active_ms")
-    active: Optional[tuple[int, int]] = None
-    if window is not None:
-        if not isinstance(window, (list, tuple)) or len(window) != 2:
-            _fail(f"{path}.active_ms", f"expected [start, end], got {window!r}")
-        start = _as_int(window[0], f"{path}.active_ms[0]", 0, 2**48)
-        end = _as_int(window[1], f"{path}.active_ms[1]", 0, 2**48)
-        if end <= start:
-            _fail(f"{path}.active_ms", "end must exceed start")
-        active = (start, end)
-    return RogueCellConfig(
-        **_parse_transmitter(obj, path, is_rogue=True), mode=mode, reject_cause=cause, active_ms=active
-    )
+        return Plmn(**fields)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
-def _parse_directives(obj: dict, key: str, who_key: str, known: set, duration: int, make) -> tuple:
-    """Timed actions that name a device (by `who_key`) in `known`."""
-    out = []
-    for i, item in enumerate(_as_list(obj.get(key, []), key)):
-        path = f"{key}[{i}]"
-        item = _as_object(item, path, {"t_ms", who_key})
-        who = _as_text(_require(item, path, who_key), f"{path}.{who_key}")
-        if who not in known:
-            _fail(f"{path}.{who_key}", f"{who!r} does not match any device")
-        out.append(make(_as_int(_require(item, path, "t_ms"), f"{path}.t_ms", 0, duration), who))
-    return tuple(out)
+def _one_priority_per_channel(pairs: tuple, path: str, scope: dict) -> None:
+    if len(pairs) > MAX_PRIORITY_PAIRS:
+        _fail(path, f"{len(pairs)} pairs, but a Sib1 carries at most {MAX_PRIORITY_PAIRS}")
+    priorities = {}
+    for i, (earfcn, priority) in enumerate(pairs):
+        # A device keeps one priority per channel: a second one would win silently.
+        if priorities.setdefault(earfcn, priority) != priority:
+            _fail(f"{path}[{i}]", f"earfcn {earfcn} already has priority {priorities[earfcn]}")
+
+
+def _naming_devices(field: str, by: str) -> Callable[[tuple, str, dict], None]:
+    """A check that each directive's `field` names a device by its `by`."""
+
+    def check(directives: tuple, path: str, scope: dict) -> None:
+        known = {getattr(ue, by) for ue in scope.get("ues", ())}
+        for i, directive in enumerate(directives):
+            if getattr(directive, field) not in known:
+                _fail(f"{path}[{i}].{field}", f"{getattr(directive, field)!r} does not match any device")
+
+    return check
+
+
+def _device(fields: dict, path: str) -> UeSpec:
+    """`mnc_len` splits the IMSI; an imei or key left out derives from the
+    IMSI, and a name left out from the device's place (`ues[3]` is ue3)."""
+    split = {"mnc_len": fields.pop("mnc_len")} if "mnc_len" in fields else {}
+    try:
+        imsi = parse_imsi(fields["imsi"], **split)
+    except ValueError as exc:
+        _fail(f"{path}.imsi", str(exc))
+    fields["imsi"] = imsi
+    fields.setdefault("imei", default_imei(imsi))
+    if "key" not in fields:
+        fields["key"] = default_ue_key(imsi)
+    fields.setdefault("name", "ue" + path[path.index("[") + 1 : -1])
+    return UeSpec(**fields)
 
 
 def _reject_duplicates(what: str, keyed: list[tuple[str, Any]]) -> None:
@@ -413,62 +362,128 @@ def _reject_duplicates(what: str, keyed: list[tuple[str, Any]]) -> None:
         seen.add(key)
 
 
-def parse_scenario(obj: Any) -> Scenario:
-    obj = _as_object(obj, "scenario", _SCENARIO_KEYS)
-    name = _as_text(obj.get("name", "scenario"), "name")
-    seed = _as_int(obj.get("seed", 0), "seed", 0, MAX_SEED)
-    duration = _as_int(_require(obj, "scenario", "duration_ms"), "duration_ms", 1, 2**48)
-
-    cells = tuple(_parse_cell(c, f"cells[{i}]") for i, c in enumerate(_as_list(obj.get("cells", []), "cells")))
-    ues = tuple(_parse_ue(u, f"ues[{i}]", i) for i, u in enumerate(_as_list(obj.get("ues", []), "ues")))
-    rogue = _parse_rogue(obj["rogue"], "rogue") if obj.get("rogue") is not None else None
-    if not cells and rogue is None:
+def _scenario(fields: dict, path: str) -> Scenario:
+    sc = Scenario(**fields)
+    if not sc.cells and sc.rogue is None:
         _fail("cells", "scenario has nothing on the air")
-
-    cell_ids = [(f"cells[{i}].cell_id", cell.cell_id) for i, cell in enumerate(cells)]
-    cell_ids += [("rogue.cell_id", rogue.cell_id)] if rogue is not None else []
+    cell_ids = [(f"cells[{i}].cell_id", cell.cell_id) for i, cell in enumerate(sc.cells)]
+    cell_ids += [("rogue.cell_id", sc.rogue.cell_id)] if sc.rogue is not None else []
     _reject_duplicates("cell id", cell_ids)
-    _reject_duplicates("name", [(f"ues[{i}].name", ue.name) for i, ue in enumerate(ues)])
-    _reject_duplicates("imsi", [(f"ues[{i}].imsi", str(ue.imsi)) for i, ue in enumerate(ues)])
-    _reject_duplicates("msisdn", [(f"ues[{i}].msisdn", ue.msisdn) for i, ue in enumerate(ues)])
-    bound = [(i, ue.initial_tmsi) for i, ue in enumerate(ues) if ue.initial_tmsi is not None]
+    ues = list(enumerate(sc.ues))
+    _reject_duplicates("name", [(f"ues[{i}].name", ue.name) for i, ue in ues])
+    _reject_duplicates("imsi", [(f"ues[{i}].imsi", str(ue.imsi)) for i, ue in ues])
+    _reject_duplicates("msisdn", [(f"ues[{i}].msisdn", ue.msisdn) for i, ue in ues])
+    bound = [(i, ue.initial_tmsi) for i, ue in ues if ue.initial_tmsi is not None]
     _reject_duplicates("initial tmsi", [(f"ues[{i}].initial_tmsi", format_tmsi(tmsi)) for i, tmsi in bound])
-    names, msisdns = {ue.name for ue in ues}, {ue.msisdn for ue in ues}
+    return sc
 
-    raw_pl = _as_object(obj.get("path_loss", {}), "path_loss", {"exponent", "offset_db", "min_distance_m"})
-    path_loss = PathLossModel(
-        exponent=_as_number(raw_pl.get("exponent", 3.5), "path_loss.exponent"),
-        offset_db=_as_number(raw_pl.get("offset_db", 20.0), "path_loss.offset_db"),
-        min_distance_m=_as_number(raw_pl.get("min_distance_m", 1.0), "path_loss.min_distance_m"),
-    )
-    if path_loss.exponent < 0:  # received power would grow with distance
-        _fail("path_loss.exponent", f"must not be negative, got {path_loss.exponent}")
-    if path_loss.min_distance_m <= 0:
-        _fail("path_loss.min_distance_m", f"must be positive, got {path_loss.min_distance_m}")
 
-    return Scenario(
-        name=name,
-        seed=seed,
-        duration_ms=duration,
-        cells=cells,
-        ues=ues,
-        rogue=rogue,
-        page_calls=_parse_directives(obj, "page_calls", "msisdn", msisdns, duration, PageCallSpec),
-        toggles=_parse_directives(obj, "airplane_toggles", "ue", names, duration, UeDirective),
-        erasures=_parse_directives(obj, "tmsi_erasures", "ue", names, duration, UeDirective),
-        path_loss=path_loss,
-        rx_floor_dbm=_as_number(obj.get("rx_floor_dbm", DEFAULT_RX_FLOOR_DBM), "rx_floor_dbm"),
-        sniffer_enabled=_as_bool(obj.get("sniffer", True), "sniffer"),
-        sniffer_position=_as_position(obj.get("sniffer_position", [0.0, 0.0]), "sniffer_position"),
-    )
+# The schema: one table per kind of object.
+_TIME = Int(0, MAX_TIME_MS)
+_CHANNEL = Int(0, 0xFFFF)
+_POSITION = Pair(_number, _number, "[x, y]")
+_IN_TIME_ORDER = _rule(lambda items: all(a.t_ms <= b.t_ms for a, b in pairwise(items)), "times must be non-decreasing")
+_TRANSMITTER = {
+    "cell_id": Key(Int(0, MAX_CELL_ID), required=True),
+    "tac": Key(Int(0, 0xFFFF), required=True),
+    "plmn": Key(Obj({"mcc": Key(_any, required=True), "mnc": Key(_any, required=True)}, _plmn), required=True),
+    "earfcn": Key(_CHANNEL, required=True),
+    "position": Key(_POSITION, required=True),
+    "tx_power_dbm": Key(_number, required=True),
+    "broadcast_period_ms": Key(Int(1, 10_000)),
+    "min_rx_level_dbm": Key(Int(-128, 127)),
+    "priority_earfcns": Key(List(Pair(_CHANNEL, Int(0, 7), "[earfcn, priority]")), check=_one_priority_per_channel),
+}
+_CELL = {"rat": Key(_one_of({rat.value: rat for rat in Rat}, "expected 'lte' or 'gsm', got {!r}"))} | _TRANSMITTER | {
+    "encrypt_handover_trigger": Key(_bool),
+    "rnti_refresh_on_idle": Key(_bool),
+    "handover_hysteresis_db": Key(_number),
+    "rnti_preset": Key(List(Int(RNTI_MIN, RNTI_MAX))),
+}
+_ROGUE = {
+    "mode": Key(_one_of({mode: mode for mode in MODES}, f"expected one of {MODES}, got {{!r}}"), required=True),
+    "reject_cause": Key(_one_of({cause.name.lower(): cause for cause in EmmCause}, "unknown cause {!r}")),
+    "active_ms": Key(Pair(_TIME, _TIME, "[start, end]"), nullable=True,
+                     check=_rule(lambda window: window[0] < window[1], "end must exceed start")),
+} | _TRANSMITTER
+_UE = {
+    "name": Key(Text(why="expected non-empty string", pattern=".+")),
+    "mnc_len": Key(Int(2, 3)),
+    "imsi": Key(Text(), required=True),
+    "msisdn": Key(Text(validate_msisdn), required=True),
+    "imei": Key(Text(validate_imei)),
+    "key": Key(Text(bytes.fromhex, "expected 32 hex digits, got {!r:.40}", "[0-9a-fA-F]{32}"), nullable=True),
+    "app_traffic": Key(List(Obj({
+        "t_ms": Key(_TIME, required=True),
+        "bytes": Key(_CHANNEL, "byte_count", required=True),
+    }, _record(AppTrafficSpec))), check=_IN_TIME_ORDER),
+    "moves": Key(List(Obj({
+        "t_ms": Key(_TIME, required=True),
+        "position": Key(_POSITION, required=True),
+    }, _record(WaypointSpec))), check=_IN_TIME_ORDER),
+    "position": Key(_POSITION, required=True),
+    # ASCII hex digits only: int(text, 16) alone would take Unicode digits, spaces, "_" and a sign.
+    "initial_tmsi": Key(Int(0, 0xFFFFFFFF, Text(
+        lambda text: int(text, 16),
+        "expected 1 to 8 ASCII hex digits, optionally after 0x, or an integer, got {!r:.40}",
+        "(?:0[xX])?[0-9a-fA-F]{1,8}",
+    )), nullable=True),
+    "hardened": Key(_bool),
+    "power_on_ms": Key(_TIME),
+}
+_DIRECTIVE_T = Key(Int(0, "duration_ms"), required=True)
+_UE_DIRECTIVES = List(Obj({"ue": Key(Text(), required=True), "t_ms": _DIRECTIVE_T}, _record(UeDirective)))
+_SCENARIO = {
+    "name": Key(Text()),
+    "seed": Key(Int(0, MAX_SEED)),
+    "duration_ms": Key(Int(1, MAX_TIME_MS), required=True),
+    "cells": Key(List(Obj(_CELL, _transmitter(CellConfig)))),
+    "ues": Key(List(Obj(_UE, _device))),
+    "rogue": Key(Obj(_ROGUE, _transmitter(RogueCellConfig, is_rogue=True)), nullable=True),
+    "path_loss": Key(Obj({
+        # A negative exponent: received power would grow with distance.
+        "exponent": Key(_number, check=_rule(lambda v: v >= 0, "must not be negative, got {}")),
+        "offset_db": Key(_number),
+        "min_distance_m": Key(_number, check=_rule(lambda v: v > 0, "must be positive, got {}")),
+    }, _record(PathLossModel))),
+    "page_calls": Key(List(Obj({"msisdn": Key(Text(), required=True), "t_ms": _DIRECTIVE_T}, _record(PageCallSpec))),
+                      check=_naming_devices("msisdn", "msisdn")),
+    "airplane_toggles": Key(_UE_DIRECTIVES, "toggles", check=_naming_devices("ue", "name")),
+    "tmsi_erasures": Key(_UE_DIRECTIVES, "erasures", check=_naming_devices("ue", "name")),
+    "rx_floor_dbm": Key(_number),
+    "sniffer": Key(_bool, "sniffer_enabled"),
+    "sniffer_position": Key(_POSITION),
+}
+SCHEMA = Obj(_SCENARIO, _scenario)
+
+# The keys each kind of object may carry.
+_TRANSMITTER_KEYS, _CELL_KEYS, _ROGUE_KEYS, _UE_KEYS, _SCENARIO_KEYS = (
+    set(table) for table in (_TRANSMITTER, _CELL, _ROGUE, _UE, _SCENARIO)
+)
+
+
+def parse_scenario(obj: Any) -> Scenario:
+    return SCHEMA(obj, "", None)
+
+
+def _without_repeats(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object, refused if it names one key twice: the last would win silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ScenarioInvalid(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
 
 
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, object_pairs_hook=_without_repeats)
     except OSError as exc:
         raise ScenarioInvalid(f"cannot read {path}: {exc.strerror}") from None
+    except ScenarioInvalid:
+        raise
     except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, nesting too deep
         raise ScenarioInvalid(f"not valid JSON: {exc}") from exc
     return parse_scenario(obj)

@@ -1,4 +1,10 @@
-"""Scenario dicts built in code, for tests that sweep parameters."""
+"""Scenario dicts built in code, for tests that sweep parameters, and a
+Hypothesis strategy for valid ones."""
+
+from hypothesis import strategies as st
+
+from ltesim import scenario as schema
+from ltesim.identity import validate_imei, validate_msisdn
 
 PLMN = {"mcc": "310", "mnc": "260"}
 
@@ -132,3 +138,96 @@ def crowd_scenario(n, seed=1):
         "ues": ues,
         "sniffer": True,
     }
+
+
+# Valid scenario dicts for Hypothesis, derived from the parser's schema:
+# each value is drawn from its key's declared kind and domain, and an
+# optional key is as often left out as given. The rules that span keys
+# (unique ids, ordered times, directives that name a device, something on
+# the air, the IMSI and plmn digits) are then applied to the drawn dict.
+
+NUMBERS = st.one_of(
+    st.integers(-2000, 2000),
+    st.floats(-schema.MAX_MAGNITUDE, schema.MAX_MAGNITUDE, allow_nan=False),
+)
+# Strings for a text kind that declares no pattern, by what it converts with.
+TEXTS = {
+    str: st.text(max_size=8),
+    validate_msisdn: st.from_regex(r"[0-9]{10,15}", fullmatch=True),
+    validate_imei: st.from_regex(r"[0-9]{15}", fullmatch=True),
+}
+
+
+def _draw_value(draw, kind, scope):
+    if kind is schema._number:
+        return draw(NUMBERS)
+    if kind is schema._bool:
+        return draw(st.booleans())
+    if kind is schema._any:
+        return None  # set by a rule
+    if isinstance(kind, schema.Int):
+        value = draw(st.integers(kind.lo, scope[kind.hi] if isinstance(kind.hi, str) else kind.hi))
+        return f"{value:#x}" if kind.text is not None and draw(st.booleans()) else value
+    if isinstance(kind, schema.Text):
+        return draw(st.from_regex(kind.pattern, fullmatch=True) if kind.pattern else TEXTS[kind.convert])
+    if isinstance(kind, schema.Pair):
+        return [_draw_value(draw, kind.first, scope), _draw_value(draw, kind.second, scope)]
+    if isinstance(kind, schema.List):
+        return [_draw_value(draw, kind.item, scope) for _ in range(draw(st.integers(0, 3)))]
+    return _draw_object(draw, kind, scope)
+
+
+def _draw_object(draw, obj, scope=None):
+    """Keys in table order, so that the top-level scope holds `duration_ms`
+    before a directive's time is drawn."""
+    doc = {}
+    for key, entry in obj.table.items():
+        if entry.required or draw(st.booleans()):
+            null = entry.nullable and draw(st.integers(0, 3)) == 0
+            doc[key] = None if null else _draw_value(draw, entry.kind, doc if scope is None else scope)
+    return doc
+
+
+@st.composite
+def valid_scenarios(draw):
+    """A scenario dict that `parse_scenario` accepts."""
+    doc = _draw_object(draw, schema.SCHEMA)
+    cells, rogue = doc.get("cells", []), doc.get("rogue")
+    if not cells and rogue is None:
+        doc["cells"] = cells = [_draw_object(draw, schema.SCHEMA.table["cells"].kind.item, doc)]
+    for i, transmitter in enumerate(cells + [rogue] * (rogue is not None)):
+        transmitter["cell_id"] = i
+        transmitter["plmn"] = {"mcc": "310", "mnc": draw(st.sampled_from(["26", "260"]))}
+        if "priority_earfcns" in transmitter:
+            first = {}
+            pairs = transmitter["priority_earfcns"]
+            transmitter["priority_earfcns"] = [[earfcn, first.setdefault(earfcn, p)] for earfcn, p in pairs]
+    if rogue is not None and rogue.get("active_ms") is not None:
+        start, end = sorted(rogue["active_ms"])
+        rogue["active_ms"] = [start, end] if start < end else [start - 1, end] if start else [start, end + 1]
+    ues = doc.get("ues", [])
+    for i, ue in enumerate(ues):
+        ue["imsi"], ue["msisdn"] = f"310260{i:09d}", f"1555{i:07d}"
+        if "name" in ue:
+            ue["name"] += f"#{i}"  # never another device's name, nor a default ue{i}
+        if ue.get("initial_tmsi") is not None:
+            ue["initial_tmsi"] = f"{i:#x}" if isinstance(ue["initial_tmsi"], str) else i
+        for timed in ("app_traffic", "moves"):
+            if timed in ue:
+                ue[timed].sort(key=lambda item: item["t_ms"])
+    names = [ue.get("name", f"ue{i}") for i, ue in enumerate(ues)]
+    for key, who, known in (
+        ("page_calls", "msisdn", [ue["msisdn"] for ue in ues]),
+        ("airplane_toggles", "ue", names),
+        ("tmsi_erasures", "ue", names),
+    ):
+        if not known:
+            doc.pop(key, None)
+        for directive in doc.get(key, []):
+            directive[who] = draw(st.sampled_from(known))
+    loss = doc.get("path_loss", {})
+    if "exponent" in loss:
+        loss["exponent"] = abs(loss["exponent"])
+    if "min_distance_m" in loss:
+        loss["min_distance_m"] = abs(loss["min_distance_m"]) or 1.0
+    return doc

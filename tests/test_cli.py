@@ -117,6 +117,13 @@ def test_run_refuses_a_scenario_it_would_misread(tmp_path, capsys, edit, path):
     assert f"scenario error: {path}" in capsys.readouterr().err
 
 
+def test_run_refuses_a_key_repeated_in_one_object(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(open(ATTACH).read().replace('"tac": 100,', '"tac": 100, "tac": 7,', 1))
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("scenario error: repeated key 'tac'")
+
+
 @pytest.mark.parametrize("tmsi", ["\u0661\u0662", " 12 ", "1_2", "+12", "-0"], ids=repr)
 def test_run_refuses_an_initial_tmsi_that_is_not_ascii_hex(tmp_path, capsys, tmsi):
     doc = json.loads(open(ATTACH).read())

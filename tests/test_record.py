@@ -160,7 +160,7 @@ SIGNATURES = {
         " name, position, power_on_ms=0, app_traffic=(), moves=())"
     ),
     Scenario: (
-        "(name, seed, duration_ms, cells, ues, rogue=None, page_calls=(), toggles=(), erasures=(),"
+        "(duration_ms, name='scenario', seed=0, cells=(), ues=(), rogue=None, page_calls=(), toggles=(), erasures=(),"
         " path_loss=PathLossModel(exponent=3.5, offset_db=20.0, min_distance_m=1.0), rx_floor_dbm=-110.0,"
         " sniffer_enabled=True, sniffer_position=(0.0, 0.0))"
     ),

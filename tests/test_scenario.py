@@ -2,9 +2,10 @@
 
 import inspect
 import json
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ltesim.attacker import RogueCellConfig
 from ltesim.codec import EmmCause
@@ -12,11 +13,15 @@ from ltesim.core import CellConfig
 from ltesim.engine import Engine
 from ltesim.identity import Plmn
 from ltesim.radio import Rat
+from ltesim.record import MISSING, Record
 from ltesim.scenario import (
     _CELL_KEYS,
     _ROGUE_KEYS,
     _SCENARIO_KEYS,
     _UE_KEYS,
+    SCHEMA,
+    List,
+    Obj,
     Scenario,
     ScenarioInvalid,
     default_imei,
@@ -25,6 +30,9 @@ from ltesim.scenario import (
     parse_scenario,
 )
 from ltesim.ue import UeProfile
+
+from tests.conftest import REPO_ROOT, SCENARIO_DIR
+from tests.scenario_builders import valid_scenarios
 
 PLMN_JSON = {"mcc": "310", "mnc": "260"}
 
@@ -647,3 +655,107 @@ def test_hostile_values_in_shipped_scenarios_are_refused_or_run():
                 edit = "deleted" if value is DELETED else f"= {value!r}"
                 escapes.append(f"{scenario_path.name} {path} {edit}: {exc!r}")
     assert not escapes, "\n".join(escapes[:20])
+
+
+@pytest.mark.parametrize("cause", ["eps_\u017fervices_not_allowed", "conge\u017ftion_benign", "Plmn_Not_Allowed"])
+def test_a_reject_cause_is_exactly_one_of_the_lowercase_names(cause):
+    """A long s (U+017F) upper-cases to S, so a case-folded lookup took these."""
+    fails_at(minimal(rogue=dict(ROGUE_JSON, reject_cause=cause)), f"rogue.reject_cause: unknown cause {cause!r}")
+
+
+def test_a_key_repeated_in_one_object_is_refused(tmp_path):
+    text = (SCENARIO_DIR / "attach_single.json").read_text()
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace('"tac": 100,', '"tac": 100, "tac": 7,', 1))
+    with pytest.raises(ScenarioInvalid, match="repeated key 'tac'"):
+        load_scenario(path)
+
+
+def _schema_objects(obj=SCHEMA, at=()):
+    """(where, table) for each kind of object the schema declares: `where`
+    is the path to one such object in `every_object_kind()`, which holds
+    one of each."""
+    yield at, obj.table
+    for key, entry in obj.table.items():
+        if isinstance(entry.kind, Obj):
+            yield from _schema_objects(entry.kind, at + (key,))
+        elif isinstance(entry.kind, List) and isinstance(entry.kind.item, Obj):
+            yield from _schema_objects(entry.kind.item, at + (key, 0))
+
+
+def test_hostile_values_at_every_declared_key_are_refused_or_run():
+    """The shipped-scenario walk above edits only the keys those files
+    hold; this one sets each key the schema declares, at every depth, in
+    a scenario that holds an object of every kind."""
+    escapes = []
+    for where, table in _schema_objects():
+        for key in table:
+            original = _at(every_object_kind(), where).get(key)
+            for value in _hostile_for(original):
+                doc = every_object_kind()
+                _at(doc, where)[key] = value
+                try:
+                    for line in Engine(parse_scenario(doc)).run().capture_lines:
+                        json.loads(line, parse_constant=_refuse_constant)
+                except ScenarioInvalid:
+                    pass
+                except Exception as exc:  # noqa: BLE001 - any escape is the finding
+                    escapes.append(f"{where + (key,)} = {value!r}: {exc!r}")
+    assert not escapes, "\n".join(escapes[:20])
+
+
+def _holder(record, field):
+    """The record that holds `field`: `record` or one nested in it, or None."""
+    if field in type(record)._fields:
+        return record
+    for name in type(record)._fields:
+        nested = getattr(record, name)
+        if isinstance(nested, Record) and (found := _holder(nested, field)) is not None:
+            return found
+    return None
+
+
+def _assert_keys_land(obj, doc, record, path, scope):
+    """Each key `doc` gives lands on its record field; each it leaves out
+    leaves that field at the record's declared default."""
+    for key, entry in obj.table.items():
+        field = entry.field or key
+        given = key in doc and not (doc[key] is None and entry.nullable)
+        if key == "mnc_len":  # spent on splitting the IMSI, whose own default is 3
+            assert len(record.imsi.mnc) == (doc[key] if given else 3)
+            continue
+        holder = _holder(record, field)
+        got = getattr(holder, field)
+        if not given:
+            default = type(holder)._fields[field].default
+            derived = {"name": path.replace("ues[", "ue").rstrip("]"), "imei": default_imei, "key": default_ue_key}
+            expected = default if default is not MISSING else derived[field]
+            assert got == (expected(record.imsi) if callable(expected) else expected), (path, key)
+        elif isinstance(entry.kind, Obj):
+            _assert_keys_land(entry.kind, doc[key], got, f"{path}.{key}", scope)
+        elif isinstance(entry.kind, List) and isinstance(entry.kind.item, Obj):
+            assert len(got) == len(doc[key])
+            for i, (item, built) in enumerate(zip(doc[key], got)):
+                _assert_keys_land(entry.kind.item, item, built, f"{path}.{key}[{i}]".lstrip("."), scope)
+        elif key == "imsi":
+            assert str(got) == doc[key]
+        else:
+            assert got == entry.kind(doc[key], key, scope), (path, key)
+
+
+@settings(max_examples=120, deadline=None)
+@given(valid_scenarios())
+def test_schema_derived_scenarios_parse_with_every_key_on_its_field(doc):
+    sc = parse_scenario(doc)
+    _assert_keys_land(SCHEMA, doc, sc, "", {"duration_ms": sc.duration_ms})
+
+
+def _readme_keys():
+    section = (REPO_ROOT / "README.md").read_text().split("## Scenario files", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+
+
+def test_the_readme_key_table_lists_exactly_the_declared_keys():
+    declared = ("".join("[]" if isinstance(step, int) else f".{step}" for step in where + (key,)).lstrip(".")
+                for where, table in _schema_objects() for key in table)
+    assert sorted(_readme_keys()) == sorted(declared)
