@@ -95,7 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if not args.quiet:
         print(f"{scenario.name}: seed {result.seed}, {result.duration_ms} ms")
-        print(f"capture: {len(result.capture_lines)} lines")
+        print("capture:", result.capture_text().count("\n"), "lines")
         if result.report is not None:
             rep = result.report
             print(

@@ -102,15 +102,17 @@ decoded body for cleartext frames or `"type": "opaque"` plus key_id for
 protected ones, the body length, and the receive level at the sniffer's
 position (rounded to 0.1 dB). Paging directives leave a
 `{"meta": "page_trigger"}` line so a replay knows what the attacker
-knew. `replay_capture` reconstructs the frame stream from such a file
-and must land on the identical tracking report. As in the run, the
-sniffer reads each distinct frame once, with the header it was packed
-from, validated once. A frame line is remembered by its text less its
-`rx` and `t`, with what the sniffer read from it: a later line that
-differs from one seen valid only there, each a plain decimal (`-63.2`,
-`40`), is the same frame at its own `t`, and the sniffer hears it with
-no parse, bytes or decode. Other lines (added whitespace, reordered or
-repeated keys, escapes, exponents, page triggers) take the full path.
+knew. A run folds its lines into newline-terminated text chunks as it
+goes (`run`), and `RunResult.capture_text` joins them once.
+`replay_capture` reconstructs the frame stream from such a file and must
+land on the identical tracking report. As in the run, the sniffer reads
+each distinct frame once, with the header it was packed from, validated
+once. A frame line is remembered by its text less its `rx` and `t`, with
+what the sniffer read from it: a later line that differs from one seen
+valid only there, each a plain decimal (`-63.2`, `40`), is the same
+frame at its own `t`, and the sniffer hears it with no parse, bytes or
+decode. Other lines (added whitespace, reordered or repeated keys,
+escapes, exponents, page triggers) take the full path.
 """
 
 from __future__ import annotations
@@ -143,13 +145,14 @@ from .ue import (
 )
 
 UE_TX_POWER_DBM = 23.0
+CHUNK_LINES = 1024  # capture lines pending after an instant that a run folds into one text chunk
 
 
 class RunResult(Record, frozen=False):
     scenario: Scenario
     seed: int
     duration_ms: int
-    capture_lines: list[str]
+    capture: list[str]  # the capture text in chunks of whole lines (see Engine.run)
     report: Optional[TrackingReport]
     ground_truth: dict
     ues: dict[str, Ue]
@@ -157,7 +160,14 @@ class RunResult(Record, frozen=False):
     rogue: Optional[RogueCell]
 
     def capture_text(self) -> str:
-        return "".join(line + "\n" for line in self.capture_lines)
+        """The capture, each line newline-terminated: its chunks, joined once."""
+        if len(self.capture) != 1:
+            self.capture = ["".join(self.capture)]
+        return self.capture[0]
+
+    @property
+    def capture_lines(self) -> list[str]:  # split from the text into a new list on each read
+        return self.capture_text().split("\n")[:-1]
 
 
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -270,13 +280,17 @@ class Engine:
     # -- main loop ---------------------------------------------------------------
 
     def run(self) -> RunResult:
+        lines, chunks = self.capture, []
         while self._heap:
             self._process(heapq.heappop(self._heap))
+            if len(lines) >= CHUNK_LINES or lines and not self._heap:  # and after the last instant
+                chunks.append("\n".join(lines) + "\n")
+                lines.clear()
         self.core.check_invariants()
-        result = self._result()
+        result = self._result(chunks)
         # An engine runs once, but its caller may hold it on (perfbench holds
-        # a unit's engines until all have run): let the memos and the
-        # sniffer, which the result does not need, go now.
+        # a unit's engines until all have run): let the memos and the sniffer
+        # go now, as its pending capture lines went into the result's chunks.
         self._repeating_bodies, self._templates, self._slots, self._uplink_rx = {}, {}, {}, []
         self.sniffer = None
         return result
@@ -495,12 +509,12 @@ class Engine:
 
     # -- results ------------------------------------------------------------------
 
-    def _result(self) -> RunResult:
+    def _result(self, capture: list[str]) -> RunResult:
         return RunResult(
             scenario=self.sc,
             seed=self.seed,
             duration_ms=self.sc.duration_ms,
-            capture_lines=self.capture,
+            capture=capture,
             report=self.sniffer.report() if self.sniffer is not None else None,
             ground_truth=self._ground_truth(),
             ues=self.ues,

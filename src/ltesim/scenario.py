@@ -292,7 +292,7 @@ def default_ue_key(imsi: Imsi) -> bytes:
 
 
 def default_imei(imsi: Imsi) -> str:
-    return ("99" + str(imsi))[:15]
+    return str(imsi)[::-1]  # the IMSI's digits reversed: one IMEI per IMSI
 
 
 def _rule(holds: Callable[[Any], bool], why: str) -> Callable[[Any, str, dict], None]:
@@ -373,6 +373,7 @@ def _scenario(fields: dict, path: str) -> Scenario:
     _reject_duplicates("name", [(f"ues[{i}].name", ue.name) for i, ue in ues])
     _reject_duplicates("imsi", [(f"ues[{i}].imsi", str(ue.imsi)) for i, ue in ues])
     _reject_duplicates("msisdn", [(f"ues[{i}].msisdn", ue.msisdn) for i, ue in ues])
+    _reject_duplicates("imei", [(f"ues[{i}].imei", ue.imei) for i, ue in ues])
     bound = [(i, ue.initial_tmsi) for i, ue in ues if ue.initial_tmsi is not None]
     _reject_duplicates("initial tmsi", [(f"ues[{i}].initial_tmsi", format_tmsi(tmsi)) for i, tmsi in bound])
     return sc

@@ -208,6 +208,8 @@ def valid_scenarios(draw):
     ues = doc.get("ues", [])
     for i, ue in enumerate(ues):
         ue["imsi"], ue["msisdn"] = f"310260{i:09d}", f"1555{i:07d}"
+        if "imei" in ue:
+            ue["imei"] = f"35{i:013d}"  # never another device's: a default one here ends in 062013
         if "name" in ue:
             ue["name"] += f"#{i}"  # never another device's name, nor a default ue{i}
         if ue.get("initial_tmsi") is not None:

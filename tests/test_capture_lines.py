@@ -16,7 +16,7 @@ import pytest
 from ltesim import codec
 from ltesim.codec import Direction, FrameHeader, Mib, RachPreamble, Sib1, UserData
 from ltesim.core import DEFAULT_MIB_BANDWIDTH_RB, cell_sib1
-from ltesim.engine import Engine, _dump, _line, run
+from ltesim.engine import CHUNK_LINES, Engine, RunResult, _dump, _line, run
 from ltesim.scenario import load_scenario, parse_scenario
 from ltesim.sniffer import Sniffer
 
@@ -200,6 +200,59 @@ def test_every_frame_line_equals_the_dict_oracle(monkeypatch, name):
         assert spy.observed == spy.heard == 0
     else:
         assert spy.observed == len(made) and spy.heard == checked[0] - len(made) > 0
+
+
+class Appended(list):
+    """A capture list that also keeps every line appended to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = []
+
+    def append(self, line):
+        self.lines.append(line)
+        super().append(line)
+
+
+@pytest.mark.parametrize("name", list(oracle_runs()))
+def test_a_run_keeps_its_capture_as_chunks_of_the_lines_written(monkeypatch, name):
+    """`Engine.run` folds the lines pending in `capture` into newline-ended
+    chunks of CHUNK_LINES or more, the last one less, and leaves none
+    pending. `capture_text` joins the chunks into the text of every line
+    appended, in order, once: a later call returns that same text, held
+    as the one chunk. `capture_lines` splits it back into those lines, a
+    new list on each read. The frame lines are those `_write` wrote."""
+    write, written = Engine._write, []
+
+    def write_and_note(engine, *args):
+        template = write(engine, *args)
+        written.append(engine.capture[-1])
+        return template
+
+    monkeypatch.setattr(Engine, "_write", write_and_note)
+    engine = Engine(scenario_named(name))
+    engine.capture = appended = Appended()
+    result = engine.run()
+    assert engine.capture == []
+    assert written == [line for line in appended.lines if not line.startswith('{"meta"')]
+    chunks = list(result.capture)
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    sizes = [chunk.count("\n") for chunk in chunks]
+    # No instant of these runs writes CHUNK_LINES lines, so each chunk holds fewer than twice that.
+    assert all(CHUNK_LINES <= size < 2 * CHUNK_LINES for size in sizes[:-1]) and 0 < sizes[-1] < 2 * CHUNK_LINES
+    text = result.capture_text()
+    assert text == "".join(line + "\n" for line in appended.lines)
+    assert result.capture_text() is text and result.capture == [text]
+    assert result.capture_lines == appended.lines and result.capture_lines is not result.capture_lines
+    if name == "benign-day":
+        assert len(chunks) > 10
+
+
+def test_an_empty_capture_is_empty_text_and_no_lines():
+    result = RunResult(
+        scenario=None, seed=0, duration_ms=0, capture=[], report=None, ground_truth={}, ues={}, core=None, rogue=None
+    )
+    assert result.capture_text() == "" and result.capture_lines == [] and result.capture == [""]
 
 
 @pytest.mark.parametrize("name", list(oracle_runs()))

@@ -6,7 +6,7 @@ import pytest
 
 from ltesim import cli
 from ltesim.cli import main
-from ltesim.engine import replay_capture, run
+from ltesim.engine import CHUNK_LINES, replay_capture, run
 from ltesim.scenario import load_scenario
 
 from tests.conftest import SCENARIO_DIR
@@ -38,6 +38,13 @@ def test_run_writes_all_outputs(tmp_path, capsys):
     assert capture.read_text().strip()
     assert "sessions" in json.loads(report.read_text())
     assert "trajectories" in json.loads(truth.read_text())
+
+
+def test_run_counts_the_capture_lines_it_writes(capsys):
+    assert main(["run", CATCHER]) == 0
+    lines = run(load_scenario(CATCHER)).capture_lines
+    assert f"capture: {len(lines)} lines\n" in capsys.readouterr().out
+    assert len(lines) > CHUNK_LINES  # so the run holds more than one chunk
 
 
 def test_run_quiet_says_nothing(capsys):

@@ -11,7 +11,7 @@ from ltesim.attacker import RogueCellConfig
 from ltesim.codec import EmmCause
 from ltesim.core import CellConfig
 from ltesim.engine import Engine
-from ltesim.identity import Plmn
+from ltesim.identity import Plmn, parse_imsi, validate_imei
 from ltesim.radio import Rat
 from ltesim.record import MISSING, Record
 from ltesim.scenario import (
@@ -168,6 +168,30 @@ def test_duplicates_rejected():
     obj["ues"].append(dict(obj["ues"][0], name="b", imsi="310260000000002", msisdn="15550000002"))
     obj["ues"][1]["initial_tmsi"] = 0x00B0B001
     fails_at(obj, "ues[1].initial_tmsi: duplicate initial tmsi '0x00b0b001'")
+
+
+def test_two_devices_with_one_imei_are_refused():
+    obj = minimal()
+    obj["ues"].append(dict(obj["ues"][0], name="b", imsi="310260000000002", msisdn="15550000002"))
+    obj["ues"][0]["imei"] = obj["ues"][1]["imei"] = "350000000000001"
+    fails_at(obj, "ues[1].imei: duplicate imei '350000000000001'")
+    del obj["ues"][1]["imei"]  # derived, and given to the first device
+    obj["ues"][0]["imei"] = default_imei(parse_imsi("310260000000002"))
+    fails_at(obj, "ues[1].imei: duplicate imei")
+
+
+def test_imsis_that_differ_in_any_one_digit_derive_distinct_imeis():
+    base = "310260000000001"
+    imsis = {base[:i] + d + base[i + 1 :] for i in range(len(base)) for d in "0123456789"}
+    imeis = {default_imei(parse_imsi(imsi)) for imsi in imsis}
+    assert len(imsis) == len(imeis) == 1 + 15 * 9
+    assert all(validate_imei(imei) == imei for imei in imeis)
+
+
+def test_the_shipped_devices_each_derive_their_own_imei():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        ues = load_scenario(path).ues
+        assert len({ue.imei for ue in ues}) == len(ues), path.name
 
 
 def test_rogue_must_not_reuse_a_cell_id():
